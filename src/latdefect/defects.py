@@ -13,6 +13,10 @@ Reductions to coset enumeration:
   * per-class minimum (classes of Char mod 2L): in basis coordinates z with
     square z^T G z, the class of a representative chi is z_chi + 2 Z^n, so
     minimize with form G, target z_chi / 2, and scale by 4.
+
+max_char_square needs only the value, so when the Gram graph is a forest (as
+for every plumbing tree) it takes the exact tree dynamic program
+forest_minimum; other forms go through the branch-and-bound search.
 """
 
 from __future__ import annotations
@@ -20,7 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumeration import CosetProblem, EnumerationResult, shortest_in_coset
+from .enumeration import (
+    CosetProblem,
+    EnumerationResult,
+    forest_minimum,
+    shortest_in_coset,
+)
 from .errors import (
     CongruenceViolationError,
     NotBimodularError,
@@ -38,7 +47,7 @@ from .lattice import (
     is_characteristic,
     _require_positive,
 )
-from .linalg import invert_matrix, mat_vec, sign_normalize
+from .linalg import mat_vec, sign_normalize
 
 
 @dataclass(frozen=True)
@@ -56,12 +65,19 @@ def _collapse_pairings(pairings) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(seen))
 
 
-def _positive_lattice(lat: IntegralLattice):
-    return lat.positive_gram
+def _class_problem(lat: IntegralLattice, rep_pairings, radius=None) -> CosetProblem:
+    """The class rep + 2L in basis coordinates of the positive form.
+
+    z = G^{-1} p with the lattice's cached inverse; the coset is z + 2 Z^n,
+    halved to z / 2 + Z^n, so values and radius are a quarter of the squares.
+    """
+    z = mat_vec(lat.positive_inverse, list(rep_pairings))
+    inner_radius = None if radius is None else Fraction(radius) / 4
+    return CosetProblem(lat.positive_gram, [x / 2 for x in z], radius=inner_radius)
 
 
 def _class_minimum(
-    gram_pos,
+    lat: IntegralLattice,
     rep_pairings,
     *,
     reduce: bool,
@@ -71,20 +87,15 @@ def _class_minimum(
 ) -> tuple[Fraction, tuple[tuple[int, ...], ...], int]:
     """Minimum square over rep + 2L in the positive form, with minimizers.
 
-    Works in basis coordinates: z = G^{-1} p, coset z + 2 Z^n, value scaled
-    by 4. Returns (min square, minimizing pairing vectors, nodes).
+    Returns (min square, minimizing pairing vectors, nodes).
     """
-    inv = invert_matrix(gram_pos)
-    z = mat_vec(inv, list(rep_pairings))
-    target = [x / 2 for x in z]
-    inner_radius = None if radius is None else Fraction(radius) / 4
-    problem = CosetProblem(gram_pos, target, radius=inner_radius)
+    problem = _class_problem(lat, rep_pairings, radius)
     res = shortest_in_coset(
         problem, reduce=reduce, threads=threads, node_budget=node_budget
     )
     pairings = []
     for x in res.minimizers:
-        shift = mat_vec(gram_pos, list(x))
+        shift = mat_vec(lat.positive_gram, list(x))
         pairings.append(tuple(p + 2 * s for p, s in zip(rep_pairings, shift)))
     return 4 * res.min_norm, _collapse_pairings(pairings), res.nodes_visited
 
@@ -141,7 +152,7 @@ def min_char_norm(
     wanted = CharClassSign(sign) if not isinstance(sign, CharClassSign) else sign
     rep = characteristic_class_reps(lat)[wanted]
     value, pairings, nodes = _class_minimum(
-        lat.gram,
+        lat,
         rep.pairings,
         reduce=reduce,
         threads=threads,
@@ -203,7 +214,10 @@ def max_char_square(
     """Largest square over the class rep + 2L of a negative definite lattice.
 
     Equals minus the minimal square of the corresponding coset in the
-    positive definite negation.
+    positive definite negation. A forest-shaped Gram matrix is solved exactly
+    by forest_minimum, where reduce and threads have no effect and
+    node_budget bounds the dynamic program's cells; any other goes through
+    the branch-and-bound search.
     """
     if lat.sign >= 0:
         raise NotNegativeDefiniteError("max_char_square needs a negative definite lattice")
@@ -213,8 +227,15 @@ def max_char_square(
         raise NotCharacteristicError(
             f"pairings {class_rep.pairings} are not characteristic"
         )
+    found = forest_minimum(
+        _class_problem(lat, class_rep.pairings),
+        inverse=lat.positive_inverse,
+        node_budget=node_budget,
+    )
+    if found is not None:
+        return -4 * found[0]
     value, _pairings, _nodes = _class_minimum(
-        lat.positive_gram,
+        lat,
         class_rep.pairings,
         reduce=reduce,
         threads=threads,

@@ -20,6 +20,7 @@ from .errors import (
     ResidueViolationError,
     TooManyBadVerticesError,
     UnnormalizedSeifertDataError,
+    ToolkitError,
     UnsupportedExpressionError,
 )
 from .lattice import Covector, IntegralLattice, base_characteristic, discriminant_group
@@ -66,7 +67,10 @@ def spinc_classes(lat: IntegralLattice) -> tuple[SpinCClass, ...]:
         seen.add(key)
         pairings = tuple(b + 2 * s for b, s in zip(base.pairings, shift))
         classes.append(SpinCClass(Covector(pairings, lat), coeffs))
-    assert len(classes) == abs(lat.determinant)
+    if len(classes) != abs(lat.determinant):
+        raise ToolkitError(
+            f"found {len(classes)} spin-c classes, expected |det| = {abs(lat.determinant)}"
+        )
     return tuple(classes)
 
 

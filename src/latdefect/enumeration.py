@@ -11,6 +11,11 @@ cleared once per factorization, so the inner loop works on plain integers.
 Optional LLL preprocessing conjugates the problem by a unimodular matrix and
 never affects results, only node counts. Top-level branches can be split
 across worker threads; the merged outcome is identical to a serial run.
+
+When the off-diagonal support of Q is a forest (every plumbing tree is one),
+forest_minimum finds the exact minimum value without a search: the objective
+is a sum of vertex and edge terms, so a leaf-to-root dynamic program over
+integer-scaled coordinates solves it.
 """
 
 from __future__ import annotations
@@ -19,26 +24,23 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm
+from math import floor, isqrt, lcm
 
 from .errors import (
     BudgetExhaustedError,
     NotSymmetricError,
     RadiusEmptyError,
+    ToolkitError,
 )
 from .linalg import (
     first_asymmetry,
     integer_matrix_inverse,
+    invert_matrix,
     ldl_decomposition,
     mat_vec,
     sign_normalize,
 )
-from .reduction import lll_reduce_gram
-
-
-def _round_half_up(x: Fraction) -> int:
-    num, den = (2 * x + 1).numerator, (2 * x + 1).denominator
-    return num // (2 * den)
+from .reduction import _round_half_up, lll_reduce_gram
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,8 @@ class _Scaled:
         coeff = []
         for i in range(n):
             c = diag[i] * value_scale / scales[i] ** 2
-            assert c.denominator == 1
+            if c.denominator != 1:
+                raise ToolkitError(f"level {i} cost {c} did not scale to an integer")
             coeff.append(c.numerator)
         self.scales = scales
         self.consts = consts
@@ -199,21 +202,11 @@ class _Worker:
         self.best = None
         self.hits: list = []
         self.nodes = 0
-        self.pending = 0  # nodes not yet reported to the shared budget
 
     def _spend(self) -> None:
         self.nodes += 1
-        if self.budget is None:
-            return
-        self.pending += 1
-        if self.pending >= 64:
-            self.budget.spend(self.pending)
-            self.pending = 0
-
-    def flush_budget(self) -> None:
-        if self.budget is not None and self.pending:
-            self.budget.spend(self.pending)
-            self.pending = 0
+        if self.budget is not None:
+            self.budget.spend(1)
 
     def _limit(self):
         m = self.cap
@@ -367,7 +360,6 @@ def _solve(problem: CosetProblem, mode: str, reduce: bool, threads: int, node_bu
     if threads <= 1 or n <= 1:
         worker = _Worker(scaled, mode, cap_scaled, None, budget)
         worker.run(n - 1)
-        worker.flush_budget()
         nodes = worker.nodes
         best, hits = worker.best, worker.hits
     else:
@@ -376,6 +368,8 @@ def _solve(problem: CosetProblem, mode: str, reduce: bool, threads: int, node_bu
         else:
             babai = _babai_value(cols, diag, target)
             bound = babai if cap is None else min(babai, cap)
+        if budget is not None:
+            budget.spend(n)  # the bounding descent, counted in nodes below
         tops = _top_candidates(diag, target, bound)
         chunks = [tops[k::threads] for k in range(threads)]
         shared = _SharedBest()
@@ -391,8 +385,6 @@ def _solve(problem: CosetProblem, mode: str, reduce: bool, threads: int, node_bu
             ]
             for f in futures:
                 f.result()
-        for w in workers:
-            w.flush_budget()
         nodes = sum(w.nodes for w in workers) + n  # include the bounding descent
         if mode == "collect":
             best = None
@@ -483,3 +475,98 @@ def enumerate_in_coset(
         raise ValueError("enumerate_in_coset requires a radius")
     _best, hits, _nodes = _solve(problem, "collect", reduce, threads, node_budget)
     return sorted(hits)
+
+
+def _forest_order(form):
+    """(order, parent) for the graph of nonzero off-diagonal entries.
+
+    order lists every vertex after all of its children; parent is -1 at the
+    root of each component. Returns None when the graph has a cycle.
+    """
+    n = len(form)
+    parent = [-1] * n
+    seen = [False] * n
+    order = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for w in range(n):
+                if w == v or w == parent[v] or form[v][w] == 0:
+                    continue
+                if seen[w]:
+                    return None
+                seen[w] = True
+                parent[w] = v
+                stack.append(w)
+    order.reverse()
+    return order, parent
+
+
+def forest_minimum(
+    problem: CosetProblem,
+    *,
+    inverse=None,
+    node_budget: int | None = None,
+) -> tuple[Fraction, int] | None:
+    """Exact minimum of (target + x)^T form (target + x) on a forest-shaped form.
+
+    Returns (min_norm, nodes), or None when the nonzero off-diagonal entries of
+    the form do not make a forest; no minimizers are built. inverse, the exact
+    inverse of the form, is computed when not given.
+
+    With D the common denominator of the target, Y = D (target + x) is an
+    integer vector and D^2 times the value is an integer quadratic in Y. The
+    nearest-plane value R bounds every coordinate by
+    |Y_v| <= isqrt(floor(R inverse_vv D^2)) (Cauchy-Schwarz). Messages then
+    pass from the leaves to each root:
+    m_v(Y_p) = min over Y_v of [q_vv Y_v^2 + 2 q_vp Y_v Y_p + sum of m_c(Y_v)]
+    over the children c of v. nodes counts one per (vertex value, parent
+    value) pair and one per root value; node_budget is checked against that
+    exact total before any message is computed.
+    """
+    if problem.radius is not None:
+        raise ValueError("forest_minimum takes no radius")
+    shape = _forest_order(problem.form)
+    if shape is None:
+        return None
+    order, parent = shape
+    form, target = problem.form, problem.target
+    if inverse is None:
+        inverse = invert_matrix(form)
+    bound = _babai_value(*_factor(form), target)
+    den = lcm(*(t.denominator for t in target))
+    form_scale = lcm(*(q.denominator for row in form for q in row))
+    domains = []
+    for v, t in enumerate(target):
+        c = int(t * den)
+        b = isqrt(floor(bound * inverse[v][v] * den * den))
+        domains.append(range(c - den * ((b + c) // den), b + 1, den))
+    nodes = sum(
+        len(domains[v]) * (len(domains[p]) if p >= 0 else 1)
+        for v, p in enumerate(parent)
+    )
+    if node_budget is not None and nodes > node_budget:
+        raise BudgetExhaustedError(nodes, node_budget)
+    # h[v][k]: vertex term plus the children's messages at the k-th value of v
+    h = [
+        [int(form[v][v] * form_scale) * y * y for y in dom]
+        for v, dom in enumerate(domains)
+    ]
+    total = 0
+    for v in order:
+        p = parent[v]
+        if p < 0:
+            total += min(h[v])
+            continue
+        hv, dom = h[v], domains[v]
+        w = int(2 * form[v][p] * form_scale)
+        hp = h[p]
+        for k, yp in enumerate(domains[p]):
+            s = w * yp
+            hp[k] += min(a + s * y for a, y in zip(hv, dom))
+    return Fraction(total, den * den * form_scale), nodes

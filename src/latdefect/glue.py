@@ -150,7 +150,8 @@ def restrict_covector(cov: Covector, side: str) -> Covector:
         raise ValueError("side must be 'left' or 'right'")
     inverse = invert_matrix([list(r) for r in over.basis_change])
     pairings = mat_vec(inverse, list(cov.pairings))
-    assert all(p.denominator == 1 for p in pairings)
+    if any(p.denominator != 1 for p in pairings):
+        raise GlueFailureError(f"restricted pairings {pairings} are not integral")
     ints = [int(p) for p in pairings]
     n_left = over.left.rank
     if side == "left":

@@ -31,6 +31,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NotRootsError,
     NotSymmetricError,
+    ToolkitError,
 )
 from .linalg import (
     bareiss_determinant,
@@ -41,7 +42,6 @@ from .linalg import (
     invert_matrix,
     ldl_decomposition,
     mat_mul,
-    mat_vec,
     quadratic_value,
     rational_rank,
     reduce_mod_rows,
@@ -85,7 +85,7 @@ class IntegralLattice:
     def gram_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(row) for row in invert_matrix(self.gram))
 
-    @property
+    @cached_property
     def positive_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
         if self.sign > 0:
             return self.gram_inverse
@@ -228,7 +228,10 @@ def discriminant_group(lat: IntegralLattice) -> DiscriminantGroup:
     total = 1
     for d in orders:
         total *= d
-    assert total == abs(lat.determinant), "invariant factors must multiply to |det|"
+    if total != abs(lat.determinant):
+        raise ToolkitError(
+            f"invariant factors multiply to {total}, not |det| = {abs(lat.determinant)}"
+        )
     return DiscriminantGroup(orders=tuple(orders), generators=tuple(gens))
 
 
@@ -353,18 +356,6 @@ def e8_lattice() -> IntegralLattice:
     return _tree_root_lattice(E8_EDGES, 8)
 
 
-def lattice_in_image(lat: IntegralLattice, pairings) -> bool:
-    """Whether an integer pairing vector is realized by a lattice vector."""
-    sol = mat_vec(invert_matrix(lat.gram), list(pairings))
-    return all(x.denominator == 1 for x in sol)
-
-
-def characteristic_covectors_sample(lat: IntegralLattice, shifts) -> list[Covector]:
-    """Base characteristic translated by 2*shift for each integer shift."""
-    chi = base_characteristic(lat)
-    return [chi.translate([2 * s for s in shift]) for shift in shifts]
-
-
 @dataclass(frozen=True)
 class RootGraph:
     """Pairing graph of an independent root set: edges carry r_i . r_j."""
@@ -390,7 +381,8 @@ def root_graph(lat: IntegralLattice, vectors) -> RootGraph:
     for i, j in itertools.combinations(range(len(vecs)), 2):
         w = int(sum(vecs[i][a] * sum(lat.gram[a][b] * vecs[j][b] for b in range(lat.rank))
                     for a in range(lat.rank)))
-        assert abs(w) <= 1, "independent roots cannot pair beyond +-1"
+        if abs(w) > 1:
+            raise NotIndependentError(f"roots {vecs[i]} and {vecs[j]} pair to {w}")
         if w != 0:
             edges.append((i, j, w))
     return RootGraph(vertices=tuple(vecs), edges=tuple(edges))

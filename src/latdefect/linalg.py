@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotPositiveDefiniteError
+from .errors import NotPositiveDefiniteError, ToolkitError
 
 IntMatrix = Sequence[Sequence[int]]
 
@@ -128,7 +128,8 @@ def integer_matrix_inverse(mat: IntMatrix) -> list[list[int]]:
     inv = invert_matrix(mat)
     out = []
     for row in inv:
-        assert all(x.denominator == 1 for x in row), "matrix is not unimodular"
+        if any(x.denominator != 1 for x in row):
+            raise ToolkitError("matrix is not unimodular")
         out.append([int(x) for x in row])
     return out
 

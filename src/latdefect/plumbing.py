@@ -14,10 +14,12 @@ from fractions import Fraction
 
 from .errors import (
     ExpressionParseError,
+    FormatError,
     NotDefiniteError,
     NotNegativeDefiniteError,
     NotRationalHomologySphereError,
     UnnormalizedSeifertDataError,
+    ToolkitError,
     ZeroLegFramingError,
 )
 from .lattice import E8_EDGES, IntegralLattice, validate_lattice
@@ -56,7 +58,8 @@ def h1_order(data: SeifertData) -> int:
     for r in data.legs:
         scale *= abs(r.numerator)
     order = scale * abs(data.euler_number)
-    assert order.denominator == 1
+    if order.denominator != 1:
+        raise ToolkitError(f"first homology order {order} is not an integer")
     return int(order)
 
 
@@ -199,7 +202,10 @@ def canonical_plumbing(data: SeifertData) -> PlumbingTree:
         raise NotNegativeDefiniteError(
             "canonical plumbing is not negative definite"
         )
-    assert abs(lat.determinant) == h1_order(data)
+    if abs(lat.determinant) != h1_order(data):
+        raise ToolkitError(
+            f"plumbing determinant {lat.determinant} does not match |H_1| = {h1_order(data)}"
+        )
     return tree
 
 
@@ -215,7 +221,8 @@ class PoincareAtom:
     orientation: int = 1
 
     def __post_init__(self):
-        assert self.orientation in (1, -1)
+        if self.orientation not in (1, -1):
+            raise FormatError(f"Poincare sphere orientation {self.orientation} is not +-1")
 
 
 @dataclass(frozen=True)

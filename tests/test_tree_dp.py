@@ -1,0 +1,165 @@
+"""Tree dynamic program: oracle agreement, routing, exact node budgets.
+
+forest_minimum is checked against the branch-and-bound search on random
+weighted forests and on every spin-c class of small Seifert plumbings.
+"""
+
+import ast
+import importlib
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from latdefect import (
+    BudgetExhaustedError,
+    CosetProblem,
+    NotNegativeDefiniteError,
+    NotRationalHomologySphereError,
+    SeifertData,
+    UnnormalizedSeifertDataError,
+    base_characteristic,
+    canonical_plumbing,
+    gram,
+    max_char_square,
+    negative_e8_tree,
+    shortest_in_coset,
+    spinc_classes,
+    validate_lattice,
+)
+from latdefect.cli import main
+from latdefect.enumeration import forest_minimum
+from latdefect.linalg import mat_vec
+
+SLOW = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+DEFECTS = importlib.import_module("latdefect.defects")  # the package re-exports defects()
+SOURCES = Path(__file__).resolve().parent.parent / "src" / "latdefect"
+
+
+@st.composite
+def forest_problems(draw):
+    """Diagonally dominant form on a random forest, target with denominators 1-3."""
+    n = draw(st.integers(1, 6))
+    form = [[0] * n for _ in range(n)]
+    for v in range(1, n):
+        parent = draw(st.integers(-1, v - 1))  # -1 starts a new component
+        if parent >= 0:
+            form[v][parent] = form[parent][v] = draw(st.sampled_from([-3, -2, -1, 1, 2]))
+    for v in range(n):
+        form[v][v] = sum(abs(x) for x in form[v]) + draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        form = [[Fraction(x, 2) for x in row] for row in form]
+    target = [
+        Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from([1, 2, 3])))
+        for _ in range(n)
+    ]
+    return CosetProblem(form, target)
+
+
+@SLOW
+@given(forest_problems())
+def test_forest_minimum_matches_branch_and_bound(problem):
+    value, nodes = forest_minimum(problem)
+    assert value == shortest_in_coset(problem).min_norm
+    assert nodes >= problem.rank
+
+
+def test_forest_minimum_small_cases():
+    # rank 1: (1/3 + x)^2 * 5 is smallest at x = 0
+    assert forest_minimum(CosetProblem([[5]], [Fraction(1, 3)])) == (Fraction(5, 9), 1)
+    # two components, halves and thirds mixed
+    problem = CosetProblem([[2, 0], [0, 3]], [Fraction(1, 2), Fraction(2, 3)])
+    assert forest_minimum(problem)[0] == Fraction(1, 2) + Fraction(1, 3)
+    assert forest_minimum(CosetProblem([], [])) == (0, 0)
+
+
+def test_forest_minimum_rejects_cycles_and_radius():
+    triangle = [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+    assert forest_minimum(CosetProblem(triangle, [0, 0, 0])) is None
+    with pytest.raises(ValueError):
+        forest_minimum(CosetProblem([[1]], [0], radius=1))
+
+
+def small_seifert_lattices():
+    legs = st.tuples(st.integers(2, 5), st.integers(1, 4)).filter(lambda ab: ab[0] > ab[1])
+    return st.tuples(st.integers(-3, -1), st.lists(legs, min_size=1, max_size=3))
+
+
+@SLOW
+@given(small_seifert_lattices())
+def test_max_char_square_matches_search_on_every_class(raw):
+    central, legs = raw
+    try:
+        tree = canonical_plumbing(SeifertData(central, [Fraction(-a, b) for a, b in legs]))
+    except (NotNegativeDefiniteError, NotRationalHomologySphereError, UnnormalizedSeifertDataError):
+        assume(False)
+    assume(tree.rank <= 10)
+    lat = gram(tree)
+    assume(abs(lat.determinant) <= 40)
+    for cls in spinc_classes(lat):
+        z = mat_vec(lat.positive_inverse, list(cls.representative.pairings))
+        search = shortest_in_coset(CosetProblem(lat.positive_gram, [x / 2 for x in z]))
+        assert max_char_square(lat, cls.representative) == -4 * search.min_norm
+
+
+def test_only_non_forests_take_the_search(monkeypatch):
+    calls = []
+    search = DEFECTS.shortest_in_coset
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(DEFECTS, "shortest_in_coset", counted)
+    e8 = gram(negative_e8_tree())
+    assert max_char_square(e8, base_characteristic(e8)) == 0
+    assert calls == []
+    triangle = validate_lattice([[-2, -1, -1], [-1, -2, -1], [-1, -1, -2]])
+    assert max_char_square(triangle, base_characteristic(triangle)) == -3
+    assert calls == [1]
+
+
+def budget_cases():
+    path = CosetProblem(
+        [[3, -1, 0, 0], [-1, 3, 1, 0], [0, 1, 4, -2], [0, 0, -2, 5]],
+        [Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3), Fraction(1, 6)],
+    )
+    cube = CosetProblem([[1 if i == j else 0 for j in range(6)] for i in range(6)], [Fraction(1, 2)] * 6)
+    return [path, cube]
+
+
+@pytest.mark.parametrize("problem", budget_cases())
+def test_forest_budget_is_exact(problem):
+    value, nodes = forest_minimum(problem)
+    assert forest_minimum(problem, node_budget=nodes) == (value, nodes)
+    for budget in (0, 1, nodes - 1):
+        with pytest.raises(BudgetExhaustedError) as info:
+            forest_minimum(problem, node_budget=budget)
+        assert info.value.nodes == nodes and info.value.budget == budget
+
+
+@pytest.mark.parametrize("problem", budget_cases())
+def test_search_budget_is_exact(problem):
+    full = shortest_in_coset(problem)
+    assert shortest_in_coset(problem, node_budget=full.nodes_visited) == full
+    for budget in (0, 1, full.nodes_visited - 1):
+        with pytest.raises(BudgetExhaustedError) as info:
+            shortest_in_coset(problem, node_budget=budget)
+        assert info.value.nodes == budget + 1
+
+
+def test_cli_budget_exhaustion_on_a_plumbing(capsys):
+    code = main(["--node-budget", "1", "seifert", "d", "Y(-1; -2/1, -4/1, -5/1)"])
+    assert code == 3 and "budget" in capsys.readouterr().err
+
+
+def test_library_has_no_assert_statements():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCES.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
