@@ -68,12 +68,14 @@ def _collapse_pairings(pairings) -> tuple[tuple[int, ...], ...]:
 def _class_problem(lat: IntegralLattice, rep_pairings, radius=None) -> CosetProblem:
     """The class rep + 2L in basis coordinates of the positive form.
 
-    z = G^{-1} p with the lattice's cached inverse; the coset is z + 2 Z^n,
-    halved to z / 2 + Z^n, so values and radius are a quarter of the squares.
+    z = G^{-1} p = adj p / det with the lattice's cached adjugate; the coset is
+    z + 2 Z^n, halved to z / 2 + Z^n, so values and radius are a quarter of
+    the squares.
     """
-    z = mat_vec(lat.positive_inverse, list(rep_pairings))
+    den = 2 * lat.sign * lat.determinant
+    target = [Fraction(x, den) for x in mat_vec(lat.adjugate, list(rep_pairings))]
     inner_radius = None if radius is None else Fraction(radius) / 4
-    return CosetProblem(lat.positive_gram, [x / 2 for x in z], radius=inner_radius)
+    return CosetProblem(lat.positive_gram, target, radius=inner_radius)
 
 
 def _class_minimum(
@@ -230,6 +232,7 @@ def max_char_square(
     found = forest_minimum(
         _class_problem(lat, class_rep.pairings),
         inverse=lat.positive_inverse,
+        factor=lat.positive_ldl,
         node_budget=node_budget,
     )
     if found is not None:

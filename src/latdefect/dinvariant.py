@@ -32,7 +32,6 @@ from .plumbing import (
     SeifertData,
     bad_vertex_indices,
     canonical_plumbing,
-    gram,
     h1_order,
     parse_expression,
     reverse_orientation,
@@ -163,7 +162,7 @@ def seifert_class_values(
 ) -> tuple[Fraction, ...]:
     """Correction terms of a Seifert space, one per spin-c structure."""
     tree, flipped = _seifert_tree(data)
-    lat = gram(tree)
+    lat = tree.lattice
     if lat.sign >= 0:
         raise NotNegativeDefiniteError("plumbing lattice is not negative definite")
     values = [

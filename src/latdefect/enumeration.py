@@ -111,7 +111,11 @@ class _SharedBest:
 
 
 def _factor(form):
-    lower, diag = ldl_decomposition(form)
+    return _columns(*ldl_decomposition(form))
+
+
+def _columns(lower, diag):
+    """Nonzero below-diagonal entries of L per column, with the pivots."""
     n = len(diag)
     cols = [
         [(j, lower[j][i]) for j in range(i + 1, n) if lower[j][i] != 0]
@@ -511,13 +515,15 @@ def forest_minimum(
     problem: CosetProblem,
     *,
     inverse=None,
+    factor=None,
     node_budget: int | None = None,
 ) -> tuple[Fraction, int] | None:
     """Exact minimum of (target + x)^T form (target + x) on a forest-shaped form.
 
     Returns (min_norm, nodes), or None when the nonzero off-diagonal entries of
     the form do not make a forest; no minimizers are built. inverse, the exact
-    inverse of the form, is computed when not given.
+    inverse of the form, and factor, its ldl_decomposition, are computed when
+    not given.
 
     With D the common denominator of the target, Y = D (target + x) is an
     integer vector and D^2 times the value is an integer quadratic in Y. The
@@ -538,7 +544,9 @@ def forest_minimum(
     form, target = problem.form, problem.target
     if inverse is None:
         inverse = invert_matrix(form)
-    bound = _babai_value(*_factor(form), target)
+    if factor is None:
+        factor = ldl_decomposition(form)
+    bound = _babai_value(*_columns(*factor), target)
     den = lcm(*(t.denominator for t in target))
     form_scale = lcm(*(q.denominator for row in form for q in row))
     domains = []

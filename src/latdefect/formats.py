@@ -3,6 +3,10 @@
 Rationals render as "p/q", or bare "n" when integral. Gram matrices travel
 as {"rank": n, "gram": [[...], ...]} with integer entries, plumbing trees as
 {"weights": [...], "edges": [[i, j], ...]}.
+
+A Gram matrix read from JSON may have rank at most MAX_GRAM_RANK and entries
+of absolute value at most MAX_GRAM_ENTRY: exact elimination costs grow with
+both, so larger input is rejected as malformed before any arithmetic.
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ from fractions import Fraction
 
 from .errors import FormatError
 from .plumbing import PlumbingTree
+
+MAX_GRAM_RANK = 64
+MAX_GRAM_ENTRY = 10**6
 
 
 def format_fraction(value) -> str:
@@ -47,11 +54,12 @@ def gram_from_json(text: str) -> list[list[int]]:
     """Decode a Gram matrix document; shape problems raise FormatError.
 
     Symmetry and definiteness are left to lattice validation, which points
-    at the offending entry.
+    at the offending entry. Rank and entry size are bounded by MAX_GRAM_RANK
+    and MAX_GRAM_ENTRY.
     """
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an integer too long to parse
         raise FormatError(f"invalid JSON: {err}") from None
     _require(isinstance(document, dict), "expected an object with a 'gram' field")
     _require("gram" in document, "missing 'gram' field")
@@ -60,12 +68,20 @@ def gram_from_json(text: str) -> list[list[int]]:
         isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows),
         "'gram' must be a nonempty list of rows",
     )
+    _require(
+        len(rows) <= MAX_GRAM_RANK,
+        f"rank {len(rows)} exceeds the limit of {MAX_GRAM_RANK}",
+    )
     for i, row in enumerate(rows):
         _require(len(row) == len(rows), f"row {i} has length {len(row)}, expected {len(rows)}")
         for j, entry in enumerate(row):
             _require(
                 isinstance(entry, int) and not isinstance(entry, bool),
                 f"entry at row {i}, column {j} is not an integer",
+            )
+            _require(
+                abs(entry) <= MAX_GRAM_ENTRY,
+                f"entry at row {i}, column {j} exceeds {MAX_GRAM_ENTRY} in absolute value",
             )
     if "rank" in document:
         _require(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import GlueFailureError, NotBimodularError
 from .lattice import (
@@ -21,13 +22,15 @@ from .lattice import (
     _require_positive,
 )
 from .linalg import (
+    adjugate,
     bareiss_determinant,
     hermite_row_basis,
     integer_row_kernel,
-    invert_matrix,
     mat_mul,
     mat_vec,
+    quadratic_value,
     transpose,
+    vec_mat,
 )
 
 
@@ -44,48 +47,66 @@ class Overlattice(IntegralLattice):
     left: IntegralLattice
     right: IntegralLattice
 
+    @cached_property
+    def _doubled_basis(self) -> tuple[tuple[int, ...], ...]:
+        """basis2 = 2 * basis_change, the integer matrix gluing works on."""
+        doubled = [[2 * x for x in row] for row in self.basis_change]
+        if any(x.denominator != 1 for row in doubled for x in row):
+            raise GlueFailureError("basis change is not half-integral")
+        return tuple(tuple(int(x) for x in row) for row in doubled)
 
-def _glue_coordinates(lat: IntegralLattice) -> list[Fraction]:
-    """Rational coordinates of the canonical discriminant generator."""
+    @cached_property
+    def _doubled_adjugate(self) -> tuple[list[list[int]], int]:
+        """(adj, det) of _doubled_basis, so basis_change^-1 = 2 adj / det."""
+        return adjugate(self._doubled_basis)
+
+
+def _doubled_glue_coordinates(lat: IntegralLattice) -> list[int]:
+    """Twice the coordinates of the canonical discriminant generator.
+
+    The generator's coordinates are G^-1 p = adj p / det; doubling them must
+    clear the denominator det = +-2.
+    """
     group = discriminant_group(lat)
     if group.orders != (2,):
         raise NotBimodularError(f"discriminant group has orders {group.orders}")
-    gen = group.generators[0]
-    inv = invert_matrix(lat.gram)
-    return mat_vec(inv, list(gen.pairings))
+    det = lat.determinant
+    coords = [2 * x for x in mat_vec(lat.adjugate, list(group.generators[0].pairings))]
+    if any(x % det for x in coords):
+        raise GlueFailureError("glue vector is not half-integral")
+    return [x // det for x in coords]
 
 
-def _saturation_check(basis_rows, lo: int, hi: int, n: int) -> None:
+def _saturation_check(basis2, lo: int, hi: int, n: int) -> None:
     """The overlattice must meet the rational span of the block in the block.
 
-    basis_rows: overlattice basis in direct-sum coordinates. Checks that
-    integer combinations landing in coordinates [lo, hi) form exactly the
-    block lattice.
+    basis2: twice the overlattice basis, in direct-sum coordinates. Checks
+    that integer combinations landing in coordinates [lo, hi) form exactly
+    the block lattice.
     """
-    outside = [
-        [2 * row[j] for j in range(n) if not lo <= j < hi] for row in basis_rows
-    ]
-    outside_int = [[int(x) for x in row] for row in outside]
-    if any(x != y for row, irow in zip(outside, outside_int) for x, y in zip(row, irow)):
-        raise GlueFailureError("basis change is not half-integral")
-    kernel = integer_row_kernel(outside_int)
+    outside = [[row[j] for j in range(n) if not lo <= j < hi] for row in basis2]
+    kernel = integer_row_kernel(outside)
     if len(kernel) != hi - lo:
         raise GlueFailureError("intersection with a summand has wrong rank")
     block = []
     for y in kernel:
-        coords = [sum(Fraction(y[i]) * basis_rows[i][j] for i in range(n)) for j in range(n)]
+        coords = vec_mat(y, basis2)
         if any(coords[j] != 0 for j in range(n) if not lo <= j < hi):
             raise GlueFailureError("kernel vector leaves the summand span")
         inside = coords[lo:hi]
-        if any(c.denominator != 1 for c in inside):
+        if any(c % 2 for c in inside):
             raise GlueFailureError("intersection vector is not integral")
-        block.append([int(c) for c in inside])
+        block.append([c // 2 for c in inside])
     if abs(bareiss_determinant(block)) != 1:
         raise GlueFailureError("intersection with a summand is a proper sublattice")
 
 
 def glue_overlattice(left: IntegralLattice, right: IntegralLattice) -> Overlattice:
-    """Build the unimodular overlattice of two positive definite |det| = 2 lattices."""
+    """Build the unimodular overlattice of two positive definite |det| = 2 lattices.
+
+    Everything runs on the integer doubled basis: twice the glue vector, and
+    basis2, twice the overlattice basis. Each halving is checked first.
+    """
     for lat in (left, right):
         _require_positive(lat, "glue_overlattice")
         if abs(lat.determinant) != 2:
@@ -93,39 +114,30 @@ def glue_overlattice(left: IntegralLattice, right: IntegralLattice) -> Overlatti
     n_left = left.rank
     n = n_left + right.rank
     summed = direct_sum(left, right)
-    glue_vec = _glue_coordinates(left) + _glue_coordinates(right)
-    self_pairing = sum(
-        glue_vec[i] * summed.gram[i][j] * glue_vec[j]
-        for i in range(n)
-        for j in range(n)
-    )
-    if self_pairing.denominator != 1:
+    glue2 = _doubled_glue_coordinates(left) + _doubled_glue_coordinates(right)
+    square4 = quadratic_value(summed.gram, glue2)
+    if square4 % 4:
         raise GlueFailureError(
-            f"glue vector has non-integral self-pairing {self_pairing}"
+            f"glue vector has non-integral self-pairing {Fraction(square4, 4)}"
         )
     doubled = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    scaled_glue = [2 * x for x in glue_vec]
-    if any(x.denominator != 1 for x in scaled_glue):
-        raise GlueFailureError("glue vector is not half-integral")
-    doubled.append([int(x) for x in scaled_glue])
+    doubled.append(glue2)
     basis2 = hermite_row_basis(doubled)
     if len(basis2) != n:
         raise GlueFailureError("glued generators do not span the full rank")
-    rows = tuple(tuple(Fraction(x, 2) for x in row) for row in basis2)
-    gram = mat_mul(mat_mul([list(r) for r in rows], [list(g) for g in summed.gram]),
-                   transpose([list(r) for r in rows]))
-    if any(x.denominator != 1 for row in gram for x in row):
+    gram4 = mat_mul(mat_mul(basis2, summed.gram), transpose(basis2))
+    if any(x % 4 for row in gram4 for x in row):
         raise GlueFailureError("overlattice Gram is not integral")
-    lattice = validate_lattice([[int(x) for x in row] for row in gram])
+    lattice = validate_lattice([[x // 4 for x in row] for row in gram4])
     if abs(lattice.determinant) != 1:
         raise GlueFailureError(f"overlattice determinant is {lattice.determinant}")
-    _saturation_check(rows, 0, n_left, n)
-    _saturation_check(rows, n_left, n, n)
+    _saturation_check(basis2, 0, n_left, n)
+    _saturation_check(basis2, n_left, n, n)
     return Overlattice(
         gram=lattice.gram,
         sign=lattice.sign,
         determinant=lattice.determinant,
-        basis_change=rows,
+        basis_change=tuple(tuple(Fraction(x, 2) for x in row) for row in basis2),
         sublattice_index=2,
         left=left,
         right=right,
@@ -148,11 +160,12 @@ def restrict_covector(cov: Covector, side: str) -> Covector:
         raise ValueError("covector does not live on a glued overlattice")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    inverse = invert_matrix([list(r) for r in over.basis_change])
-    pairings = mat_vec(inverse, list(cov.pairings))
-    if any(p.denominator != 1 for p in pairings):
+    adj, det = over._doubled_adjugate
+    ints = [2 * p for p in mat_vec(adj, list(cov.pairings))]
+    if any(p % det for p in ints):
+        pairings = [Fraction(p, det) for p in ints]
         raise GlueFailureError(f"restricted pairings {pairings} are not integral")
-    ints = [int(p) for p in pairings]
+    ints = [p // det for p in ints]
     n_left = over.left.rank
     if side == "left":
         return Covector(tuple(ints[:n_left]), over.left)
@@ -168,10 +181,7 @@ def extend_covector(over: Overlattice, left_cov: Covector, right_cov: Covector) 
     if left_cov.lattice != over.left or right_cov.lattice != over.right:
         raise ValueError("covectors do not match the glued summands")
     stacked = list(left_cov.pairings) + list(right_cov.pairings)
-    pairings = [
-        sum(row[j] * stacked[j] for j in range(len(stacked)))
-        for row in over.basis_change
-    ]
-    if any(p.denominator != 1 for p in pairings):
+    doubled = mat_vec(over._doubled_basis, stacked)
+    if any(p % 2 for p in doubled):
         return None
-    return Covector(tuple(int(p) for p in pairings), over)
+    return Covector(tuple(p // 2 for p in doubled), over)

@@ -34,7 +34,6 @@ from .errors import (
     ToolkitError,
 )
 from .linalg import (
-    bareiss_determinant,
     first_asymmetry,
     hermite_row_basis,
     integer_matrix_inverse,
@@ -86,10 +85,27 @@ class IntegralLattice:
         return tuple(tuple(row) for row in invert_matrix(self.gram))
 
     @cached_property
+    def adjugate(self) -> tuple[tuple[int, ...], ...]:
+        """det * G^-1 for the Gram matrix as given: an integer matrix.
+
+        Read off gram_inverse, whose reduced denominators all divide det.
+        """
+        det = self.determinant
+        return tuple(
+            tuple(x.numerator * (det // x.denominator) for x in row)
+            for row in self.gram_inverse
+        )
+
+    @cached_property
     def positive_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
         if self.sign > 0:
             return self.gram_inverse
         return tuple(tuple(-x for x in row) for row in self.gram_inverse)
+
+    @cached_property
+    def positive_ldl(self) -> tuple[list[list[Fraction]], list[Fraction]]:
+        """LDL^T factorization (lower, diag) of the positive definite form."""
+        return ldl_decomposition(self.positive_gram)
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
@@ -111,8 +127,8 @@ class Covector:
     @property
     def norm(self) -> Fraction:
         """Square <xi, xi> with respect to the Gram matrix as given."""
-        q = self.lattice.gram_inverse
-        return Fraction(quadratic_value(q, self.pairings))
+        lat = self.lattice
+        return Fraction(quadratic_value(lat.adjugate, self.pairings), lat.determinant)
 
     @property
     def positive_norm(self) -> Fraction:
@@ -136,8 +152,11 @@ class DiscriminantGroup:
 def validate_lattice(gram) -> IntegralLattice:
     """Check symmetry and definiteness, returning the tagged lattice.
 
-    The first failing leading principal minor is reported when neither the
-    matrix nor its negation is positive definite.
+    One fraction-free elimination without pivoting runs on the matrix, or on
+    its negation when the first entry is negative. Its k-th pivot is the k-th
+    leading principal minor, so by Sylvester's criterion the form is definite
+    exactly when every pivot is positive; the first failing minor is reported
+    otherwise, and the last pivot gives the determinant.
     """
     rows = tuple(tuple(int(x) for x in row) for row in gram)
     n = len(rows)
@@ -149,19 +168,20 @@ def validate_lattice(gram) -> IntegralLattice:
     if bad is not None:
         i, j = bad
         raise NotSymmetricError(i, j, rows[i][j], rows[j][i])
-    if rows[0][0] > 0:
-        candidate, sign = rows, 1
-    elif rows[0][0] < 0:
-        candidate, sign = tuple(tuple(-x for x in row) for row in rows), -1
-    else:
-        raise NotDefiniteError(1, 0)
-    try:
-        ldl_decomposition(candidate)
-    except NotPositiveDefiniteError as exc:
-        k = exc.pivot_index
-        minor = bareiss_determinant([row[:k] for row in candidate[:k]])
-        raise NotDefiniteError(k, minor if sign > 0 else minor) from None
-    det = bareiss_determinant(rows)
+    sign = -1 if rows[0][0] < 0 else 1
+    # upper triangle only: every intermediate matrix stays symmetric
+    a = [[sign * x for x in row] for row in rows]
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot <= 0:
+            raise NotDefiniteError(k + 1, pivot)
+        top = a[k]
+        for i in range(k + 1, n):
+            row, f = a[i], top[i]
+            row[i:] = [(pivot * x - f * y) // prev for x, y in zip(row[i:], top[i:])]
+        prev = pivot
+    det = prev if sign > 0 or n % 2 == 0 else -prev
     return IntegralLattice(gram=rows, sign=sign, determinant=det)
 
 

@@ -7,6 +7,7 @@ this package works with. No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import NotPositiveDefiniteError, ToolkitError
@@ -98,40 +99,67 @@ def ldl_decomposition(q) -> tuple[list[list[Fraction]], list[Fraction]]:
     return lower, diag
 
 
-def invert_matrix(mat) -> list[list[Fraction]]:
-    """Inverse of a nonsingular square matrix, by Gauss-Jordan over Fractions."""
+def _cleared(mat) -> tuple[list[list[int]], int]:
+    """(scale * mat, scale) for the least scale making every entry an integer."""
+    scale = lcm(*(x.denominator for row in mat for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in mat], scale
+
+
+def adjugate(mat: IntMatrix) -> tuple[list[list[int]], int]:
+    """(adj, det) with adj = det * mat^-1, by fraction-free Gauss-Jordan.
+
+    Each step replaces every other row by (pivot * row - factor * pivot_row)
+    divided by the previous pivot. Every entry stays an integer minor, so each
+    division is exact (Bareiss, Math. Comp. 22, 1968), and the last pivot is
+    the determinant up to the sign of the row swaps. Raises ValueError on a
+    singular matrix.
+    """
     n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+    a = [[int(x) for x in row] + [1 if i == j else 0 for j in range(n)]
          for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
+    sign = 1
+    prev = 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if p is None:
             raise ValueError("matrix is singular")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        top = a[k][k + 1:]
+        pivot = a[k][k]
+        for i in range(n):
+            if i != k:
+                row = a[i]
+                f = row[k]
+                row[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1:], top)]
+        prev = pivot
+    if sign > 0:
+        return [row[n:] for row in a], prev
+    return [[-x for x in row[n:]] for row in a], -prev
 
 
-def solve_linear(mat, rhs) -> list[Fraction]:
-    """Unique solution of mat * x = rhs for nonsingular mat."""
-    inv = invert_matrix(mat)
-    return mat_vec(inv, [Fraction(x) for x in rhs])
+def invert_matrix(mat) -> list[list[Fraction]]:
+    """Inverse of a nonsingular square matrix with int or Fraction entries.
+
+    Denominators are cleared by one scale s, so mat^-1 = s * adj / det for
+    the adjugate of the integer matrix s * mat; Fractions are built only for
+    the result.
+    """
+    rows, scale = _cleared(mat)
+    adj, det = adjugate(rows)
+    return [[Fraction(scale * x, det) for x in row] for row in adj]
 
 
 def integer_matrix_inverse(mat: IntMatrix) -> list[list[int]]:
     """Inverse of a unimodular integer matrix, returned with integer entries."""
-    inv = invert_matrix(mat)
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ToolkitError("matrix is not unimodular")
-        out.append([int(x) for x in row])
-    return out
+    rows, scale = _cleared(mat)
+    if scale != 1:
+        raise ToolkitError("matrix is not unimodular")
+    adj, det = adjugate(rows)
+    if abs(det) != 1:
+        raise ToolkitError("matrix is not unimodular")
+    return adj if det == 1 else [[-x for x in row] for row in adj]
 
 
 def rational_rank(mat) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     ExpressionParseError,
@@ -139,6 +140,11 @@ class PlumbingTree:
     def rank(self) -> int:
         return len(self.weights)
 
+    @cached_property
+    def lattice(self) -> IntegralLattice:
+        """The intersection lattice, built and validated once per tree."""
+        return gram(self)
+
 
 def gram(tree: PlumbingTree) -> IntegralLattice:
     """Intersection lattice of the plumbed 4-manifold."""
@@ -193,7 +199,7 @@ def canonical_plumbing(data: SeifertData) -> PlumbingTree:
             previous = len(weights) - 1
     tree = PlumbingTree(tuple(weights), tuple(edges), star_center=0)
     try:
-        lat = gram(tree)
+        lat = tree.lattice
     except NotDefiniteError as err:
         raise NotNegativeDefiniteError(
             "canonical plumbing is not negative definite"

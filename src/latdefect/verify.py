@@ -34,7 +34,7 @@ from .lattice import (
     validate_lattice,
 )
 from .linalg import mat_mul, mat_vec, transpose
-from .plumbing import SeifertData, canonical_plumbing, gram, h1_order, neg_continued_fraction
+from .plumbing import SeifertData, canonical_plumbing, h1_order, neg_continued_fraction
 
 SUITE_NAMES = ("elkies", "bimodular", "congruence", "glue", "roundtrip")
 
@@ -256,8 +256,7 @@ def _suite_roundtrip(run: _Run, rank_bound: int, trials: int):
             data = SeifertData(central, tuple(legs))
         except ToolkitError:
             continue
-        tree = canonical_plumbing(data)
-        lat = gram(tree)
+        lat = canonical_plumbing(data).lattice
         run.check(
             abs(lat.determinant) == h1_order(data),
             f"plumbing determinant mismatch for {data}",

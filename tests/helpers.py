@@ -3,7 +3,13 @@
 box_minimum is an independent oracle for the coset minimization problem: it
 derives coordinate bounds from the diagonal of the inverse form (a
 Cauchy-Schwarz argument), takes the inverse from sympy, and walks the whole
-box. Nothing here touches the package's own linear algebra.
+box. Nothing in it touches the package's own linear algebra.
+
+The Fraction routes below are the oracles of the integer-only lattice kernel:
+Gauss-Jordan inversion over Fractions, Gram validation through a Fraction
+LDL^T factorization, and gluing on the half-integral basis with Fraction
+matrices. Gluing still takes its discriminant generator and Hermite form from
+the package, since only the arithmetic around them is under test.
 """
 
 from __future__ import annotations
@@ -128,3 +134,87 @@ def random_target(rng, n, max_num=8, max_den=4):
         Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
         for _ in range(n)
     ]
+
+
+def fraction_inverse(mat):
+    """Inverse by Gauss-Jordan over Fractions; ValueError when singular."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(mat)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot_row is None:
+            raise ValueError("matrix is singular")
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def ldl_validation(rows):
+    """Definiteness through a Fraction LDL^T of the sign-normalised matrix.
+
+    Returns ("definite", sign, det), or ("not definite", k, minor) for the
+    first non-positive pivot k, whose leading principal minor is the product
+    of the pivots so far.
+    """
+    n = len(rows)
+    sign = -1 if rows[0][0] < 0 else 1
+    q = [[Fraction(sign * x) for x in row] for row in rows]
+    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    diag = []
+    minor = Fraction(1)
+    for j in range(n):
+        pivot = q[j][j] - sum(lower[j][k] ** 2 * diag[k] for k in range(j))
+        minor *= pivot
+        if pivot <= 0:
+            return ("not definite", j + 1, int(minor))
+        diag.append(pivot)
+        for i in range(j + 1, n):
+            off = q[i][j] - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
+            lower[i][j] = off / pivot
+    return ("definite", sign, int(minor) * sign ** n)
+
+
+def fraction_glue(left, right):
+    """(Gram, basis_change) of the glued overlattice over Fractions."""
+    from latdefect import discriminant_group
+    from latdefect.linalg import hermite_row_basis
+
+    n = left.rank + right.rank
+    summed = [[0] * n for _ in range(n)]
+    for offset, lat in ((0, left), (left.rank, right)):
+        for i, row in enumerate(lat.gram):
+            summed[offset + i][offset:offset + lat.rank] = row
+    glue = []
+    for lat in (left, right):
+        pairings = discriminant_group(lat).generators[0].pairings
+        inverse = fraction_inverse(lat.gram)
+        glue += [sum(x * p for x, p in zip(row, pairings)) for row in inverse]
+    assert quadratic_value(summed, glue).denominator == 1
+    doubled = [[2 * int(i == j) for j in range(n)] for i in range(n)]
+    doubled.append([int(2 * x) for x in glue])
+    rows = [[Fraction(x, 2) for x in row] for row in hermite_row_basis(doubled)]
+    gram = [
+        [sum(r[i] * summed[i][j] * s[j] for i in range(n) for j in range(n)) for s in rows]
+        for r in rows
+    ]
+    assert all(x.denominator == 1 for row in gram for x in row)
+    return [[int(x) for x in row] for row in gram], rows
+
+
+def fraction_restrict(basis_change, pairings):
+    """Summand pairings of an overlattice covector, or None if not integral."""
+    inverse = fraction_inverse(basis_change)
+    out = [sum(x * p for x, p in zip(row, pairings)) for row in inverse]
+    return None if any(x.denominator != 1 for x in out) else tuple(int(x) for x in out)
+
+
+def fraction_extend(basis_change, stacked):
+    """Overlattice pairings of stacked summand pairings, or None."""
+    out = [sum(x * p for x, p in zip(row, stacked)) for row in basis_change]
+    return None if any(x.denominator != 1 for x in out) else tuple(int(x) for x in out)

@@ -17,6 +17,7 @@ from latdefect import (
     validate_lattice,
 )
 from latdefect.cli import main
+from latdefect.formats import MAX_GRAM_ENTRY, MAX_GRAM_RANK
 
 A1_DOC = '{"rank": 1, "gram": [[2]]}'
 I3_DOC = json.dumps({"rank": 3, "gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
@@ -263,6 +264,29 @@ def test_cli_exit_codes(capsys, gram_files, tmp_path):
         capsys, ["--node-budget", "1", "charmin", "--gram", gram_files["i3"]]
     )
     assert code == 3 and "budget" in err
+
+
+def test_gram_json_bounds_are_inclusive():
+    n = MAX_GRAM_RANK
+    rows = [[MAX_GRAM_ENTRY if i == j else 0 for j in range(n)] for i in range(n)]
+    assert gram_from_json(gram_to_json(rows)) == rows
+
+
+def test_cli_rejects_oversized_gram(capsys, tmp_path):
+    n = MAX_GRAM_RANK + 1
+    identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    cases = [
+        (gram_to_json(identity), f"rank {n} exceeds the limit of {MAX_GRAM_RANK}"),
+        (gram_to_json([[MAX_GRAM_ENTRY + 1]]), "row 0, column 0 exceeds"),
+        (gram_to_json([[2, -MAX_GRAM_ENTRY - 1], [-MAX_GRAM_ENTRY - 1, 2]]), "row 0, column 1 exceeds"),
+        ('{"gram": [[1' + "0" * 5000 + "]]}", "invalid JSON"),
+    ]
+    for k, (doc, fragment) in enumerate(cases):
+        path = tmp_path / f"big{k}.json"
+        path.write_text(doc)
+        code, out, err = run_cli(capsys, ["defect", "--gram", str(path)])
+        assert code == 1 and out == ""
+        assert fragment in err
 
 
 def test_cli_help_paths(capsys):

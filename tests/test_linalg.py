@@ -22,7 +22,6 @@ from latdefect.linalg import (
     reduce_mod_rows,
     sign_normalize,
     smith_normal_form,
-    solve_linear,
     transpose,
 )
 
@@ -70,14 +69,6 @@ def test_inverse_matches_sympy():
 def test_inverse_rejects_singular():
     with pytest.raises(ValueError):
         invert_matrix([[1, 2], [2, 4]])
-
-
-def test_solve_linear_roundtrip():
-    rng = random.Random(3)
-    a = [[3, 1, 0], [1, 4, -2], [0, -2, 5]]
-    rhs = [Fraction(1, 3), Fraction(-2), Fraction(7, 2)]
-    x = solve_linear(a, rhs)
-    assert mat_vec([[Fraction(v) for v in row] for row in a], x) == rhs
 
 
 def test_integer_matrix_inverse_unimodular():
