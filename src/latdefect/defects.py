@@ -14,9 +14,11 @@ Reductions to coset enumeration:
     square z^T G z, the class of a representative chi is z_chi + 2 Z^n, so
     minimize with form G, target z_chi / 2, and scale by 4.
 
-max_char_square needs only the value, so when the Gram graph is a forest (as
-for every plumbing tree) it takes the exact tree dynamic program
-forest_minimum; other forms go through the branch-and-bound search.
+defects and max_char_square need only values: they run the branch-and-bound
+search through coset_minimum, which builds no minimizers, and max_char_square
+takes the exact tree dynamic program forest_minimum instead when the Gram
+graph is a forest (as for every plumbing tree). min_char_norm reports the
+minimizing pairing vectors through shortest_in_coset.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from fractions import Fraction
 from .enumeration import (
     CosetProblem,
     EnumerationResult,
+    coset_minimum,
     forest_minimum,
     shortest_in_coset,
 )
@@ -65,6 +68,17 @@ def _collapse_pairings(pairings) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(seen))
 
 
+def _any_problem(lat: IntegralLattice, radius=None) -> CosetProblem:
+    """All characteristic covectors: pairings diag(G) + 2 Z^n with form G^{-1}.
+
+    Halved to the target diag(G) / 2 + Z^n, so values and radius are a
+    quarter of the squares.
+    """
+    target = [Fraction(d, 2) for d in lat.diagonal]
+    inner_radius = None if radius is None else Fraction(radius) / 4
+    return CosetProblem(lat.gram_inverse, target, radius=inner_radius)
+
+
 def _class_problem(lat: IntegralLattice, rep_pairings, radius=None) -> CosetProblem:
     """The class rep + 2L in basis coordinates of the positive form.
 
@@ -78,28 +92,13 @@ def _class_problem(lat: IntegralLattice, rep_pairings, radius=None) -> CosetProb
     return CosetProblem(lat.positive_gram, target, radius=inner_radius)
 
 
-def _class_minimum(
-    lat: IntegralLattice,
-    rep_pairings,
-    *,
-    reduce: bool,
-    threads: int,
-    node_budget,
-    radius,
-) -> tuple[Fraction, tuple[tuple[int, ...], ...], int]:
-    """Minimum square over rep + 2L in the positive form, with minimizers.
-
-    Returns (min square, minimizing pairing vectors, nodes).
-    """
-    problem = _class_problem(lat, rep_pairings, radius)
-    res = shortest_in_coset(
-        problem, reduce=reduce, threads=threads, node_budget=node_budget
-    )
-    pairings = []
-    for x in res.minimizers:
-        shift = mat_vec(lat.positive_gram, list(x))
-        pairings.append(tuple(p + 2 * s for p, s in zip(rep_pairings, shift)))
-    return 4 * res.min_norm, _collapse_pairings(pairings), res.nodes_visited
+def _check_class_square(value: Fraction, rank: int, sign: CharClassSign) -> None:
+    """The minimal square of a class is rank + 1 (plus) or rank - 1 (minus) mod 8."""
+    expected = (rank + 1) % 8 if sign is CharClassSign.PLUS else (rank - 1) % 8
+    if value.denominator != 1 or int(value) % 8 != expected:
+        raise CongruenceViolationError(
+            f"class minimum {value} is not {expected} mod 8"
+        )
 
 
 def characteristic_class_reps(lat: IntegralLattice) -> dict[CharClassSign, Covector]:
@@ -134,14 +133,9 @@ def min_char_norm(
     covectors, one representative per {xi, -xi} pair, sorted.
     """
     _require_positive(lat, "min_char_norm")
-    n = lat.rank
+    opts = dict(reduce=reduce, threads=threads, node_budget=node_budget)
     if sign == "any" or sign is None:
-        target = [Fraction(d, 2) for d in lat.diagonal]
-        inner_radius = None if radius is None else Fraction(radius) / 4
-        problem = CosetProblem(lat.gram_inverse, target, radius=inner_radius)
-        res = shortest_in_coset(
-            problem, reduce=reduce, threads=threads, node_budget=node_budget
-        )
+        res = shortest_in_coset(_any_problem(lat, radius), **opts)
         pairings = [
             tuple(d + 2 * x for d, x in zip(lat.diagonal, offs))
             for offs in res.minimizers
@@ -152,23 +146,26 @@ def min_char_norm(
             nodes_visited=res.nodes_visited,
         )
     wanted = CharClassSign(sign) if not isinstance(sign, CharClassSign) else sign
-    rep = characteristic_class_reps(lat)[wanted]
-    value, pairings, nodes = _class_minimum(
-        lat,
-        rep.pairings,
-        reduce=reduce,
-        threads=threads,
-        node_budget=node_budget,
-        radius=radius,
-    )
-    expected = (n + 1) % 8 if wanted is CharClassSign.PLUS else (n - 1) % 8
-    if value.denominator != 1 or int(value) % 8 != expected:
-        raise CongruenceViolationError(
-            f"class minimum {value} is not {expected} mod 8"
-        )
+    rep = characteristic_class_reps(lat)[wanted].pairings
+    res = shortest_in_coset(_class_problem(lat, rep, radius), **opts)
+    value = 4 * res.min_norm
+    _check_class_square(value, lat.rank, wanted)
+    pairings = []
+    for x in res.minimizers:
+        shift = mat_vec(lat.positive_gram, list(x))
+        pairings.append(tuple(p + 2 * s for p, s in zip(rep, shift)))
     return EnumerationResult(
-        min_norm=value, minimizers=pairings, nodes_visited=nodes
+        min_norm=value,
+        minimizers=_collapse_pairings(pairings),
+        nodes_visited=res.nodes_visited,
     )
+
+
+def _class_square(lat: IntegralLattice, sign: CharClassSign, rep, opts) -> Fraction:
+    """Minimal square over the class rep + 2L, value only, checked mod 8."""
+    value = 4 * coset_minimum(_class_problem(lat, rep), **opts)[0]
+    _check_class_square(value, lat.rank, sign)
+    return value
 
 
 def defects(
@@ -181,21 +178,23 @@ def defects(
     """Defect invariant(s): (min characteristic square - rank) / 4.
 
     Unimodular lattices get a single defect reported in both fields;
-    |det| = 2 lattices get one defect per characteristic class.
+    |det| = 2 lattices get one defect per characteristic class. The minima
+    are those min_char_norm finds, by the same searches (each with its own
+    node_budget), but only their values are kept.
     """
     _require_positive(lat, "defects")
     det = abs(lat.determinant)
     n = lat.rank
     opts = dict(reduce=reduce, threads=threads, node_budget=node_budget)
     if det == 1:
-        d = Fraction(min_char_norm(lat, "any", **opts).min_norm - n, 4)
+        square = 4 * coset_minimum(_any_problem(lat), **opts)[0]
+        d = Fraction(square - n, 4)
         return Defects(d_plus=d, d_minus=d)
     if det == 2:
-        d_plus = Fraction(
-            min_char_norm(lat, CharClassSign.PLUS, **opts).min_norm - n, 4
-        )
-        d_minus = Fraction(
-            min_char_norm(lat, CharClassSign.MINUS, **opts).min_norm - n, 4
+        reps = characteristic_class_reps(lat)
+        d_plus, d_minus = (
+            Fraction(_class_square(lat, sign, reps[sign].pairings, opts) - n, 4)
+            for sign in (CharClassSign.PLUS, CharClassSign.MINUS)
         )
         if (d_plus - Fraction(1, 4)) % 2 != 0 or (d_minus + Fraction(1, 4)) % 2 != 0:
             raise CongruenceViolationError(
@@ -237,12 +236,10 @@ def max_char_square(
     )
     if found is not None:
         return -4 * found[0]
-    value, _pairings, _nodes = _class_minimum(
-        lat,
-        class_rep.pairings,
+    value, _nodes = coset_minimum(
+        _class_problem(lat, class_rep.pairings),
         reduce=reduce,
         threads=threads,
         node_budget=node_budget,
-        radius=None,
     )
-    return -value
+    return -4 * value

@@ -8,9 +8,11 @@ order; the first full descent therefore reproduces the nearest-plane rounding
 of -t and seeds the pruning radius. All arithmetic is exact: denominators are
 cleared once per factorization, so the inner loop works on plain integers.
 
-Optional LLL preprocessing conjugates the problem by a unimodular matrix and
-never affects results, only node counts. Top-level branches can be split
-across worker threads; the merged outcome is identical to a serial run.
+Optional integral LLL preprocessing conjugates the problem by a unimodular
+matrix and never affects results, only node counts. Top-level branches can
+be split across worker threads; the merged outcome is identical to a serial
+run. shortest_in_coset reports every minimizer; coset_minimum runs the same
+search, node for node, for callers that need only the minimum value.
 
 When the off-diagonal support of Q is a forest (every plumbing tree is one),
 forest_minimum finds the exact minimum value without a search: the objective
@@ -24,23 +26,24 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt, lcm
+from math import floor, gcd, isqrt, lcm
 
 from .errors import (
     BudgetExhaustedError,
     NotSymmetricError,
     RadiusEmptyError,
-    ToolkitError,
 )
 from .linalg import (
+    clear_denominators,
     first_asymmetry,
+    fraction_free_ldl,
     integer_matrix_inverse,
     invert_matrix,
     ldl_decomposition,
     mat_vec,
     sign_normalize,
 )
-from .reduction import _round_half_up, lll_reduce_gram
+from .reduction import lll_reduce_gram
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,16 @@ class _SharedBest:
                 self.value = v
 
 
+def _cleared_vector(vec) -> tuple[list[int], int]:
+    """(den * vec, den) for the least den making every entry an integer."""
+    (ints,), den = clear_denominators([vec])
+    return ints, den
+
+
+def _round_half_up(x: Fraction) -> int:
+    return floor(x + Fraction(1, 2))
+
+
 def _factor(form):
     return _columns(*ldl_decomposition(form))
 
@@ -133,7 +146,9 @@ class _Scaled:
     every x. Values are tracked as integer multiples of 1 / value_scale, with
     value_scale chosen so each level cost d_i * u^2 scales to coeff_i * U^2
     for U = s_i * u. The search then runs entirely on integers, with every
-    comparison equal to its unscaled counterpart.
+    comparison equal to its unscaled counterpart. The scales are computed in
+    integers too: with the target cleared to T / den and column i of L to
+    C / cs, den cs const_i = cs T_i + sum_j C_j T_j.
     """
 
     __slots__ = ("n", "scales", "consts", "scols", "coeff", "value_scale")
@@ -141,26 +156,26 @@ class _Scaled:
     def __init__(self, cols, diag, target):
         n = len(diag)
         self.n = n
+        big, den = _cleared_vector(target)
         scales = []
         consts = []
         scols = []
         for i in range(n):
-            const = target[i] + sum(
-                (c * target[j] for j, c in cols[i]), Fraction(0)
-            )
-            s = lcm(const.denominator, *(c.denominator for _j, c in cols[i]))
+            col_scale = lcm(*(c.denominator for _j, c in cols[i]))
+            col = [(j, c.numerator * (col_scale // c.denominator)) for j, c in cols[i]]
+            whole = den * col_scale
+            k = col_scale * big[i] + sum(c * big[j] for j, c in col)  # whole * const
+            s = lcm(col_scale, whole // gcd(k, whole))
             scales.append(s)
-            consts.append(int(const * s))
-            scols.append(tuple((j, int(c * s)) for j, c in cols[i]))
+            consts.append(k * s // whole)
+            scols.append(tuple((j, c * (s // col_scale)) for j, c in col))
         value_scale = 1
         for i in range(n):
             value_scale = lcm(value_scale, scales[i] ** 2 * diag[i].denominator)
-        coeff = []
-        for i in range(n):
-            c = diag[i] * value_scale / scales[i] ** 2
-            if c.denominator != 1:
-                raise ToolkitError(f"level {i} cost {c} did not scale to an integer")
-            coeff.append(c.numerator)
+        coeff = [
+            d.numerator * (value_scale // (s * s * d.denominator))
+            for d, s in zip(diag, scales)
+        ]
         self.scales = scales
         self.consts = consts
         self.scols = scols
@@ -242,10 +257,11 @@ class _Worker:
             return
         if self.best is None or total < self.best:
             self.best = total
-            self.hits = [tuple(self.x)]
+            if self.mode == "shrink":
+                self.hits = [tuple(self.x)]
             if self.shared is not None:
                 self.shared.offer(total)
-        elif total == self.best:
+        elif total == self.best and self.mode == "shrink":
             self.hits.append(tuple(self.x))
 
     def run(self, start: int) -> None:
@@ -343,6 +359,13 @@ def _top_candidates(diag, target, cap):
 
 
 def _solve(problem: CosetProblem, mode: str, reduce: bool, threads: int, node_budget):
+    """(best, hits, nodes) of one search; best is None when nothing is in range.
+
+    mode "collect" records every point within the radius with its value,
+    "shrink" the minimizers at the shrinking minimum, and "value" nothing but
+    the minimum. Recording never prunes, so all three visit the same nodes
+    for the same radius.
+    """
     form = [list(row) for row in problem.form]
     target = list(problem.target)
     n = problem.rank
@@ -352,7 +375,8 @@ def _solve(problem: CosetProblem, mode: str, reduce: bool, threads: int, node_bu
         red, unimod = lll_reduce_gram(form)
         form = red
         inv = integer_matrix_inverse(unimod)
-        target = mat_vec(inv, target)
+        big, den = _cleared_vector(target)
+        target = [Fraction(x, den) for x in mat_vec(inv, big)]
 
     cols, diag = _factor(form)
     scaled = _Scaled(cols, diag, target)
@@ -463,6 +487,26 @@ def shortest_in_coset(
     )
 
 
+def coset_minimum(
+    problem: CosetProblem,
+    *,
+    reduce: bool = False,
+    threads: int = 1,
+    node_budget: int | None = None,
+) -> tuple[Fraction, int]:
+    """(min_norm, nodes) of the search shortest_in_coset runs, value only.
+
+    The node count is the same; no minimizer is recorded, mapped back through
+    the reduction, sign-collapsed or sorted. Raises as shortest_in_coset does.
+    """
+    best, _hits, nodes = _solve(problem, "value", reduce, threads, node_budget)
+    if best is None:
+        raise RadiusEmptyError(
+            f"no coset point with value <= {problem.radius}"
+        )
+    return best, nodes
+
+
 def enumerate_in_coset(
     problem: CosetProblem,
     *,
@@ -511,6 +555,36 @@ def _forest_order(form):
     return order, parent
 
 
+def _nearest_plane(factor, big, den: int) -> tuple[int, int]:
+    """(N, M) with N / M = R den^2, for R the value of the nearest-plane
+    rounding of -target (what _babai_value computes), in integers only.
+
+    factor is fraction_free_ldl(form) = (lam, d, s), and big = den * target
+    an integer vector. With W = den (target + x), starting from big,
+    level i (from the last) has offset B_i / S_i for S_i = d[i+1] den and
+    B_i = d[i+1] W_i + sum over j > i of lam[j][i] W_j, rounds
+    x_i = round_half_up(-B_i / S_i), and costs U_i^2 / (d[i] d[i+1] s den^2)
+    with U_i = S_i x_i + B_i. The costs are summed over the common
+    denominator lcm(d[i] d[i+1]) s.
+    """
+    lam, minors, scale = factor
+    n = len(lam)
+    common = lcm(*(minors[i] * minors[i + 1] for i in range(n)))
+    w = list(big)
+    total = 0
+    for i in range(n - 1, -1, -1):
+        d = minors[i + 1]
+        b = d * w[i]
+        for j in range(i + 1, n):
+            b += lam[j][i] * w[j]
+        s = d * den
+        x = (s - 2 * b) // (2 * s)
+        w[i] += den * x
+        u = s * x + b
+        total += u * u * (common // (minors[i] * d))
+    return total, common * scale
+
+
 def forest_minimum(
     problem: CosetProblem,
     *,
@@ -522,12 +596,13 @@ def forest_minimum(
 
     Returns (min_norm, nodes), or None when the nonzero off-diagonal entries of
     the form do not make a forest; no minimizers are built. inverse, the exact
-    inverse of the form, and factor, its ldl_decomposition, are computed when
+    inverse of the form, and factor, its fraction_free_ldl, are computed when
     not given.
 
     With D the common denominator of the target, Y = D (target + x) is an
     integer vector and D^2 times the value is an integer quadratic in Y. The
-    nearest-plane value R bounds every coordinate by
+    nearest-plane value R (_nearest_plane, integer-only) bounds every
+    coordinate by
     |Y_v| <= isqrt(floor(R inverse_vv D^2)) (Cauchy-Schwarz). Messages then
     pass from the leaves to each root:
     m_v(Y_p) = min over Y_v of [q_vv Y_v^2 + 2 q_vp Y_v Y_p + sum of m_c(Y_v)]
@@ -545,14 +620,14 @@ def forest_minimum(
     if inverse is None:
         inverse = invert_matrix(form)
     if factor is None:
-        factor = ldl_decomposition(form)
-    bound = _babai_value(*_columns(*factor), target)
-    den = lcm(*(t.denominator for t in target))
+        factor = fraction_free_ldl(form)
+    big, den = _cleared_vector(target)
+    reach, reach_den = _nearest_plane(factor, big, den)
     form_scale = lcm(*(q.denominator for row in form for q in row))
     domains = []
-    for v, t in enumerate(target):
-        c = int(t * den)
-        b = isqrt(floor(bound * inverse[v][v] * den * den))
+    for v, c in enumerate(big):
+        q = inverse[v][v]
+        b = isqrt(reach * q.numerator // (reach_den * q.denominator))
         domains.append(range(c - den * ((b + c) // den), b + 1, den))
     nodes = sum(
         len(domains[v]) * (len(domains[p]) if p >= 0 else 1)

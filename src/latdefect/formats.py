@@ -6,7 +6,8 @@ as {"rank": n, "gram": [[...], ...]} with integer entries, plumbing trees as
 
 A Gram matrix read from JSON may have rank at most MAX_GRAM_RANK and entries
 of absolute value at most MAX_GRAM_ENTRY: exact elimination costs grow with
-both, so larger input is rejected as malformed before any arithmetic.
+both, so larger input is rejected as malformed before any arithmetic. A
+plumbing tree is held to the same bounds, on its vertex count and weights.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ import json
 from fractions import Fraction
 
 from .errors import FormatError
+from .lattice import MAX_GRAM_ENTRY, MAX_GRAM_RANK
 from .plumbing import PlumbingTree
-
-MAX_GRAM_RANK = 64
-MAX_GRAM_ENTRY = 10**6
 
 
 def format_fraction(value) -> str:
@@ -98,9 +97,14 @@ def tree_to_json(tree: PlumbingTree) -> str:
 
 
 def tree_from_json(text: str) -> PlumbingTree:
+    """Decode a plumbing tree document; malformed input raises FormatError.
+
+    At most MAX_GRAM_RANK vertices, with weights of absolute value at most
+    MAX_GRAM_ENTRY.
+    """
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an integer too long to parse
         raise FormatError(f"invalid JSON: {err}") from None
     _require(isinstance(document, dict), "expected an object with 'weights' and 'edges'")
     _require("weights" in document and "edges" in document, "missing 'weights' or 'edges'")
@@ -112,11 +116,24 @@ def tree_from_json(text: str) -> PlumbingTree:
         "'weights' must be a list of integers",
     )
     _require(
+        len(weights) <= MAX_GRAM_RANK,
+        f"{len(weights)} vertices exceed the limit of {MAX_GRAM_RANK}",
+    )
+    for i, w in enumerate(weights):
+        _require(
+            abs(w) <= MAX_GRAM_ENTRY,
+            f"weight of vertex {i} exceeds {MAX_GRAM_ENTRY} in absolute value",
+        )
+    _require(
         isinstance(edges, list)
-        and all(isinstance(e, list) and len(e) == 2 for e in edges),
-        "'edges' must be a list of [i, j] pairs",
+        and all(
+            isinstance(e, list) and len(e) == 2
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in e)
+            for e in edges
+        ),
+        "'edges' must be a list of [i, j] integer pairs",
     )
     try:
-        return PlumbingTree(tuple(weights), tuple((int(i), int(j)) for i, j in edges))
+        return PlumbingTree(tuple(weights), tuple((i, j) for i, j in edges))
     except ValueError as err:
         raise FormatError(str(err)) from None

@@ -35,11 +35,11 @@ from .errors import (
 )
 from .linalg import (
     first_asymmetry,
+    fraction_free_ldl,
     hermite_row_basis,
     integer_matrix_inverse,
     integer_row_kernel,
     invert_matrix,
-    ldl_decomposition,
     mat_mul,
     quadratic_value,
     rational_rank,
@@ -48,6 +48,13 @@ from .linalg import (
     smith_normal_form,
     transpose,
 )
+
+
+# Input bounds: exact elimination costs grow with rank and entry size, so
+# Gram matrices, plumbing trees and Seifert plumbings read from input are
+# held to these (see formats and plumbing).
+MAX_GRAM_RANK = 64
+MAX_GRAM_ENTRY = 10**6
 
 
 class CharClassSign(Enum):
@@ -103,9 +110,10 @@ class IntegralLattice:
         return tuple(tuple(-x for x in row) for row in self.gram_inverse)
 
     @cached_property
-    def positive_ldl(self) -> tuple[list[list[Fraction]], list[Fraction]]:
-        """LDL^T factorization (lower, diag) of the positive definite form."""
-        return ldl_decomposition(self.positive_gram)
+    def positive_ldl(self) -> tuple[list[list[int]], list[int], int]:
+        """Integer LDL^T data (lam, minors, 1) of the positive definite form,
+        as fraction_free_ldl returns it."""
+        return fraction_free_ldl(self.positive_gram)
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:

@@ -79,27 +79,64 @@ def bareiss_determinant(mat: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def fraction_free_ldl(q) -> tuple[list[list[int]], list[int], int]:
+    """Integer LDL^T data of a symmetric positive definite form q.
+
+    With s the least scale making s * q integral, returns (lam, minors, s):
+    minors[k] is the k-th leading principal minor of s * q (minors[0] = 1),
+    and row i of lam holds lam[i][j] = minors[j + 1] * L[i][j] for j < i. So
+    L[i][j] = lam[i][j] / minors[j + 1] and D[k] = minors[k + 1] / (minors[k] s).
+    The recurrence is fraction-free Gram-Schmidt (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.6.7, step 2): every
+    intermediate value is an integer minor, so each division is exact. Only
+    the lower triangle is read. Raises NotPositiveDefiniteError at the first
+    non-positive minor, the index of the first non-positive pivot of D.
+    """
+    a, scale = clear_denominators(q)
+    n = len(a)
+    lam = [[0] * i for i in range(n)]
+    minors = [1] * (n + 1)
+    for k in range(n):
+        fraction_free_row(a[k], k, lam, minors)
+    return lam, minors, scale
+
+
+def fraction_free_row(gram_row, k: int, lam, minors) -> None:
+    """Set lam[k][j] for j < k and minors[k + 1] from row k of an integer Gram
+    matrix, given the rows and minors before k; see fraction_free_ldl."""
+    row = lam[k]
+    for j in range(k + 1):
+        other = lam[j] if j < k else row
+        val = gram_row[j]
+        for i in range(j):
+            val = (minors[i + 1] * val - row[i] * other[i]) // minors[i]
+        if j < k:
+            row[j] = val
+        elif val <= 0:
+            raise NotPositiveDefiniteError(k + 1)
+        else:
+            minors[k + 1] = val
+
+
 def ldl_decomposition(q) -> tuple[list[list[Fraction]], list[Fraction]]:
     """Q = L D L^T with L unit lower triangular, D positive diagonal.
 
+    Built once from fraction_free_ldl, so the only Fractions are the result.
     Raises NotPositiveDefiniteError at the first non-positive pivot; the pivot
     index equals the index of the first failing leading principal minor.
     """
-    n = len(q)
-    lower = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    diag = [Fraction(0)] * n
-    for j in range(n):
-        pivot = Fraction(q[j][j]) - sum(lower[j][k] ** 2 * diag[k] for k in range(j))
-        if pivot <= 0:
-            raise NotPositiveDefiniteError(j + 1)
-        diag[j] = pivot
-        for i in range(j + 1, n):
-            off = Fraction(q[i][j]) - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
-            lower[i][j] = off / pivot
+    lam, minors, scale = fraction_free_ldl(q)
+    n = len(lam)
+    zero, one = Fraction(0), Fraction(1)
+    lower = [
+        [Fraction(x, minors[j + 1]) for j, x in enumerate(row)] + [one] + [zero] * (n - i - 1)
+        for i, row in enumerate(lam)
+    ]
+    diag = [Fraction(minors[k + 1], minors[k] * scale) for k in range(n)]
     return lower, diag
 
 
-def _cleared(mat) -> tuple[list[list[int]], int]:
+def clear_denominators(mat) -> tuple[list[list[int]], int]:
     """(scale * mat, scale) for the least scale making every entry an integer."""
     scale = lcm(*(x.denominator for row in mat for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row] for row in mat], scale
@@ -146,14 +183,14 @@ def invert_matrix(mat) -> list[list[Fraction]]:
     the adjugate of the integer matrix s * mat; Fractions are built only for
     the result.
     """
-    rows, scale = _cleared(mat)
+    rows, scale = clear_denominators(mat)
     adj, det = adjugate(rows)
     return [[Fraction(scale * x, det) for x in row] for row in adj]
 
 
 def integer_matrix_inverse(mat: IntMatrix) -> list[list[int]]:
     """Inverse of a unimodular integer matrix, returned with integer entries."""
-    rows, scale = _cleared(mat)
+    rows, scale = clear_denominators(mat)
     if scale != 1:
         raise ToolkitError("matrix is not unimodular")
     adj, det = adjugate(rows)

@@ -4,7 +4,9 @@ A Seifert space Y(e; r_1, ..., r_k) over the sphere is encoded by an integer
 central framing and nonzero rational leg parameters. When e <= -1 and every
 r_i < -1 the space bounds a canonical star-shaped negative definite plumbing:
 the central vertex carries weight e and leg i becomes a chain whose weights
-are the negative continued fraction expansion of r_i.
+are the negative continued fraction expansion of r_i. A plumbing may have at
+most MAX_GRAM_RANK vertices: the expansion stops, and FormatError (exit code
+1) is raised, as soon as a space would need more.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     ToolkitError,
     ZeroLegFramingError,
 )
-from .lattice import E8_EDGES, IntegralLattice, validate_lattice
+from .lattice import MAX_GRAM_RANK, E8_EDGES, IntegralLattice, validate_lattice
 
 
 @dataclass(frozen=True)
@@ -83,15 +85,18 @@ def neg_continued_fraction(value: Fraction) -> NcfExpansion:
     Each step takes the floor, so every tail lies in (-inf, -1) and all
     coefficients beyond a value below -1 are at most -2.
     """
+    return NcfExpansion(tuple(_ncf_coefficients(value)))
+
+
+def _ncf_coefficients(value):
+    """The coefficients of neg_continued_fraction(value), one at a time."""
     remainder = Fraction(value)
-    coefficients = []
     while True:
         a = remainder.numerator // remainder.denominator
-        coefficients.append(a)
+        yield a
         if remainder == a:
-            break
+            return
         remainder = -1 / (remainder - a)
-    return NcfExpansion(tuple(coefficients))
 
 
 @dataclass(frozen=True)
@@ -177,7 +182,8 @@ def canonical_plumbing(data: SeifertData) -> PlumbingTree:
 
     Requires the normal form with central framing <= -1 and every leg
     parameter below -1; the tree determinant then realizes the homology
-    order.
+    order. Raises FormatError once the tree would pass MAX_GRAM_RANK
+    vertices, before any lattice is built.
     """
     if data.central > -1:
         raise UnnormalizedSeifertDataError(
@@ -191,9 +197,12 @@ def canonical_plumbing(data: SeifertData) -> PlumbingTree:
     weights = [data.central]
     edges = []
     for r in data.legs:
-        chain = neg_continued_fraction(r).coefficients
         previous = 0
-        for w in chain:
+        for w in _ncf_coefficients(r):
+            if len(weights) == MAX_GRAM_RANK:
+                raise FormatError(
+                    f"the plumbing of this Seifert space has more than {MAX_GRAM_RANK} vertices"
+                )
             weights.append(w)
             edges.append((previous, len(weights) - 1))
             previous = len(weights) - 1
@@ -274,7 +283,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise self.error("expected digits")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int() converts
+            raise ExpressionParseError("number has too many digits", start) from None
 
     def integer(self) -> int:
         self.skip_ws()

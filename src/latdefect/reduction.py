@@ -1,4 +1,4 @@
-"""Exact-rational LLL reduction operating directly on Gram matrices.
+"""Integral LLL reduction operating directly on Gram matrices.
 
 Used only as optional preprocessing for coset enumeration: the output is a
 unimodular change of basis, so enumeration results never depend on reduction
@@ -9,96 +9,85 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NotPositiveDefiniteError
-from .linalg import identity
+from .linalg import clear_denominators, fraction_free_row, identity
 
 DELTA = Fraction(3, 4)
-
-
-def _round_half_up(x: Fraction) -> int:
-    num, den = (2 * x + 1).numerator, (2 * x + 1).denominator
-    return num // (2 * den)
 
 
 def lll_reduce_gram(gram, delta: Fraction = DELTA):
     """Return (reduced, u) with reduced = u^T gram u and u unimodular.
 
-    Gram-matrix formulation with incrementally maintained Gram-Schmidt data;
-    all arithmetic exact. Raises NotPositiveDefiniteError when a zero
-    Gram-Schmidt norm shows the form is degenerate.
+    Integral LLL (de Weger, J. Number Theory 26, 1987; Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.6.7) on the Gram matrix
+    scaled to integers: the leading Gram minors d[k] and
+    lam[k][j] = d[j + 1] mu[k][j] stay integers and every division is exact.
+    It takes exactly the size reductions (rounding mu half up) and swaps of
+    rational LLL, so u is the one the Gram-Schmidt form over Fractions gives;
+    reduced is built in Fractions once at the end. Raises
+    NotPositiveDefiniteError when a non-positive Gram-Schmidt norm shows the
+    form is not positive definite.
     """
-    n = len(gram)
-    q = [[Fraction(x) for x in row] for row in gram]
+    a, scale = clear_denominators(gram)
+    n = len(a)
     u = identity(n)
-    if n <= 1:
-        if n == 1 and q[0][0] <= 0:
-            raise NotPositiveDefiniteError(1)
-        return q, u
-
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    gs = [Fraction(0)] * n
-    gs[0] = q[0][0]
-    if gs[0] <= 0:
-        raise NotPositiveDefiniteError(1)
+    delta = Fraction(delta)
+    lovasz_num, lovasz_den = delta.numerator, delta.denominator
+    lam = [[0] * n for _ in range(n)]
+    d = [1] * (n + 1)  # d[k]: leading k x k minor of the current Gram matrix
+    if n:
+        fraction_free_row(a[0], 0, lam, d)
 
     def size_reduce(k: int, l: int) -> None:
-        if 2 * abs(mu[k][l]) <= 1:
+        lk, dl = lam[k], d[l + 1]
+        if 2 * abs(lk[l]) <= dl:
             return
-        m = _round_half_up(mu[k][l])
+        m = (2 * lk[l] + dl) // (2 * dl)
         for row in u:
             row[k] -= m * row[l]
         # symmetric Gram update for b_k <- b_k - m b_l
-        qkk = q[k][k] - 2 * m * q[k][l] + m * m * q[l][l]
+        akk = a[k][k] - 2 * m * a[k][l] + m * m * a[l][l]
         for j in range(n):
-            q[k][j] -= m * q[l][j]
-        for i in range(n):
-            q[i][k] -= m * q[i][l]
-        q[k][k] = qkk
-        mu[k][l] -= m
+            a[k][j] -= m * a[l][j]
+        for row in a:
+            row[k] -= m * row[l]
+        a[k][k] = akk
+        lk[l] -= m * dl
+        ll = lam[l]
         for i in range(l):
-            mu[k][i] -= m * mu[l][i]
+            lk[i] -= m * ll[i]
 
     def swap_step(k: int, kmax: int) -> None:
         for row in u:
             row[k], row[k - 1] = row[k - 1], row[k]
-        q[k], q[k - 1] = q[k - 1], q[k]
-        for row in q:
+        a[k], a[k - 1] = a[k - 1], a[k]
+        for row in a:
             row[k], row[k - 1] = row[k - 1], row[k]
-        for i in range(k - 1):
-            mu[k][i], mu[k - 1][i] = mu[k - 1][i], mu[k][i]
-        bar = mu[k][k - 1]
-        big = gs[k] + bar * bar * gs[k - 1]
-        mu[k][k - 1] = bar * gs[k - 1] / big
-        gs[k] = gs[k - 1] * gs[k] / big
-        gs[k - 1] = big
+        lk, lk1 = lam[k], lam[k - 1]
+        for j in range(k - 1):
+            lk[j], lk1[j] = lk1[j], lk[j]
+        bar = lk[k - 1]  # unchanged by the swap
+        big = (d[k - 1] * d[k + 1] + bar * bar) // d[k]
         for i in range(k + 1, kmax + 1):
-            t = mu[i][k]
-            mu[i][k] = mu[i][k - 1] - bar * t
-            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - bar * t) // d[k]
+            li[k - 1] = (big * t + bar * li[k]) // d[k + 1]
+        d[k] = big
 
     k = 1
     kmax = 0
     while k < n:
         if k > kmax:
             kmax = k
-            scratch = [Fraction(0)] * (k + 1)
-            for j in range(k + 1):
-                val = q[k][j]
-                for i in range(j):
-                    val -= mu[j][i] * scratch[i]
-                scratch[j] = val
-                if j < k:
-                    mu[k][j] = val / gs[j]
-                else:
-                    if val <= 0:
-                        raise NotPositiveDefiniteError(k + 1)
-                    gs[k] = val
+            fraction_free_row(a[k], k, lam, d)
         size_reduce(k, k - 1)
-        if gs[k] < (delta - mu[k][k - 1] ** 2) * gs[k - 1]:
+        bar = lam[k][k - 1]
+        # B_k < (delta - mu^2) B_{k-1} with B_k = d[k+1] / d[k], mu = bar / d[k]
+        if lovasz_den * d[k + 1] * d[k - 1] < lovasz_num * d[k] ** 2 - lovasz_den * bar * bar:
             swap_step(k, kmax)
             k = max(1, k - 1)
         else:
             for l in range(k - 2, -1, -1):
                 size_reduce(k, l)
             k += 1
-    return q, u
+    return [[Fraction(x, scale) for x in row] for row in a], u

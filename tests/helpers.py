@@ -7,8 +7,9 @@ box. Nothing in it touches the package's own linear algebra.
 
 The Fraction routes below are the oracles of the integer-only lattice kernel:
 Gauss-Jordan inversion over Fractions, Gram validation through a Fraction
-LDL^T factorization, and gluing on the half-integral basis with Fraction
-matrices. Gluing still takes its discriminant generator and Hermite form from
+LDL^T factorization, the Fraction LDL^T and Gram-Schmidt LLL that the
+fraction-free ones replaced, and gluing on the half-integral basis with
+Fraction matrices. Gluing still takes its discriminant generator and Hermite form from
 the package, since only the arithmetic around them is under test.
 """
 
@@ -178,6 +179,103 @@ def ldl_validation(rows):
             off = q[i][j] - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
             lower[i][j] = off / pivot
     return ("definite", sign, int(minor) * sign ** n)
+
+
+def fraction_ldl(q):
+    """(lower, diag) of Q = L D L^T over Fractions; NotPositiveDefiniteError
+    names the first non-positive pivot."""
+    from latdefect import NotPositiveDefiniteError
+
+    n = len(q)
+    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    diag = [Fraction(0)] * n
+    for j in range(n):
+        pivot = Fraction(q[j][j]) - sum(lower[j][k] ** 2 * diag[k] for k in range(j))
+        if pivot <= 0:
+            raise NotPositiveDefiniteError(j + 1)
+        diag[j] = pivot
+        for i in range(j + 1, n):
+            off = Fraction(q[i][j]) - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
+            lower[i][j] = off / pivot
+    return lower, diag
+
+
+def fraction_lll(gram, delta=Fraction(3, 4)):
+    """(reduced, u) by LLL with Gram-Schmidt data kept in Fractions."""
+    from latdefect import NotPositiveDefiniteError
+
+    n = len(gram)
+    q = [[Fraction(x) for x in row] for row in gram]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n <= 1:
+        if n == 1 and q[0][0] <= 0:
+            raise NotPositiveDefiniteError(1)
+        return q, u
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    gs = [Fraction(0)] * n
+    gs[0] = q[0][0]
+    if gs[0] <= 0:
+        raise NotPositiveDefiniteError(1)
+
+    def size_reduce(k, l):
+        if 2 * abs(mu[k][l]) <= 1:
+            return
+        m = _round_half_up(mu[k][l])
+        for row in u:
+            row[k] -= m * row[l]
+        qkk = q[k][k] - 2 * m * q[k][l] + m * m * q[l][l]
+        for j in range(n):
+            q[k][j] -= m * q[l][j]
+        for i in range(n):
+            q[i][k] -= m * q[i][l]
+        q[k][k] = qkk
+        mu[k][l] -= m
+        for i in range(l):
+            mu[k][i] -= m * mu[l][i]
+
+    def swap_step(k, kmax):
+        for row in u:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        q[k], q[k - 1] = q[k - 1], q[k]
+        for row in q:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        for i in range(k - 1):
+            mu[k][i], mu[k - 1][i] = mu[k - 1][i], mu[k][i]
+        bar = mu[k][k - 1]
+        big = gs[k] + bar * bar * gs[k - 1]
+        mu[k][k - 1] = bar * gs[k - 1] / big
+        gs[k] = gs[k - 1] * gs[k] / big
+        gs[k - 1] = big
+        for i in range(k + 1, kmax + 1):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - bar * t
+            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            scratch = [Fraction(0)] * (k + 1)
+            for j in range(k + 1):
+                val = q[k][j]
+                for i in range(j):
+                    val -= mu[j][i] * scratch[i]
+                scratch[j] = val
+                if j < k:
+                    mu[k][j] = val / gs[j]
+                else:
+                    if val <= 0:
+                        raise NotPositiveDefiniteError(k + 1)
+                    gs[k] = val
+        size_reduce(k, k - 1)
+        if gs[k] < (delta - mu[k][k - 1] ** 2) * gs[k - 1]:
+            swap_step(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return q, u
 
 
 def fraction_glue(left, right):

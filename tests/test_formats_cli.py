@@ -7,6 +7,8 @@ import pytest
 
 from latdefect import (
     FormatError,
+    SeifertData,
+    canonical_plumbing,
     format_fraction,
     gram_from_json,
     gram_to_json,
@@ -78,6 +80,25 @@ def test_tree_json_diagnostics():
         tree_from_json('{"weights": [-2, -2], "edges": [[0, 1, 2]]}')
     with pytest.raises(FormatError, match="disconnected"):
         tree_from_json('{"weights": [-2, -2, -2, -2], "edges": [[0, 1], [1, 2], [0, 2]]}')
+
+
+def test_tree_json_bounds():
+    chain = lambda n, w=-2: json.dumps(
+        {"weights": [w] * n, "edges": [[i, i + 1] for i in range(n - 1)]}
+    )
+    assert tree_from_json(chain(MAX_GRAM_RANK)).rank == MAX_GRAM_RANK
+    assert tree_from_json(chain(1, -MAX_GRAM_ENTRY)).weights == (-MAX_GRAM_ENTRY,)
+    cases = [
+        (chain(MAX_GRAM_RANK + 1), f"{MAX_GRAM_RANK + 1} vertices exceed the limit"),
+        (chain(2, MAX_GRAM_ENTRY + 1), f"vertex 0 exceeds {MAX_GRAM_ENTRY}"),
+        ('{"weights": [-1' + "0" * 5000 + '], "edges": []}', "invalid JSON"),
+        ('{"weights": [-2, -2], "edges": [[0, null]]}', "integer pairs"),
+        ('{"weights": [-2, -2], "edges": [[0, "1"]]}', "integer pairs"),
+    ]
+    for text, fragment in cases:
+        with pytest.raises(FormatError, match=fragment) as info:
+            tree_from_json(text)
+        assert info.value.exit_code == 1
 
 
 @pytest.fixture()
@@ -297,3 +318,23 @@ def test_cli_help_paths(capsys):
     code, out, _ = run_cli(capsys, ["--help"])
     assert code == 0
     assert "defect" in out and "seifert" in out
+
+
+def test_cli_rejects_oversized_seifert_plumbing(capsys):
+    # the leg -1000000/999999 expands to a chain of about 10^6 vertices
+    for expression, fragment in (
+        ("Y(-1; -1000000/999999)", f"more than {MAX_GRAM_RANK} vertices"),
+        ("Y(1; 1000000/999999)", f"more than {MAX_GRAM_RANK} vertices"),
+        ("Y(-1; -" + "7" * 5000 + "/3)", "too many digits"),
+    ):
+        code, out, err = run_cli(capsys, ["seifert", "d", expression])
+        assert code == 1 and out == ""
+        assert fragment in err
+
+
+def test_seifert_plumbing_bound_is_inclusive():
+    # one central vertex and a chain of 63 framings -2
+    legs = (Fraction(-(MAX_GRAM_RANK), MAX_GRAM_RANK - 1),)
+    assert canonical_plumbing(SeifertData(-1, legs)).rank == MAX_GRAM_RANK
+    with pytest.raises(FormatError):
+        canonical_plumbing(SeifertData(-1, (Fraction(-(MAX_GRAM_RANK + 1), MAX_GRAM_RANK),)))

@@ -1,0 +1,226 @@
+"""The fraction-free search path against the Fraction routes it replaced.
+
+Integral LLL and the fraction-free LDL^T are checked on hypothesis-drawn Gram
+matrices against the Gram-Schmidt LLL and LDL^T over Fractions kept in
+tests/helpers.py; the value-only searches behind defects and the tree DP's
+integer nearest-plane bound are checked against the routes that build
+minimizers or work in Fractions. Node counts of min_char_norm are pinned to
+the values the Fraction kernel gave.
+"""
+
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+from helpers import fraction_ldl, fraction_lll, random_spd_gram, random_target
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from latdefect import (
+    CharClassSign,
+    CongruenceViolationError,
+    CosetProblem,
+    NotPositiveDefiniteError,
+    a1_lattice,
+    conjugate_lattice,
+    defects,
+    diagonal_bimodular_lattice,
+    direct_sum,
+    e7_lattice,
+    e8_lattice,
+    identity_lattice,
+    min_char_norm,
+    random_unimodular,
+    shortest_in_coset,
+)
+from latdefect.enumeration import (
+    _babai_value,
+    _cleared_vector,
+    _factor,
+    _nearest_plane,
+    coset_minimum,
+)
+from latdefect.linalg import fraction_free_ldl, ldl_decomposition
+from latdefect.reduction import lll_reduce_gram
+
+SETTINGS = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def symmetric_grams(draw, rational=False):
+    """Rank 1-10: B^T B for a small integer B (positive definite, or singular
+    and so rejected), or an arbitrary symmetric matrix; scaled by a rational
+    when asked."""
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        b = [[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]
+        gram = [[sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    else:
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = draw(st.integers(-2, 12))
+            for j in range(i + 1, n):
+                gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    if rational:
+        scale = Fraction(draw(st.integers(1, 7)), draw(st.integers(1, 6)))
+        shift = Fraction(draw(st.integers(0, 3)), draw(st.integers(1, 5)))
+        gram = [[x * scale + (shift if i == j else 0) for j, x in enumerate(row)]
+                for i, row in enumerate(gram)]
+    return gram
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotPositiveDefiniteError as err:
+        return ("not positive definite", err.pivot_index)
+
+
+@SETTINGS
+@given(st.one_of(symmetric_grams(), symmetric_grams(rational=True)),
+       st.sampled_from([Fraction(3, 4), Fraction(99, 100)]))
+def test_integral_lll_matches_fraction_lll(gram, delta):
+    expected = outcome(fraction_lll, gram, delta)
+    assert outcome(lll_reduce_gram, gram, delta) == expected
+    if not isinstance(expected[0], str):
+        reduced, _u = expected
+        assert all(isinstance(x, Fraction) for row in reduced for x in row)
+
+
+@SETTINGS
+@given(st.one_of(symmetric_grams(), symmetric_grams(rational=True)))
+def test_ldl_decomposition_matches_fraction_ldl(gram):
+    assert outcome(ldl_decomposition, gram) == outcome(fraction_ldl, gram)
+
+
+def test_lll_and_ldl_name_the_first_bad_minor():
+    # leading minors 2, 2*1 - 4 < 0: both fail at index 2
+    indefinite = [[2, 2, 0], [2, 1, 0], [0, 0, 1]]
+    for fn in (lll_reduce_gram, ldl_decomposition, fraction_lll, fraction_ldl):
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            fn(indefinite)
+        assert info.value.pivot_index == 2
+
+
+def test_fraction_free_ldl_is_integral():
+    lam, minors, scale = fraction_free_ldl([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 1]])
+    assert scale == 6
+    assert minors == [1, 3, 14]  # leading minors of [[3, 2], [2, 6]]
+    assert lam == [[], [2]]
+
+
+@SETTINGS
+@given(st.integers(0, 10**6), st.booleans())
+def test_integer_nearest_plane_equals_fraction_babai(seed, rational):
+    rng = random.Random(seed)
+    gram = random_spd_gram(rng, max_rank=8)
+    if rational:
+        gram = [[Fraction(x, 3) for x in row] for row in gram]
+    target = random_target(rng, len(gram))
+    big, den = _cleared_vector(target)
+    reach, reach_den = _nearest_plane(fraction_free_ldl(gram), big, den)
+    assert Fraction(reach, reach_den) == _babai_value(*_factor(gram), target) * den * den
+
+
+@SETTINGS
+@given(st.integers(0, 10**6), st.booleans(), st.integers(1, 3))
+def test_coset_minimum_is_the_search_without_minimizers(seed, reduce, threads):
+    rng = random.Random(seed)
+    gram = random_spd_gram(rng, max_rank=6)
+    problem = CosetProblem(gram, random_target(rng, len(gram)))
+    full = shortest_in_coset(problem, reduce=reduce, threads=threads)
+    assert coset_minimum(problem, reduce=reduce, threads=threads) == (
+        full.min_norm,
+        full.nodes_visited,
+    )
+
+
+def conjugated(rng, base):
+    return conjugate_lattice(base, random_unimodular(rng, base.rank))
+
+
+UNIMODULAR_BASES = [
+    lambda rng: identity_lattice(rng.randint(1, 7)),
+    lambda rng: e8_lattice(),
+    lambda rng: direct_sum(identity_lattice(rng.randint(1, 2)), e8_lattice()),
+]
+BIMODULAR_BASES = [
+    lambda rng: diagonal_bimodular_lattice(rng.randint(1, 7)),
+    lambda rng: e7_lattice(),
+    lambda rng: direct_sum(a1_lattice(), e8_lattice()),
+]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 10**6), st.booleans(), st.booleans())
+def test_value_only_defects_match_min_char_norm(seed, bimodular, reduce):
+    rng = random.Random(seed)
+    bases = BIMODULAR_BASES if bimodular else UNIMODULAR_BASES
+    lat = conjugated(rng, rng.choice(bases)(rng))
+    n = lat.rank
+    got = defects(lat, reduce=reduce)
+    if bimodular:
+        plus = min_char_norm(lat, CharClassSign.PLUS, reduce=reduce).min_norm
+        minus = min_char_norm(lat, CharClassSign.MINUS, reduce=reduce).min_norm
+        assert (got.d_plus, got.d_minus) == (Fraction(plus - n, 4), Fraction(minus - n, 4))
+    else:
+        square = min_char_norm(lat, "any", reduce=reduce).min_norm
+        assert got.d_plus == got.d_minus == Fraction(square - n, 4)
+
+
+# Fixed bases for the pinned lattices below.
+U7 = [[0, -1, 0, 0, 0, 0, 0], [1, 0, 0, 0, -1, 0, 1], [0, 1, 0, 0, 0, -1, -1],
+      [0, 0, 0, 0, 0, 0, 1], [0, 0, -1, 0, 0, 0, 0], [0, 0, 0, -1, 0, 0, 0],
+      [0, 0, 0, 0, -1, 0, 0]]
+U9 = [[0, 0, 0, 0, 0, -1, 0, 0, 0], [-1, 0, 0, 0, 1, 0, 0, 1, 0],
+      [0, 0, 0, 0, 0, 1, 1, 1, 0], [0, -1, 0, 0, 1, 0, 0, 1, 0],
+      [0, 0, 0, 1, 0, 0, 0, 0, 0], [0, -1, 1, 1, 1, 0, 0, 1, 0],
+      [0, -1, 0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, -1, 0, -1, 0],
+      [0, -1, 0, 1, 0, 0, 0, 1, -1]]
+U5 = [[0, 0, 0, 0, -1], [-1, -1, 0, -1, 0], [1, 0, 0, 0, -1], [-2, -1, 1, 0, 2],
+      [0, 0, 0, -1, 0]]
+
+PINNED_LATTICES = {
+    "i3": lambda: identity_lattice(3),
+    "e7": e7_lattice,
+    "a1+e8": lambda: direct_sum(a1_lattice(), e8_lattice()),
+    "conj e7": lambda: conjugate_lattice(e7_lattice(), U7),
+    "conj i1+e8": lambda: conjugate_lattice(direct_sum(identity_lattice(1), e8_lattice()), U9),
+    "conj d5": lambda: conjugate_lattice(diagonal_bimodular_lattice(5), U5),
+}
+
+# (lattice, sign, reduce): (min_norm, number of minimizers, nodes_visited)
+PINNED = {
+    ("i3", "any", True): (3, 4, 28),
+    ("e7", "minus", False): (6, 28, 430),
+    ("e7", "minus", True): (6, 28, 430),
+    ("a1+e8", "plus", False): (2, 1, 52),
+    ("a1+e8", "plus", True): (2, 1, 34),
+    ("conj e7", "minus", False): (6, 28, 610),
+    ("conj e7", "minus", True): (6, 28, 433),
+    ("conj i1+e8", "any", False): (1, 1, 79),
+    ("conj i1+e8", "any", True): (1, 1, 28),
+    ("conj d5", "any", False): (4, 8, 189),
+    ("conj d5", "any", True): (4, 8, 108),
+    ("conj d5", "plus", False): (6, 16, 196),
+    ("conj d5", "plus", True): (6, 16, 124),
+    ("conj d5", "minus", False): (4, 8, 102),
+    ("conj d5", "minus", True): (4, 8, 63),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_min_char_norm_node_counts_are_pinned(key):
+    name, sign, reduce = key
+    result = min_char_norm(PINNED_LATTICES[name](), sign, reduce=reduce)
+    assert (result.min_norm, len(result.minimizers), result.nodes_visited) == PINNED[key]
+
+
+def test_value_only_defects_keep_the_mod_8_check(monkeypatch):
+    # a class minimum of 0 fits the plus class of E7 (7 + 1 = 0 mod 8) but
+    # not the minus class (7 - 1 = 6 mod 8)
+    defects_module = sys.modules["latdefect.defects"]
+    monkeypatch.setattr(defects_module, "coset_minimum", lambda *a, **k: (Fraction(0), 0))
+    with pytest.raises(CongruenceViolationError, match="is not 6 mod 8"):
+        defects(e7_lattice())

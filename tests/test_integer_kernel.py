@@ -274,12 +274,17 @@ TRACED_LINALG = (
 
 
 def test_benchmark_traced_linalg_names_stay_in_use(monkeypatch):
-    """bench/tracer.py wraps these names at every module binding; its
-    self-test needs each one called, and library inverses must go through
-    invert_matrix for the wrapper to see them."""
+    """bench/tracer.py wraps these names, and reduction.lll_reduce_gram, at
+    every module binding; its self-test needs each one called, library
+    inverses must go through invert_matrix for the wrapper to see them, and
+    the search must call lll_reduce_gram through the enumeration binding."""
     linalg = sys.modules["latdefect.linalg"]
+    reduction = sys.modules["latdefect.reduction"]
+    enumeration = sys.modules["latdefect.enumeration"]
     for name in TRACED_LINALG:
         assert callable(getattr(linalg, name))
+    assert callable(reduction.lll_reduce_gram)
+    assert enumeration.lll_reduce_gram is reduction.lll_reduce_gram
     original = linalg.invert_matrix
     calls = []
 
@@ -297,3 +302,15 @@ def test_benchmark_traced_linalg_names_stay_in_use(monkeypatch):
     glue_overlattice(e7_lattice(), a1_lattice())
     assert after_defects > 0
     assert len(calls) > after_defects
+
+    reductions = []
+
+    def counted_lll(gram, *args):
+        reductions.append(len(gram))
+        return reduction.lll_reduce_gram(gram, *args)
+
+    monkeypatch.setattr(enumeration, "lll_reduce_gram", counted_lll)
+    latdefect.defects(e7_lattice(), reduce=True)
+    assert reductions == [7, 7]  # one search per characteristic class
+    latdefect.defects(e7_lattice())
+    assert reductions == [7, 7]

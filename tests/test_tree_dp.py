@@ -106,13 +106,13 @@ def test_max_char_square_matches_search_on_every_class(raw):
 
 def test_only_non_forests_take_the_search(monkeypatch):
     calls = []
-    search = DEFECTS.shortest_in_coset
+    search = DEFECTS.coset_minimum
 
     def counted(*args, **kwargs):
         calls.append(1)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(DEFECTS, "shortest_in_coset", counted)
+    monkeypatch.setattr(DEFECTS, "coset_minimum", counted)
     e8 = gram(negative_e8_tree())
     assert max_char_square(e8, base_characteristic(e8)) == 0
     assert calls == []
