@@ -15,22 +15,25 @@ Reductions to coset enumeration:
     minimize with form G, target z_chi / 2, and scale by 4.
 
 defects and max_char_square need only values: they run the branch-and-bound
-search through coset_minimum, which builds no minimizers, and max_char_square
-takes the exact tree dynamic program forest_minimum instead when the Gram
-graph is a forest (as for every plumbing tree). min_char_norm reports the
-minimizing pairing vectors through shortest_in_coset.
+search through coset_minimum, which builds no minimizers. When the Gram graph
+is a forest (as for every plumbing tree), max_char_square takes the exact tree
+dynamic program instead: the lattice builds its ForestPlan once, and each
+class hands plan_minimum its integer target adj p / (2 |det|), so no
+CosetProblem and no Fraction is built before the value. min_char_norm reports
+the minimizing pairing vectors through shortest_in_coset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .enumeration import (
     CosetProblem,
     EnumerationResult,
     coset_minimum,
-    forest_minimum,
+    plan_minimum,
     shortest_in_coset,
 )
 from .errors import (
@@ -79,17 +82,29 @@ def _any_problem(lat: IntegralLattice, radius=None) -> CosetProblem:
     return CosetProblem(lat.gram_inverse, target, radius=inner_radius)
 
 
+def _class_target(lat: IntegralLattice, rep_pairings) -> tuple[list[int], int]:
+    """(big, den) with big / den the halved class target z / 2, in lowest terms.
+
+    z = G^{-1} p = sign adj p / det for the positive form, with the lattice's
+    cached adjugate; den = 2 |det| reduced by the gcd with the entries of big.
+    """
+    det = lat.determinant
+    flip = lat.sign if det > 0 else -lat.sign
+    big = [flip * x for x in mat_vec(lat.adjugate, list(rep_pairings))]
+    den = 2 * abs(det)
+    g = gcd(den, *big)
+    return [x // g for x in big], den // g
+
+
 def _class_problem(lat: IntegralLattice, rep_pairings, radius=None) -> CosetProblem:
     """The class rep + 2L in basis coordinates of the positive form.
 
-    z = G^{-1} p = adj p / det with the lattice's cached adjugate; the coset is
-    z + 2 Z^n, halved to z / 2 + Z^n, so values and radius are a quarter of
-    the squares.
+    The coset z + 2 Z^n of z = G^{-1} p is halved to z / 2 + Z^n
+    (_class_target), so values and radius are a quarter of the squares.
     """
-    den = 2 * lat.sign * lat.determinant
-    target = [Fraction(x, den) for x in mat_vec(lat.adjugate, list(rep_pairings))]
+    big, den = _class_target(lat, rep_pairings)
     inner_radius = None if radius is None else Fraction(radius) / 4
-    return CosetProblem(lat.positive_gram, target, radius=inner_radius)
+    return CosetProblem(lat.positive_gram, [Fraction(x, den) for x in big], radius=inner_radius)
 
 
 def _check_class_square(value: Fraction, rank: int, sign: CharClassSign) -> None:
@@ -216,9 +231,9 @@ def max_char_square(
 
     Equals minus the minimal square of the corresponding coset in the
     positive definite negation. A forest-shaped Gram matrix is solved exactly
-    by forest_minimum, where reduce and threads have no effect and
-    node_budget bounds the dynamic program's cells; any other goes through
-    the branch-and-bound search.
+    by the tree dynamic program (plan_minimum on the lattice's forest_plan),
+    where reduce and threads have no effect and node_budget bounds its nodes;
+    any other goes through the branch-and-bound search.
     """
     if lat.sign >= 0:
         raise NotNegativeDefiniteError("max_char_square needs a negative definite lattice")
@@ -228,14 +243,10 @@ def max_char_square(
         raise NotCharacteristicError(
             f"pairings {class_rep.pairings} are not characteristic"
         )
-    found = forest_minimum(
-        _class_problem(lat, class_rep.pairings),
-        inverse=lat.positive_inverse,
-        factor=lat.positive_ldl,
-        node_budget=node_budget,
-    )
-    if found is not None:
-        return -4 * found[0]
+    plan = lat.forest_plan
+    if plan is not None:
+        big, den = _class_target(lat, class_rep.pairings)
+        return -4 * plan_minimum(plan, big, den, node_budget=node_budget)[0]
     value, _nodes = coset_minimum(
         _class_problem(lat, class_rep.pairings),
         reduce=reduce,

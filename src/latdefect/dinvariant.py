@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .defects import max_char_square
 from .errors import (
+    FormatError,
     LabellingViolationError,
     NotNegativeDefiniteError,
     ResidueViolationError,
@@ -23,7 +24,13 @@ from .errors import (
     ToolkitError,
     UnsupportedExpressionError,
 )
-from .lattice import Covector, IntegralLattice, base_characteristic, discriminant_group
+from .lattice import (
+    MAX_SPINC_CLASSES,
+    Covector,
+    IntegralLattice,
+    base_characteristic,
+    discriminant_group,
+)
 from .linalg import hermite_row_basis, reduce_mod_rows
 from .plumbing import (
     ConnectedSum,
@@ -49,7 +56,16 @@ class SpinCClass:
 
 
 def spinc_classes(lat: IntegralLattice) -> tuple[SpinCClass, ...]:
-    """All spin-c structures on the boundary, one characteristic rep each."""
+    """All spin-c structures on the boundary, one characteristic rep each.
+
+    There are |det| of them; more than MAX_SPINC_CLASSES is rejected with
+    FormatError before any is built.
+    """
+    count = abs(lat.determinant)
+    if count > MAX_SPINC_CLASSES:
+        raise FormatError(
+            f"{count} spin-c classes exceed the limit of {MAX_SPINC_CLASSES}"
+        )
     group = discriminant_group(lat)
     base = base_characteristic(lat)
     basis = hermite_row_basis([list(row) for row in lat.positive_gram])
@@ -66,9 +82,9 @@ def spinc_classes(lat: IntegralLattice) -> tuple[SpinCClass, ...]:
         seen.add(key)
         pairings = tuple(b + 2 * s for b, s in zip(base.pairings, shift))
         classes.append(SpinCClass(Covector(pairings, lat), coeffs))
-    if len(classes) != abs(lat.determinant):
+    if len(classes) != count:
         raise ToolkitError(
-            f"found {len(classes)} spin-c classes, expected |det| = {abs(lat.determinant)}"
+            f"found {len(classes)} spin-c classes, expected |det| = {count}"
         )
     return tuple(classes)
 

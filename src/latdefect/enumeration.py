@@ -15,9 +15,14 @@ run. shortest_in_coset reports every minimizer; coset_minimum runs the same
 search, node for node, for callers that need only the minimum value.
 
 When the off-diagonal support of Q is a forest (every plumbing tree is one),
-forest_minimum finds the exact minimum value without a search: the objective
-is a sum of vertex and edge terms, so a leaf-to-root dynamic program over
-integer-scaled coordinates solves it.
+the exact minimum value needs no search: the objective is a sum of vertex and
+edge terms, so a leaf-to-root dynamic program over integer-scaled coordinates
+solves it. Its work is split in two. forest_plan gathers once per form what
+depends on Q alone (order, integer weights, inverse diagonal, fraction-free
+LDL); plan_minimum then takes one integer target over a denominator, and
+computes each message as a lower-envelope query in integers.
+forest_minimum builds the plan of one CosetProblem and runs the same
+plan_minimum.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm
+from typing import NamedTuple
 
 from .errors import (
     BudgetExhaustedError,
@@ -34,11 +40,11 @@ from .errors import (
     RadiusEmptyError,
 )
 from .linalg import (
+    adjugate,
     clear_denominators,
     first_asymmetry,
     fraction_free_ldl,
     integer_matrix_inverse,
-    invert_matrix,
     ldl_decomposition,
     mat_vec,
     sign_normalize,
@@ -585,71 +591,151 @@ def _nearest_plane(factor, big, den: int) -> tuple[int, int]:
     return total, common * scale
 
 
-def forest_minimum(
-    problem: CosetProblem,
-    *,
-    inverse=None,
-    factor=None,
-    node_budget: int | None = None,
-) -> tuple[Fraction, int] | None:
-    """Exact minimum of (target + x)^T form (target + x) on a forest-shaped form.
+class ForestPlan(NamedTuple):
+    """What the tree dynamic program needs of one forest-shaped form Q.
 
-    Returns (min_norm, nodes), or None when the nonzero off-diagonal entries of
-    the form do not make a forest; no minimizers are built. inverse, the exact
-    inverse of the form, and factor, its fraction_free_ldl, are computed when
-    not given.
-
-    With D the common denominator of the target, Y = D (target + x) is an
-    integer vector and D^2 times the value is an integer quadratic in Y. The
-    nearest-plane value R (_nearest_plane, integer-only) bounds every
-    coordinate by
-    |Y_v| <= isqrt(floor(R inverse_vv D^2)) (Cauchy-Schwarz). Messages then
-    pass from the leaves to each root:
-    m_v(Y_p) = min over Y_v of [q_vv Y_v^2 + 2 q_vp Y_v Y_p + sum of m_c(Y_v)]
-    over the children c of v. nodes counts one per (vertex value, parent
-    value) pair and one per root value; node_budget is checked against that
-    exact total before any message is computed.
+    Everything here depends on Q only, so a lattice builds it once for all of
+    its spin-c classes. order lists every vertex after its children, and
+    parent[v] is -1 at a root. With scale the least s making s Q integral,
+    vertex[v] = s q_vv and edge[v] = 2 s q_vp for p = parent[v] (0 at a
+    root). inverse_diagonal[v] / inverse_den = (Q^-1)_vv with inverse_den > 0,
+    and factor = fraction_free_ldl(Q) feeds the nearest-plane bound. A
+    NamedTuple rather than a dataclass: a frozen dataclass of eight fields
+    costs about 1.5 ms of import time.
     """
-    if problem.radius is not None:
-        raise ValueError("forest_minimum takes no radius")
-    shape = _forest_order(problem.form)
+
+    order: tuple[int, ...]
+    parent: tuple[int, ...]
+    vertex: tuple[int, ...]
+    edge: tuple[int, ...]
+    scale: int
+    inverse_diagonal: tuple[int, ...]
+    inverse_den: int
+    factor: tuple
+
+
+def forest_plan(form, inverse_diagonal, inverse_den, factor) -> ForestPlan | None:
+    """The ForestPlan of a symmetric positive definite form, or None when the
+    nonzero off-diagonal entries of the form do not make a forest.
+
+    inverse_diagonal, inverse_den and factor are as ForestPlan stores them.
+    """
+    shape = _forest_order(form)
     if shape is None:
         return None
     order, parent = shape
-    form, target = problem.form, problem.target
-    if inverse is None:
-        inverse = invert_matrix(form)
-    if factor is None:
-        factor = fraction_free_ldl(form)
-    big, den = _cleared_vector(target)
-    reach, reach_den = _nearest_plane(factor, big, den)
-    form_scale = lcm(*(q.denominator for row in form for q in row))
+    rows, scale = clear_denominators(form)
+    return ForestPlan(
+        order=tuple(order),
+        parent=tuple(parent),
+        vertex=tuple(rows[v][v] for v in range(len(rows))),
+        edge=tuple(2 * rows[v][p] if p >= 0 else 0 for v, p in enumerate(parent)),
+        scale=scale,
+        inverse_diagonal=tuple(inverse_diagonal),
+        inverse_den=inverse_den,
+        factor=factor,
+    )
+
+
+def _message(heights, values, weight, queries) -> list[int]:
+    """[min over k of heights[k] + weight * values[k] * y for y in queries].
+
+    values and queries ascend and weight is nonzero, so the lines
+    heights[k] + (weight values[k]) y have distinct slopes. Taken in order of
+    falling slope, the lines that are lowest somewhere form a lower envelope
+    on which the lowest line at y moves forward as y grows, so one pass over
+    the lines and one over the queries suffice. A line is dropped when its
+    two neighbours cross no later than it meets the earlier one; both tests
+    are integer cross-multiplications.
+    """
+    pairs = zip(values, heights) if weight < 0 else zip(reversed(values), reversed(heights))
+    slopes: list[int] = []
+    inter: list[int] = []
+    for y, h in pairs:
+        a = weight * y
+        while len(slopes) > 1:
+            a1, b1, a2, b2 = slopes[-2], inter[-2], slopes[-1], inter[-1]
+            if (h - b1) * (a1 - a2) > (b2 - b1) * (a1 - a):
+                break
+            slopes.pop()
+            inter.pop()
+        slopes.append(a)
+        inter.append(h)
+    out = []
+    k, last = 0, len(slopes) - 1
+    for y in queries:
+        best = inter[k] + slopes[k] * y
+        while k < last:
+            nxt = inter[k + 1] + slopes[k + 1] * y
+            if nxt > best:
+                break
+            best = nxt
+            k += 1
+        out.append(best)
+    return out
+
+
+def plan_minimum(
+    plan: ForestPlan, big, den: int, *, node_budget: int | None = None
+) -> tuple[Fraction, int]:
+    """(min_norm, nodes): the exact minimum of (t + x)^T Q (t + x) over integer
+    x, for the form Q of the plan and the target t = big / den (den > 0).
+
+    Y = den (t + x) is an integer vector congruent to big mod den, and
+    den^2 scale times the value is the integer quadratic
+    sum of vertex[v] Y_v^2 plus sum of edge[v] Y_v Y_p. The nearest-plane
+    value R (_nearest_plane) bounds every coordinate by
+    |Y_v| <= isqrt(floor(R (Q^-1)_vv den^2)) (Cauchy-Schwarz). Messages then
+    pass from the leaves to each root:
+    m_v(Y_p) = min over Y_v of [h_v(Y_v) + edge[v] Y_v Y_p], where h_v is the
+    vertex term plus the messages of the children of v; each is a lower
+    envelope query (_message). nodes counts one per line offered (a value of
+    a non-root vertex), one per parent value queried and one per root value;
+    node_budget is checked against that exact total before any message.
+    """
+    reach, reach_den = _nearest_plane(plan.factor, big, den)
+    whole = reach_den * plan.inverse_den
     domains = []
-    for v, c in enumerate(big):
-        q = inverse[v][v]
-        b = isqrt(reach * q.numerator // (reach_den * q.denominator))
+    for c, q in zip(big, plan.inverse_diagonal):
+        b = isqrt(reach * q // whole)
         domains.append(range(c - den * ((b + c) // den), b + 1, den))
+    parent = plan.parent
     nodes = sum(
-        len(domains[v]) * (len(domains[p]) if p >= 0 else 1)
+        len(domains[v]) + (len(domains[p]) if p >= 0 else 0)
         for v, p in enumerate(parent)
     )
     if node_budget is not None and nodes > node_budget:
         raise BudgetExhaustedError(nodes, node_budget)
-    # h[v][k]: vertex term plus the children's messages at the k-th value of v
-    h = [
-        [int(form[v][v] * form_scale) * y * y for y in dom]
-        for v, dom in enumerate(domains)
-    ]
+    h = [[a * y * y for y in dom] for a, dom in zip(plan.vertex, domains)]
     total = 0
-    for v in order:
+    for v in plan.order:
         p = parent[v]
         if p < 0:
             total += min(h[v])
             continue
-        hv, dom = h[v], domains[v]
-        w = int(2 * form[v][p] * form_scale)
         hp = h[p]
-        for k, yp in enumerate(domains[p]):
-            s = w * yp
-            hp[k] += min(a + s * y for a, y in zip(hv, dom))
-    return Fraction(total, den * den * form_scale), nodes
+        for k, m in enumerate(_message(h[v], domains[v], plan.edge[v], domains[p])):
+            hp[k] += m
+    return Fraction(total, den * den * plan.scale), nodes
+
+
+def forest_minimum(
+    problem: CosetProblem, *, node_budget: int | None = None
+) -> tuple[Fraction, int] | None:
+    """Exact minimum of (target + x)^T form (target + x) on a forest-shaped form.
+
+    Returns (min_norm, nodes) as plan_minimum computes them, or None when the
+    nonzero off-diagonal entries of the form do not make a forest; no
+    minimizers are built. The plan is built here for this one problem.
+    """
+    if problem.radius is not None:
+        raise ValueError("forest_minimum takes no radius")
+    form = problem.form
+    factor = fraction_free_ldl(form)
+    rows, scale = clear_denominators(form)
+    adj, det = adjugate(rows)  # form^-1 = scale adj / det, det > 0
+    plan = forest_plan(form, [scale * adj[v][v] for v in range(len(adj))], det, factor)
+    if plan is None:
+        return None
+    big, den = _cleared_vector(problem.target)
+    return plan_minimum(plan, big, den, node_budget=node_budget)

@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .enumeration import CosetProblem, enumerate_in_coset
+from .enumeration import CosetProblem, ForestPlan, enumerate_in_coset, forest_plan
 from .errors import (
     CongruenceViolationError,
     NotBimodularError,
@@ -37,7 +37,6 @@ from .linalg import (
     first_asymmetry,
     fraction_free_ldl,
     hermite_row_basis,
-    integer_matrix_inverse,
     integer_row_kernel,
     invert_matrix,
     mat_mul,
@@ -55,6 +54,9 @@ from .linalg import (
 # held to these (see formats and plumbing).
 MAX_GRAM_RANK = 64
 MAX_GRAM_ENTRY = 10**6
+# Spin-c classes are walked one by one, each with its own correction term, so
+# a plumbing is held to this many (|det| of its lattice; see dinvariant).
+MAX_SPINC_CLASSES = 2**16
 
 
 class CharClassSign(Enum):
@@ -104,16 +106,21 @@ class IntegralLattice:
         )
 
     @cached_property
-    def positive_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self.sign > 0:
-            return self.gram_inverse
-        return tuple(tuple(-x for x in row) for row in self.gram_inverse)
+    def forest_plan(self) -> ForestPlan | None:
+        """The tree dynamic program's plan for the positive definite form, or
+        None when its graph is not a forest.
 
-    @cached_property
-    def positive_ldl(self) -> tuple[list[list[int]], list[int], int]:
-        """Integer LDL^T data (lam, minors, 1) of the positive definite form,
-        as fraction_free_ldl returns it."""
-        return fraction_free_ldl(self.positive_gram)
+        Its inverse diagonal is sign adj_vv / det from the cached adjugate,
+        with the sign of det moved to the numerator.
+        """
+        adj, det = self.adjugate, self.determinant
+        flip = self.sign if det > 0 else -self.sign
+        return forest_plan(
+            self.positive_gram,
+            [flip * adj[v][v] for v in range(self.rank)],
+            abs(det),
+            fraction_free_ldl(self.positive_gram),
+        )
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
@@ -243,15 +250,20 @@ def discriminant_group(lat: IntegralLattice) -> DiscriminantGroup:
     modulo the pairing image of L, so equal lattices yield equal generators.
     """
     g = lat.positive_gram
-    diag, left, _right = smith_normal_form(g)
-    left_inv = integer_matrix_inverse(left)
+    diag, _left, right = smith_normal_form(g)
     hnf = hermite_row_basis(g)
     orders = []
     gens = []
     for i, d in enumerate(diag):
         if d > 1:
             orders.append(d)
-            column = [left_inv[r][i] for r in range(lat.rank)]
+            # U G V = D, so column i of U^-1 is column i of G V divided by d
+            column = []
+            for row in g:
+                x = sum(a * r[i] for a, r in zip(row, right))
+                if x % d:
+                    raise ToolkitError(f"column {i} of G V is not divisible by {d}")
+                column.append(x // d)
             gens.append(Covector(tuple(reduce_mod_rows(column, hnf)), lat))
     total = 1
     for d in orders:

@@ -11,6 +11,11 @@ LDL^T factorization, the Fraction LDL^T and Gram-Schmidt LLL that the
 fraction-free ones replaced, and gluing on the half-integral basis with
 Fraction matrices. Gluing still takes its discriminant generator and Hermite form from
 the package, since only the arithmetic around them is under test.
+
+cell_message is the tree dynamic program's message computed cell by cell, the
+oracle of its lower-envelope query; discriminant_generators_by_inverse reads
+discriminant generators off the inverse of the Smith left matrix, the oracle
+of the division route that replaced it.
 """
 
 from __future__ import annotations
@@ -316,3 +321,34 @@ def fraction_extend(basis_change, stacked):
     """Overlattice pairings of stacked summand pairings, or None."""
     out = [sum(x * p for x, p in zip(row, stacked)) for row in basis_change]
     return None if any(x.denominator != 1 for x in out) else tuple(int(x) for x in out)
+
+
+def cell_message(heights, values, weight, queries):
+    """min over k of heights[k] + weight * values[k] * y, for every query y,
+    one cell at a time."""
+    return [
+        min(h + weight * y * x for h, x in zip(heights, values)) for y in queries
+    ]
+
+
+def discriminant_generators_by_inverse(lat):
+    """(orders, generator pairings) of L'/L from the columns of U^-1, for
+    U G V = D the Smith form of the positive Gram matrix."""
+    from latdefect.linalg import (
+        hermite_row_basis,
+        integer_matrix_inverse,
+        reduce_mod_rows,
+        smith_normal_form,
+    )
+
+    g = lat.positive_gram
+    diag, left, _right = smith_normal_form(g)
+    left_inv = integer_matrix_inverse(left)
+    hnf = hermite_row_basis(g)
+    orders, gens = [], []
+    for i, d in enumerate(diag):
+        if d > 1:
+            orders.append(d)
+            column = [left_inv[r][i] for r in range(lat.rank)]
+            gens.append(tuple(reduce_mod_rows(column, hnf)))
+    return tuple(orders), tuple(gens)

@@ -1,0 +1,184 @@
+"""The per-lattice forest plan, the lower-envelope messages of the tree DP,
+division-based discriminant generators and the spin-c class bound.
+
+Messages are checked against the cell-by-cell loop and discriminant
+generators against the inverse of the Smith left matrix, both kept in
+tests/helpers.py.
+"""
+
+import importlib
+import random
+from fractions import Fraction
+
+import pytest
+from helpers import cell_message, discriminant_generators_by_inverse, random_spd_gram
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from latdefect import (
+    CosetProblem,
+    FormatError,
+    SeifertData,
+    ToolkitError,
+    canonical_plumbing,
+    conjugate_lattice,
+    discriminant_group,
+    evaluate_expression,
+    max_char_square,
+    parse_expression,
+    random_unimodular,
+    spinc_classes,
+    validate_lattice,
+)
+from latdefect.cli import main
+from latdefect.defects import _class_problem, _class_target
+from latdefect.dinvariant import _seifert_tree
+from latdefect.enumeration import _message, forest_minimum, plan_minimum
+from latdefect.lattice import MAX_SPINC_CLASSES
+
+SETTINGS = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+LATTICE = importlib.import_module("latdefect.lattice")
+
+
+def progression(draw, max_len):
+    start = draw(st.integers(-30, 30))
+    step = draw(st.integers(1, 5))
+    return list(range(start, start + step * draw(st.integers(1, max_len)), step))
+
+
+@st.composite
+def messages(draw):
+    """A vertex domain with its heights, a nonzero edge weight of either sign
+    and a parent domain that may be wider or narrower than the vertex's.
+    Heights come from a small range so that ties are common."""
+    values = progression(draw, 12)
+    spread = draw(st.sampled_from([0, 2, 50]))
+    heights = [draw(st.integers(-spread, spread)) for _ in values]
+    weight = draw(st.integers(-6, 6).filter(bool))
+    return heights, values, weight, progression(draw, 12)
+
+
+@SETTINGS
+@given(messages())
+@example(([7], [3], 2, [-4, 0, 4]))  # a single line
+@example(([0, 0, 0], [-2, 0, 2], -1, [5]))  # equal heights, a single query
+@example(([4, 1, 0, 1, 4], [-2, -1, 0, 1, 2], 2, [-3, -1, 1, 3]))  # three lines meet at 0
+@example(([0, 5, 0], [0, 1, 2], 3, list(range(-20, 21))))  # a line above the envelope
+def test_envelope_message_matches_cells(case):
+    heights, values, weight, queries = case
+    assert _message(heights, values, weight, queries) == cell_message(
+        heights, values, weight, queries
+    )
+
+
+@SETTINGS
+@given(
+    st.lists(st.integers(-40, 40), min_size=1, max_size=10, unique=True),
+    st.lists(st.integers(-40, 40), min_size=1, max_size=10, unique=True),
+    st.integers(-4, 4).filter(bool),
+    st.data(),
+)
+def test_envelope_message_on_any_ascending_values(values, queries, weight, data):
+    values.sort()
+    queries.sort()
+    heights = [data.draw(st.integers(-20, 20)) for _ in values]
+    assert _message(heights, values, weight, queries) == cell_message(
+        heights, values, weight, queries
+    )
+
+
+def main_example_lattice():
+    (term,) = parse_expression("Y(2; 15/13, 17/3, 23/22)").terms
+    tree, _flipped = _seifert_tree(term.atom)
+    return tree.lattice
+
+
+def test_main_example_node_total_is_pinned():
+    lat = main_example_lattice()
+    found = []
+    for cls in spinc_classes(lat):
+        value, nodes = plan_minimum(lat.forest_plan, *_class_target(lat, cls.representative.pairings))
+        assert -4 * value == max_char_square(lat, cls.representative)
+        found.append((value, nodes))
+    # cell by cell, the same two classes cost 484,923 nodes
+    assert found == [(Fraction(1, 4), 1783), (Fraction(15, 4), 6908)]
+    assert sum(nodes for _value, nodes in found) == 8691
+
+
+def test_lattice_plan_agrees_with_the_problem_route():
+    lat = canonical_plumbing(SeifertData(-2, [Fraction(-3, 1), Fraction(-5, 2), Fraction(-6, 1)])).lattice
+    for cls in spinc_classes(lat):
+        rep = cls.representative.pairings
+        assert plan_minimum(lat.forest_plan, *_class_target(lat, rep)) == forest_minimum(
+            _class_problem(lat, rep)
+        )
+    triangle = validate_lattice([[-2, -1, -1], [-1, -2, -1], [-1, -1, -2]])
+    assert triangle.forest_plan is None
+
+
+def test_many_classes_build_one_plan_and_no_coset_problem(monkeypatch):
+    plans = []
+    problems = []
+    build = LATTICE.forest_plan
+    init = CosetProblem.__init__
+
+    def counted_plan(*args):
+        plans.append(1)
+        return build(*args)
+
+    def counted_problem(self, *args, **kwargs):
+        problems.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LATTICE, "forest_plan", counted_plan)
+    monkeypatch.setattr(CosetProblem, "__init__", counted_problem)
+    report = evaluate_expression("Y(-1; -4/1, -7/1, -7/3)")
+    assert len(report.class_values) == report.h1 >= 32
+    assert len(plans) <= 1
+    assert problems == []
+
+
+@st.composite
+def lattices(draw):
+    """Positive definite Gram matrices, conjugated by a random unimodular
+    matrix, or negated into negative definite ones."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    lat = validate_lattice(random_spd_gram(rng, max_rank=6, max_entry=9))
+    lat = conjugate_lattice(lat, random_unimodular(rng, lat.rank))
+    if draw(st.booleans()):
+        lat = validate_lattice([[-x for x in row] for row in lat.gram])
+    return lat
+
+
+@SETTINGS
+@given(lattices())
+def test_discriminant_generators_match_the_inverse_route(lat):
+    group = discriminant_group(lat)
+    pairings = tuple(g.pairings for g in group.generators)
+    assert (group.orders, pairings) == discriminant_generators_by_inverse(lat)
+
+
+def test_discriminant_group_rejects_an_inexact_division(monkeypatch):
+    # with V replaced by the identity, column 1 of G V = (1, 2) is not
+    # divisible by the invariant factor 3
+    lat = validate_lattice([[2, 1], [1, 2]])
+    smith = LATTICE.smith_normal_form
+    monkeypatch.setattr(
+        LATTICE, "smith_normal_form", lambda g: (smith(g)[0], smith(g)[1], [[1, 0], [0, 1]])
+    )
+    with pytest.raises(ToolkitError, match="not divisible by 3"):
+        discriminant_group(lat)
+
+
+def test_spinc_class_bound_is_inclusive():
+    assert len(spinc_classes(validate_lattice([[-MAX_SPINC_CLASSES]]))) == MAX_SPINC_CLASSES
+    with pytest.raises(FormatError, match=f"exceed the limit of {MAX_SPINC_CLASSES}"):
+        spinc_classes(validate_lattice([[-(MAX_SPINC_CLASSES + 1)]]))
+
+
+def test_cli_rejects_too_many_spinc_classes(capsys):
+    # a rank-2 plumbing with 999,999 spin-c classes
+    code = main(["seifert", "d", "Y(-1; -1000000/1)"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "999999 spin-c classes exceed the limit" in captured.err

@@ -99,8 +99,10 @@ def test_max_char_square_matches_search_on_every_class(raw):
     lat = gram(tree)
     assume(abs(lat.determinant) <= 40)
     for cls in spinc_classes(lat):
-        z = mat_vec(lat.positive_inverse, list(cls.representative.pairings))
-        search = shortest_in_coset(CosetProblem(lat.positive_gram, [x / 2 for x in z]))
+        # z = G^-1 p of the positive form -G, from the adjugate of G
+        adj = mat_vec(lat.adjugate, list(cls.representative.pairings))
+        target = [Fraction(-x, 2 * lat.determinant) for x in adj]
+        search = shortest_in_coset(CosetProblem(lat.positive_gram, target))
         assert max_char_square(lat, cls.representative) == -4 * search.min_norm
 
 
