@@ -146,10 +146,7 @@ def seifert():
 
 
 def _evaluated(settings: Settings, expression: str):
-    return evaluate_expression(
-        expression, reduce=True,
-        threads=settings.threads, node_budget=settings.node_budget,
-    )
+    return evaluate_expression(expression, node_budget=settings.node_budget)
 
 
 @seifert.command("d")

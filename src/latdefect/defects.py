@@ -18,8 +18,9 @@ defects and max_char_square need only values: they run the branch-and-bound
 search through coset_minimum, which builds no minimizers. When the Gram graph
 is a forest (as for every plumbing tree), max_char_square takes the exact tree
 dynamic program instead: the lattice builds its ForestPlan once, and each
-class hands plan_minimum its integer target adj p / (2 |det|), so no
-CosetProblem and no Fraction is built before the value. min_char_norm reports
+class hands plan_minimum its integer target adj p / (2 |det|), with adj p
+from the plan's O(n) solve on the tree, so no CosetProblem, no dense
+adjugate and no Fraction is built before the value. min_char_norm reports
 the minimizing pairing vectors through shortest_in_coset.
 """
 
@@ -34,6 +35,7 @@ from .enumeration import (
     EnumerationResult,
     coset_minimum,
     plan_minimum,
+    plan_solve,
     shortest_in_coset,
 )
 from .errors import (
@@ -82,6 +84,13 @@ def _any_problem(lat: IntegralLattice, radius=None) -> CosetProblem:
     return CosetProblem(lat.gram_inverse, target, radius=inner_radius)
 
 
+def _halved(big, det: int) -> tuple[list[int], int]:
+    """big / (2 det) in lowest terms, as (numerators, denominator); det > 0."""
+    den = 2 * det
+    g = gcd(den, *big)
+    return [x // g for x in big], den // g
+
+
 def _class_target(lat: IntegralLattice, rep_pairings) -> tuple[list[int], int]:
     """(big, den) with big / den the halved class target z / 2, in lowest terms.
 
@@ -90,10 +99,7 @@ def _class_target(lat: IntegralLattice, rep_pairings) -> tuple[list[int], int]:
     """
     det = lat.determinant
     flip = lat.sign if det > 0 else -lat.sign
-    big = [flip * x for x in mat_vec(lat.adjugate, list(rep_pairings))]
-    den = 2 * abs(det)
-    g = gcd(den, *big)
-    return [x // g for x in big], den // g
+    return _halved([flip * x for x in mat_vec(lat.adjugate, list(rep_pairings))], abs(det))
 
 
 def _class_problem(lat: IntegralLattice, rep_pairings, radius=None) -> CosetProblem:
@@ -245,7 +251,8 @@ def max_char_square(
         )
     plan = lat.forest_plan
     if plan is not None:
-        big, den = _class_target(lat, class_rep.pairings)
+        # the positive Gram is integral, so its scale is 1 and z = adj p / |det|
+        big, den = _halved(plan_solve(plan, class_rep.pairings), plan.determinant)
         return -4 * plan_minimum(plan, big, den, node_budget=node_budget)[0]
     value, _nodes = coset_minimum(
         _class_problem(lat, class_rep.pairings),

@@ -24,14 +24,8 @@ from .errors import (
     ToolkitError,
     UnsupportedExpressionError,
 )
-from .lattice import (
-    MAX_SPINC_CLASSES,
-    Covector,
-    IntegralLattice,
-    base_characteristic,
-    discriminant_group,
-)
-from .linalg import hermite_row_basis, reduce_mod_rows
+from .lattice import MAX_SPINC_CLASSES, Covector, IntegralLattice
+from .linalg import hermite_row_basis
 from .plumbing import (
     ConnectedSum,
     PlumbingTree,
@@ -58,30 +52,28 @@ class SpinCClass:
 def spinc_classes(lat: IntegralLattice) -> tuple[SpinCClass, ...]:
     """All spin-c structures on the boundary, one characteristic rep each.
 
-    There are |det| of them; more than MAX_SPINC_CLASSES is rejected with
-    FormatError before any is built.
+    They are the classes chi + 2 G Z^n of characteristic pairings, so they
+    correspond to the shifts in Z^n / G Z^n. The row Hermite basis of the
+    nonsingular G is upper triangular with pivots h_ii, and the reduced
+    representatives modulo its rows are exactly the box of shifts with
+    0 <= shift_i < h_ii. So the reps are diag(G) + 2 shift over that box,
+    and class_id holds the shift at the pivots above 1. There are |det| of
+    them; more than MAX_SPINC_CLASSES is rejected with FormatError before
+    any is built.
     """
     count = abs(lat.determinant)
     if count > MAX_SPINC_CLASSES:
         raise FormatError(
             f"{count} spin-c classes exceed the limit of {MAX_SPINC_CLASSES}"
         )
-    group = discriminant_group(lat)
-    base = base_characteristic(lat)
-    basis = hermite_row_basis([list(row) for row in lat.positive_gram])
+    basis = hermite_row_basis(lat.positive_gram)
+    free = [(i, row[i]) for i, row in enumerate(basis) if row[i] > 1]
     classes = []
-    seen = set()
-    for coeffs in itertools.product(*(range(d) for d in group.orders)):
-        shift = [0] * lat.rank
-        for c, gen in zip(coeffs, group.generators):
-            for i, p in enumerate(gen.pairings):
-                shift[i] += c * p
-        key = tuple(reduce_mod_rows(shift, basis))
-        if key in seen:
-            continue
-        seen.add(key)
-        pairings = tuple(b + 2 * s for b, s in zip(base.pairings, shift))
-        classes.append(SpinCClass(Covector(pairings, lat), coeffs))
+    for shift in itertools.product(*(range(h) for _i, h in free)):
+        pairings = list(lat.diagonal)
+        for (i, _h), s in zip(free, shift):
+            pairings[i] += 2 * s
+        classes.append(SpinCClass(Covector(tuple(pairings), lat), shift))
     if len(classes) != count:
         raise ToolkitError(
             f"found {len(classes)} spin-c classes, expected |det| = {count}"
@@ -90,25 +82,20 @@ def spinc_classes(lat: IntegralLattice) -> tuple[SpinCClass, ...]:
 
 
 def d_invariant(
-    tree: PlumbingTree,
-    cls: SpinCClass,
-    *,
-    reduce: bool = True,
-    threads: int = 1,
-    node_budget: int | None = None,
+    tree: PlumbingTree, cls: SpinCClass, *, node_budget: int | None = None
 ) -> Fraction:
-    """Correction term of one spin-c structure on the plumbing boundary."""
+    """Correction term of one spin-c structure on the plumbing boundary.
+
+    The plumbing lattice is a tree, so max_char_square takes the exact tree
+    dynamic program; node_budget bounds its nodes.
+    """
     bad = bad_vertex_indices(tree)
     if len(bad) > 1:
         raise TooManyBadVerticesError(
             f"tree has bad vertices {bad}, the formula allows at most one"
         )
     square = max_char_square(
-        cls.representative.lattice,
-        cls.representative,
-        reduce=reduce,
-        threads=threads,
-        node_budget=node_budget,
+        cls.representative.lattice, cls.representative, node_budget=node_budget
     )
     return Fraction(square + tree.rank, 4)
 
@@ -170,11 +157,7 @@ def _seifert_tree(data: SeifertData) -> tuple[PlumbingTree, bool]:
 
 
 def seifert_class_values(
-    data: SeifertData,
-    *,
-    reduce: bool = True,
-    threads: int = 1,
-    node_budget: int | None = None,
+    data: SeifertData, *, node_budget: int | None = None
 ) -> tuple[Fraction, ...]:
     """Correction terms of a Seifert space, one per spin-c structure."""
     tree, flipped = _seifert_tree(data)
@@ -182,7 +165,7 @@ def seifert_class_values(
     if lat.sign >= 0:
         raise NotNegativeDefiniteError("plumbing lattice is not negative definite")
     values = [
-        d_invariant(tree, cls, reduce=reduce, threads=threads, node_budget=node_budget)
+        d_invariant(tree, cls, node_budget=node_budget)
         for cls in spinc_classes(lat)
     ]
     if flipped:
@@ -201,11 +184,7 @@ class DInvariantReport:
 
 
 def evaluate_expression(
-    expression: ConnectedSum | str,
-    *,
-    reduce: bool = True,
-    threads: int = 1,
-    node_budget: int | None = None,
+    expression: ConnectedSum | str, *, node_budget: int | None = None
 ) -> DInvariantReport:
     """Correction terms of a connected sum of Seifert spaces.
 
@@ -215,7 +194,6 @@ def evaluate_expression(
     """
     if isinstance(expression, str):
         expression = parse_expression(expression)
-    options = dict(reduce=reduce, threads=threads, node_budget=node_budget)
     sphere_values: list[Fraction] = []
     special: SeifertData | None = None
     for term in expression.terms:
@@ -224,7 +202,7 @@ def evaluate_expression(
             sphere_values.extend([atom.orientation * POINCARE_SPHERE_D] * term.count)
             continue
         if h1_order(atom) == 1:
-            (value,) = seifert_class_values(atom, **options)
+            (value,) = seifert_class_values(atom, node_budget=node_budget)
             if value.denominator != 1 or value % 2 != 0:
                 raise ResidueViolationError(
                     f"homology sphere correction term {value} is not an even integer"
@@ -239,7 +217,7 @@ def evaluate_expression(
     if special is None:
         total = sum(sphere_values, Fraction(0))
         return DInvariantReport(expression, 1, (total,), None)
-    values = seifert_class_values(special, **options)
+    values = seifert_class_values(special, node_budget=node_budget)
     shift = sum(sphere_values, Fraction(0))
     shifted = tuple(sorted(v + shift for v in values))
     pair = None

@@ -18,11 +18,12 @@ When the off-diagonal support of Q is a forest (every plumbing tree is one),
 the exact minimum value needs no search: the objective is a sum of vertex and
 edge terms, so a leaf-to-root dynamic program over integer-scaled coordinates
 solves it. Its work is split in two. forest_plan gathers once per form what
-depends on Q alone (order, integer weights, inverse diagonal, fraction-free
-LDL); plan_minimum then takes one integer target over a denominator, and
+depends on Q alone: the order, integer weights, subtree minors and the
+diagonal of the adjugate, all by leaf-to-root elimination on the tree in
+O(n) integer steps, and the fraction-free LDL for the nearest-plane bound.
+plan_solve multiplies a vector by the adjugate in O(n) steps on the same
+minors. plan_minimum then takes one integer target over a denominator, and
 computes each message as a lower-envelope query in integers.
-forest_minimum builds the plan of one CosetProblem and runs the same
-plan_minimum.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from .errors import (
     BudgetExhaustedError,
     NotSymmetricError,
     RadiusEmptyError,
+    ToolkitError,
 )
 from .linalg import (
-    adjugate,
     clear_denominators,
     first_asymmetry,
     fraction_free_ldl,
@@ -596,12 +597,16 @@ class ForestPlan(NamedTuple):
 
     Everything here depends on Q only, so a lattice builds it once for all of
     its spin-c classes. order lists every vertex after its children, and
-    parent[v] is -1 at a root. With scale the least s making s Q integral,
-    vertex[v] = s q_vv and edge[v] = 2 s q_vp for p = parent[v] (0 at a
-    root). inverse_diagonal[v] / inverse_den = (Q^-1)_vv with inverse_den > 0,
-    and factor = fraction_free_ldl(Q) feeds the nearest-plane bound. A
-    NamedTuple rather than a dataclass: a frozen dataclass of eight fields
-    costs about 1.5 ms of import time.
+    parent[v] is -1 at a root. With scale the least s making A = s Q
+    integral, vertex[v] = a_vv and edge[v] = 2 a_vp for p = parent[v] (0 at a
+    root). minors[v] is the determinant of A on the subtree rooted at v, and
+    products[v] the product of minors[w] over the children w of v, which is
+    the determinant of that subtree with v removed. determinant = det A, and
+    adjugate_diagonal[v] = det(A - v) is the v-th diagonal entry of
+    adj A = det A * A^-1, so (Q^-1)_vv = scale adjugate_diagonal[v] /
+    determinant. factor = fraction_free_ldl(Q) feeds the nearest-plane bound.
+    A NamedTuple rather than a dataclass: a frozen dataclass of this many
+    fields costs about 1.5 ms of import time.
     """
 
     order: tuple[int, ...]
@@ -609,32 +614,123 @@ class ForestPlan(NamedTuple):
     vertex: tuple[int, ...]
     edge: tuple[int, ...]
     scale: int
-    inverse_diagonal: tuple[int, ...]
-    inverse_den: int
+    minors: tuple[int, ...]
+    products: tuple[int, ...]
+    determinant: int
+    adjugate_diagonal: tuple[int, ...]
     factor: tuple
 
 
-def forest_plan(form, inverse_diagonal, inverse_den, factor) -> ForestPlan | None:
+def _exact(num: int, den: int) -> int:
+    """num / den, raising ToolkitError when den does not divide num."""
+    quotient, rest = divmod(num, den)
+    if rest:
+        raise ToolkitError(f"{num} is not divisible by {den}")
+    return quotient
+
+
+def forest_plan(form) -> ForestPlan | None:
     """The ForestPlan of a symmetric positive definite form, or None when the
     nonzero off-diagonal entries of the form do not make a forest.
 
-    inverse_diagonal, inverse_den and factor are as ForestPlan stores them.
+    A forest has no fill-in under leaf-to-root elimination, so the plan
+    needs no dense elimination besides the nearest-plane LDL. Cutting the
+    edge from v to its parent p splits a component C into two parts, so
+    det C = det(C1) det(C2) - a_vp^2 det(C1 - v) det(C2 - p). Attaching the
+    children one at a time by this rule gives the subtree minors leaf to
+    root without a division. One root-to-leaf pass then reroots: with U_v
+    the determinant of C without the subtree of v and F_v that of C without
+    the subtree of v and without p, F_v = U_p products[p] / minors[v] and
+    U_v = (det C + a_vp^2 products[v] F_v) / minors[v], and
+    det(A - v) = products[v] U_v det A / det C. Every division is checked to
+    be exact, and det A, the product of the root minors, must equal the last
+    leading minor of the LDL, which reaches the determinant by dense
+    elimination; ToolkitError is raised otherwise.
     """
     shape = _forest_order(form)
     if shape is None:
         return None
     order, parent = shape
-    rows, scale = clear_denominators(form)
+    factor = fraction_free_ldl(form)
+    scale = factor[2]
+    n = len(form)
+
+    def scaled(x) -> int:
+        return x.numerator * (scale // x.denominator)
+
+    vertex = [scaled(form[v][v]) for v in range(n)]
+    link = [scaled(form[v][p]) if p >= 0 else 0 for v, p in enumerate(parent)]
+    minors = list(vertex)
+    products = [1] * n
+    det = 1
+    for v in order:
+        p = parent[v]
+        if p < 0:
+            det *= minors[v]
+            continue
+        minors[p] = minors[p] * minors[v] - link[v] ** 2 * products[p] * products[v]
+        products[p] *= minors[v]
+    if det != factor[1][n]:
+        raise ToolkitError(
+            f"forest minors multiply to {det}, the LDL determinant is {factor[1][n]}"
+        )
+    component = [0] * n
+    up = [1] * n
+    adj = [0] * n
+    for v in reversed(order):
+        p = parent[v]
+        if p < 0:
+            component[v] = minors[v]
+        else:
+            component[v] = component[p]
+            without_p = up[p] * _exact(products[p], minors[v])
+            up[v] = _exact(component[v] + link[v] ** 2 * products[v] * without_p, minors[v])
+        adj[v] = products[v] * up[v] * _exact(det, component[v])
     return ForestPlan(
         order=tuple(order),
         parent=tuple(parent),
-        vertex=tuple(rows[v][v] for v in range(len(rows))),
-        edge=tuple(2 * rows[v][p] if p >= 0 else 0 for v, p in enumerate(parent)),
+        vertex=tuple(vertex),
+        edge=tuple(2 * a for a in link),
         scale=scale,
-        inverse_diagonal=tuple(inverse_diagonal),
-        inverse_den=inverse_den,
+        minors=tuple(minors),
+        products=tuple(products),
+        determinant=det,
+        adjugate_diagonal=tuple(adj),
         factor=factor,
     )
+
+
+def plan_solve(plan: ForestPlan, vec) -> list[int]:
+    """adj A vec for the integer form A = scale Q of the plan, in O(n) steps;
+    so Q^-1 vec = scale (adj A vec) / determinant.
+
+    Leaf-to-root elimination leaves the row of v as
+    (minors[v] / products[v]) x_v + a_vp x_p = B_v / products[v], with the
+    integers B_v folded in child by child like the minors:
+    B_v <- B_v minors[w] - a_vw B_w P for P the product of the minors of the
+    children folded so far. Root to leaf, N = det A x then has
+    N_r = B_r det A / minors[r] at a root and
+    N_u = (B_u det A - a_up N_p products[u]) / minors[u] below it. Every
+    division is checked to be exact (ToolkitError otherwise).
+    """
+    parent, minors, products, det = plan.parent, plan.minors, plan.products, plan.determinant
+    folded = [int(x) for x in vec]
+    partial = [1] * len(folded)
+    for v in plan.order:
+        p = parent[v]
+        if p >= 0:
+            folded[p] = folded[p] * minors[v] - (plan.edge[v] // 2) * folded[v] * partial[p]
+            partial[p] *= minors[v]
+    out = [0] * len(folded)
+    for v in reversed(plan.order):
+        p = parent[v]
+        if p < 0:
+            out[v] = folded[v] * _exact(det, minors[v])
+        else:
+            out[v] = _exact(
+                folded[v] * det - (plan.edge[v] // 2) * out[p] * products[v], minors[v]
+            )
+    return out
 
 
 def _message(heights, values, weight, queries) -> list[int]:
@@ -685,7 +781,8 @@ def plan_minimum(
     den^2 scale times the value is the integer quadratic
     sum of vertex[v] Y_v^2 plus sum of edge[v] Y_v Y_p. The nearest-plane
     value R (_nearest_plane) bounds every coordinate by
-    |Y_v| <= isqrt(floor(R (Q^-1)_vv den^2)) (Cauchy-Schwarz). Messages then
+    |Y_v| <= isqrt(floor(R (Q^-1)_vv den^2)) (Cauchy-Schwarz), with
+    (Q^-1)_vv = scale adjugate_diagonal[v] / determinant. Messages then
     pass from the leaves to each root:
     m_v(Y_p) = min over Y_v of [h_v(Y_v) + edge[v] Y_v Y_p], where h_v is the
     vertex term plus the messages of the children of v; each is a lower
@@ -694,9 +791,10 @@ def plan_minimum(
     node_budget is checked against that exact total before any message.
     """
     reach, reach_den = _nearest_plane(plan.factor, big, den)
-    whole = reach_den * plan.inverse_den
+    reach *= plan.scale
+    whole = reach_den * plan.determinant
     domains = []
-    for c, q in zip(big, plan.inverse_diagonal):
+    for c, q in zip(big, plan.adjugate_diagonal):
         b = isqrt(reach * q // whole)
         domains.append(range(c - den * ((b + c) // den), b + 1, den))
     parent = plan.parent
@@ -718,24 +816,3 @@ def plan_minimum(
             hp[k] += m
     return Fraction(total, den * den * plan.scale), nodes
 
-
-def forest_minimum(
-    problem: CosetProblem, *, node_budget: int | None = None
-) -> tuple[Fraction, int] | None:
-    """Exact minimum of (target + x)^T form (target + x) on a forest-shaped form.
-
-    Returns (min_norm, nodes) as plan_minimum computes them, or None when the
-    nonzero off-diagonal entries of the form do not make a forest; no
-    minimizers are built. The plan is built here for this one problem.
-    """
-    if problem.radius is not None:
-        raise ValueError("forest_minimum takes no radius")
-    form = problem.form
-    factor = fraction_free_ldl(form)
-    rows, scale = clear_denominators(form)
-    adj, det = adjugate(rows)  # form^-1 = scale adj / det, det > 0
-    plan = forest_plan(form, [scale * adj[v][v] for v in range(len(adj))], det, factor)
-    if plan is None:
-        return None
-    big, den = _cleared_vector(problem.target)
-    return plan_minimum(plan, big, den, node_budget=node_budget)

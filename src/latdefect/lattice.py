@@ -35,7 +35,6 @@ from .errors import (
 )
 from .linalg import (
     first_asymmetry,
-    fraction_free_ldl,
     hermite_row_basis,
     integer_row_kernel,
     invert_matrix,
@@ -83,7 +82,7 @@ class IntegralLattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    @property
+    @cached_property
     def positive_gram(self) -> tuple[tuple[int, ...], ...]:
         if self.sign > 0:
             return self.gram
@@ -110,17 +109,11 @@ class IntegralLattice:
         """The tree dynamic program's plan for the positive definite form, or
         None when its graph is not a forest.
 
-        Its inverse diagonal is sign adj_vv / det from the cached adjugate,
-        with the sign of det moved to the numerator.
+        Built by elimination on the tree (enumeration.forest_plan): its
+        determinant, checked against the LDL's, is |det|, its adjugate
+        diagonal and the class targets (plan_solve) need no dense adjugate.
         """
-        adj, det = self.adjugate, self.determinant
-        flip = self.sign if det > 0 else -self.sign
-        return forest_plan(
-            self.positive_gram,
-            [flip * adj[v][v] for v in range(self.rank)],
-            abs(det),
-            fraction_free_ldl(self.positive_gram),
-        )
+        return forest_plan(self.positive_gram)
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:

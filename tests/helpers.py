@@ -15,7 +15,10 @@ the package, since only the arithmetic around them is under test.
 cell_message is the tree dynamic program's message computed cell by cell, the
 oracle of its lower-envelope query; discriminant_generators_by_inverse reads
 discriminant generators off the inverse of the Smith left matrix, the oracle
-of the division route that replaced it.
+of the division route that replaced it. forest_minimum runs the tree dynamic
+program on one CosetProblem, to be checked against the branch-and-bound
+search; smith_spinc_keys walks the spin-c classes through the discriminant
+group's Smith generators, the oracle of the Hermite box that replaced it.
 """
 
 from __future__ import annotations
@@ -352,3 +355,36 @@ def discriminant_generators_by_inverse(lat):
             column = [left_inv[r][i] for r in range(lat.rank)]
             gens.append(tuple(reduce_mod_rows(column, hnf)))
     return tuple(orders), tuple(gens)
+
+
+def forest_minimum(problem, *, node_budget=None):
+    """(min_norm, nodes) of the tree dynamic program on one CosetProblem, or
+    None when the nonzero off-diagonal entries of its form are no forest."""
+    from latdefect.enumeration import forest_plan, plan_minimum
+    from latdefect.linalg import clear_denominators
+
+    if problem.radius is not None:
+        raise ValueError("forest_minimum takes no radius")
+    plan = forest_plan(problem.form)
+    if plan is None:
+        return None
+    (big,), den = clear_denominators([problem.target])
+    return plan_minimum(plan, big, den, node_budget=node_budget)
+
+
+def smith_spinc_keys(lat):
+    """Canonical keys modulo the rows of G of the spin-c shifts, walked as
+    every combination of the discriminant group's Smith generators."""
+    from latdefect import discriminant_group
+    from latdefect.linalg import hermite_row_basis, reduce_mod_rows
+
+    group = discriminant_group(lat)
+    basis = hermite_row_basis(lat.positive_gram)
+    keys = set()
+    for coeffs in itertools.product(*(range(d) for d in group.orders)):
+        shift = [0] * lat.rank
+        for c, gen in zip(coeffs, group.generators):
+            for i, p in enumerate(gen.pairings):
+                shift[i] += c * p
+        keys.add(tuple(reduce_mod_rows(shift, basis)))
+    return keys

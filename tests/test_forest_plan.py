@@ -11,7 +11,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import cell_message, discriminant_generators_by_inverse, random_spd_gram
+from helpers import (
+    cell_message,
+    discriminant_generators_by_inverse,
+    forest_minimum,
+    random_spd_gram,
+)
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +38,7 @@ from latdefect import (
 from latdefect.cli import main
 from latdefect.defects import _class_problem, _class_target
 from latdefect.dinvariant import _seifert_tree
-from latdefect.enumeration import _message, forest_minimum, plan_minimum
+from latdefect.enumeration import _message, plan_minimum
 from latdefect.lattice import MAX_SPINC_CLASSES
 
 SETTINGS = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])

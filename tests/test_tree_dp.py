@@ -1,6 +1,7 @@
 """Tree dynamic program: oracle agreement, routing, exact node budgets.
 
-forest_minimum is checked against the branch-and-bound search on random
+forest_minimum (the plan and plan_minimum of one CosetProblem, kept in
+tests/helpers.py) is checked against the branch-and-bound search on random
 weighted forests and on every spin-c class of small Seifert plumbings.
 """
 
@@ -10,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from helpers import forest_minimum
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +32,6 @@ from latdefect import (
     validate_lattice,
 )
 from latdefect.cli import main
-from latdefect.enumeration import forest_minimum
 from latdefect.linalg import mat_vec
 
 SLOW = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

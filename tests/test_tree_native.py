@@ -1,0 +1,196 @@
+"""The tree-native plumbing path: subtree minors, adjugate diagonal and
+adjugate products of the forest plan against the dense fraction-free
+adjugate, spin-c classes from the Hermite box against the Smith route kept
+in tests/helpers.py, and a guard that the main example takes no dense
+inversion and no Smith form.
+"""
+
+import importlib
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+from helpers import random_spd_gram, smith_spinc_keys
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
+
+from latdefect import (
+    NotNegativeDefiniteError,
+    NotRationalHomologySphereError,
+    SeifertData,
+    ToolkitError,
+    UnnormalizedSeifertDataError,
+    canonical_plumbing,
+    conjugate_lattice,
+    evaluate_expression,
+    is_characteristic,
+    random_unimodular,
+    spinc_classes,
+    validate_lattice,
+)
+from latdefect.defects import _class_target, _halved
+from latdefect.enumeration import forest_plan, plan_solve
+from latdefect.linalg import adjugate, clear_denominators, hermite_row_basis, mat_vec, reduce_mod_rows
+
+SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+ENUMERATION = importlib.import_module("latdefect.enumeration")
+
+
+@st.composite
+def forests(draw):
+    """A strictly diagonally dominant form on a random forest with shuffled
+    vertex labels: components may be single vertices, off-diagonal entries
+    take both signs, and entries may be rational with mixed denominators."""
+    n = draw(st.integers(1, 8))
+    rational = draw(st.booleans())
+    label = draw(st.permutations(range(n)))
+    form = [[Fraction(0)] * n for _ in range(n)]
+
+    def entry(values):
+        num = draw(st.sampled_from(values))
+        return Fraction(num, draw(st.sampled_from([1, 2, 3, 6]))) if rational else Fraction(num)
+
+    for v in range(1, n):
+        parent = draw(st.integers(-1, v - 1))  # -1 starts a new component
+        if parent >= 0:
+            a, b = label[v], label[parent]
+            form[a][b] = form[b][a] = entry([-3, -2, -1, 1, 2, 3])
+    for v in range(n):
+        form[v][v] = sum(abs(x) for x in form[v]) + entry([1, 2, 3, 4])
+    return form, [draw(st.integers(-9, 9)) for _ in range(n)]
+
+
+@SETTINGS
+@given(forests())
+@example(([[Fraction(5)]], [3]))  # rank 1
+@example(([[Fraction(2), 0, 0], [0, Fraction(3), 0], [0, 0, Fraction(5, 2)]], [1, -1, 2]))  # no edges
+def test_plan_matches_the_dense_adjugate(case):
+    form, vec = case
+    rows, scale = clear_denominators(form)
+    adj, det = adjugate(rows)
+    plan = forest_plan(form)
+    assert plan.scale == scale
+    assert plan.determinant == det
+    assert plan.adjugate_diagonal == tuple(adj[v][v] for v in range(len(adj)))
+    assert plan_solve(plan, vec) == mat_vec(adj, vec)
+    for v in range(len(rows)):
+        children = [w for w, q in enumerate(plan.parent) if q == v]
+        assert plan.products[v] == _product(plan.minors[w] for w in children)
+        # the subtree minor of v is the determinant of rows restricted to it
+        subtree = _subtree(plan.parent, v)
+        assert plan.minors[v] == adjugate([[rows[i][j] for j in subtree] for i in subtree])[1]
+
+
+def _product(values):
+    out = 1
+    for x in values:
+        out *= x
+    return out
+
+
+def _subtree(parent, v):
+    inside = {v}
+    grown = True
+    while grown:
+        grown = False
+        for w, p in enumerate(parent):
+            if p in inside and w not in inside:
+                inside.add(w)
+                grown = True
+    return sorted(inside)
+
+
+def test_plan_solve_checks_every_division():
+    plan = forest_plan([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    assert plan_solve(plan, [1, 0, 0]) == [3, 2, 1]
+    broken = plan._replace(minors=tuple(m + 1 if m > 2 else m for m in plan.minors))
+    with pytest.raises(ToolkitError, match="not divisible"):
+        plan_solve(broken, [1, 0, 0])
+
+
+def test_plan_determinant_must_match_the_ldl(monkeypatch):
+    ldl = ENUMERATION.fraction_free_ldl
+
+    def off_by_one(form):
+        lam, minors, scale = ldl(form)
+        return lam, minors[:-1] + [minors[-1] + 1], scale
+
+    monkeypatch.setattr(ENUMERATION, "fraction_free_ldl", off_by_one)
+    with pytest.raises(ToolkitError, match="forest minors multiply to 4"):
+        forest_plan([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+
+
+def test_lattice_plan_reads_no_dense_adjugate():
+    lat = canonical_plumbing(SeifertData(-2, [Fraction(-3, 1), Fraction(-5, 2), Fraction(-6, 1)])).lattice
+    assert lat.positive_gram is lat.positive_gram
+    plan = lat.forest_plan
+    assert "adjugate" not in vars(lat) and "gram_inverse" not in vars(lat)
+    assert plan.determinant == abs(lat.determinant)
+    for cls in spinc_classes(lat):
+        rep = cls.representative.pairings
+        assert _halved(plan_solve(plan, rep), plan.determinant) == _class_target(lat, rep)
+
+
+def small_seifert_lattices():
+    legs = st.tuples(st.integers(2, 7), st.integers(1, 6)).filter(lambda ab: ab[0] > ab[1])
+    return st.tuples(st.integers(-3, -1), st.lists(legs, min_size=1, max_size=3))
+
+
+@st.composite
+def plumbing_lattices(draw):
+    central, legs = draw(small_seifert_lattices())
+    try:
+        tree = canonical_plumbing(SeifertData(central, [Fraction(-a, b) for a, b in legs]))
+    except (NotNegativeDefiniteError, NotRationalHomologySphereError, UnnormalizedSeifertDataError):
+        assume(False)
+    assume(abs(tree.lattice.determinant) <= 300)
+    return tree.lattice
+
+
+@st.composite
+def conjugated_lattices(draw):
+    """Positive definite Gram matrices conjugated by a random unimodular
+    matrix, or negated into negative definite ones."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    lat = validate_lattice(random_spd_gram(rng, max_rank=6, max_entry=5))
+    assume(abs(lat.determinant) <= 1000)
+    lat = conjugate_lattice(lat, random_unimodular(rng, lat.rank))
+    if draw(st.booleans()):
+        lat = validate_lattice([[-x for x in row] for row in lat.gram])
+    return lat
+
+
+@SETTINGS
+@given(st.one_of(plumbing_lattices(), conjugated_lattices()))
+def test_hermite_box_classes_match_the_smith_route(lat):
+    classes = spinc_classes(lat)
+    assert len(classes) == abs(lat.determinant)
+    assert len({c.class_id for c in classes}) == len(classes)
+    basis = hermite_row_basis(lat.positive_gram)
+    keys = set()
+    for cls in classes:
+        assert cls.representative.lattice == lat
+        assert is_characteristic(cls.representative)
+        shift = [(p - d) // 2 for p, d in zip(cls.representative.pairings, lat.diagonal)]
+        keys.add(tuple(reduce_mod_rows(shift, basis)))
+    assert keys == smith_spinc_keys(lat)
+
+
+def test_main_example_takes_no_dense_inversion_or_smith_form(monkeypatch):
+    counts = {"adjugate": 0, "invert_matrix": 0, "smith_normal_form": 0, "hermite_row_basis": 0}
+    for name in counts:
+        original = getattr(sys.modules["latdefect.linalg"], name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "latdefect" or module_name.startswith("latdefect."):
+                for attribute, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attribute, counted)
+    report = evaluate_expression("3*P + Y(2; 15/13, 17/3, 23/22)")
+    assert report.class_values == (Fraction(-7, 4), Fraction(7, 4))
+    assert counts == {"adjugate": 0, "invert_matrix": 0, "smith_normal_form": 0, "hermite_row_basis": 1}
