@@ -15,13 +15,16 @@ Reductions to coset enumeration:
     minimize with form G, target z_chi / 2, and scale by 4.
 
 defects and max_char_square need only values: they run the branch-and-bound
-search through coset_minimum, which builds no minimizers. When the Gram graph
-is a forest (as for every plumbing tree), max_char_square takes the exact tree
-dynamic program instead: the lattice builds its ForestPlan once, and each
-class hands plan_minimum its integer target adj p / (2 |det|), with adj p
-from the plan's O(n) solve on the tree, so no CosetProblem, no dense
-adjugate and no Fraction is built before the value. min_char_norm reports
-the minimizing pairing vectors through shortest_in_coset.
+search through coset_minimum, which builds no minimizers. On a |det| = 2
+lattice both classes search the same positive Gram matrix, so defects hands
+both class targets to coset_minima, which reduces and factors it once. When
+the Gram graph is a forest (as for every plumbing tree), max_char_square
+takes the exact tree dynamic program instead: the lattice builds its
+ForestPlan once, and each class hands plan_minimum its integer target
+adj p / (2 |det|), with adj p from the plan's O(n) solve on the tree, so no
+CosetProblem, no dense adjugate and no Fraction is built before the value.
+min_char_norm reports the minimizing pairing vectors through
+shortest_in_coset.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from math import gcd
 from .enumeration import (
     CosetProblem,
     EnumerationResult,
+    coset_minima,
     coset_minimum,
     plan_minimum,
     plan_solve,
@@ -182,13 +186,6 @@ def min_char_norm(
     )
 
 
-def _class_square(lat: IntegralLattice, sign: CharClassSign, rep, opts) -> Fraction:
-    """Minimal square over the class rep + 2L, value only, checked mod 8."""
-    value = 4 * coset_minimum(_class_problem(lat, rep), **opts)[0]
-    _check_class_square(value, lat.rank, sign)
-    return value
-
-
 def defects(
     lat: IntegralLattice,
     *,
@@ -201,7 +198,8 @@ def defects(
     Unimodular lattices get a single defect reported in both fields;
     |det| = 2 lattices get one defect per characteristic class. The minima
     are those min_char_norm finds, by the same searches (each with its own
-    node_budget), but only their values are kept.
+    node_budget), but only their values are kept; the two class searches
+    share one reduction and factorization of the Gram matrix.
     """
     _require_positive(lat, "defects")
     det = abs(lat.determinant)
@@ -213,10 +211,12 @@ def defects(
         return Defects(d_plus=d, d_minus=d)
     if det == 2:
         reps = characteristic_class_reps(lat)
-        d_plus, d_minus = (
-            Fraction(_class_square(lat, sign, reps[sign].pairings, opts) - n, 4)
-            for sign in (CharClassSign.PLUS, CharClassSign.MINUS)
-        )
+        signs = (CharClassSign.PLUS, CharClassSign.MINUS)
+        minima = coset_minima([_class_problem(lat, reps[s].pairings) for s in signs], **opts)
+        squares = [4 * value for value, _nodes in minima]
+        for sign, square in zip(signs, squares):
+            _check_class_square(square, n, sign)
+        d_plus, d_minus = (Fraction(square - n, 4) for square in squares)
         if (d_plus - Fraction(1, 4)) % 2 != 0 or (d_minus + Fraction(1, 4)) % 2 != 0:
             raise CongruenceViolationError(
                 f"defects ({d_plus}, {d_minus}) miss the +-1/4 residues"

@@ -13,6 +13,8 @@ matrix and never affects results, only node counts. Top-level branches can
 be split across worker threads; the merged outcome is identical to a serial
 run. shortest_in_coset reports every minimizer; coset_minimum runs the same
 search, node for node, for callers that need only the minimum value.
+Reduction and factorization depend on the form alone, so coset_minima does
+them once for several targets on one form.
 
 When the off-diagonal support of Q is a forest (every plumbing tree is one),
 the exact minimum value needs no search: the objective is a sum of vertex and
@@ -365,6 +367,27 @@ def _top_candidates(diag, target, cap):
     return out
 
 
+class _Prepared(NamedTuple):
+    """What every search on one form shares: with reduce, the LLL basis
+    change unimod and its integer inverse (None without), and the LDL columns
+    and pivots of the form in that basis."""
+
+    unimod: list | None
+    inverse: list | None
+    cols: list
+    diag: list
+
+
+def _prepare(form, reduce: bool) -> _Prepared:
+    """LLL-reduce (when asked, and the rank exceeds 1) and factor one form."""
+    unimod = inverse = None
+    if reduce and len(form) > 1:
+        form, unimod = lll_reduce_gram(form)
+        inverse = integer_matrix_inverse(unimod)
+    cols, diag = _factor(form)
+    return _Prepared(unimod, inverse, cols, diag)
+
+
 def _solve(problem: CosetProblem, mode: str, reduce: bool, threads: int, node_budget):
     """(best, hits, nodes) of one search; best is None when nothing is in range.
 
@@ -373,19 +396,20 @@ def _solve(problem: CosetProblem, mode: str, reduce: bool, threads: int, node_bu
     the minimum. Recording never prunes, so all three visit the same nodes
     for the same radius.
     """
-    form = [list(row) for row in problem.form]
+    prepared = _prepare(problem.form, reduce)
+    return _search(prepared, problem, mode, threads, node_budget)
+
+
+def _search(prepared: _Prepared, problem: CosetProblem, mode: str, threads: int, node_budget):
+    """_solve on a form already prepared: the target is mapped into the
+    reduced basis, searched, and the hits are mapped back."""
+    unimod, cols, diag = prepared.unimod, prepared.cols, prepared.diag
     target = list(problem.target)
     n = problem.rank
-
-    unimod = None
-    if reduce and n > 1:
-        red, unimod = lll_reduce_gram(form)
-        form = red
-        inv = integer_matrix_inverse(unimod)
+    if unimod is not None:
         big, den = _cleared_vector(target)
-        target = [Fraction(x, den) for x in mat_vec(inv, big)]
+        target = [Fraction(x, den) for x in mat_vec(prepared.inverse, big)]
 
-    cols, diag = _factor(form)
     scaled = _Scaled(cols, diag, target)
     scale = scaled.value_scale
     budget = _Budget(node_budget) if node_budget is not None else None
@@ -506,12 +530,37 @@ def coset_minimum(
     The node count is the same; no minimizer is recorded, mapped back through
     the reduction, sign-collapsed or sorted. Raises as shortest_in_coset does.
     """
-    best, _hits, nodes = _solve(problem, "value", reduce, threads, node_budget)
-    if best is None:
-        raise RadiusEmptyError(
-            f"no coset point with value <= {problem.radius}"
-        )
-    return best, nodes
+    return coset_minima([problem], reduce=reduce, threads=threads, node_budget=node_budget)[0]
+
+
+def coset_minima(
+    problems,
+    *,
+    reduce: bool = False,
+    threads: int = 1,
+    node_budget: int | None = None,
+) -> list[tuple[Fraction, int]]:
+    """coset_minimum of each problem, for problems that share one form.
+
+    The form is reduced and factored once, and each target is searched on
+    that preparation, with its own node_budget. The reduced basis, the
+    factor and each mapped target are those a separate coset_minimum call
+    builds, so values and node counts are the same. Raises ValueError when
+    the forms differ, and otherwise as coset_minimum does.
+    """
+    form = problems[0].form
+    if any(p.form != form for p in problems):
+        raise ValueError("coset_minima needs problems that share one form")
+    prepared = _prepare(form, reduce)
+    out = []
+    for problem in problems:
+        best, _hits, nodes = _search(prepared, problem, "value", threads, node_budget)
+        if best is None:
+            raise RadiusEmptyError(
+                f"no coset point with value <= {problem.radius}"
+            )
+        out.append((best, nodes))
+    return out
 
 
 def enumerate_in_coset(

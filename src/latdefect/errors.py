@@ -47,6 +47,14 @@ class FormatError(ToolkitError):
     exit_code = EXIT_USAGE
 
 
+class NotIntegerError(ToolkitError):
+    """An entry that must be an integer is not: a float, a string, or a
+    Fraction whose denominator is not 1. Such entries are rejected rather
+    than truncated by int()."""
+
+    exit_code = EXIT_USAGE
+
+
 class NotDefiniteError(ToolkitError):
     """Neither the matrix nor its negation is positive definite."""
 

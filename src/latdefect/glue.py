@@ -4,11 +4,17 @@ Given positive definite L and A with |det| = 2, the direct sum extends to a
 unimodular integral overlattice by adjoining x + y, where x and y generate
 the two discriminant groups. The overlattice contains L + A with index 2 and
 meets the rational spans of L and A exactly in L and A.
+
+All of it runs on integers: twice the glue vector, and basis2, twice the
+overlattice basis in direct-sum coordinates. basis2 is the Hermite form of
+2 Z^n and the doubled glue vector, so it is upper triangular with pivots 1
+and 2, and all but one of its rows are 2 e_i. The Gram product, restriction
+by back-substitution and the saturation test all use that shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -21,17 +27,7 @@ from .lattice import (
     validate_lattice,
     _require_positive,
 )
-from .linalg import (
-    adjugate,
-    bareiss_determinant,
-    hermite_row_basis,
-    integer_row_kernel,
-    mat_mul,
-    mat_vec,
-    quadratic_value,
-    transpose,
-    vec_mat,
-)
+from .linalg import hermite_row_basis, mat_vec, quadratic_value
 
 
 @dataclass(frozen=True)
@@ -39,33 +35,36 @@ class Overlattice(IntegralLattice):
     """Unimodular lattice containing left + right with index 2.
 
     basis_change rows express the overlattice basis in coordinates of the
-    direct sum basis (left block first).
+    direct sum basis (left block first). doubled_basis is 2 * basis_change
+    as integers: glue_overlattice hands over the basis2 it built, and an
+    Overlattice made without it derives it from basis_change when needed.
     """
 
     basis_change: tuple[tuple[Fraction, ...], ...]
     sublattice_index: int
     left: IntegralLattice
     right: IntegralLattice
+    doubled_basis: tuple[tuple[int, ...], ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @cached_property
     def _doubled_basis(self) -> tuple[tuple[int, ...], ...]:
         """basis2 = 2 * basis_change, the integer matrix gluing works on."""
+        if self.doubled_basis is not None:
+            return self.doubled_basis
         doubled = [[2 * x for x in row] for row in self.basis_change]
         if any(x.denominator != 1 for row in doubled for x in row):
             raise GlueFailureError("basis change is not half-integral")
         return tuple(tuple(int(x) for x in row) for row in doubled)
-
-    @cached_property
-    def _doubled_adjugate(self) -> tuple[list[list[int]], int]:
-        """(adj, det) of _doubled_basis, so basis_change^-1 = 2 adj / det."""
-        return adjugate(self._doubled_basis)
 
 
 def _doubled_glue_coordinates(lat: IntegralLattice) -> list[int]:
     """Twice the coordinates of the canonical discriminant generator.
 
     The generator's coordinates are G^-1 p = adj p / det; doubling them must
-    clear the denominator det = +-2.
+    clear the denominator det = +-2. Both the group and the integer adjugate
+    are cached on the lattice.
     """
     group = discriminant_group(lat)
     if group.orders != (2,):
@@ -77,28 +76,37 @@ def _doubled_glue_coordinates(lat: IntegralLattice) -> list[int]:
     return [x // det for x in coords]
 
 
-def _saturation_check(basis2, lo: int, hi: int, n: int) -> None:
-    """The overlattice must meet the rational span of the block in the block.
+def _check_summand_spans(glue2, n_left: int) -> None:
+    """The overlattice must meet the rational span of each summand in that
+    summand: each half of glue2 needs an odd entry.
 
-    basis2: twice the overlattice basis, in direct-sum coordinates. Checks
-    that integer combinations landing in coordinates [lo, hi) form exactly
-    the block lattice.
+    With g = glue2 = (g_L, g_R), the overlattice in direct-sum coordinates
+    is M = Z^n + Z g/2, and an element of M is z + c g/2 with z integral and
+    c in {0, 1}. It lies in the span of the left summand when its right
+    coordinates vanish, z_R + c g_R / 2 = 0. If g_R has an odd entry, that
+    forces c = 0, so M meets the span in Z^{n_L}, the left summand. If g_R
+    is even, (g_L / 2, 0) = g/2 - (0, g_R / 2) lies in M and in the span,
+    and it is not integral unless g_L is even too, in which case g/2 is
+    integral and M = Z^n has index 1, which the determinant check rules out
+    first. So at index 2 the parity of g_R decides saturation on the left
+    exactly, and symmetrically g_L on the right. O(n), no Smith form.
     """
-    outside = [[row[j] for j in range(n) if not lo <= j < hi] for row in basis2]
-    kernel = integer_row_kernel(outside)
-    if len(kernel) != hi - lo:
-        raise GlueFailureError("intersection with a summand has wrong rank")
-    block = []
-    for y in kernel:
-        coords = vec_mat(y, basis2)
-        if any(coords[j] != 0 for j in range(n) if not lo <= j < hi):
-            raise GlueFailureError("kernel vector leaves the summand span")
-        inside = coords[lo:hi]
-        if any(c % 2 for c in inside):
-            raise GlueFailureError("intersection vector is not integral")
-        block.append([c // 2 for c in inside])
-    if abs(bareiss_determinant(block)) != 1:
-        raise GlueFailureError("intersection with a summand is a proper sublattice")
+    halves = (("left", glue2[n_left:], "right"), ("right", glue2[:n_left], "left"))
+    for side, other, other_name in halves:
+        if all(x % 2 == 0 for x in other):
+            raise GlueFailureError(
+                f"glue vector is even on the {other_name} summand, so the "
+                f"overlattice meets the {side} span in more than the {side} summand"
+            )
+
+
+def _doubled_gram(basis2, gram) -> list[list[int]]:
+    """gram4 = basis2 gram basis2^T, through the nonzero entries of basis2's
+    rows: at most 2n of them, so O(n^2) work in place of two n^3 products."""
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in basis2]
+    n = len(gram)
+    left = [[sum(x * gram[j][c] for j, x in row) for c in range(n)] for row in rows]
+    return [[sum(lrow[j] * x for j, x in row) for row in rows] for lrow in left]
 
 
 def glue_overlattice(left: IntegralLattice, right: IntegralLattice) -> Overlattice:
@@ -122,17 +130,16 @@ def glue_overlattice(left: IntegralLattice, right: IntegralLattice) -> Overlatti
         )
     doubled = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     doubled.append(glue2)
-    basis2 = hermite_row_basis(doubled)
+    basis2 = tuple(tuple(row) for row in hermite_row_basis(doubled))
     if len(basis2) != n:
         raise GlueFailureError("glued generators do not span the full rank")
-    gram4 = mat_mul(mat_mul(basis2, summed.gram), transpose(basis2))
+    gram4 = _doubled_gram(basis2, summed.gram)
     if any(x % 4 for row in gram4 for x in row):
         raise GlueFailureError("overlattice Gram is not integral")
     lattice = validate_lattice([[x // 4 for x in row] for row in gram4])
     if abs(lattice.determinant) != 1:
         raise GlueFailureError(f"overlattice determinant is {lattice.determinant}")
-    _saturation_check(basis2, 0, n_left, n)
-    _saturation_check(basis2, n_left, n, n)
+    _check_summand_spans(glue2, n_left)
     return Overlattice(
         gram=lattice.gram,
         sign=lattice.sign,
@@ -141,12 +148,40 @@ def glue_overlattice(left: IntegralLattice, right: IntegralLattice) -> Overlatti
         sublattice_index=2,
         left=left,
         right=right,
+        doubled_basis=basis2,
     )
 
 
 def double(lat: IntegralLattice) -> Overlattice:
     """Glue a |det| = 2 lattice to itself."""
     return glue_overlattice(lat, lat)
+
+
+def _restricted_pairings(basis2, pairings) -> list[int]:
+    """q with basis2 q = 2 p, by back-substitution on the triangular basis2.
+
+    Overlattice pairings are p = basis_change q for the summand pairings q,
+    so q = 2 basis2^-1 p. Raises GlueFailureError when basis2 is not upper
+    triangular with a nonzero diagonal, and when a division is not exact:
+    the entries below it are already exact integers, so that entry of q is
+    not an integer.
+    """
+    n = len(basis2)
+    q = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = basis2[i]
+        pivot = row[i]
+        if pivot == 0 or any(row[:i]):
+            raise GlueFailureError(
+                "doubled basis is not upper triangular with a nonzero diagonal"
+            )
+        num = 2 * pairings[i] - sum(row[j] * q[j] for j in range(i + 1, n))
+        q[i], rest = divmod(num, pivot)
+        if rest:
+            raise GlueFailureError(
+                f"restricted pairing {i} is {Fraction(num, pivot)}, not integral"
+            )
+    return q
 
 
 def restrict_covector(cov: Covector, side: str) -> Covector:
@@ -160,12 +195,7 @@ def restrict_covector(cov: Covector, side: str) -> Covector:
         raise ValueError("covector does not live on a glued overlattice")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    adj, det = over._doubled_adjugate
-    ints = [2 * p for p in mat_vec(adj, list(cov.pairings))]
-    if any(p % det for p in ints):
-        pairings = [Fraction(p, det) for p in ints]
-        raise GlueFailureError(f"restricted pairings {pairings} are not integral")
-    ints = [p // det for p in ints]
+    ints = _restricted_pairings(over._doubled_basis, cov.pairings)
     n_left = over.left.rank
     if side == "left":
         return Covector(tuple(ints[:n_left]), over.left)

@@ -28,12 +28,14 @@ from .errors import (
     NotCharacteristicError,
     NotDefiniteError,
     NotIndependentError,
+    NotIntegerError,
     NotPositiveDefiniteError,
     NotRootsError,
     NotSymmetricError,
     ToolkitError,
 )
 from .linalg import (
+    adjugate as integer_adjugate,
     first_asymmetry,
     hermite_row_basis,
     integer_row_kernel,
@@ -90,19 +92,29 @@ class IntegralLattice:
 
     @cached_property
     def gram_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
+        """G^-1 in Fractions, for the searches whose form it is."""
         return tuple(tuple(row) for row in invert_matrix(self.gram))
 
     @cached_property
     def adjugate(self) -> tuple[tuple[int, ...], ...]:
         """det * G^-1 for the Gram matrix as given: an integer matrix.
 
-        Read off gram_inverse, whose reduced denominators all divide det.
+        One fraction-free elimination (linalg.adjugate) builds no Fraction;
+        the determinant it reaches must equal the one validation found, or
+        ToolkitError is raised.
         """
-        det = self.determinant
-        return tuple(
-            tuple(x.numerator * (det // x.denominator) for x in row)
-            for row in self.gram_inverse
-        )
+        adj, det = integer_adjugate(self.gram)
+        if det != self.determinant:
+            raise ToolkitError(
+                f"adjugate elimination reached determinant {det}, "
+                f"validation found {self.determinant}"
+            )
+        return tuple(tuple(row) for row in adj)
+
+    @cached_property
+    def discriminant_group(self) -> "DiscriminantGroup":
+        """L'/L, computed once per lattice (see discriminant_group)."""
+        return _discriminant_group(self)
 
     @cached_property
     def forest_plan(self) -> ForestPlan | None:
@@ -130,7 +142,7 @@ class Covector:
     def __post_init__(self):
         if len(self.pairings) != self.lattice.rank:
             raise ValueError("pairing vector length does not match lattice rank")
-        object.__setattr__(self, "pairings", tuple(int(x) for x in self.pairings))
+        object.__setattr__(self, "pairings", _integer_entries(self.pairings))
 
     @property
     def norm(self) -> Fraction:
@@ -143,10 +155,12 @@ class Covector:
         return self.norm if self.lattice.sign > 0 else -self.norm
 
     def pairing_with(self, coords) -> int:
-        return sum(p * int(c) for p, c in zip(self.pairings, coords))
+        return sum(p * c for p, c in zip(self.pairings, _integer_entries(coords)))
 
     def translate(self, delta) -> "Covector":
-        return Covector(tuple(p + int(d) for p, d in zip(self.pairings, delta)), self.lattice)
+        return Covector(
+            tuple(p + d for p, d in zip(self.pairings, _integer_entries(delta))), self.lattice
+        )
 
 
 @dataclass(frozen=True)
@@ -155,6 +169,28 @@ class DiscriminantGroup:
 
     orders: tuple[int, ...]
     generators: tuple[Covector, ...]
+
+
+def _integer_entries(values) -> tuple[int, ...]:
+    """values as a tuple of ints, without truncation.
+
+    ints pass as they are and integral Fractions give their numerators; any
+    other entry (a float, a string, a Fraction such as 1/2) raises
+    NotIntegerError, where int() would silently round it toward zero. The
+    common all-int case costs one type test per entry.
+    """
+    out = tuple(values)
+    if all(type(x) is int for x in out):
+        return out
+    return tuple(_integer_entry(x) for x in out)
+
+
+def _integer_entry(x) -> int:
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise NotIntegerError(f"entry {x!r} is not an integer")
 
 
 def validate_lattice(gram) -> IntegralLattice:
@@ -166,7 +202,7 @@ def validate_lattice(gram) -> IntegralLattice:
     exactly when every pivot is positive; the first failing minor is reported
     otherwise, and the last pivot gives the determinant.
     """
-    rows = tuple(tuple(int(x) for x in row) for row in gram)
+    rows = tuple(_integer_entries(row) for row in gram)
     n = len(rows)
     if n == 0:
         raise NotDefiniteError(0, 0)
@@ -241,7 +277,13 @@ def discriminant_group(lat: IntegralLattice) -> DiscriminantGroup:
 
     Generators are pairing vectors reduced to the canonical representative
     modulo the pairing image of L, so equal lattices yield equal generators.
+    The group is computed once per lattice object and cached on it, so a
+    second call runs no Smith or Hermite form.
     """
+    return lat.discriminant_group
+
+
+def _discriminant_group(lat: IntegralLattice) -> DiscriminantGroup:
     g = lat.positive_gram
     diag, _left, right = smith_normal_form(g)
     hnf = hermite_row_basis(g)

@@ -32,10 +32,6 @@ def mat_vec(mat, vec):
     return [sum(x * y for x, y in zip(row, vec)) for row in mat]
 
 
-def vec_mat(vec, mat):
-    return [sum(vec[i] * mat[i][j] for i in range(len(vec))) for j in range(len(mat[0]))]
-
-
 def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 

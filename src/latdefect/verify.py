@@ -98,23 +98,27 @@ class _Run:
 
 
 def _unimodular_bases(run: _Run, rank_bound: int) -> IntegralLattice:
-    choices = [identity_lattice(run.rng.randint(1, rank_bound))]
+    """One of I_m, E8 and I_k + E8, drawn uniformly; only the drawn one is
+    built, after the same random numbers as building every candidate."""
+    m = run.rng.randint(1, rank_bound)
+    builders = [lambda: identity_lattice(m)]
     if rank_bound >= 8:
-        choices.append(e8_lattice())
+        builders.append(e8_lattice)
     if rank_bound >= 9:
-        choices.append(
-            direct_sum(identity_lattice(run.rng.randint(1, rank_bound - 8)), e8_lattice())
-        )
-    return run.rng.choice(choices)
+        k = run.rng.randint(1, rank_bound - 8)
+        builders.append(lambda: direct_sum(identity_lattice(k), e8_lattice()))
+    return run.rng.choice(builders)()
 
 
 def _bimodular_bases(run: _Run, rank_bound: int) -> IntegralLattice:
-    choices = [diagonal_bimodular_lattice(run.rng.randint(1, rank_bound))]
+    """One of the diagonal det-2 lattice, E7 and A1 + E8, as above."""
+    m = run.rng.randint(1, rank_bound)
+    builders = [lambda: diagonal_bimodular_lattice(m)]
     if rank_bound >= 7:
-        choices.append(e7_lattice())
+        builders.append(e7_lattice)
     if rank_bound >= 9:
-        choices.append(direct_sum(a1_lattice(), e8_lattice()))
-    return run.rng.choice(choices)
+        builders.append(lambda: direct_sum(a1_lattice(), e8_lattice()))
+    return run.rng.choice(builders)()
 
 
 def _suite_elkies(run: _Run, rank_bound: int, trials: int):

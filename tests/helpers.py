@@ -19,6 +19,9 @@ of the division route that replaced it. forest_minimum runs the tree dynamic
 program on one CosetProblem, to be checked against the branch-and-bound
 search; smith_spinc_keys walks the spin-c classes through the discriminant
 group's Smith generators, the oracle of the Hermite box that replaced it.
+smith_saturation_check tests how the glued overlattice meets a summand's span
+through an integer kernel (a Smith form), the oracle of the parity test that
+replaced it. count_linalg_calls records which linear algebra a call reaches.
 """
 
 from __future__ import annotations
@@ -388,3 +391,55 @@ def smith_spinc_keys(lat):
                 shift[i] += c * p
         keys.add(tuple(reduce_mod_rows(shift, basis)))
     return keys
+
+
+def smith_saturation_check(basis2, lo: int, hi: int, n: int) -> None:
+    """Raise GlueFailureError unless the overlattice meets the rational span
+    of coordinates [lo, hi) exactly in the block lattice there.
+
+    basis2 is twice the overlattice basis, in direct-sum coordinates. The
+    integer combinations of its rows that vanish outside the block come from
+    an integer kernel; halved, they must be integral and span a block of
+    determinant +-1.
+    """
+    from latdefect import GlueFailureError
+    from latdefect.linalg import bareiss_determinant, integer_row_kernel
+
+    outside = [[row[j] for j in range(n) if not lo <= j < hi] for row in basis2]
+    kernel = integer_row_kernel(outside)
+    if len(kernel) != hi - lo:
+        raise GlueFailureError("intersection with a summand has wrong rank")
+    block = []
+    for y in kernel:
+        coords = [sum(y[i] * basis2[i][j] for i in range(len(y))) for j in range(n)]
+        if any(coords[j] != 0 for j in range(n) if not lo <= j < hi):
+            raise GlueFailureError("kernel vector leaves the summand span")
+        inside = coords[lo:hi]
+        if any(c % 2 for c in inside):
+            raise GlueFailureError("intersection vector is not integral")
+        block.append([c // 2 for c in inside])
+    if abs(bareiss_determinant(block)) != 1:
+        raise GlueFailureError("intersection with a summand is a proper sublattice")
+
+
+def count_linalg_calls(monkeypatch, names):
+    """Replace every package binding of the named latdefect.linalg functions
+    with a wrapper that records the size of each matrix it is given; returns
+    {name: [sizes]}."""
+    import sys
+
+    linalg = sys.modules["latdefect.linalg"]
+    calls = {name: [] for name in names}
+    for name in names:
+        original = getattr(linalg, name)
+
+        def counted(mat, *args, _name=name, _original=original):
+            calls[_name].append(len(mat))
+            return _original(mat, *args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "latdefect" or module_name.startswith("latdefect."):
+                for attribute, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attribute, counted)
+    return calls

@@ -221,6 +221,8 @@ def test_value_only_defects_keep_the_mod_8_check(monkeypatch):
     # a class minimum of 0 fits the plus class of E7 (7 + 1 = 0 mod 8) but
     # not the minus class (7 - 1 = 6 mod 8)
     defects_module = sys.modules["latdefect.defects"]
-    monkeypatch.setattr(defects_module, "coset_minimum", lambda *a, **k: (Fraction(0), 0))
+    monkeypatch.setattr(
+        defects_module, "coset_minima", lambda problems, **k: [(Fraction(0), 0)] * len(problems)
+    )
     with pytest.raises(CongruenceViolationError, match="is not 6 mod 8"):
         defects(e7_lattice())

@@ -11,11 +11,13 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    count_linalg_calls,
     fraction_extend,
     fraction_glue,
     fraction_inverse,
     fraction_restrict,
     ldl_validation,
+    smith_saturation_check,
 )
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,7 @@ from latdefect import (
     e7_lattice,
     extend_covector,
     glue_overlattice,
+    identity_lattice,
     random_unimodular,
     restrict_covector,
     validate_lattice,
@@ -253,7 +256,7 @@ def test_glue_divisibility_guards():
         extend_covector(quarter, Covector((0,), quarter.left), Covector((0,), quarter.right))
     # twice the basis (1/2, 0), (0, 1) meets the first axis in half a vector
     with pytest.raises(GlueFailureError, match="intersection vector is not integral"):
-        GLUE._saturation_check([[1, 0], [0, 2]], 0, 1, 2)
+        smith_saturation_check([[1, 0], [0, 2]], 0, 1, 2)
 
 
 def test_glue_rejects_a_glue_vector_with_odd_self_pairing(monkeypatch):
@@ -275,9 +278,11 @@ TRACED_LINALG = (
 
 def test_benchmark_traced_linalg_names_stay_in_use(monkeypatch):
     """bench/tracer.py wraps these names, and reduction.lll_reduce_gram, at
-    every module binding; its self-test needs each one called, library
-    inverses must go through invert_matrix for the wrapper to see them, and
-    the search must call lll_reduce_gram through the enumeration binding."""
+    every module binding; its self-test needs each one called. Fraction
+    inverses go through invert_matrix, where the wrapper sees them, while
+    defects on a |det| = 2 lattice and gluing build none. defects reduces
+    the Gram matrix once for both characteristic classes, through the
+    enumeration binding of lll_reduce_gram."""
     linalg = sys.modules["latdefect.linalg"]
     reduction = sys.modules["latdefect.reduction"]
     enumeration = sys.modules["latdefect.enumeration"]
@@ -285,24 +290,7 @@ def test_benchmark_traced_linalg_names_stay_in_use(monkeypatch):
         assert callable(getattr(linalg, name))
     assert callable(reduction.lll_reduce_gram)
     assert enumeration.lll_reduce_gram is reduction.lll_reduce_gram
-    original = linalg.invert_matrix
-    calls = []
-
-    def counted(mat):
-        calls.append(len(mat))
-        return original(mat)
-
-    for module_name, module in list(sys.modules.items()):
-        if module_name == "latdefect" or module_name.startswith("latdefect."):
-            for attribute, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attribute, counted)
-    latdefect.defects(a1_lattice())
-    after_defects = len(calls)
-    glue_overlattice(e7_lattice(), a1_lattice())
-    assert after_defects > 0
-    assert len(calls) > after_defects
-
+    calls = count_linalg_calls(monkeypatch, TRACED_LINALG)
     reductions = []
 
     def counted_lll(gram, *args):
@@ -310,7 +298,13 @@ def test_benchmark_traced_linalg_names_stay_in_use(monkeypatch):
         return reduction.lll_reduce_gram(gram, *args)
 
     monkeypatch.setattr(enumeration, "lll_reduce_gram", counted_lll)
+    latdefect.defects(a1_lattice())
+    glue_overlattice(e7_lattice(), a1_lattice())
+    assert calls["invert_matrix"] == []
+    latdefect.min_char_norm(identity_lattice(3))
+    assert calls["invert_matrix"] == [3]
     latdefect.defects(e7_lattice(), reduce=True)
-    assert reductions == [7, 7]  # one search per characteristic class
+    assert reductions == [7]  # one reduction for both characteristic classes
     latdefect.defects(e7_lattice())
-    assert reductions == [7, 7]
+    assert reductions == [7]
+    assert all(calls[name] for name in TRACED_LINALG), calls

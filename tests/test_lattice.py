@@ -10,6 +10,7 @@ from latdefect import (
     NotBimodularError,
     NotCharacteristicError,
     NotDefiniteError,
+    NotIntegerError,
     NotSymmetricError,
     a1_lattice,
     base_characteristic,
@@ -235,3 +236,27 @@ def test_root_graph_rejects_dependent_roots():
     cube = identity_lattice(3)
     with pytest.raises(NotIndependentError):
         root_graph(cube, [(1, -1, 0), (0, 1, -1), (1, 0, -1)])
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(-7, 3), 1.7, 2.0, "3", None])
+def test_non_integer_entries_are_rejected_not_truncated(entry):
+    lat = a1_lattice()
+    with pytest.raises(NotIntegerError):
+        Covector((entry,), lat)
+    with pytest.raises(NotIntegerError):
+        Covector((0,), lat).translate((entry,))
+    with pytest.raises(NotIntegerError):
+        Covector((1,), lat).pairing_with((entry,))
+    with pytest.raises(NotIntegerError):
+        validate_lattice([[2, entry], [entry, 2]])
+
+
+def test_integral_fractions_are_accepted_as_ints():
+    lat = a1_lattice()
+    cov = Covector((Fraction(4, 2),), lat)
+    assert cov.pairings == (2,) and type(cov.pairings[0]) is int
+    assert cov.translate((Fraction(-2),)).pairings == (0,)
+    assert cov.pairing_with((Fraction(6, 2),)) == 6
+    lat2 = validate_lattice([[Fraction(2), Fraction(-1)], [-1, 2]])
+    assert lat2.gram == ((2, -1), (-1, 2))
+    assert all(type(x) is int for row in lat2.gram for x in row)

@@ -1,6 +1,9 @@
 """Randomized property suites and their helpers."""
 
+import hashlib
+import json
 import random
+import sys
 
 import pytest
 
@@ -71,3 +74,32 @@ def test_violations_surface_as_suite_failure(monkeypatch):
     assert err.name == "elkies"
     assert len(err.violations) >= 1
     assert "elkies" in str(err)
+
+
+# SHA-256 of the JSON list of every Gram matrix conjugate_lattice returned in
+# each suite over seeds 0-4 (rank_bound 9, 10 trials), recorded when the
+# suites still built every candidate base lattice before choosing one.
+CONJUGATED_DIGESTS = {
+    "elkies": "a2babbc4360c7ee5efd46c672a0ac8d95e567a4262594906c34514e2b69c0e2f",
+    "bimodular": "87fcf58f74aab0c501a2eae37650e79f8d0f342fa9c7133c4d84038ca0517a53",
+    "congruence": "453dcf8ae9a4d642ace28b119112cee0de8a6d658495d0eeb92a34e807088ac6",
+    "glue": "e55b10ad48b63422c47d187d9969f4812b8e59f8d162291f23df6a97985a06a6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONJUGATED_DIGESTS))
+def test_suites_draw_the_recorded_lattices(name, monkeypatch):
+    verify = sys.modules["latdefect.verify"]
+    original = verify.conjugate_lattice
+    grams = []
+
+    def recorded(lat, u):
+        out = original(lat, u)
+        grams.append(out.gram)
+        return out
+
+    monkeypatch.setattr(verify, "conjugate_lattice", recorded)
+    for seed in range(5):
+        verify_suite(name, rank_bound=9, trials=10, seed=seed)
+    digest = hashlib.sha256(json.dumps(grams).encode()).hexdigest()
+    assert digest == CONJUGATED_DIGESTS[name]
