@@ -14,7 +14,7 @@ by back-substitution and the saturation test all use that shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -35,28 +35,26 @@ class Overlattice(IntegralLattice):
     """Unimodular lattice containing left + right with index 2.
 
     basis_change rows express the overlattice basis in coordinates of the
-    direct sum basis (left block first). doubled_basis is 2 * basis_change
-    as integers: glue_overlattice hands over the basis2 it built, and an
-    Overlattice made without it derives it from basis_change when needed.
+    direct sum basis (left block first). It must be half-integral and upper
+    triangular with a nonzero diagonal, as is the Hermite form that
+    glue_overlattice builds. restrict_covector back-substitutes on it and
+    raises GlueFailureError for any other basis.
     """
 
     basis_change: tuple[tuple[Fraction, ...], ...]
     sublattice_index: int
     left: IntegralLattice
     right: IntegralLattice
-    doubled_basis: tuple[tuple[int, ...], ...] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     @cached_property
     def _doubled_basis(self) -> tuple[tuple[int, ...], ...]:
-        """basis2 = 2 * basis_change, the integer matrix gluing works on."""
-        if self.doubled_basis is not None:
-            return self.doubled_basis
-        doubled = [[2 * x for x in row] for row in self.basis_change]
-        if any(x.denominator != 1 for row in doubled for x in row):
+        """basis2 = 2 * basis_change, the integer matrix gluing works on.
+
+        Read off numerators and denominators, so no Fraction is built."""
+        rows = self.basis_change
+        if any(x.denominator not in (1, 2) for row in rows for x in row):
             raise GlueFailureError("basis change is not half-integral")
-        return tuple(tuple(int(x) for x in row) for row in doubled)
+        return tuple(tuple(2 * x.numerator // x.denominator for x in row) for row in rows)
 
 
 def _doubled_glue_coordinates(lat: IntegralLattice) -> list[int]:
@@ -148,7 +146,6 @@ def glue_overlattice(left: IntegralLattice, right: IntegralLattice) -> Overlatti
         sublattice_index=2,
         left=left,
         right=right,
-        doubled_basis=basis2,
     )
 
 

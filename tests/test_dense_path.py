@@ -217,11 +217,13 @@ def test_back_substitution_rejects_a_basis_that_is_not_triangular(doubled):
         restrict_covector(cov, "left")
 
 
-def test_glued_doubled_basis_is_handed_over():
+def test_glued_doubled_basis_is_triangular_with_one_unit_pivot():
     over = glue_overlattice(e7_lattice(), a1_lattice())
-    assert over._doubled_basis is over.doubled_basis
-    rebuilt = [[int(2 * x) for x in row] for row in over.basis_change]
-    assert [list(row) for row in over.doubled_basis] == rebuilt
+    basis2 = over._doubled_basis
+    n = len(basis2)
+    assert [list(row) for row in basis2] == [[int(2 * x) for x in row] for row in over.basis_change]
+    assert all(basis2[i][j] == 0 for i in range(n) for j in range(i))
+    assert sorted(basis2[i][i] for i in range(n)) == [1] + [2] * (n - 1)
 
 
 GOLDENS = (
