@@ -29,23 +29,20 @@ from .verify import SUITE_NAMES, verify_suite
 @dataclasses.dataclass
 class Settings:
     json: bool
-    threads: int
     node_budget: int | None
     seed: int
 
 
 @click.group()
 @click.option("--json", "as_json", is_flag=True, help="Emit machine-readable JSON.")
-@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Worker threads for enumeration.")
 @click.option("--node-budget", type=click.IntRange(min=1), default=None,
               help="Abort enumeration after this many search nodes.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Master seed for randomized suites.")
 @click.pass_context
-def cli(ctx, as_json, threads, node_budget, seed):
+def cli(ctx, as_json, node_budget, seed):
     """Exact defect invariants, correction terms, and filling obstructions."""
-    ctx.obj = Settings(json=as_json, threads=threads, node_budget=node_budget, seed=seed)
+    ctx.obj = Settings(json=as_json, node_budget=node_budget, seed=seed)
 
 
 def _read_lattice(path: str):
@@ -70,7 +67,7 @@ def _emit(settings: Settings, as_json: bool, payload: dict, lines):
 def defect(settings: Settings, gram_path, sign, as_json):
     """Defect invariant(s) of a definite lattice from its Gram matrix."""
     lat = _read_lattice(gram_path)
-    options = dict(reduce=True, threads=settings.threads, node_budget=settings.node_budget)
+    options = dict(reduce=True, node_budget=settings.node_budget)
     if sign == "both":
         if abs(lat.determinant) == 1:
             value = defects(lat, **options).d_plus
@@ -107,8 +104,7 @@ def charmin(settings: Settings, gram_path, sign, radius, reduce_, as_json):
     lat = _read_lattice(gram_path)
     bound = parse_fraction(radius) if radius is not None else None
     result = min_char_norm(
-        lat, sign, radius=bound, reduce=reduce_,
-        threads=settings.threads, node_budget=settings.node_budget,
+        lat, sign, radius=bound, reduce=reduce_, node_budget=settings.node_budget,
     )
     lines = [f"min = {format_fraction(result.min_norm)}"]
     lines += [f"minimizer: ({', '.join(str(x) for x in p)})" for p in result.minimizers]
@@ -226,7 +222,6 @@ def verify(settings: Settings, suite, rank_bound, trials, seed, as_json):
             rank_bound=rank_bound,
             trials=trials,
             seed=settings.seed if seed is None else seed,
-            threads=settings.threads,
             node_budget=settings.node_budget,
         )
         for name in names

@@ -149,7 +149,6 @@ def min_char_norm(
     *,
     radius=None,
     reduce: bool = False,
-    threads: int = 1,
     node_budget: int | None = None,
 ) -> EnumerationResult:
     """Minimal characteristic square, restricted to one class when asked.
@@ -158,7 +157,7 @@ def min_char_norm(
     covectors, one representative per {xi, -xi} pair, sorted.
     """
     _require_positive(lat, "min_char_norm")
-    opts = dict(reduce=reduce, threads=threads, node_budget=node_budget)
+    opts = dict(reduce=reduce, node_budget=node_budget)
     if sign == "any" or sign is None:
         res = shortest_in_coset(_any_problem(lat, radius), **opts)
         pairings = [
@@ -190,7 +189,6 @@ def defects(
     lat: IntegralLattice,
     *,
     reduce: bool = False,
-    threads: int = 1,
     node_budget: int | None = None,
 ) -> Defects:
     """Defect invariant(s): (min characteristic square - rank) / 4.
@@ -204,7 +202,7 @@ def defects(
     _require_positive(lat, "defects")
     det = abs(lat.determinant)
     n = lat.rank
-    opts = dict(reduce=reduce, threads=threads, node_budget=node_budget)
+    opts = dict(reduce=reduce, node_budget=node_budget)
     if det == 1:
         square = 4 * coset_minimum(_any_problem(lat), **opts)[0]
         d = Fraction(square - n, 4)
@@ -230,7 +228,6 @@ def max_char_square(
     class_rep: Covector,
     *,
     reduce: bool = True,
-    threads: int = 1,
     node_budget: int | None = None,
 ) -> Fraction:
     """Largest square over the class rep + 2L of a negative definite lattice.
@@ -238,7 +235,7 @@ def max_char_square(
     Equals minus the minimal square of the corresponding coset in the
     positive definite negation. A forest-shaped Gram matrix is solved exactly
     by the tree dynamic program (plan_minimum on the lattice's forest_plan),
-    where reduce and threads have no effect and node_budget bounds its nodes;
+    where reduce has no effect and node_budget bounds its nodes;
     any other goes through the branch-and-bound search.
     """
     if lat.sign >= 0:
@@ -257,7 +254,6 @@ def max_char_square(
     value, _nodes = coset_minimum(
         _class_problem(lat, class_rep.pairings),
         reduce=reduce,
-        threads=threads,
         node_budget=node_budget,
     )
     return -4 * value

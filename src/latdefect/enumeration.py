@@ -9,9 +9,9 @@ of -t and seeds the pruning radius. All arithmetic is exact: denominators are
 cleared once per factorization, so the inner loop works on plain integers.
 
 Optional integral LLL preprocessing conjugates the problem by a unimodular
-matrix and never affects results, only node counts. Top-level branches can
-be split across worker threads; the merged outcome is identical to a serial
-run. shortest_in_coset reports every minimizer; coset_minimum runs the same
+matrix and never affects results, only node counts. The search is serial, so
+node counts, and whether a node budget suffices, are the same on every run.
+shortest_in_coset reports every minimizer; coset_minimum runs the same
 search, node for node, for callers that need only the minimum value.
 Reduction and factorization depend on the form alone, so coset_minima does
 them once for several targets on one form.
@@ -30,8 +30,6 @@ computes each message as a lower-envelope query in integers.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm
@@ -92,44 +90,10 @@ class EnumerationResult:
     nodes_visited: int
 
 
-class _Budget:
-    """Node counter shared across workers; raises once the limit is passed."""
-
-    __slots__ = ("count", "limit", "lock")
-
-    def __init__(self, limit):
-        self.count = 0
-        self.limit = limit
-        self.lock = threading.Lock()
-
-    def spend(self, n: int) -> None:
-        with self.lock:
-            self.count += n
-            if self.limit is not None and self.count > self.limit:
-                raise BudgetExhaustedError(self.count, self.limit)
-
-
-class _SharedBest:
-    __slots__ = ("value", "lock")
-
-    def __init__(self):
-        self.value = None
-        self.lock = threading.Lock()
-
-    def offer(self, v) -> None:
-        with self.lock:
-            if self.value is None or v < self.value:
-                self.value = v
-
-
 def _cleared_vector(vec) -> tuple[list[int], int]:
     """(den * vec, den) for the least den making every entry an integer."""
     (ints,), den = clear_denominators([vec])
     return ints, den
-
-
-def _round_half_up(x: Fraction) -> int:
-    return floor(x + Fraction(1, 2))
 
 
 def _factor(form):
@@ -192,34 +156,21 @@ class _Scaled:
         self.value_scale = value_scale
 
 
-def _babai_value(cols, diag, target):
-    """Value of the nearest-plane rounding of -target; the initial radius."""
-    n = len(diag)
-    w = [Fraction(0)] * n
-    total = Fraction(0)
-    for i in range(n - 1, -1, -1):
-        b = target[i] + sum(coef * w[j] for j, coef in cols[i])
-        cand = _round_half_up(-b)
-        w[i] = target[i] + cand
-        total += diag[i] * (cand + b) ** 2
-    return total
-
-
 class _Worker:
-    """One depth-first searcher over levels start..0 with a fixed prefix.
+    """The depth-first searcher over levels n-1..0.
 
-    All values handled here (cap, best, shared best, recorded totals) are in
-    value_scale units of the _Scaled context.
+    All values handled here (cap, best, recorded totals) are in value_scale
+    units of the _Scaled context. Every candidate tried is one node, and
+    BudgetExhaustedError is raised once there are more than node_budget.
     """
 
-    def __init__(self, scaled, mode, cap, shared, budget):
+    def __init__(self, scaled, mode, cap, node_budget):
         self.sc = scaled
         n = scaled.n
         self.n = n
         self.mode = mode
         self.cap = cap  # fixed inclusive radius (collect, or shrink with radius)
-        self.shared = shared
-        self.budget = budget
+        self.node_budget = node_budget
         self.x = [0] * n
         self.part = [0] * n
         self.sbase = [0] * n
@@ -233,17 +184,13 @@ class _Worker:
 
     def _spend(self) -> None:
         self.nodes += 1
-        if self.budget is not None:
-            self.budget.spend(1)
+        if self.node_budget is not None and self.nodes > self.node_budget:
+            raise BudgetExhaustedError(self.nodes, self.node_budget)
 
     def _limit(self):
         m = self.cap
         if self.best is not None and (m is None or self.best < m):
             m = self.best
-        if self.shared is not None:
-            s = self.shared.value
-            if s is not None and (m is None or s < m):
-                m = s
         return m
 
     def _enter(self, i: int) -> None:
@@ -268,12 +215,10 @@ class _Worker:
             self.best = total
             if self.mode == "shrink":
                 self.hits = [tuple(self.x)]
-            if self.shared is not None:
-                self.shared.offer(total)
         elif total == self.best and self.mode == "shrink":
             self.hits.append(tuple(self.x))
 
-    def run(self, start: int) -> None:
+    def run(self) -> None:
         if self.n == 0:
             self._record(0)
             return
@@ -283,7 +228,7 @@ class _Worker:
         part = self.part
         up, down = self.up, self.down
         up_ok, down_ok = self.up_ok, self.down_ok
-        i = start
+        i = self.n - 1
         self._enter(i)
         while True:
             if up_ok[i] and down_ok[i]:
@@ -296,7 +241,7 @@ class _Worker:
                 side = -1
             else:
                 i += 1
-                if i > start:
+                if i == self.n:
                     return
                 continue
             cand = up[i] if side == 1 else down[i]
@@ -322,50 +267,6 @@ class _Worker:
             i -= 1
             self._enter(i)
 
-    def run_with_top(self, top_values) -> None:
-        """Explore only the given outermost-level candidates, in order."""
-        sc = self.sc
-        i = self.n - 1
-        s = sc.scales[i]
-        b = sc.consts[i]
-        for cand in top_values:
-            u = s * cand + b
-            cost = sc.coeff[i] * u * u
-            self._spend()
-            limit = self._limit()
-            if limit is not None and cost > limit:
-                continue
-            self.x[i] = cand
-            if i == 0:
-                self._record(cost)
-                continue
-            self.part[i - 1] = cost
-            self.run(i - 1)
-
-
-def _top_candidates(diag, target, cap):
-    """All outermost-level integer candidates within the inclusive cap."""
-    i = len(diag) - 1
-    b = target[i]
-    r0 = _round_half_up(-b)
-    out = [r0]
-    step = 1
-    while True:
-        cand = r0 + step
-        if diag[i] * (cand + b) ** 2 > cap:
-            break
-        out.append(cand)
-        step += 1
-    step = 1
-    while True:
-        cand = r0 - step
-        if diag[i] * (cand + b) ** 2 > cap:
-            break
-        out.append(cand)
-        step += 1
-    out.sort(key=lambda c: (abs(c + b), -c))
-    return out
-
 
 class _Prepared(NamedTuple):
     """What every search on one form shares: with reduce, the LLL basis
@@ -388,7 +289,7 @@ def _prepare(form, reduce: bool) -> _Prepared:
     return _Prepared(unimod, inverse, cols, diag)
 
 
-def _solve(problem: CosetProblem, mode: str, reduce: bool, threads: int, node_budget):
+def _solve(problem: CosetProblem, mode: str, reduce: bool, node_budget):
     """(best, hits, nodes) of one search; best is None when nothing is in range.
 
     mode "collect" records every point within the radius with its value,
@@ -397,61 +298,24 @@ def _solve(problem: CosetProblem, mode: str, reduce: bool, threads: int, node_bu
     for the same radius.
     """
     prepared = _prepare(problem.form, reduce)
-    return _search(prepared, problem, mode, threads, node_budget)
+    return _search(prepared, problem, mode, node_budget)
 
 
-def _search(prepared: _Prepared, problem: CosetProblem, mode: str, threads: int, node_budget):
+def _search(prepared: _Prepared, problem: CosetProblem, mode: str, node_budget):
     """_solve on a form already prepared: the target is mapped into the
     reduced basis, searched, and the hits are mapped back."""
     unimod, cols, diag = prepared.unimod, prepared.cols, prepared.diag
     target = list(problem.target)
-    n = problem.rank
     if unimod is not None:
         big, den = _cleared_vector(target)
         target = [Fraction(x, den) for x in mat_vec(prepared.inverse, big)]
 
     scaled = _Scaled(cols, diag, target)
     scale = scaled.value_scale
-    budget = _Budget(node_budget) if node_budget is not None else None
-    cap = problem.radius
-    cap_scaled = None if cap is None else floor(cap * scale)
-
-    if threads <= 1 or n <= 1:
-        worker = _Worker(scaled, mode, cap_scaled, None, budget)
-        worker.run(n - 1)
-        nodes = worker.nodes
-        best, hits = worker.best, worker.hits
-    else:
-        if mode == "collect":
-            bound = cap
-        else:
-            babai = _babai_value(cols, diag, target)
-            bound = babai if cap is None else min(babai, cap)
-        if budget is not None:
-            budget.spend(n)  # the bounding descent, counted in nodes below
-        tops = _top_candidates(diag, target, bound)
-        chunks = [tops[k::threads] for k in range(threads)]
-        shared = _SharedBest()
-        if mode != "collect":
-            shared.offer(floor(bound * scale))
-        workers = [
-            _Worker(scaled, mode, cap_scaled, shared, budget) for _ in chunks
-        ]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(w.run_with_top, chunk)
-                for w, chunk in zip(workers, chunks)
-            ]
-            for f in futures:
-                f.result()
-        nodes = sum(w.nodes for w in workers) + n  # include the bounding descent
-        if mode == "collect":
-            best = None
-            hits = [h for w in workers for h in w.hits]
-        else:
-            mins = [w.best for w in workers if w.best is not None]
-            best = min(mins) if mins else None
-            hits = [h for w in workers if w.best == best for h in w.hits]
+    cap = None if problem.radius is None else floor(problem.radius * scale)
+    worker = _Worker(scaled, mode, cap, node_budget)
+    worker.run()
+    best, hits = worker.best, worker.hits
 
     if best is not None:
         best = Fraction(best, scale)
@@ -465,7 +329,7 @@ def _search(prepared: _Prepared, problem: CosetProblem, mode: str, threads: int,
             ]
         else:
             hits = [tuple(mat_vec(unimod, list(x))) for x in hits]
-    return best, hits, nodes
+    return best, hits, worker.nodes
 
 
 def _collapse_signs(vectors):
@@ -495,7 +359,6 @@ def shortest_in_coset(
     problem: CosetProblem,
     *,
     reduce: bool = False,
-    threads: int = 1,
     node_budget: int | None = None,
 ) -> EnumerationResult:
     """Exact minimum of (target + x)^T form (target + x) with all minimizers.
@@ -506,7 +369,7 @@ def shortest_in_coset(
     coset point lies within it; BudgetExhaustedError when the node budget runs
     out first.
     """
-    best, hits, nodes = _solve(problem, "shrink", reduce, threads, node_budget)
+    best, hits, nodes = _solve(problem, "shrink", reduce, node_budget)
     if best is None:
         raise RadiusEmptyError(
             f"no coset point with value <= {problem.radius}"
@@ -522,7 +385,6 @@ def coset_minimum(
     problem: CosetProblem,
     *,
     reduce: bool = False,
-    threads: int = 1,
     node_budget: int | None = None,
 ) -> tuple[Fraction, int]:
     """(min_norm, nodes) of the search shortest_in_coset runs, value only.
@@ -530,14 +392,13 @@ def coset_minimum(
     The node count is the same; no minimizer is recorded, mapped back through
     the reduction, sign-collapsed or sorted. Raises as shortest_in_coset does.
     """
-    return coset_minima([problem], reduce=reduce, threads=threads, node_budget=node_budget)[0]
+    return coset_minima([problem], reduce=reduce, node_budget=node_budget)[0]
 
 
 def coset_minima(
     problems,
     *,
     reduce: bool = False,
-    threads: int = 1,
     node_budget: int | None = None,
 ) -> list[tuple[Fraction, int]]:
     """coset_minimum of each problem, for problems that share one form.
@@ -554,7 +415,7 @@ def coset_minima(
     prepared = _prepare(form, reduce)
     out = []
     for problem in problems:
-        best, _hits, nodes = _search(prepared, problem, "value", threads, node_budget)
+        best, _hits, nodes = _search(prepared, problem, "value", node_budget)
         if best is None:
             raise RadiusEmptyError(
                 f"no coset point with value <= {problem.radius}"
@@ -567,7 +428,6 @@ def enumerate_in_coset(
     problem: CosetProblem,
     *,
     reduce: bool = False,
-    threads: int = 1,
     node_budget: int | None = None,
 ) -> list[tuple[tuple[int, ...], Fraction]]:
     """All coset offsets x with value <= problem.radius, sorted by x.
@@ -577,7 +437,7 @@ def enumerate_in_coset(
     """
     if problem.radius is None:
         raise ValueError("enumerate_in_coset requires a radius")
-    _best, hits, _nodes = _solve(problem, "collect", reduce, threads, node_budget)
+    _best, hits, _nodes = _solve(problem, "collect", reduce, node_budget)
     return sorted(hits)
 
 
@@ -613,7 +473,7 @@ def _forest_order(form):
 
 def _nearest_plane(factor, big, den: int) -> tuple[int, int]:
     """(N, M) with N / M = R den^2, for R the value of the nearest-plane
-    rounding of -target (what _babai_value computes), in integers only.
+    rounding of -target, in integers only.
 
     factor is fraction_free_ldl(form) = (lam, d, s), and big = den * target
     an integer vector. With W = den (target + x), starting from big,

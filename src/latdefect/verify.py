@@ -37,6 +37,7 @@ from .linalg import mat_mul, mat_vec, transpose
 from .plumbing import SeifertData, canonical_plumbing, h1_order, neg_continued_fraction
 
 SUITE_NAMES = ("elkies", "bimodular", "congruence", "glue", "roundtrip")
+_ENTRY_CAP = 3
 
 
 @dataclass(frozen=True)
@@ -47,19 +48,20 @@ class SuiteReport:
     seed: int
 
 
-def random_unimodular(rng: random.Random, n: int, cap: int = 3) -> list[list[int]]:
-    """Random determinant +-1 integer matrix with entries bounded by cap."""
+def random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
+    """Random determinant +-1 integer matrix with entries bounded by
+    _ENTRY_CAP: 4n random column shears, swaps and negations of the
+    identity, where a shear that would break the bound is skipped."""
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(4 * n):
         kind = rng.randrange(3)
         if kind == 0 and n > 1:
             i, j = rng.sample(range(n), 2)
             s = rng.choice((-1, 1))
-            candidate = [row[:] for row in u]
-            for row in candidate:
-                row[j] += s * row[i]
-            if max(abs(x) for row in candidate for x in row) <= cap:
-                u = candidate
+            # only column j changes, and every other entry is within the cap
+            if all(abs(row[j] + s * row[i]) <= _ENTRY_CAP for row in u):
+                for row in u:
+                    row[j] += s * row[i]
         elif kind == 1 and n > 1:
             i, j = rng.sample(range(n), 2)
             for row in u:
@@ -78,10 +80,9 @@ def conjugate_lattice(lat: IntegralLattice, u: list[list[int]]) -> IntegralLatti
 
 
 class _Run:
-    def __init__(self, name: str, rng: random.Random, threads: int, node_budget):
+    def __init__(self, name: str, rng: random.Random, node_budget):
         self.name = name
         self.rng = rng
-        self.threads = threads
         self.node_budget = node_budget
         self.checks = 0
         self.violations: list[str] = []
@@ -92,9 +93,7 @@ class _Run:
             self.violations.append(message)
 
     def defects(self, lat):
-        return defects(
-            lat, reduce=True, threads=self.threads, node_budget=self.node_budget
-        )
+        return defects(lat, reduce=True, node_budget=self.node_budget)
 
 
 def _unimodular_bases(run: _Run, rank_bound: int) -> IntegralLattice:
@@ -283,13 +282,12 @@ def verify_suite(
     rank_bound: int = 6,
     trials: int = 100,
     seed: int = 0,
-    threads: int = 1,
     node_budget: int | None = None,
 ) -> SuiteReport:
     """Run one named suite; raises SuiteFailureError on any violation."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}, expected one of {SUITE_NAMES}")
-    run = _Run(name, random.Random(seed), threads, node_budget)
+    run = _Run(name, random.Random(seed), node_budget)
     _SUITES[name](run, rank_bound, trials)
     if run.violations:
         raise SuiteFailureError(name, tuple(run.violations))

@@ -8,7 +8,8 @@ box. Nothing in it touches the package's own linear algebra.
 The Fraction routes below are the oracles of the integer-only lattice kernel:
 Gauss-Jordan inversion over Fractions, Gram validation through a Fraction
 LDL^T factorization, the Fraction LDL^T and Gram-Schmidt LLL that the
-fraction-free ones replaced, and gluing on the half-integral basis with
+fraction-free ones replaced, the nearest-plane value on that Fraction LDL^T
+(babai_value), and gluing on the half-integral basis with
 Fraction matrices. Gluing still takes its discriminant generator and Hermite form from
 the package, since only the arithmetic around them is under test.
 
@@ -209,6 +210,21 @@ def fraction_ldl(q):
             off = Fraction(q[i][j]) - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
             lower[i][j] = off / pivot
     return lower, diag
+
+
+def babai_value(form, target):
+    """Value of the nearest-plane rounding of -target, on the Fraction LDL^T:
+    the oracle of the search's integer _nearest_plane."""
+    lower, diag = fraction_ldl(form)
+    n = len(diag)
+    w = [Fraction(0)] * n
+    total = Fraction(0)
+    for i in range(n - 1, -1, -1):
+        b = target[i] + sum(lower[j][i] * w[j] for j in range(i + 1, n))
+        cand = _round_half_up(-b)
+        w[i] = target[i] + cand
+        total += diag[i] * (cand + b) ** 2
+    return total
 
 
 def fraction_lll(gram, delta=Fraction(3, 4)):

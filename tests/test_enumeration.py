@@ -1,5 +1,7 @@
-"""Coset minimization: goldens, oracle agreement, budgets, reduction, threads."""
+"""Coset minimization: goldens, oracle agreement, budgets, reduction, and the
+serial search as the only one (no entry point takes threads)."""
 
+import inspect
 import random
 from fractions import Fraction
 
@@ -11,11 +13,18 @@ from latdefect import (
     NotPositiveDefiniteError,
     NotSymmetricError,
     RadiusEmptyError,
+    defects,
     enumerate_in_coset,
     lll_reduce_gram,
+    max_char_square,
+    min_char_norm,
     rational_cholesky,
     shortest_in_coset,
+    verify_suite,
 )
+from latdefect.cli import main
+from latdefect.enumeration import coset_minima, coset_minimum
+from latdefect.errors import EXIT_USAGE
 from latdefect.linalg import mat_mul, quadratic_value, transpose
 from helpers import box_minimum, box_points_within, collapse_sign_pairs, random_spd_gram, random_target
 
@@ -96,28 +105,26 @@ def test_enumerate_in_coset_matches_box():
         assert got == expected
 
 
-def test_oracle_agreement_including_reduction_and_threads():
+def test_oracle_agreement_including_reduction():
     rng = random.Random(12)
     for k in range(60):
         gram = random_spd_gram(rng)
         target = random_target(rng, len(gram))
         expect_min, expect_args = box_minimum(gram, target)
         problem = CosetProblem(gram, target)
-        result = shortest_in_coset(
-            problem, reduce=bool(k % 2), threads=1 + (k % 3),
-        )
+        result = shortest_in_coset(problem, reduce=bool(k % 2))
         assert result.min_norm == expect_min
         assert list(result.minimizers) == collapse_sign_pairs(expect_args)
 
 
-def test_threads_match_serial_exactly():
-    gram = [[4, 1, 0, 1], [1, 3, -1, 0], [0, -1, 5, 2], [1, 0, 2, 4]]
-    target = [Fraction(1, 3), Fraction(-1, 2), Fraction(2, 3), Fraction(1, 4)]
-    serial = shortest_in_coset(CosetProblem(gram, target), reduce=True)
-    for threads in (2, 3, 8):
-        parallel = shortest_in_coset(CosetProblem(gram, target), reduce=True, threads=threads)
-        assert parallel.min_norm == serial.min_norm
-        assert parallel.minimizers == serial.minimizers
+def test_no_entry_point_takes_threads(capsys):
+    searches = (
+        shortest_in_coset, coset_minimum, coset_minima, enumerate_in_coset,
+        min_char_norm, defects, max_char_square, verify_suite,
+    )
+    assert [f.__name__ for f in searches if "threads" in inspect.signature(f).parameters] == []
+    assert main(["--threads", "2", "verify", "roundtrip", "--trials", "1"]) == EXIT_USAGE
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_lll_preserves_values():

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from helpers import fraction_ldl, fraction_lll, random_spd_gram, random_target
+from helpers import babai_value, fraction_ldl, fraction_lll, random_spd_gram, random_target
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -34,13 +34,7 @@ from latdefect import (
     random_unimodular,
     shortest_in_coset,
 )
-from latdefect.enumeration import (
-    _babai_value,
-    _cleared_vector,
-    _factor,
-    _nearest_plane,
-    coset_minimum,
-)
+from latdefect.enumeration import _cleared_vector, _nearest_plane, coset_minimum
 from latdefect.linalg import fraction_free_ldl, ldl_decomposition
 from latdefect.reduction import lll_reduce_gram
 
@@ -120,17 +114,17 @@ def test_integer_nearest_plane_equals_fraction_babai(seed, rational):
     target = random_target(rng, len(gram))
     big, den = _cleared_vector(target)
     reach, reach_den = _nearest_plane(fraction_free_ldl(gram), big, den)
-    assert Fraction(reach, reach_den) == _babai_value(*_factor(gram), target) * den * den
+    assert Fraction(reach, reach_den) == babai_value(gram, target) * den * den
 
 
 @SETTINGS
-@given(st.integers(0, 10**6), st.booleans(), st.integers(1, 3))
-def test_coset_minimum_is_the_search_without_minimizers(seed, reduce, threads):
+@given(st.integers(0, 10**6), st.booleans())
+def test_coset_minimum_is_the_search_without_minimizers(seed, reduce):
     rng = random.Random(seed)
     gram = random_spd_gram(rng, max_rank=6)
     problem = CosetProblem(gram, random_target(rng, len(gram)))
-    full = shortest_in_coset(problem, reduce=reduce, threads=threads)
-    assert coset_minimum(problem, reduce=reduce, threads=threads) == (
+    full = shortest_in_coset(problem, reduce=reduce)
+    assert coset_minimum(problem, reduce=reduce) == (
         full.min_norm,
         full.nodes_visited,
     )

@@ -2,7 +2,8 @@
 
 forest_minimum (the plan and plan_minimum of one CosetProblem, kept in
 tests/helpers.py) is checked against the branch-and-bound search on random
-weighted forests and on every spin-c class of small Seifert plumbings.
+weighted forests and on every spin-c class of small Seifert plumbings. Node
+budgets are exact for the tree DP and for every mode of the search.
 """
 
 import ast
@@ -32,6 +33,7 @@ from latdefect import (
     validate_lattice,
 )
 from latdefect.cli import main
+from latdefect.enumeration import _solve, coset_minima, coset_minimum, enumerate_in_coset
 from latdefect.linalg import mat_vec
 
 SLOW = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -145,12 +147,38 @@ def test_forest_budget_is_exact(problem):
 
 @pytest.mark.parametrize("problem", budget_cases())
 def test_search_budget_is_exact(problem):
+    # the minimizer, value-only and collect modes: (run under a budget,
+    # unbudgeted result, node count)
     full = shortest_in_coset(problem)
-    assert shortest_in_coset(problem, node_budget=full.nodes_visited) == full
-    for budget in (0, 1, full.nodes_visited - 1):
-        with pytest.raises(BudgetExhaustedError) as info:
-            shortest_in_coset(problem, node_budget=budget)
-        assert info.value.nodes == budget + 1
+    value = coset_minimum(problem)
+    assert value == (full.min_norm, full.nodes_visited)
+    within = CosetProblem(problem.form, problem.target, radius=full.min_norm + 1)
+    points = enumerate_in_coset(within)
+    collected = _solve(within, "collect", False, None)[2]
+    assert len(points) > 1 and collected > full.nodes_visited
+    searches = [
+        (lambda budget: shortest_in_coset(problem, node_budget=budget), full, full.nodes_visited),
+        (lambda budget: coset_minimum(problem, node_budget=budget), value, value[1]),
+        (lambda budget: enumerate_in_coset(within, node_budget=budget), points, collected),
+    ]
+    for run, result, nodes in searches:
+        assert run(nodes) == result
+        for budget in (0, 1, nodes - 1):
+            with pytest.raises(BudgetExhaustedError) as info:
+                run(budget)
+            assert info.value.nodes == budget + 1 and info.value.budget == budget
+
+
+def test_coset_minima_gives_each_target_its_own_budget():
+    path = budget_cases()[0]
+    other = CosetProblem(path.form, [Fraction(-1, 3), 0, Fraction(1, 2), Fraction(5, 6)])
+    expected = [coset_minimum(path), coset_minimum(other)]
+    small, large = sorted(nodes for _value, nodes in expected)
+    assert 0 < small < large
+    assert coset_minima([path, other], node_budget=large) == expected
+    with pytest.raises(BudgetExhaustedError) as info:
+        coset_minima([path, other], node_budget=large - 1)
+    assert info.value.nodes == large
 
 
 def test_cli_budget_exhaustion_on_a_plumbing(capsys):
