@@ -15,14 +15,15 @@ Reductions to coset enumeration:
     minimize with form G, target z_chi / 2, and scale by 4.
 
 defects and max_char_square need only values: they run the branch-and-bound
-search through coset_minimum, which builds no minimizers. On a |det| = 2
+search through coset_minima, which builds no minimizers. On a |det| = 2
 lattice both classes search the same positive Gram matrix, so defects hands
-both class targets to coset_minima, which reduces and factors it once. When
-the Gram graph is a forest (as for every plumbing tree), max_char_square
-takes the exact tree dynamic program instead: the lattice builds its
-ForestPlan once, and each class hands plan_minimum its integer target
-adj p / (2 |det|), with adj p from the plan's O(n) solve on the tree, so no
-CosetProblem, no dense adjugate and no Fraction is built before the value.
+both class targets to one coset_minima call, which reduces and factors it
+once. When the Gram graph is a forest (as for every plumbing tree),
+max_char_square takes the exact tree dynamic program instead: the lattice
+builds its ForestPlan once, and each class hands plan_minimum its integer
+target adj p / (2 |det|), with adj p from the plan's O(n) solve on the tree,
+so no CosetProblem, no dense adjugate and no Fraction is built before the
+value.
 min_char_norm reports the minimizing pairing vectors through
 shortest_in_coset.
 """
@@ -37,7 +38,6 @@ from .enumeration import (
     CosetProblem,
     EnumerationResult,
     coset_minima,
-    coset_minimum,
     plan_minimum,
     plan_solve,
     shortest_in_coset,
@@ -204,7 +204,7 @@ def defects(
     n = lat.rank
     opts = dict(reduce=reduce, node_budget=node_budget)
     if det == 1:
-        square = 4 * coset_minimum(_any_problem(lat), **opts)[0]
+        square = 4 * coset_minima([_any_problem(lat)], **opts)[0][0]
         d = Fraction(square - n, 4)
         return Defects(d_plus=d, d_minus=d)
     if det == 2:
@@ -251,8 +251,8 @@ def max_char_square(
         # the positive Gram is integral, so its scale is 1 and z = adj p / |det|
         big, den = _halved(plan_solve(plan, class_rep.pairings), plan.determinant)
         return -4 * plan_minimum(plan, big, den, node_budget=node_budget)[0]
-    value, _nodes = coset_minimum(
-        _class_problem(lat, class_rep.pairings),
+    [(value, _nodes)] = coset_minima(
+        [_class_problem(lat, class_rep.pairings)],
         reduce=reduce,
         node_budget=node_budget,
     )

@@ -11,10 +11,11 @@ cleared once per factorization, so the inner loop works on plain integers.
 Optional integral LLL preprocessing conjugates the problem by a unimodular
 matrix and never affects results, only node counts. The search is serial, so
 node counts, and whether a node budget suffices, are the same on every run.
-shortest_in_coset reports every minimizer; coset_minimum runs the same
-search, node for node, for callers that need only the minimum value.
-Reduction and factorization depend on the form alone, so coset_minima does
-them once for several targets on one form.
+There is one entry point per problem shape: shortest_in_coset reports the
+minimum with every minimizer; coset_minima runs the same search, node for
+node, for callers that need only minimum values, reducing and factoring the
+form once for every target on it; enumerate_in_coset lists every point
+within a radius.
 
 When the off-diagonal support of Q is a forest (every plumbing tree is one),
 the exact minimum value needs no search: the objective is a sum of vertex and
@@ -48,7 +49,6 @@ from .linalg import (
     integer_matrix_inverse,
     ldl_decomposition,
     mat_vec,
-    sign_normalize,
 )
 from .reduction import lll_reduce_gram
 
@@ -90,26 +90,6 @@ class EnumerationResult:
     nodes_visited: int
 
 
-def _cleared_vector(vec) -> tuple[list[int], int]:
-    """(den * vec, den) for the least den making every entry an integer."""
-    (ints,), den = clear_denominators([vec])
-    return ints, den
-
-
-def _factor(form):
-    return _columns(*ldl_decomposition(form))
-
-
-def _columns(lower, diag):
-    """Nonzero below-diagonal entries of L per column, with the pivots."""
-    n = len(diag)
-    cols = [
-        [(j, lower[j][i]) for j in range(i + 1, n) if lower[j][i] != 0]
-        for i in range(n)
-    ]
-    return cols, diag
-
-
 class _Scaled:
     """Denominator-cleared copy of the factored problem.
 
@@ -129,7 +109,7 @@ class _Scaled:
     def __init__(self, cols, diag, target):
         n = len(diag)
         self.n = n
-        big, den = _cleared_vector(target)
+        (big,), den = clear_denominators([target])
         scales = []
         consts = []
         scols = []
@@ -280,34 +260,35 @@ class _Prepared(NamedTuple):
 
 
 def _prepare(form, reduce: bool) -> _Prepared:
-    """LLL-reduce (when asked, and the rank exceeds 1) and factor one form."""
+    """LLL-reduce (when asked, and the rank exceeds 1) and factor one form;
+    cols[i] lists the nonzero below-diagonal entries (j, L_ji) of column i."""
     unimod = inverse = None
     if reduce and len(form) > 1:
         form, unimod = lll_reduce_gram(form)
         inverse = integer_matrix_inverse(unimod)
-    cols, diag = _factor(form)
+    lower, diag = ldl_decomposition(form)
+    n = len(diag)
+    cols = [
+        [(j, lower[j][i]) for j in range(i + 1, n) if lower[j][i] != 0]
+        for i in range(n)
+    ]
     return _Prepared(unimod, inverse, cols, diag)
 
 
-def _solve(problem: CosetProblem, mode: str, reduce: bool, node_budget):
-    """(best, hits, nodes) of one search; best is None when nothing is in range.
+def _search(prepared: _Prepared, problem: CosetProblem, mode: str, node_budget):
+    """(best, hits, nodes) of one search on a prepared form; best is None when
+    nothing is in range. The target is mapped into the reduced basis,
+    searched, and the hits are mapped back.
 
     mode "collect" records every point within the radius with its value,
     "shrink" the minimizers at the shrinking minimum, and "value" nothing but
     the minimum. Recording never prunes, so all three visit the same nodes
     for the same radius.
     """
-    prepared = _prepare(problem.form, reduce)
-    return _search(prepared, problem, mode, node_budget)
-
-
-def _search(prepared: _Prepared, problem: CosetProblem, mode: str, node_budget):
-    """_solve on a form already prepared: the target is mapped into the
-    reduced basis, searched, and the hits are mapped back."""
     unimod, cols, diag = prepared.unimod, prepared.cols, prepared.diag
     target = list(problem.target)
     if unimod is not None:
-        big, den = _cleared_vector(target)
+        (big,), den = clear_denominators([target])
         target = [Fraction(x, den) for x in mat_vec(prepared.inverse, big)]
 
     scaled = _Scaled(cols, diag, target)
@@ -332,29 +313,6 @@ def _search(prepared: _Prepared, problem: CosetProblem, mode: str, node_budget):
     return best, hits, worker.nodes
 
 
-def _collapse_signs(vectors):
-    vs = set(vectors)
-    out = set()
-    for v in vs:
-        neg = tuple(-c for c in v)
-        out.add(sign_normalize(v) if neg in vs else v)
-    return sorted(out)
-
-
-def rational_cholesky(form):
-    """Exact LDL^T factorization of a symmetric positive definite form.
-
-    Returns (lower, diag) with unit lower-triangular lower and positive
-    rational diag; raises NotPositiveDefiniteError naming the first bad pivot.
-    """
-    rows = [list(row) for row in form]
-    bad = first_asymmetry(rows)
-    if bad is not None:
-        i, j = bad
-        raise NotSymmetricError(i, j, rows[i][j], rows[j][i])
-    return ldl_decomposition(rows)
-
-
 def shortest_in_coset(
     problem: CosetProblem,
     *,
@@ -363,36 +321,23 @@ def shortest_in_coset(
 ) -> EnumerationResult:
     """Exact minimum of (target + x)^T form (target + x) with all minimizers.
 
-    Minimizers are integer offset vectors x, with exact {x, -x} pairs collapsed
-    to the representative whose first nonzero entry is positive, sorted
-    lexicographically. Raises RadiusEmptyError when a radius was given and no
-    coset point lies within it; BudgetExhaustedError when the node budget runs
-    out first.
+    Minimizers are the integer offset vectors x, sorted lexicographically.
+    No x != 0 has both x and -x among them: Q(t + x) + Q(t - x) =
+    2 Q(t) + 2 Q(x) exceeds twice the minimum, since Q(t) is at least the
+    minimum and Q(x) > 0. Raises RadiusEmptyError when a radius was given and
+    no coset point lies within it; BudgetExhaustedError when the node budget
+    runs out first.
     """
-    best, hits, nodes = _solve(problem, "shrink", reduce, node_budget)
+    best, hits, nodes = _search(_prepare(problem.form, reduce), problem, "shrink", node_budget)
     if best is None:
         raise RadiusEmptyError(
             f"no coset point with value <= {problem.radius}"
         )
     return EnumerationResult(
         min_norm=best,
-        minimizers=tuple(_collapse_signs(hits)),
+        minimizers=tuple(sorted(hits)),
         nodes_visited=nodes,
     )
-
-
-def coset_minimum(
-    problem: CosetProblem,
-    *,
-    reduce: bool = False,
-    node_budget: int | None = None,
-) -> tuple[Fraction, int]:
-    """(min_norm, nodes) of the search shortest_in_coset runs, value only.
-
-    The node count is the same; no minimizer is recorded, mapped back through
-    the reduction, sign-collapsed or sorted. Raises as shortest_in_coset does.
-    """
-    return coset_minima([problem], reduce=reduce, node_budget=node_budget)[0]
 
 
 def coset_minima(
@@ -401,13 +346,12 @@ def coset_minima(
     reduce: bool = False,
     node_budget: int | None = None,
 ) -> list[tuple[Fraction, int]]:
-    """coset_minimum of each problem, for problems that share one form.
+    """(min_norm, nodes) of each problem, for problems that share one form.
 
-    The form is reduced and factored once, and each target is searched on
-    that preparation, with its own node_budget. The reduced basis, the
-    factor and each mapped target are those a separate coset_minimum call
-    builds, so values and node counts are the same. Raises ValueError when
-    the forms differ, and otherwise as coset_minimum does.
+    Each search is the one shortest_in_coset runs, node for node, but records
+    no minimizer. The form is reduced and factored once, and each target is
+    searched on that preparation, with its own node_budget. Raises ValueError
+    when the forms differ, and otherwise as shortest_in_coset does.
     """
     form = problems[0].form
     if any(p.form != form for p in problems):
@@ -429,16 +373,16 @@ def enumerate_in_coset(
     *,
     reduce: bool = False,
     node_budget: int | None = None,
-) -> list[tuple[tuple[int, ...], Fraction]]:
-    """All coset offsets x with value <= problem.radius, sorted by x.
+) -> tuple[list[tuple[tuple[int, ...], Fraction]], int]:
+    """(points, nodes): every coset offset x with value <= problem.radius,
+    each with its value and sorted by x, and the nodes the search visited.
 
-    No sign collapsing here; callers that want one representative per +-pair
-    do their own filtering.
+    Both x and -x are listed when both lie within the radius.
     """
     if problem.radius is None:
         raise ValueError("enumerate_in_coset requires a radius")
-    _best, hits, _nodes = _solve(problem, "collect", reduce, node_budget)
-    return sorted(hits)
+    _best, hits, nodes = _search(_prepare(problem.form, reduce), problem, "collect", node_budget)
+    return sorted(hits), nodes
 
 
 def _forest_order(form):

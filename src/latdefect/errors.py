@@ -102,14 +102,6 @@ class GlueFailureError(ToolkitError):
     pass
 
 
-class NotRootsError(ToolkitError):
-    pass
-
-
-class NotIndependentError(ToolkitError):
-    pass
-
-
 class ExpressionParseError(ToolkitError):
     """Syntax error in a Seifert or connected-sum expression."""
 

@@ -1,13 +1,11 @@
 """Serialization helpers: exact rationals and JSON matrix formats.
 
 Rationals render as "p/q", or bare "n" when integral. Gram matrices travel
-as {"rank": n, "gram": [[...], ...]} with integer entries, plumbing trees as
-{"weights": [...], "edges": [[i, j], ...]}.
+as {"rank": n, "gram": [[...], ...]} with integer entries.
 
 A Gram matrix read from JSON may have rank at most MAX_GRAM_RANK and entries
 of absolute value at most MAX_GRAM_ENTRY: exact elimination costs grow with
-both, so larger input is rejected as malformed before any arithmetic. A
-plumbing tree is held to the same bounds, on its vertex count and weights.
+both, so larger input is rejected as malformed before any arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from fractions import Fraction
 
 from .errors import FormatError
 from .lattice import MAX_GRAM_ENTRY, MAX_GRAM_RANK
-from .plumbing import PlumbingTree
 
 
 def format_fraction(value) -> str:
@@ -89,51 +86,3 @@ def gram_from_json(text: str) -> list[list[int]]:
         )
     return [list(row) for row in rows]
 
-
-def tree_to_json(tree: PlumbingTree) -> str:
-    return json.dumps(
-        {"weights": list(tree.weights), "edges": [list(e) for e in tree.edges]}
-    )
-
-
-def tree_from_json(text: str) -> PlumbingTree:
-    """Decode a plumbing tree document; malformed input raises FormatError.
-
-    At most MAX_GRAM_RANK vertices, with weights of absolute value at most
-    MAX_GRAM_ENTRY.
-    """
-    try:
-        document = json.loads(text)
-    except ValueError as err:  # JSONDecodeError, or an integer too long to parse
-        raise FormatError(f"invalid JSON: {err}") from None
-    _require(isinstance(document, dict), "expected an object with 'weights' and 'edges'")
-    _require("weights" in document and "edges" in document, "missing 'weights' or 'edges'")
-    weights = document["weights"]
-    edges = document["edges"]
-    _require(
-        isinstance(weights, list)
-        and all(isinstance(w, int) and not isinstance(w, bool) for w in weights),
-        "'weights' must be a list of integers",
-    )
-    _require(
-        len(weights) <= MAX_GRAM_RANK,
-        f"{len(weights)} vertices exceed the limit of {MAX_GRAM_RANK}",
-    )
-    for i, w in enumerate(weights):
-        _require(
-            abs(w) <= MAX_GRAM_ENTRY,
-            f"weight of vertex {i} exceeds {MAX_GRAM_ENTRY} in absolute value",
-        )
-    _require(
-        isinstance(edges, list)
-        and all(
-            isinstance(e, list) and len(e) == 2
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in e)
-            for e in edges
-        ),
-        "'edges' must be a list of [i, j] integer pairs",
-    )
-    try:
-        return PlumbingTree(tuple(weights), tuple((i, j) for i, j in edges))
-    except ValueError as err:
-        raise FormatError(str(err)) from None

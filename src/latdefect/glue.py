@@ -149,11 +149,6 @@ def glue_overlattice(left: IntegralLattice, right: IntegralLattice) -> Overlatti
     )
 
 
-def double(lat: IntegralLattice) -> Overlattice:
-    """Glue a |det| = 2 lattice to itself."""
-    return glue_overlattice(lat, lat)
-
-
 def _restricted_pairings(basis2, pairings) -> list[int]:
     """q with basis2 q = 2 p, by back-substitution on the triangular basis2.
 

@@ -15,7 +15,6 @@ the positive definite form).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -27,10 +26,8 @@ from .errors import (
     NotBimodularError,
     NotCharacteristicError,
     NotDefiniteError,
-    NotIndependentError,
     NotIntegerError,
     NotPositiveDefiniteError,
-    NotRootsError,
     NotSymmetricError,
     ToolkitError,
 )
@@ -153,9 +150,6 @@ class Covector:
     @property
     def positive_norm(self) -> Fraction:
         return self.norm if self.lattice.sign > 0 else -self.norm
-
-    def pairing_with(self, coords) -> int:
-        return sum(p * c for p, c in zip(self.pairings, _integer_entries(coords)))
 
     def translate(self, delta) -> "Covector":
         return Covector(
@@ -320,7 +314,7 @@ def _require_positive(lat: IntegralLattice, what: str) -> None:
 def _vectors_of_norm(lat: IntegralLattice, value: int) -> list[tuple[int, ...]]:
     """All lattice vectors of the exact given norm, one per +-pair, sorted."""
     problem = CosetProblem(lat.gram, [0] * lat.rank, radius=Fraction(value))
-    hits = enumerate_in_coset(problem)
+    hits, _nodes = enumerate_in_coset(problem)
     found = {sign_normalize(x) for x, v in hits if v == value}
     return sorted(found)
 
@@ -334,11 +328,6 @@ def roots(lat: IntegralLattice) -> list[tuple[int, ...]]:
 def unit_vectors(lat: IntegralLattice) -> list[tuple[int, ...]]:
     _require_positive(lat, "unit vector search")
     return _vectors_of_norm(lat, 1)
-
-
-def is_minimal(lat: IntegralLattice) -> bool:
-    """True when the lattice has no vectors of norm 1."""
-    return not unit_vectors(lat)
 
 
 def is_diagonal(lat: IntegralLattice) -> bool:
@@ -429,59 +418,3 @@ def e7_lattice() -> IntegralLattice:
 
 def e8_lattice() -> IntegralLattice:
     return _tree_root_lattice(E8_EDGES, 8)
-
-
-@dataclass(frozen=True)
-class RootGraph:
-    """Pairing graph of an independent root set: edges carry r_i . r_j."""
-
-    vertices: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int, int], ...]
-
-
-def root_graph(lat: IntegralLattice, vectors) -> RootGraph:
-    """Build the graph of an independent set of norm-2 vectors.
-
-    Distinct independent roots pair to -1, 0, or +1 by Cauchy-Schwarz; edges
-    record the nonzero pairings.
-    """
-    _require_positive(lat, "root_graph")
-    vecs = [tuple(int(x) for x in v) for v in vectors]
-    for v in vecs:
-        if quadratic_value(lat.gram, v) != 2:
-            raise NotRootsError(f"vector {v} does not have norm 2")
-    if vecs and rational_rank(vecs) != len(vecs):
-        raise NotIndependentError("root set is linearly dependent")
-    edges = []
-    for i, j in itertools.combinations(range(len(vecs)), 2):
-        w = int(sum(vecs[i][a] * sum(lat.gram[a][b] * vecs[j][b] for b in range(lat.rank))
-                    for a in range(lat.rank)))
-        if abs(w) > 1:
-            raise NotIndependentError(f"roots {vecs[i]} and {vecs[j]} pair to {w}")
-        if w != 0:
-            edges.append((i, j, w))
-    return RootGraph(vertices=tuple(vecs), edges=tuple(edges))
-
-
-def is_bipartite(graph: RootGraph) -> bool:
-    """Two-colorability of the underlying graph, edge weights ignored."""
-    n = len(graph.vertices)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j, _w in graph.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    color = [None] * n
-    for start in range(n):
-        if color[start] is not None:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for nb in adj[v]:
-                if color[nb] is None:
-                    color[nb] = 1 - color[v]
-                    queue.append(nb)
-                elif color[nb] == color[v]:
-                    return False
-    return True

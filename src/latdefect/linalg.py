@@ -51,30 +51,6 @@ def first_asymmetry(mat) -> tuple[int, int] | None:
     return None
 
 
-def bareiss_determinant(mat: IntMatrix) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [list(map(int, row)) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def fraction_free_ldl(q) -> tuple[list[list[int]], list[int], int]:
     """Integer LDL^T data of a symmetric positive definite form q.
 

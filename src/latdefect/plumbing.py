@@ -105,7 +105,6 @@ class PlumbingTree:
 
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    star_center: int | None = None
 
     def __post_init__(self):
         n = len(self.weights)
@@ -172,11 +171,6 @@ def bad_vertex_indices(tree: PlumbingTree) -> tuple[int, ...]:
     return tuple(v for v in range(tree.rank) if tree.weights[v] > -degree[v])
 
 
-def bad_vertices(tree: PlumbingTree) -> int:
-    """Number of vertices whose framing exceeds the negative of their valence."""
-    return len(bad_vertex_indices(tree))
-
-
 def canonical_plumbing(data: SeifertData) -> PlumbingTree:
     """Star-shaped negative definite plumbing of a Seifert space.
 
@@ -206,7 +200,7 @@ def canonical_plumbing(data: SeifertData) -> PlumbingTree:
             weights.append(w)
             edges.append((previous, len(weights) - 1))
             previous = len(weights) - 1
-    tree = PlumbingTree(tuple(weights), tuple(edges), star_center=0)
+    tree = PlumbingTree(tuple(weights), tuple(edges))
     try:
         lat = tree.lattice
     except NotDefiniteError as err:
@@ -361,14 +355,3 @@ def parse_expression(text: str) -> ConnectedSum:
     """Parse a connected sum expression such as '3*P + Y(2; 15/13, 17/3, 23/22)'."""
     return _Parser(text).expression()
 
-
-def parse_seifert(text: str) -> SeifertData:
-    """Parse a single 'Y(...)' description."""
-    parser = _Parser(text)
-    atom = parser.atom()
-    parser.skip_ws()
-    if parser.pos != len(parser.text):
-        raise parser.error("unexpected trailing input")
-    if not isinstance(atom, SeifertData):
-        raise parser.error("expected a 'Y(...)' description")
-    return atom

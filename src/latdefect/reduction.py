@@ -11,10 +11,11 @@ from fractions import Fraction
 
 from .linalg import clear_denominators, fraction_free_row, identity
 
+# Lovasz constant of the swap test
 DELTA = Fraction(3, 4)
 
 
-def lll_reduce_gram(gram, delta: Fraction = DELTA):
+def lll_reduce_gram(gram):
     """Return (reduced, u) with reduced = u^T gram u and u unimodular.
 
     Integral LLL (de Weger, J. Number Theory 26, 1987; Cohen, A Course in
@@ -30,8 +31,7 @@ def lll_reduce_gram(gram, delta: Fraction = DELTA):
     a, scale = clear_denominators(gram)
     n = len(a)
     u = identity(n)
-    delta = Fraction(delta)
-    lovasz_num, lovasz_den = delta.numerator, delta.denominator
+    lovasz_num, lovasz_den = DELTA.numerator, DELTA.denominator
     lam = [[0] * n for _ in range(n)]
     d = [1] * (n + 1)  # d[k]: leading k x k minor of the current Gram matrix
     if n:
@@ -82,7 +82,7 @@ def lll_reduce_gram(gram, delta: Fraction = DELTA):
             fraction_free_row(a[k], k, lam, d)
         size_reduce(k, k - 1)
         bar = lam[k][k - 1]
-        # B_k < (delta - mu^2) B_{k-1} with B_k = d[k+1] / d[k], mu = bar / d[k]
+        # B_k < (DELTA - mu^2) B_{k-1} with B_k = d[k+1] / d[k], mu = bar / d[k]
         if lovasz_den * d[k + 1] * d[k - 1] < lovasz_num * d[k] ** 2 - lovasz_den * bar * bar:
             swap_step(k, kmax)
             k = max(1, k - 1)

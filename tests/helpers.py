@@ -419,7 +419,7 @@ def smith_saturation_check(basis2, lo: int, hi: int, n: int) -> None:
     determinant +-1.
     """
     from latdefect import GlueFailureError
-    from latdefect.linalg import bareiss_determinant, integer_row_kernel
+    from latdefect.linalg import adjugate, integer_row_kernel
 
     outside = [[row[j] for j in range(n) if not lo <= j < hi] for row in basis2]
     kernel = integer_row_kernel(outside)
@@ -434,7 +434,7 @@ def smith_saturation_check(basis2, lo: int, hi: int, n: int) -> None:
         if any(c % 2 for c in inside):
             raise GlueFailureError("intersection vector is not integral")
         block.append([c // 2 for c in inside])
-    if abs(bareiss_determinant(block)) != 1:
+    if adjugate(block)[1] not in (1, -1):
         raise GlueFailureError("intersection with a summand is a proper sublattice")
 
 

@@ -12,10 +12,7 @@ from latdefect import (
     format_fraction,
     gram_from_json,
     gram_to_json,
-    negative_e8_tree,
     parse_fraction,
-    tree_from_json,
-    tree_to_json,
     validate_lattice,
 )
 from latdefect.cli import main
@@ -62,43 +59,6 @@ def test_gram_json_diagnostics():
     for text, fragment in cases:
         with pytest.raises(FormatError, match=fragment):
             gram_from_json(text)
-
-
-def test_tree_json_roundtrip():
-    tree = negative_e8_tree()
-    back = tree_from_json(tree_to_json(tree))
-    assert back.weights == tree.weights
-    assert back.edges == tree.edges
-
-
-def test_tree_json_diagnostics():
-    with pytest.raises(FormatError, match="missing 'weights' or 'edges'"):
-        tree_from_json('{"weights": [-2]}')
-    with pytest.raises(FormatError, match="list of integers"):
-        tree_from_json('{"weights": [true], "edges": []}')
-    with pytest.raises(FormatError, match="pairs"):
-        tree_from_json('{"weights": [-2, -2], "edges": [[0, 1, 2]]}')
-    with pytest.raises(FormatError, match="disconnected"):
-        tree_from_json('{"weights": [-2, -2, -2, -2], "edges": [[0, 1], [1, 2], [0, 2]]}')
-
-
-def test_tree_json_bounds():
-    chain = lambda n, w=-2: json.dumps(
-        {"weights": [w] * n, "edges": [[i, i + 1] for i in range(n - 1)]}
-    )
-    assert tree_from_json(chain(MAX_GRAM_RANK)).rank == MAX_GRAM_RANK
-    assert tree_from_json(chain(1, -MAX_GRAM_ENTRY)).weights == (-MAX_GRAM_ENTRY,)
-    cases = [
-        (chain(MAX_GRAM_RANK + 1), f"{MAX_GRAM_RANK + 1} vertices exceed the limit"),
-        (chain(2, MAX_GRAM_ENTRY + 1), f"vertex 0 exceeds {MAX_GRAM_ENTRY}"),
-        ('{"weights": [-1' + "0" * 5000 + '], "edges": []}', "invalid JSON"),
-        ('{"weights": [-2, -2], "edges": [[0, null]]}', "integer pairs"),
-        ('{"weights": [-2, -2], "edges": [[0, "1"]]}', "integer pairs"),
-    ]
-    for text, fragment in cases:
-        with pytest.raises(FormatError, match=fragment) as info:
-            tree_from_json(text)
-        assert info.value.exit_code == 1
 
 
 @pytest.fixture()

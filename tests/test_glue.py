@@ -17,7 +17,6 @@ from latdefect import (
     characteristic_class_reps,
     defects,
     diagonal_bimodular_lattice,
-    double,
     e7_lattice,
     extend_covector,
     glue_overlattice,
@@ -25,10 +24,10 @@ from latdefect import (
     is_characteristic,
     is_diagonal,
     is_diagonal_bimodular,
-    is_minimal,
     min_char_norm,
     restrict_covector,
     roots,
+    unit_vectors,
     validate_lattice,
 )
 
@@ -55,21 +54,23 @@ def test_glue_e7_with_a1_is_e8():
     assert over.rank == 8
     assert abs(over.determinant) == 1
     assert all(over.gram[i][i] % 2 == 0 for i in range(8))  # even lattice
-    assert is_minimal(over)
+    assert not unit_vectors(over)
     assert len(roots(over)) == 120
     assert min_char_norm(over, reduce=True).min_norm == 0
 
 
 def test_double_delta_is_cube_lattice():
     for n in (1, 2, 4):
-        over = double(diagonal_bimodular_lattice(n))
+        lat = diagonal_bimodular_lattice(n)
+        over = glue_overlattice(lat, lat)
         assert over.rank == 2 * n
         assert is_diagonal(over)
         assert defects(over, reduce=True).d_plus == 0
 
 
 def test_double_e7_realizes_minimal_defect_sum():
-    over = double(e7_lattice())
+    e7 = e7_lattice()
+    over = glue_overlattice(e7, e7)
     assert over.rank == 14
     assert not is_diagonal(over)
     assert defects(over, reduce=True).d_plus == -2

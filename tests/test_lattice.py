@@ -22,17 +22,13 @@ from latdefect import (
     e7_lattice,
     e8_lattice,
     identity_lattice,
-    is_bipartite,
     is_characteristic,
     is_diagonal,
     is_diagonal_bimodular,
-    is_minimal,
-    root_graph,
     roots,
     unit_vectors,
     validate_lattice,
 )
-from latdefect.errors import NotIndependentError, NotRootsError
 from helpers import box_points_within, collapse_sign_pairs
 
 
@@ -128,9 +124,9 @@ def test_char_class_on_negative_definite_uses_positive_square():
 
 def test_unit_vectors_and_minimality():
     assert unit_vectors(identity_lattice(2)) == [(0, 1), (1, 0)]
-    assert is_minimal(a1_lattice())
-    assert not is_minimal(identity_lattice(1))
-    assert is_minimal(e8_lattice())
+    assert not unit_vectors(a1_lattice())
+    assert unit_vectors(identity_lattice(1))
+    assert not unit_vectors(e8_lattice())
 
 
 def test_roots_of_small_lattices():
@@ -198,46 +194,6 @@ def test_direct_sum():
         direct_sum(a1_lattice(), validate_lattice([[-1]]))
 
 
-def test_root_graph_shapes():
-    lat = identity_lattice(4)
-    # orthogonal roots: no edges
-    graph = root_graph(lat, [(1, 1, 0, 0), (0, 0, 1, 1)])
-    assert graph.edges == ()
-    # chain roots meeting in one coordinate: single weighted edge
-    graph = root_graph(lat, [(1, -1, 0, 0), (0, 1, -1, 0)])
-    assert graph.edges == ((0, 1, -1),)
-    assert is_bipartite(graph)
-
-
-def test_root_graph_of_e7_basis_is_bipartite_tree():
-    e7 = e7_lattice()
-    basis = [tuple(1 if i == j else 0 for j in range(7)) for i in range(7)]
-    graph = root_graph(e7, basis)
-    assert len(graph.edges) == 6
-    assert is_bipartite(graph)
-
-
-def test_root_graph_rejects_bad_input():
-    lat = identity_lattice(2)
-    with pytest.raises(NotRootsError):
-        root_graph(lat, [(1, 0)])  # norm 1, not a root
-    with pytest.raises(NotIndependentError):
-        root_graph(lat, [(1, 1), (-1, -1)])
-
-
-def test_is_bipartite_detects_odd_cycle():
-    cube = identity_lattice(3)
-    graph = root_graph(cube, [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
-    assert len(graph.edges) == 3
-    assert not is_bipartite(graph)
-
-
-def test_root_graph_rejects_dependent_roots():
-    cube = identity_lattice(3)
-    with pytest.raises(NotIndependentError):
-        root_graph(cube, [(1, -1, 0), (0, 1, -1), (1, 0, -1)])
-
-
 @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(-7, 3), 1.7, 2.0, "3", None])
 def test_non_integer_entries_are_rejected_not_truncated(entry):
     lat = a1_lattice()
@@ -245,8 +201,6 @@ def test_non_integer_entries_are_rejected_not_truncated(entry):
         Covector((entry,), lat)
     with pytest.raises(NotIntegerError):
         Covector((0,), lat).translate((entry,))
-    with pytest.raises(NotIntegerError):
-        Covector((1,), lat).pairing_with((entry,))
     with pytest.raises(NotIntegerError):
         validate_lattice([[2, entry], [entry, 2]])
 
@@ -256,7 +210,6 @@ def test_integral_fractions_are_accepted_as_ints():
     cov = Covector((Fraction(4, 2),), lat)
     assert cov.pairings == (2,) and type(cov.pairings[0]) is int
     assert cov.translate((Fraction(-2),)).pairings == (0,)
-    assert cov.pairing_with((Fraction(6, 2),)) == 6
     lat2 = validate_lattice([[Fraction(2), Fraction(-1)], [-1, 2]])
     assert lat2.gram == ((2, -1), (-1, 2))
     assert all(type(x) is int for row in lat2.gram for x in row)

@@ -1,0 +1,104 @@
+"""The public surface the benchmark relies on, and nothing that was deleted.
+
+The benchmark under bench/ reaches the library through `lib.<name>` on the
+imported package and through the per-layer function table of its tracer.
+Both are read here with ast, without importing or running the benchmark, so
+a deletion in the library that would break it fails this suite first.
+"""
+
+import ast
+import importlib
+import inspect
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import latdefect
+from latdefect.reduction import lll_reduce_gram
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+BENCH_SOURCES = sorted(BENCH.glob("*.py")) + sorted(BENCH.glob("tests/*.py"))
+
+# Removed helpers that no library caller, command or benchmark reached.
+DELETED = {
+    "enumeration": ("coset_minimum", "rational_cholesky", "_solve", "_factor", "_columns",
+                    "_cleared_vector", "_collapse_signs"),
+    "linalg": ("bareiss_determinant",),
+    "lattice": ("is_minimal", "root_graph", "is_bipartite", "RootGraph"),
+    "errors": ("NotRootsError", "NotIndependentError"),
+    "glue": ("double",),
+    "plumbing": ("bad_vertices", "parse_seifert"),
+    "formats": ("tree_to_json", "tree_from_json"),
+}
+
+
+def lib_attributes(path: Path) -> set[str]:
+    """Every name read as `lib.<name>` in one source file."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "lib"
+    }
+
+
+def tracer_layers() -> dict[str, tuple[str, ...]]:
+    """The LAYERS table of bench/tracer.py, read as a literal."""
+    for node in ast.parse((BENCH / "tracer.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py defines no LAYERS")
+
+
+def test_bench_sources_are_found():
+    names = {path.name for path in BENCH_SOURCES}
+    assert {"record_pool.py", "workloads.py", "tracer.py", "test_bench.py"} <= names
+
+
+@pytest.mark.parametrize("path", BENCH_SOURCES, ids=lambda p: str(p.relative_to(BENCH)))
+def test_every_lib_attribute_of_the_benchmark_resolves(path):
+    missing = sorted(name for name in lib_attributes(path) if not hasattr(latdefect, name))
+    assert missing == []
+
+
+def test_benchmark_reaches_the_record_pool_names():
+    used = set().union(*(lib_attributes(path) for path in BENCH_SOURCES))
+    assert {"dual_gram", "gram", "CosetProblem", "shortest_in_coset"} <= used
+
+
+def test_every_traced_layer_function_resolves():
+    layers = tracer_layers()
+    assert layers
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in layers.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"latdefect.{layer}"), name, None))
+    ]
+    assert missing == []
+
+
+def test_all_is_unique_and_resolves():
+    duplicates = [name for name, count in Counter(latdefect.__all__).items() if count > 1]
+    assert duplicates == []
+    assert [name for name in latdefect.__all__ if not hasattr(latdefect, name)] == []
+
+
+def test_deleted_names_are_gone():
+    everywhere = {name for names in DELETED.values() for name in names}
+    assert everywhere.isdisjoint(latdefect.__all__)
+    assert [name for name in everywhere if hasattr(latdefect, name)] == []
+    left = [
+        f"{module}.{name}"
+        for module, names in DELETED.items()
+        for name in names
+        if hasattr(importlib.import_module(f"latdefect.{module}"), name)
+    ]
+    assert left == []
+    assert "star_center" not in inspect.signature(latdefect.PlumbingTree).parameters
+    assert not hasattr(latdefect.Covector, "pairing_with")
+    assert list(inspect.signature(lll_reduce_gram).parameters) == ["gram"]

@@ -33,7 +33,7 @@ from latdefect import (
     validate_lattice,
 )
 from latdefect.cli import main
-from latdefect.enumeration import _solve, coset_minima, coset_minimum, enumerate_in_coset
+from latdefect.enumeration import coset_minima, enumerate_in_coset
 from latdefect.linalg import mat_vec
 
 SLOW = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -111,13 +111,13 @@ def test_max_char_square_matches_search_on_every_class(raw):
 
 def test_only_non_forests_take_the_search(monkeypatch):
     calls = []
-    search = DEFECTS.coset_minimum
+    search = DEFECTS.coset_minima
 
     def counted(*args, **kwargs):
         calls.append(1)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(DEFECTS, "coset_minimum", counted)
+    monkeypatch.setattr(DEFECTS, "coset_minima", counted)
     e8 = gram(negative_e8_tree())
     assert max_char_square(e8, base_characteristic(e8)) == 0
     assert calls == []
@@ -150,16 +150,15 @@ def test_search_budget_is_exact(problem):
     # the minimizer, value-only and collect modes: (run under a budget,
     # unbudgeted result, node count)
     full = shortest_in_coset(problem)
-    value = coset_minimum(problem)
+    [value] = coset_minima([problem])
     assert value == (full.min_norm, full.nodes_visited)
     within = CosetProblem(problem.form, problem.target, radius=full.min_norm + 1)
-    points = enumerate_in_coset(within)
-    collected = _solve(within, "collect", False, None)[2]
+    points, collected = enumerate_in_coset(within)
     assert len(points) > 1 and collected > full.nodes_visited
     searches = [
         (lambda budget: shortest_in_coset(problem, node_budget=budget), full, full.nodes_visited),
-        (lambda budget: coset_minimum(problem, node_budget=budget), value, value[1]),
-        (lambda budget: enumerate_in_coset(within, node_budget=budget), points, collected),
+        (lambda budget: coset_minima([problem], node_budget=budget)[0], value, value[1]),
+        (lambda budget: enumerate_in_coset(within, node_budget=budget), (points, collected), collected),
     ]
     for run, result, nodes in searches:
         assert run(nodes) == result
@@ -172,7 +171,7 @@ def test_search_budget_is_exact(problem):
 def test_coset_minima_gives_each_target_its_own_budget():
     path = budget_cases()[0]
     other = CosetProblem(path.form, [Fraction(-1, 3), 0, Fraction(1, 2), Fraction(5, 6)])
-    expected = [coset_minimum(path), coset_minimum(other)]
+    expected = coset_minima([path]) + coset_minima([other])
     small, large = sorted(nodes for _value, nodes in expected)
     assert 0 < small < large
     assert coset_minima([path, other], node_budget=large) == expected

@@ -18,7 +18,7 @@ from latdefect import (
     random_unimodular,
     verify_suite,
 )
-from latdefect.linalg import bareiss_determinant
+from latdefect.linalg import adjugate
 
 
 def test_random_unimodular_properties():
@@ -26,7 +26,7 @@ def test_random_unimodular_properties():
     for n in (1, 2, 4, 7):
         for _ in range(20):
             u = random_unimodular(rng, n)
-            assert bareiss_determinant(u) in (1, -1)
+            assert adjugate(u)[1] in (1, -1)
             assert max(abs(x) for row in u for x in row) <= 3
 
 
