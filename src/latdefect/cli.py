@@ -49,8 +49,8 @@ def _read_lattice(path: str):
     return validate_lattice(gram_from_json(pathlib.Path(path).read_text()))
 
 
-def _emit(settings: Settings, as_json: bool, payload: dict, lines):
-    if settings.json or as_json:
+def _emit(settings: Settings, payload: dict, lines):
+    if settings.json:
         click.echo(json.dumps(payload))
     else:
         for line in lines:
@@ -62,21 +62,20 @@ def _emit(settings: Settings, as_json: bool, payload: dict, lines):
               type=click.Path(exists=True, dir_okay=False), help="Gram matrix JSON file.")
 @click.option("--sign", type=click.Choice(["plus", "minus", "both"]), default="both",
               show_default=True, help="Which characteristic class to report.")
-@click.option("--json", "as_json", is_flag=True)
 @click.pass_obj
-def defect(settings: Settings, gram_path, sign, as_json):
+def defect(settings: Settings, gram_path, sign):
     """Defect invariant(s) of a definite lattice from its Gram matrix."""
     lat = _read_lattice(gram_path)
     options = dict(reduce=True, node_budget=settings.node_budget)
     if sign == "both":
         if abs(lat.determinant) == 1:
             value = defects(lat, **options).d_plus
-            _emit(settings, as_json,
+            _emit(settings,
                   {"determinant": lat.determinant, "defect": format_fraction(value)},
                   [f"defect = {format_fraction(value)}"])
             return
         pair = defects(lat, **options)
-        _emit(settings, as_json,
+        _emit(settings,
               {"determinant": lat.determinant,
                "d_plus": format_fraction(pair.d_plus),
                "d_minus": format_fraction(pair.d_minus)},
@@ -85,7 +84,7 @@ def defect(settings: Settings, gram_path, sign, as_json):
         return
     result = min_char_norm(lat, sign, **options)
     value = (result.min_norm - lat.rank) / 4
-    _emit(settings, as_json,
+    _emit(settings,
           {"determinant": lat.determinant, f"d_{sign}": format_fraction(value)},
           [f"d_{sign} = {format_fraction(value)}"])
 
@@ -97,9 +96,8 @@ def defect(settings: Settings, gram_path, sign, as_json):
               show_default=True, help="Restrict to one characteristic class.")
 @click.option("--radius", default=None, help="Only search squares up to this rational.")
 @click.option("--reduce", "reduce_", is_flag=True, help="Precondition with basis reduction.")
-@click.option("--json", "as_json", is_flag=True)
 @click.pass_obj
-def charmin(settings: Settings, gram_path, sign, radius, reduce_, as_json):
+def charmin(settings: Settings, gram_path, sign, radius, reduce_):
     """Minimal characteristic square and all minimizing covectors."""
     lat = _read_lattice(gram_path)
     bound = parse_fraction(radius) if radius is not None else None
@@ -109,7 +107,7 @@ def charmin(settings: Settings, gram_path, sign, radius, reduce_, as_json):
     lines = [f"min = {format_fraction(result.min_norm)}"]
     lines += [f"minimizer: ({', '.join(str(x) for x in p)})" for p in result.minimizers]
     lines.append(f"nodes = {result.nodes_visited}")
-    _emit(settings, as_json,
+    _emit(settings,
           {"min": format_fraction(result.min_norm),
            "minimizers": [list(p) for p in result.minimizers],
            "nodes": result.nodes_visited},
@@ -121,9 +119,8 @@ def charmin(settings: Settings, gram_path, sign, radius, reduce_, as_json):
               type=click.Path(exists=True, dir_okay=False), help="Left Gram JSON file.")
 @click.option("--right", "right_path", required=True,
               type=click.Path(exists=True, dir_okay=False), help="Right Gram JSON file.")
-@click.option("--json", "as_json", is_flag=True)
 @click.pass_obj
-def glue(settings: Settings, left_path, right_path, as_json):
+def glue(settings: Settings, left_path, right_path):
     """Unimodular overlattice glued from two determinant-2 lattices."""
     over = glue_overlattice(_read_lattice(left_path), _read_lattice(right_path))
     payload = {
@@ -133,7 +130,7 @@ def glue(settings: Settings, left_path, right_path, as_json):
         "index": over.sublattice_index,
         "basis": [[format_fraction(x) for x in row] for row in over.basis_change],
     }
-    _emit(settings, as_json, payload, [gram_to_json(over.gram)])
+    _emit(settings, payload, [gram_to_json(over.gram)])
 
 
 @cli.group()
@@ -147,9 +144,8 @@ def _evaluated(settings: Settings, expression: str):
 
 @seifert.command("d")
 @click.argument("expression")
-@click.option("--json", "as_json", is_flag=True)
 @click.pass_obj
-def seifert_d(settings: Settings, expression, as_json):
+def seifert_d(settings: Settings, expression):
     """Correction terms, one per spin-c class, with the labelled pair."""
     report = _evaluated(settings, expression)
     payload = {
@@ -168,17 +164,16 @@ def seifert_d(settings: Settings, expression, as_json):
         }
         lines.append(f"d_{{1/4}} = {format_fraction(report.pair.d_quarter)}")
         lines.append(f"d_{{-1/4}} = {format_fraction(report.pair.d_minus_quarter)}")
-    _emit(settings, as_json, payload, lines)
+    _emit(settings, payload, lines)
 
 
 @cli.command()
 @click.argument("expression")
-@click.option("--json", "as_json", is_flag=True)
 @click.pass_obj
-def obstruct(settings: Settings, expression, as_json):
+def obstruct(settings: Settings, expression):
     """Definite filling verdicts for both orientations."""
     verdict = report_verdict(_evaluated(settings, expression))
-    _emit(settings, as_json,
+    _emit(settings,
           {"positive_definite": str(verdict.positive_definite),
            "negative_definite": str(verdict.negative_definite),
            "reason": verdict.reason},
@@ -189,9 +184,8 @@ def obstruct(settings: Settings, expression, as_json):
 
 @cli.command()
 @click.argument("expression")
-@click.option("--json", "as_json", is_flag=True)
 @click.pass_obj
-def surgery(settings: Settings, expression, as_json):
+def surgery(settings: Settings, expression):
     """Obstruction to homology cobordism with 2/q surgeries on knots."""
     report = _evaluated(settings, expression)
     if report.pair is None:
@@ -200,7 +194,7 @@ def surgery(settings: Settings, expression, as_json):
         )
     verdict = surgery_cobordism_obstruction(report.pair)
     difference = surgery_difference(report.pair)
-    _emit(settings, as_json,
+    _emit(settings,
           {"difference": format_fraction(difference), "obstructed": verdict},
           [f"difference = {format_fraction(difference)}",
            f"verdict = {'true' if verdict else 'false'}"])
@@ -210,10 +204,8 @@ def surgery(settings: Settings, expression, as_json):
 @click.argument("suite", required=False, type=click.Choice(SUITE_NAMES))
 @click.option("--rank-bound", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
-@click.option("--seed", type=int, default=None, help="Override the global seed.")
-@click.option("--json", "as_json", is_flag=True)
 @click.pass_obj
-def verify(settings: Settings, suite, rank_bound, trials, seed, as_json):
+def verify(settings: Settings, suite, rank_bound, trials):
     """Run one randomized verification suite, or all of them."""
     names = [suite] if suite else list(SUITE_NAMES)
     reports = [
@@ -221,7 +213,7 @@ def verify(settings: Settings, suite, rank_bound, trials, seed, as_json):
             name,
             rank_bound=rank_bound,
             trials=trials,
-            seed=settings.seed if seed is None else seed,
+            seed=settings.seed,
             node_budget=settings.node_budget,
         )
         for name in names
@@ -231,7 +223,7 @@ def verify(settings: Settings, suite, rank_bound, trials, seed, as_json):
         f"suite {r.name}: {r.trials} trials, {r.checks} checks, 0 violations"
         for r in reports
     ]
-    _emit(settings, as_json, {"suites": payload}, lines)
+    _emit(settings, {"suites": payload}, lines)
 
 
 def main(argv=None) -> int:

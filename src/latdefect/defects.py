@@ -248,7 +248,7 @@ def max_char_square(
         )
     plan = lat.forest_plan
     if plan is not None:
-        # the positive Gram is integral, so its scale is 1 and z = adj p / |det|
+        # z = G^-1 p = adj p / |det| for the positive Gram G
         big, den = _halved(plan_solve(plan, class_rep.pairings), plan.determinant)
         return -4 * plan_minimum(plan, big, den, node_budget=node_budget)[0]
     [(value, _nodes)] = coset_minima(

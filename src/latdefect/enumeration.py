@@ -17,13 +17,15 @@ node, for callers that need only minimum values, reducing and factoring the
 form once for every target on it; enumerate_in_coset lists every point
 within a radius.
 
-When the off-diagonal support of Q is a forest (every plumbing tree is one),
-the exact minimum value needs no search: the objective is a sum of vertex and
-edge terms, so a leaf-to-root dynamic program over integer-scaled coordinates
-solves it. Its work is split in two. forest_plan gathers once per form what
-depends on Q alone: the order, integer weights, subtree minors and the
-diagonal of the adjugate, all by leaf-to-root elimination on the tree in
-O(n) integer steps, and the fraction-free LDL for the nearest-plane bound.
+When Q is an integer form whose off-diagonal support is a forest (every
+plumbing tree is one), the exact minimum value needs no search: the
+objective is a sum of vertex and edge terms, so a leaf-to-root dynamic
+program over integer-scaled coordinates solves it. Its work is split in
+two. forest_plan gathers once per form what depends on Q alone: the order,
+integer weights, subtree minors and the diagonal of the adjugate, all by
+leaf-to-root elimination on the tree in O(n) integer steps. It runs no
+dense elimination: the caller passes the fraction-free LDL for the
+nearest-plane bound, and a lattice passes the one its validation made.
 plan_solve multiplies a vector by the adjugate in O(n) steps on the same
 minors. plan_minimum then takes one integer target over a denominator, and
 computes each message as a lower-envelope query in integers.
@@ -45,10 +47,10 @@ from .errors import (
 from .linalg import (
     clear_denominators,
     first_asymmetry,
-    fraction_free_ldl,
     integer_matrix_inverse,
     ldl_decomposition,
     mat_vec,
+    require_square,
 )
 from .reduction import lll_reduce_gram
 
@@ -57,8 +59,9 @@ from .reduction import lll_reduce_gram
 class CosetProblem:
     """Minimize (target + x)^T form (target + x) over x in Z^n.
 
-    form must be symmetric positive definite (checked when factored); radius,
-    when given, is an inclusive upper bound on accepted values.
+    form must be square (FormatError otherwise), symmetric and positive
+    definite (checked when factored); radius, when given, is an inclusive
+    upper bound on accepted values.
     """
 
     form: tuple[tuple[Fraction, ...], ...]
@@ -67,6 +70,7 @@ class CosetProblem:
 
     def __init__(self, form, target, radius=None):
         rows = tuple(tuple(Fraction(x) for x in row) for row in form)
+        require_square(rows)
         bad = first_asymmetry(rows)
         if bad is not None:
             i, j = bad
@@ -446,18 +450,18 @@ def _nearest_plane(factor, big, den: int) -> tuple[int, int]:
 
 
 class ForestPlan(NamedTuple):
-    """What the tree dynamic program needs of one forest-shaped form Q.
+    """What the tree dynamic program needs of one forest-shaped integer form Q.
 
     Everything here depends on Q only, so a lattice builds it once for all of
     its spin-c classes. order lists every vertex after its children, and
-    parent[v] is -1 at a root. With scale the least s making A = s Q
-    integral, vertex[v] = a_vv and edge[v] = 2 a_vp for p = parent[v] (0 at a
-    root). minors[v] is the determinant of A on the subtree rooted at v, and
-    products[v] the product of minors[w] over the children w of v, which is
-    the determinant of that subtree with v removed. determinant = det A, and
-    adjugate_diagonal[v] = det(A - v) is the v-th diagonal entry of
-    adj A = det A * A^-1, so (Q^-1)_vv = scale adjugate_diagonal[v] /
-    determinant. factor = fraction_free_ldl(Q) feeds the nearest-plane bound.
+    parent[v] is -1 at a root. vertex[v] = q_vv and edge[v] = 2 q_vp for
+    p = parent[v] (0 at a root). minors[v] is the determinant of Q on the
+    subtree rooted at v, and products[v] the product of minors[w] over the
+    children w of v, which is the determinant of that subtree with v
+    removed. determinant = det Q, and adjugate_diagonal[v] = det(Q - v) is
+    the v-th diagonal entry of adj Q = det Q * Q^-1, so (Q^-1)_vv =
+    adjugate_diagonal[v] / determinant. factor = fraction_free_ldl(Q), as
+    the caller made it, feeds the nearest-plane bound.
     A NamedTuple rather than a dataclass: a frozen dataclass of this many
     fields costs about 1.5 ms of import time.
     """
@@ -466,7 +470,6 @@ class ForestPlan(NamedTuple):
     parent: tuple[int, ...]
     vertex: tuple[int, ...]
     edge: tuple[int, ...]
-    scale: int
     minors: tuple[int, ...]
     products: tuple[int, ...]
     determinant: int
@@ -482,37 +485,32 @@ def _exact(num: int, den: int) -> int:
     return quotient
 
 
-def forest_plan(form) -> ForestPlan | None:
-    """The ForestPlan of a symmetric positive definite form, or None when the
-    nonzero off-diagonal entries of the form do not make a forest.
+def forest_plan(form, factor) -> ForestPlan | None:
+    """The ForestPlan of a symmetric positive definite integer form with its
+    fraction_free_ldl factor, or None when the nonzero off-diagonal entries
+    of the form do not make a forest.
 
     A forest has no fill-in under leaf-to-root elimination, so the plan
-    needs no dense elimination besides the nearest-plane LDL. Cutting the
-    edge from v to its parent p splits a component C into two parts, so
-    det C = det(C1) det(C2) - a_vp^2 det(C1 - v) det(C2 - p). Attaching the
+    runs no dense elimination of its own. Cutting the edge from v to its
+    parent p splits a component C into two parts, so
+    det C = det(C1) det(C2) - q_vp^2 det(C1 - v) det(C2 - p). Attaching the
     children one at a time by this rule gives the subtree minors leaf to
     root without a division. One root-to-leaf pass then reroots: with U_v
     the determinant of C without the subtree of v and F_v that of C without
     the subtree of v and without p, F_v = U_p products[p] / minors[v] and
-    U_v = (det C + a_vp^2 products[v] F_v) / minors[v], and
-    det(A - v) = products[v] U_v det A / det C. Every division is checked to
-    be exact, and det A, the product of the root minors, must equal the last
-    leading minor of the LDL, which reaches the determinant by dense
-    elimination; ToolkitError is raised otherwise.
+    U_v = (det C + q_vp^2 products[v] F_v) / minors[v], and
+    det(Q - v) = products[v] U_v det Q / det C. Every division is checked to
+    be exact, and det Q, the product of the root minors, must equal the last
+    minor of the factor, which reached the determinant by dense elimination;
+    ToolkitError is raised otherwise.
     """
     shape = _forest_order(form)
     if shape is None:
         return None
     order, parent = shape
-    factor = fraction_free_ldl(form)
-    scale = factor[2]
     n = len(form)
-
-    def scaled(x) -> int:
-        return x.numerator * (scale // x.denominator)
-
-    vertex = [scaled(form[v][v]) for v in range(n)]
-    link = [scaled(form[v][p]) if p >= 0 else 0 for v, p in enumerate(parent)]
+    vertex = [form[v][v] for v in range(n)]
+    link = [form[v][p] if p >= 0 else 0 for v, p in enumerate(parent)]
     minors = list(vertex)
     products = [1] * n
     det = 1
@@ -544,7 +542,6 @@ def forest_plan(form) -> ForestPlan | None:
         parent=tuple(parent),
         vertex=tuple(vertex),
         edge=tuple(2 * a for a in link),
-        scale=scale,
         minors=tuple(minors),
         products=tuple(products),
         determinant=det,
@@ -554,16 +551,16 @@ def forest_plan(form) -> ForestPlan | None:
 
 
 def plan_solve(plan: ForestPlan, vec) -> list[int]:
-    """adj A vec for the integer form A = scale Q of the plan, in O(n) steps;
-    so Q^-1 vec = scale (adj A vec) / determinant.
+    """adj Q vec for the integer form Q of the plan, in O(n) steps; so
+    Q^-1 vec = (adj Q vec) / determinant.
 
     Leaf-to-root elimination leaves the row of v as
-    (minors[v] / products[v]) x_v + a_vp x_p = B_v / products[v], with the
+    (minors[v] / products[v]) x_v + q_vp x_p = B_v / products[v], with the
     integers B_v folded in child by child like the minors:
-    B_v <- B_v minors[w] - a_vw B_w P for P the product of the minors of the
-    children folded so far. Root to leaf, N = det A x then has
-    N_r = B_r det A / minors[r] at a root and
-    N_u = (B_u det A - a_up N_p products[u]) / minors[u] below it. Every
+    B_v <- B_v minors[w] - q_vw B_w P for P the product of the minors of the
+    children folded so far. Root to leaf, N = det Q x then has
+    N_r = B_r det Q / minors[r] at a root and
+    N_u = (B_u det Q - q_up N_p products[u]) / minors[u] below it. Every
     division is checked to be exact (ToolkitError otherwise).
     """
     parent, minors, products, det = plan.parent, plan.minors, plan.products, plan.determinant
@@ -628,14 +625,15 @@ def plan_minimum(
     plan: ForestPlan, big, den: int, *, node_budget: int | None = None
 ) -> tuple[Fraction, int]:
     """(min_norm, nodes): the exact minimum of (t + x)^T Q (t + x) over integer
-    x, for the form Q of the plan and the target t = big / den (den > 0).
+    x, for the integer form Q of the plan and the target t = big / den
+    (den > 0).
 
     Y = den (t + x) is an integer vector congruent to big mod den, and
-    den^2 scale times the value is the integer quadratic
+    den^2 times the value is the integer quadratic
     sum of vertex[v] Y_v^2 plus sum of edge[v] Y_v Y_p. The nearest-plane
     value R (_nearest_plane) bounds every coordinate by
     |Y_v| <= isqrt(floor(R (Q^-1)_vv den^2)) (Cauchy-Schwarz), with
-    (Q^-1)_vv = scale adjugate_diagonal[v] / determinant. Messages then
+    (Q^-1)_vv = adjugate_diagonal[v] / determinant. Messages then
     pass from the leaves to each root:
     m_v(Y_p) = min over Y_v of [h_v(Y_v) + edge[v] Y_v Y_p], where h_v is the
     vertex term plus the messages of the children of v; each is a lower
@@ -644,7 +642,6 @@ def plan_minimum(
     node_budget is checked against that exact total before any message.
     """
     reach, reach_den = _nearest_plane(plan.factor, big, den)
-    reach *= plan.scale
     whole = reach_den * plan.determinant
     domains = []
     for c, q in zip(big, plan.adjugate_diagonal):
@@ -667,5 +664,5 @@ def plan_minimum(
         hp = h[p]
         for k, m in enumerate(_message(h[v], domains[v], plan.edge[v], domains[p])):
             hp[k] += m
-    return Fraction(total, den * den * plan.scale), nodes
+    return Fraction(total, den * den), nodes
 

@@ -66,8 +66,13 @@ class NotDefiniteError(ToolkitError):
 
 
 class NotPositiveDefiniteError(ToolkitError):
-    def __init__(self, pivot_index: int | None = None, message: str | None = None) -> None:
-        self.pivot_index = pivot_index
+    """pivot_index is the first non-positive leading principal minor of the
+    form, and minor its value, when an elimination found them."""
+
+    def __init__(
+        self, pivot_index: int | None = None, message: str | None = None, minor=None
+    ) -> None:
+        self.pivot_index, self.minor = pivot_index, minor
         super().__init__(
             message
             or f"form is not positive definite: pivot {pivot_index} is not positive"

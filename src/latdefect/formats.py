@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import FormatError
 from .lattice import MAX_GRAM_ENTRY, MAX_GRAM_RANK
+from .linalg import require_square
 
 
 def format_fraction(value) -> str:
@@ -68,8 +69,8 @@ def gram_from_json(text: str) -> list[list[int]]:
         len(rows) <= MAX_GRAM_RANK,
         f"rank {len(rows)} exceeds the limit of {MAX_GRAM_RANK}",
     )
+    require_square(rows)
     for i, row in enumerate(rows):
-        _require(len(row) == len(rows), f"row {i} has length {len(row)}, expected {len(rows)}")
         for j, entry in enumerate(row):
             _require(
                 isinstance(entry, int) and not isinstance(entry, bool),

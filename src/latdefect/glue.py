@@ -142,6 +142,7 @@ def glue_overlattice(left: IntegralLattice, right: IntegralLattice) -> Overlatti
         gram=lattice.gram,
         sign=lattice.sign,
         determinant=lattice.determinant,
+        factor=lattice.factor,
         basis_change=tuple(tuple(Fraction(x, 2) for x in row) for row in basis2),
         sublattice_index=2,
         left=left,

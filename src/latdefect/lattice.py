@@ -15,7 +15,7 @@ the positive definite form).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -34,13 +34,14 @@ from .errors import (
 from .linalg import (
     adjugate as integer_adjugate,
     first_asymmetry,
+    fraction_free_ldl,
     hermite_row_basis,
     integer_row_kernel,
     invert_matrix,
     mat_mul,
     quadratic_value,
-    rational_rank,
     reduce_mod_rows,
+    require_square,
     sign_normalize,
     smith_normal_form,
     transpose,
@@ -71,11 +72,16 @@ class CharClassSign(Enum):
 
 @dataclass(frozen=True)
 class IntegralLattice:
-    """Definite lattice; sign is +1 for positive definite, -1 for negative."""
+    """Definite lattice; sign is +1 for positive definite, -1 for negative.
+
+    factor is fraction_free_ldl(positive_gram), the elimination validation
+    ran; the forest plan reuses it.
+    """
 
     gram: tuple[tuple[int, ...], ...]
     sign: int
     determinant: int
+    factor: tuple = field(compare=False, repr=False, kw_only=True)
 
     @property
     def rank(self) -> int:
@@ -118,11 +124,12 @@ class IntegralLattice:
         """The tree dynamic program's plan for the positive definite form, or
         None when its graph is not a forest.
 
-        Built by elimination on the tree (enumeration.forest_plan): its
-        determinant, checked against the LDL's, is |det|, its adjugate
-        diagonal and the class targets (plan_solve) need no dense adjugate.
+        Built by elimination on the tree (enumeration.forest_plan) with the
+        factor validation left: its determinant, checked against the
+        factor's, is |det|, and its adjugate diagonal and the class targets
+        (plan_solve) need no dense adjugate.
         """
-        return forest_plan(self.positive_gram)
+        return forest_plan(self.positive_gram, self.factor)
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
@@ -188,39 +195,31 @@ def _integer_entry(x) -> int:
 
 
 def validate_lattice(gram) -> IntegralLattice:
-    """Check symmetry and definiteness, returning the tagged lattice.
+    """Check shape, symmetry and definiteness, returning the tagged lattice.
 
-    One fraction-free elimination without pivoting runs on the matrix, or on
-    its negation when the first entry is negative. Its k-th pivot is the k-th
-    leading principal minor, so by Sylvester's criterion the form is definite
-    exactly when every pivot is positive; the first failing minor is reported
-    otherwise, and the last pivot gives the determinant.
+    A matrix that is not square raises FormatError. One fraction-free LDL
+    (linalg.fraction_free_ldl) factors the matrix, or its negation when the
+    first entry is negative. Its k-th minor is the k-th leading principal
+    minor, so by Sylvester's criterion the form is definite exactly when
+    every minor is positive; NotDefiniteError reports the first that is not,
+    and the last gives the determinant. The factor stays on the lattice.
     """
     rows = tuple(_integer_entries(row) for row in gram)
     n = len(rows)
     if n == 0:
         raise NotDefiniteError(0, 0)
-    if any(len(row) != n for row in rows):
-        raise NotSymmetricError(0, len(rows[0]) - 1, None, None)
+    require_square(rows)
     bad = first_asymmetry(rows)
     if bad is not None:
         i, j = bad
         raise NotSymmetricError(i, j, rows[i][j], rows[j][i])
     sign = -1 if rows[0][0] < 0 else 1
-    # upper triangle only: every intermediate matrix stays symmetric
-    a = [[sign * x for x in row] for row in rows]
-    prev = 1
-    for k in range(n):
-        pivot = a[k][k]
-        if pivot <= 0:
-            raise NotDefiniteError(k + 1, pivot)
-        top = a[k]
-        for i in range(k + 1, n):
-            row, f = a[i], top[i]
-            row[i:] = [(pivot * x - f * y) // prev for x, y in zip(row[i:], top[i:])]
-        prev = pivot
-    det = prev if sign > 0 or n % 2 == 0 else -prev
-    return IntegralLattice(gram=rows, sign=sign, determinant=det)
+    try:
+        factor = fraction_free_ldl(rows if sign > 0 else [[-x for x in row] for row in rows])
+    except NotPositiveDefiniteError as err:
+        raise NotDefiniteError(err.pivot_index, err.minor) from None
+    det = factor[1][n] if sign > 0 or n % 2 == 0 else -factor[1][n]
+    return IntegralLattice(gram=rows, sign=sign, determinant=det, factor=factor)
 
 
 def dual_gram(lat: IntegralLattice) -> tuple[tuple[Fraction, ...], ...]:
@@ -338,7 +337,7 @@ def is_diagonal(lat: IntegralLattice) -> bool:
     """
     _require_positive(lat, "is_diagonal")
     units = unit_vectors(lat)
-    return bool(units) and rational_rank(units) == lat.rank
+    return len(hermite_row_basis(units)) == lat.rank
 
 
 def is_diagonal_bimodular(lat: IntegralLattice) -> bool:
@@ -351,8 +350,7 @@ def is_diagonal_bimodular(lat: IntegralLattice) -> bool:
     if abs(lat.determinant) != 2:
         raise NotBimodularError(f"|det| = {abs(lat.determinant)}, need 2")
     units = unit_vectors(lat)
-    span = rational_rank(units) if units else 0
-    if span != lat.rank - 1:
+    if len(hermite_row_basis(units)) != lat.rank - 1:
         return False
     if not units:
         # rank 1, positive definite, determinant 2: the doubled axis itself

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .errors import NotPositiveDefiniteError, ToolkitError
+from .errors import FormatError, NotPositiveDefiniteError, ToolkitError
 
 IntMatrix = Sequence[Sequence[int]]
 
@@ -40,10 +40,19 @@ def quadratic_value(mat, vec):
     return dot(vec, mat_vec(mat, vec))
 
 
-def first_asymmetry(mat) -> tuple[int, int] | None:
+def require_square(mat) -> None:
+    """Raise FormatError naming the first row whose length is not the number
+    of rows."""
     n = len(mat)
-    if any(len(row) != n for row in mat):
-        return (0, 0) if n == 0 else (0, len(mat[0]) - 1)
+    for i, row in enumerate(mat):
+        if len(row) != n:
+            raise FormatError(f"row {i} has length {len(row)}, expected {n}")
+
+
+def first_asymmetry(mat) -> tuple[int, int] | None:
+    """The first (i, j) with i < j and mat[i][j] != mat[j][i], or None; mat
+    must be square (require_square)."""
+    n = len(mat)
     for i in range(n):
         for j in range(i + 1, n):
             if mat[i][j] != mat[j][i]:
@@ -62,7 +71,8 @@ def fraction_free_ldl(q) -> tuple[list[list[int]], list[int], int]:
     Computational Algebraic Number Theory, Alg. 2.6.7, step 2): every
     intermediate value is an integer minor, so each division is exact. Only
     the lower triangle is read. Raises NotPositiveDefiniteError at the first
-    non-positive minor, the index of the first non-positive pivot of D.
+    non-positive minor, with its index (that of the first non-positive pivot
+    of D) and its value.
     """
     a, scale = clear_denominators(q)
     n = len(a)
@@ -85,7 +95,7 @@ def fraction_free_row(gram_row, k: int, lam, minors) -> None:
         if j < k:
             row[j] = val
         elif val <= 0:
-            raise NotPositiveDefiniteError(k + 1)
+            raise NotPositiveDefiniteError(k + 1, minor=val)
         else:
             minors[k + 1] = val
 
@@ -169,27 +179,6 @@ def integer_matrix_inverse(mat: IntMatrix) -> list[list[int]]:
     if abs(det) != 1:
         raise ToolkitError("matrix is not unimodular")
     return adj if det == 1 else [[-x for x in row] for row in adj]
-
-
-def rational_rank(mat) -> int:
-    rows = [[Fraction(x) for x in row] for row in mat]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 def smith_normal_form(mat: IntMatrix) -> tuple[list[int], list[list[int]], list[list[int]]]:

@@ -378,17 +378,24 @@ def discriminant_generators_by_inverse(lat):
 
 def forest_minimum(problem, *, node_budget=None):
     """(min_norm, nodes) of the tree dynamic program on one CosetProblem, or
-    None when the nonzero off-diagonal entries of its form are no forest."""
+    None when the nonzero off-diagonal entries of its form are no forest.
+
+    The plan takes integer forms, so the form is scaled to one, s Q, and the
+    value divided by s. Node counts do not depend on s: the domains depend
+    only on R (Q^-1)_vv, which scaling leaves alone.
+    """
     from latdefect.enumeration import forest_plan, plan_minimum
-    from latdefect.linalg import clear_denominators
+    from latdefect.linalg import clear_denominators, fraction_free_ldl
 
     if problem.radius is not None:
         raise ValueError("forest_minimum takes no radius")
-    plan = forest_plan(problem.form)
+    rows, scale = clear_denominators(problem.form)
+    plan = forest_plan(rows, fraction_free_ldl(rows))
     if plan is None:
         return None
     (big,), den = clear_denominators([problem.target])
-    return plan_minimum(plan, big, den, node_budget=node_budget)
+    value, nodes = plan_minimum(plan, big, den, node_budget=node_budget)
+    return value / scale, nodes
 
 
 def smith_spinc_keys(lat):

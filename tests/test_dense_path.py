@@ -9,6 +9,7 @@ the Fraction restriction kept in tests/helpers.py.
 
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,6 @@ from latdefect import (
     CharClassSign,
     Covector,
     GlueFailureError,
-    IntegralLattice,
     Overlattice,
     ToolkitError,
     a1_lattice,
@@ -85,7 +85,7 @@ def test_integer_adjugate_is_det_times_the_fraction_inverse(lat):
 
 def test_integer_adjugate_checks_the_determinant():
     # the Gram matrix of A1 + A1 has determinant 4, not the 2 claimed here
-    wrong = IntegralLattice(gram=((2, 0), (0, 2)), sign=1, determinant=2)
+    wrong = replace(validate_lattice([[2, 0], [0, 2]]), determinant=2)
     with pytest.raises(ToolkitError, match="determinant 4"):
         wrong.adjugate
 
@@ -203,6 +203,7 @@ def handmade(doubled):
         gram=((1, 0), (0, 1)),
         sign=1,
         determinant=1,
+        factor=identity_lattice(2).factor,
         basis_change=tuple(tuple(Fraction(x, 2) for x in row) for row in doubled),
         sublattice_index=2,
         left=a1_lattice(),

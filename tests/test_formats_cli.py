@@ -119,7 +119,7 @@ def test_cli_charmin(capsys, gram_files):
 
 def test_cli_charmin_json(capsys, gram_files):
     code, out, _ = run_cli(
-        capsys, ["charmin", "--gram", gram_files["i3"], "--json", "--reduce"]
+        capsys, ["--json", "charmin", "--gram", gram_files["i3"], "--reduce"]
     )
     assert code == 0
     payload = json.loads(out)
@@ -142,7 +142,7 @@ def test_cli_glue(capsys, gram_files):
     assert abs(lat.determinant) == 1
     code, out, _ = run_cli(
         capsys,
-        ["glue", "--json", "--left", gram_files["a1"], "--right", gram_files["a1b"]],
+        ["--json", "glue", "--left", gram_files["a1"], "--right", gram_files["a1b"]],
     )
     payload = json.loads(out)
     assert payload["rank"] == 2
@@ -175,12 +175,21 @@ def test_cli_seifert_d_many_classes(capsys):
 
 
 def test_cli_seifert_d_json(capsys):
-    code, out, _ = run_cli(capsys, ["seifert", "d", "--json", "Y(-1; -3)"])
+    code, out, _ = run_cli(capsys, ["--json", "seifert", "d", "Y(-1; -3)"])
     assert code == 0
     payload = json.loads(out)
     assert payload["h1"] == 2
     assert payload["class_values"] == ["-1/4", "1/4"]
     assert payload["pair"] == {"d_1/4": "1/4", "d_-1/4": "-1/4"}
+
+
+def test_cli_json_and_seed_are_global_only(capsys):
+    code, out, err = run_cli(capsys, ["seifert", "d", "--json", "Y(-1; -3)"])
+    assert (code, out) == (1, "")
+    assert "--json" in err
+    code, out, err = run_cli(capsys, ["verify", "roundtrip", "--trials", "1", "--seed", "1"])
+    assert (code, out) == (1, "")
+    assert "--seed" in err
 
 
 def test_cli_obstruct(capsys):

@@ -118,7 +118,7 @@ def test_integer_nearest_plane_equals_fraction_babai(seed, rational):
 
 @SETTINGS
 @given(st.integers(0, 10**6), st.booleans())
-def test_coset_minimum_is_the_search_without_minimizers(seed, reduce):
+def test_coset_minima_is_the_search_without_minimizers(seed, reduce):
     rng = random.Random(seed)
     gram = random_spd_gram(rng, max_rank=6)
     problem = CosetProblem(gram, random_target(rng, len(gram)))

@@ -234,6 +234,7 @@ def handmade_overlattice(basis_change):
         gram=((1, 0), (0, 1)),
         sign=1,
         determinant=1,
+        factor=identity_lattice(2).factor,
         basis_change=basis_change,
         sublattice_index=2,
         left=a1_lattice(),

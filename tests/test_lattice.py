@@ -6,7 +6,9 @@ import pytest
 
 from latdefect import (
     CharClassSign,
+    CosetProblem,
     Covector,
+    FormatError,
     NotBimodularError,
     NotCharacteristicError,
     NotDefiniteError,
@@ -37,6 +39,23 @@ def test_validate_rejects_asymmetric():
         validate_lattice([[1, 2], [3, 1]])
     assert info.value.exit_code == 1
     assert (info.value.row, info.value.col) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1, 2]], "row 0 has length 2, expected 1"),
+        ([[]], "row 0 has length 0, expected 1"),
+        ([[1], [2]], "row 0 has length 1, expected 2"),
+        ([[1, 0], [0]], "row 1 has length 1, expected 2"),
+    ],
+    ids=["long row", "empty row", "column", "short second row"],
+)
+def test_non_square_matrices_name_the_bad_row(rows, message):
+    for build in (validate_lattice, lambda form: CosetProblem(form, [0] * len(form))):
+        with pytest.raises(FormatError, match=message) as info:
+            build(rows)
+        assert info.value.exit_code == 1
 
 
 def test_validate_rejects_indefinite():

@@ -18,7 +18,6 @@ from latdefect.linalg import (
     mat_mul,
     mat_vec,
     quadratic_value,
-    rational_rank,
     reduce_mod_rows,
     sign_normalize,
     smith_normal_form,
@@ -109,13 +108,13 @@ def test_ldl_reports_first_bad_pivot():
     assert info.value.pivot_index == 1
 
 
-def test_rational_rank_matches_sympy():
+def test_hermite_rank_matches_sympy():
     rng = random.Random(5)
     for _ in range(40):
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         a = random_int_matrix(rng, m, n, span=2)
-        assert rational_rank(a) == sympy.Matrix(a).rank()
+        assert len(hermite_row_basis(a)) == sympy.Matrix(a).rank()
 
 
 def test_smith_normal_form_properties():
@@ -160,7 +159,9 @@ def test_integer_row_kernel():
         kernel = integer_row_kernel(a)
         for v in kernel:
             assert all(x == 0 for x in mat_vec(transpose(a), v))
-        assert len(kernel) == m - rational_rank(a)
+        rank = sympy.Matrix(a).rank()
+        assert len(hermite_row_basis(a)) == rank
+        assert len(kernel) == m - rank
 
 
 def test_hermite_row_basis_canonical():
@@ -168,7 +169,7 @@ def test_hermite_row_basis_canonical():
     basis = hermite_row_basis(rows)
     for row in basis:
         assert all(x == 0 for x in reduce_mod_rows(row, basis))
-    assert rational_rank(basis) == rational_rank(rows)
+    assert sympy.Matrix(basis).rank() == sympy.Matrix(rows).rank() == len(basis)
     for row in rows:
         assert all(x == 0 for x in reduce_mod_rows(row, basis))
     # pivots positive, entries above each pivot reduced into [0, pivot)

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import latdefect
+from latdefect.enumeration import ForestPlan
 from latdefect.reduction import lll_reduce_gram
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -24,7 +25,7 @@ BENCH_SOURCES = sorted(BENCH.glob("*.py")) + sorted(BENCH.glob("tests/*.py"))
 DELETED = {
     "enumeration": ("coset_minimum", "rational_cholesky", "_solve", "_factor", "_columns",
                     "_cleared_vector", "_collapse_signs"),
-    "linalg": ("bareiss_determinant",),
+    "linalg": ("bareiss_determinant", "rational_rank"),
     "lattice": ("is_minimal", "root_graph", "is_bipartite", "RootGraph"),
     "errors": ("NotRootsError", "NotIndependentError"),
     "glue": ("double",),
@@ -102,3 +103,4 @@ def test_deleted_names_are_gone():
     assert "star_center" not in inspect.signature(latdefect.PlumbingTree).parameters
     assert not hasattr(latdefect.Covector, "pairing_with")
     assert list(inspect.signature(lll_reduce_gram).parameters) == ["gram"]
+    assert "scale" not in ForestPlan._fields

@@ -1,17 +1,16 @@
 """The tree-native plumbing path: subtree minors, adjugate diagonal and
 adjugate products of the forest plan against the dense fraction-free
 adjugate, spin-c classes from the Hermite box against the Smith route kept
-in tests/helpers.py, and a guard that the main example takes no dense
-inversion and no Smith form.
+in tests/helpers.py, and guards that the main example takes no dense
+inversion and no Smith form, and factors its Gram matrix once.
 """
 
-import importlib
 import random
 import sys
 from fractions import Fraction
 
 import pytest
-from helpers import random_spd_gram, smith_spinc_keys
+from helpers import count_linalg_calls, random_spd_gram, smith_spinc_keys
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -25,23 +24,33 @@ from latdefect import (
     conjugate_lattice,
     evaluate_expression,
     is_characteristic,
+    parse_expression,
     random_unimodular,
     spinc_classes,
     validate_lattice,
 )
 from latdefect.defects import _class_target, _halved
+from latdefect.dinvariant import _seifert_tree
 from latdefect.enumeration import forest_plan, plan_solve
-from latdefect.linalg import adjugate, clear_denominators, hermite_row_basis, mat_vec, reduce_mod_rows
+from latdefect.linalg import (
+    adjugate,
+    clear_denominators,
+    fraction_free_ldl,
+    hermite_row_basis,
+    mat_vec,
+    reduce_mod_rows,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-ENUMERATION = importlib.import_module("latdefect.enumeration")
+A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 
 
 @st.composite
 def forests(draw):
     """A strictly diagonally dominant form on a random forest with shuffled
     vertex labels: components may be single vertices, off-diagonal entries
-    take both signs, and entries may be rational with mixed denominators."""
+    take both signs, and entries may be rational with mixed denominators
+    (the plan takes the form scaled to integers)."""
     n = draw(st.integers(1, 8))
     rational = draw(st.booleans())
     label = draw(st.permutations(range(n)))
@@ -67,10 +76,9 @@ def forests(draw):
 @example(([[Fraction(2), 0, 0], [0, Fraction(3), 0], [0, 0, Fraction(5, 2)]], [1, -1, 2]))  # no edges
 def test_plan_matches_the_dense_adjugate(case):
     form, vec = case
-    rows, scale = clear_denominators(form)
+    rows, _scale = clear_denominators(form)
     adj, det = adjugate(rows)
-    plan = forest_plan(form)
-    assert plan.scale == scale
+    plan = forest_plan(rows, fraction_free_ldl(rows))
     assert plan.determinant == det
     assert plan.adjugate_diagonal == tuple(adj[v][v] for v in range(len(adj)))
     assert plan_solve(plan, vec) == mat_vec(adj, vec)
@@ -102,23 +110,28 @@ def _subtree(parent, v):
 
 
 def test_plan_solve_checks_every_division():
-    plan = forest_plan([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    plan = forest_plan(A3, fraction_free_ldl(A3))
     assert plan_solve(plan, [1, 0, 0]) == [3, 2, 1]
     broken = plan._replace(minors=tuple(m + 1 if m > 2 else m for m in plan.minors))
     with pytest.raises(ToolkitError, match="not divisible"):
         plan_solve(broken, [1, 0, 0])
 
 
-def test_plan_determinant_must_match_the_ldl(monkeypatch):
-    ldl = ENUMERATION.fraction_free_ldl
-
-    def off_by_one(form):
-        lam, minors, scale = ldl(form)
-        return lam, minors[:-1] + [minors[-1] + 1], scale
-
-    monkeypatch.setattr(ENUMERATION, "fraction_free_ldl", off_by_one)
+def test_plan_determinant_must_match_the_ldl():
+    lam, minors, scale = fraction_free_ldl(A3)
+    corrupted = (lam, minors[:-1] + [minors[-1] + 1], scale)
     with pytest.raises(ToolkitError, match="forest minors multiply to 4"):
-        forest_plan([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+        forest_plan(A3, corrupted)
+
+
+def test_main_example_factors_its_gram_once(monkeypatch):
+    calls = count_linalg_calls(monkeypatch, ["fraction_free_ldl"])
+    report = evaluate_expression("3*P + Y(2; 15/13, 17/3, 23/22)")
+    assert report.class_values == (Fraction(-7, 4), Fraction(7, 4))
+    assert calls["fraction_free_ldl"].count(32) == 1
+    (term,) = parse_expression("Y(2; 15/13, 17/3, 23/22)").terms
+    lat = _seifert_tree(term.atom)[0].lattice
+    assert lat.forest_plan.factor is lat.factor
 
 
 def test_lattice_plan_reads_no_dense_adjugate():
