@@ -66,15 +66,15 @@ def _emit(settings: Settings, payload: dict, lines):
 def defect(settings: Settings, gram_path, sign):
     """Defect invariant(s) of a definite lattice from its Gram matrix."""
     lat = _read_lattice(gram_path)
-    options = dict(reduce=True, node_budget=settings.node_budget)
+    budget = settings.node_budget
     if sign == "both":
         if abs(lat.determinant) == 1:
-            value = defects(lat, **options).d_plus
+            value = defects(lat, node_budget=budget).d_plus
             _emit(settings,
                   {"determinant": lat.determinant, "defect": format_fraction(value)},
                   [f"defect = {format_fraction(value)}"])
             return
-        pair = defects(lat, **options)
+        pair = defects(lat, node_budget=budget)
         _emit(settings,
               {"determinant": lat.determinant,
                "d_plus": format_fraction(pair.d_plus),
@@ -82,7 +82,7 @@ def defect(settings: Settings, gram_path, sign):
               [f"d_plus = {format_fraction(pair.d_plus)}",
                f"d_minus = {format_fraction(pair.d_minus)}"])
         return
-    result = min_char_norm(lat, sign, **options)
+    result = min_char_norm(lat, sign, node_budget=budget)
     value = (result.min_norm - lat.rank) / 4
     _emit(settings,
           {"determinant": lat.determinant, f"d_{sign}": format_fraction(value)},
@@ -95,15 +95,12 @@ def defect(settings: Settings, gram_path, sign):
 @click.option("--sign", type=click.Choice(["plus", "minus", "any"]), default="any",
               show_default=True, help="Restrict to one characteristic class.")
 @click.option("--radius", default=None, help="Only search squares up to this rational.")
-@click.option("--reduce", "reduce_", is_flag=True, help="Precondition with basis reduction.")
 @click.pass_obj
-def charmin(settings: Settings, gram_path, sign, radius, reduce_):
+def charmin(settings: Settings, gram_path, sign, radius):
     """Minimal characteristic square and all minimizing covectors."""
     lat = _read_lattice(gram_path)
     bound = parse_fraction(radius) if radius is not None else None
-    result = min_char_norm(
-        lat, sign, radius=bound, reduce=reduce_, node_budget=settings.node_budget,
-    )
+    result = min_char_norm(lat, sign, radius=bound, node_budget=settings.node_budget)
     lines = [f"min = {format_fraction(result.min_norm)}"]
     lines += [f"minimizer: ({', '.join(str(x) for x in p)})" for p in result.minimizers]
     lines.append(f"nodes = {result.nodes_visited}")

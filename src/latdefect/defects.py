@@ -25,7 +25,9 @@ target adj p / (2 |det|), with adj p from the plan's O(n) solve on the tree,
 so no CosetProblem, no dense adjugate and no Fraction is built before the
 value.
 min_char_norm reports the minimizing pairing vectors through
-shortest_in_coset.
+shortest_in_coset. Every one of these searches LLL-reduces its form first,
+as enumeration does for each minimum search; there is no switch, since
+reduction changes node counts only.
 """
 
 from __future__ import annotations
@@ -148,7 +150,6 @@ def min_char_norm(
     sign: CharClassSign | str = "any",
     *,
     radius=None,
-    reduce: bool = False,
     node_budget: int | None = None,
 ) -> EnumerationResult:
     """Minimal characteristic square, restricted to one class when asked.
@@ -157,9 +158,8 @@ def min_char_norm(
     covectors, one representative per {xi, -xi} pair, sorted.
     """
     _require_positive(lat, "min_char_norm")
-    opts = dict(reduce=reduce, node_budget=node_budget)
     if sign == "any" or sign is None:
-        res = shortest_in_coset(_any_problem(lat, radius), **opts)
+        res = shortest_in_coset(_any_problem(lat, radius), node_budget=node_budget)
         pairings = [
             tuple(d + 2 * x for d, x in zip(lat.diagonal, offs))
             for offs in res.minimizers
@@ -171,7 +171,7 @@ def min_char_norm(
         )
     wanted = CharClassSign(sign) if not isinstance(sign, CharClassSign) else sign
     rep = characteristic_class_reps(lat)[wanted].pairings
-    res = shortest_in_coset(_class_problem(lat, rep, radius), **opts)
+    res = shortest_in_coset(_class_problem(lat, rep, radius), node_budget=node_budget)
     value = 4 * res.min_norm
     _check_class_square(value, lat.rank, wanted)
     pairings = []
@@ -188,7 +188,6 @@ def min_char_norm(
 def defects(
     lat: IntegralLattice,
     *,
-    reduce: bool = False,
     node_budget: int | None = None,
 ) -> Defects:
     """Defect invariant(s): (min characteristic square - rank) / 4.
@@ -202,15 +201,15 @@ def defects(
     _require_positive(lat, "defects")
     det = abs(lat.determinant)
     n = lat.rank
-    opts = dict(reduce=reduce, node_budget=node_budget)
     if det == 1:
-        square = 4 * coset_minima([_any_problem(lat)], **opts)[0][0]
+        square = 4 * coset_minima([_any_problem(lat)], node_budget=node_budget)[0][0]
         d = Fraction(square - n, 4)
         return Defects(d_plus=d, d_minus=d)
     if det == 2:
         reps = characteristic_class_reps(lat)
         signs = (CharClassSign.PLUS, CharClassSign.MINUS)
-        minima = coset_minima([_class_problem(lat, reps[s].pairings) for s in signs], **opts)
+        problems = [_class_problem(lat, reps[s].pairings) for s in signs]
+        minima = coset_minima(problems, node_budget=node_budget)
         squares = [4 * value for value, _nodes in minima]
         for sign, square in zip(signs, squares):
             _check_class_square(square, n, sign)
@@ -227,7 +226,6 @@ def max_char_square(
     lat: IntegralLattice,
     class_rep: Covector,
     *,
-    reduce: bool = True,
     node_budget: int | None = None,
 ) -> Fraction:
     """Largest square over the class rep + 2L of a negative definite lattice.
@@ -235,8 +233,8 @@ def max_char_square(
     Equals minus the minimal square of the corresponding coset in the
     positive definite negation. A forest-shaped Gram matrix is solved exactly
     by the tree dynamic program (plan_minimum on the lattice's forest_plan),
-    where reduce has no effect and node_budget bounds its nodes;
-    any other goes through the branch-and-bound search.
+    where node_budget bounds its nodes; any other goes through the
+    branch-and-bound search.
     """
     if lat.sign >= 0:
         raise NotNegativeDefiniteError("max_char_square needs a negative definite lattice")
@@ -252,8 +250,6 @@ def max_char_square(
         big, den = _halved(plan_solve(plan, class_rep.pairings), plan.determinant)
         return -4 * plan_minimum(plan, big, den, node_budget=node_budget)[0]
     [(value, _nodes)] = coset_minima(
-        [_class_problem(lat, class_rep.pairings)],
-        reduce=reduce,
-        node_budget=node_budget,
+        [_class_problem(lat, class_rep.pairings)], node_budget=node_budget
     )
     return -4 * value

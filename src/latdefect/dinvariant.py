@@ -189,17 +189,17 @@ def evaluate_expression(
     """Correction terms of a connected sum of Seifert spaces.
 
     At most one summand may have nontrivial first homology; homology sphere
-    summands shift every class value. Two-class results carry the labelled
-    pair.
+    summands shift every class value, a summand of multiplicity k by k times
+    its correction term. Two-class results carry the labelled pair.
     """
     if isinstance(expression, str):
         expression = parse_expression(expression)
-    sphere_values: list[Fraction] = []
+    shift = Fraction(0)
     special: SeifertData | None = None
     for term in expression.terms:
         atom = term.atom
         if isinstance(atom, PoincareAtom):
-            sphere_values.extend([atom.orientation * POINCARE_SPHERE_D] * term.count)
+            shift += term.count * atom.orientation * POINCARE_SPHERE_D
             continue
         if h1_order(atom) == 1:
             (value,) = seifert_class_values(atom, node_budget=node_budget)
@@ -207,7 +207,7 @@ def evaluate_expression(
                 raise ResidueViolationError(
                     f"homology sphere correction term {value} is not an even integer"
                 )
-            sphere_values.extend([value] * term.count)
+            shift += term.count * value
             continue
         if special is not None or term.count > 1:
             raise UnsupportedExpressionError(
@@ -215,12 +215,10 @@ def evaluate_expression(
             )
         special = atom
     if special is None:
-        total = sum(sphere_values, Fraction(0))
-        return DInvariantReport(expression, 1, (total,), None)
+        return DInvariantReport(expression, 1, (shift,), None)
     values = seifert_class_values(special, node_budget=node_budget)
-    shift = sum(sphere_values, Fraction(0))
     shifted = tuple(sorted(v + shift for v in values))
     pair = None
     if len(values) == 2:
-        pair = sum_with_homology_spheres(label_quarter(values), sphere_values)
+        pair = sum_with_homology_spheres(label_quarter(values), [shift])
     return DInvariantReport(expression, h1_order(special), shifted, pair)

@@ -8,14 +8,15 @@ order; the first full descent therefore reproduces the nearest-plane rounding
 of -t and seeds the pruning radius. All arithmetic is exact: denominators are
 cleared once per factorization, so the inner loop works on plain integers.
 
-Optional integral LLL preprocessing conjugates the problem by a unimodular
-matrix and never affects results, only node counts. The search is serial, so
-node counts, and whether a node budget suffices, are the same on every run.
 There is one entry point per problem shape: shortest_in_coset reports the
 minimum with every minimizer; coset_minima runs the same search, node for
 node, for callers that need only minimum values, reducing and factoring the
 form once for every target on it; enumerate_in_coset lists every point
-within a radius.
+within a radius. Integral LLL conjugates the problem by a unimodular matrix:
+it changes node counts, never results. Both minimum searches apply it to
+every form of rank > 1; the listing, whose radius is fixed, runs faster
+without it. The search is serial, so node counts, and whether a node budget
+suffices, are the same on every run.
 
 When Q is an integer form whose off-diagonal support is a forest (every
 plumbing tree is one), the exact minimum value needs no search: the
@@ -253,9 +254,9 @@ class _Worker:
 
 
 class _Prepared(NamedTuple):
-    """What every search on one form shares: with reduce, the LLL basis
-    change unimod and its integer inverse (None without), and the LDL columns
-    and pivots of the form in that basis."""
+    """What every search on one form shares: the LLL basis change unimod and
+    its integer inverse (None when the form was not reduced), and the LDL
+    columns and pivots of the form in that basis."""
 
     unimod: list | None
     inverse: list | None
@@ -264,7 +265,7 @@ class _Prepared(NamedTuple):
 
 
 def _prepare(form, reduce: bool) -> _Prepared:
-    """LLL-reduce (when asked, and the rank exceeds 1) and factor one form;
+    """LLL-reduce (when asked and the rank exceeds 1) and factor one form;
     cols[i] lists the nonzero below-diagonal entries (j, L_ji) of column i."""
     unimod = inverse = None
     if reduce and len(form) > 1:
@@ -320,17 +321,17 @@ def _search(prepared: _Prepared, problem: CosetProblem, mode: str, node_budget):
 def shortest_in_coset(
     problem: CosetProblem,
     *,
-    reduce: bool = False,
+    reduce: bool = True,
     node_budget: int | None = None,
 ) -> EnumerationResult:
     """Exact minimum of (target + x)^T form (target + x) with all minimizers.
 
-    Minimizers are the integer offset vectors x, sorted lexicographically.
-    No x != 0 has both x and -x among them: Q(t + x) + Q(t - x) =
-    2 Q(t) + 2 Q(x) exceeds twice the minimum, since Q(t) is at least the
-    minimum and Q(x) > 0. Raises RadiusEmptyError when a radius was given and
-    no coset point lies within it; BudgetExhaustedError when the node budget
-    runs out first.
+    reduce=False skips the LLL step, for a second route. Minimizers are the
+    integer offset vectors x, sorted lexicographically. No x != 0 has both x
+    and -x among them: Q(t + x) + Q(t - x) = 2 Q(t) + 2 Q(x) exceeds twice
+    the minimum, since Q(t) is at least the minimum and Q(x) > 0. Raises
+    RadiusEmptyError when a radius was given and no coset point lies within
+    it; BudgetExhaustedError when the node budget runs out first.
     """
     best, hits, nodes = _search(_prepare(problem.form, reduce), problem, "shrink", node_budget)
     if best is None:
@@ -347,7 +348,6 @@ def shortest_in_coset(
 def coset_minima(
     problems,
     *,
-    reduce: bool = False,
     node_budget: int | None = None,
 ) -> list[tuple[Fraction, int]]:
     """(min_norm, nodes) of each problem, for problems that share one form.
@@ -360,7 +360,7 @@ def coset_minima(
     form = problems[0].form
     if any(p.form != form for p in problems):
         raise ValueError("coset_minima needs problems that share one form")
-    prepared = _prepare(form, reduce)
+    prepared = _prepare(form, True)
     out = []
     for problem in problems:
         best, _hits, nodes = _search(prepared, problem, "value", node_budget)
@@ -375,7 +375,6 @@ def coset_minima(
 def enumerate_in_coset(
     problem: CosetProblem,
     *,
-    reduce: bool = False,
     node_budget: int | None = None,
 ) -> tuple[list[tuple[tuple[int, ...], Fraction]], int]:
     """(points, nodes): every coset offset x with value <= problem.radius,
@@ -385,7 +384,7 @@ def enumerate_in_coset(
     """
     if problem.radius is None:
         raise ValueError("enumerate_in_coset requires a radius")
-    _best, hits, nodes = _search(_prepare(problem.form, reduce), problem, "collect", node_budget)
+    _best, hits, nodes = _search(_prepare(problem.form, False), problem, "collect", node_budget)
     return sorted(hits), nodes
 
 

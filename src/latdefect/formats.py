@@ -56,7 +56,7 @@ def gram_from_json(text: str) -> list[list[int]]:
     """
     try:
         document = json.loads(text)
-    except ValueError as err:  # JSONDecodeError, or an integer too long to parse
+    except (ValueError, RecursionError) as err:  # also huge integers, deep nesting
         raise FormatError(f"invalid JSON: {err}") from None
     _require(isinstance(document, dict), "expected an object with a 'gram' field")
     _require("gram" in document, "missing 'gram' field")

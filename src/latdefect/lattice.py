@@ -36,7 +36,7 @@ from .linalg import (
     first_asymmetry,
     fraction_free_ldl,
     hermite_row_basis,
-    integer_row_kernel,
+    identity,
     invert_matrix,
     mat_mul,
     quadratic_value,
@@ -355,8 +355,12 @@ def is_diagonal_bimodular(lat: IntegralLattice) -> bool:
     if not units:
         # rank 1, positive definite, determinant 2: the doubled axis itself
         return True
-    pairing_cols = mat_mul(lat.gram, transpose(units))
-    kernel = integer_row_kernel(pairing_cols)
+    # the rows of the Hermite basis of [A | I] with A part zero, for A the
+    # pairings with the units, are a basis of their orthogonal complement
+    k = len(units)
+    pairing_rows = mat_mul(lat.gram, transpose(units))
+    stacked = [row + unit for row, unit in zip(pairing_rows, identity(lat.rank))]
+    kernel = [row[k:] for row in hermite_row_basis(stacked) if not any(row[:k])]
     if len(kernel) != 1:
         return False
     return quadratic_value(lat.gram, kernel[0]) == 2

@@ -258,16 +258,6 @@ def smith_normal_form(mat: IntMatrix) -> tuple[list[int], list[list[int]], list[
     return diag, left, right
 
 
-def integer_row_kernel(mat: IntMatrix) -> list[list[int]]:
-    """Basis of {y in Z^m : y * mat = 0}; the result is a saturated lattice basis."""
-    m = len(mat)
-    if m == 0:
-        return []
-    diag, left, _right = smith_normal_form(mat)
-    rank = sum(1 for d in diag if d != 0)
-    return [list(left[i]) for i in range(rank, m)]
-
-
 def hermite_row_basis(rows: IntMatrix) -> list[list[int]]:
     """Canonical row Hermite form: pivots positive, entries above a pivot
     reduced into [0, pivot). Zero rows are dropped."""

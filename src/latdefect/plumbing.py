@@ -304,16 +304,15 @@ class _Parser:
 
     def atom(self) -> PoincareAtom | SeifertData:
         self.skip_ws()
+        flip = False
+        while self.peek() == "-":  # a loop: the count of signs is unbounded
+            flip = not flip
+            self.pos += 1
+            self.skip_ws()
         ch = self.peek()
         if ch == "P":
             self.pos += 1
-            return PoincareAtom()
-        if ch == "-":
-            self.pos += 1
-            inner = self.atom()
-            if isinstance(inner, PoincareAtom):
-                return PoincareAtom(-inner.orientation)
-            return reverse_orientation(inner)
+            return PoincareAtom(-1 if flip else 1)
         if ch == "Y":
             self.pos += 1
             self.expect("(")
@@ -326,7 +325,8 @@ class _Parser:
                 legs.append(self.rational())
                 self.skip_ws()
             self.expect(")")
-            return SeifertData(central, tuple(legs))
+            data = SeifertData(central, tuple(legs))
+            return reverse_orientation(data) if flip else data
         raise self.error("expected 'P', '-', or 'Y('")
 
     def term(self) -> ExpressionTerm:

@@ -1,8 +1,8 @@
 """Integral LLL reduction operating directly on Gram matrices.
 
-Used only as optional preprocessing for coset enumeration: the output is a
-unimodular change of basis, so enumeration results never depend on reduction
-quality, only node counts do.
+Used only as preprocessing for the minimum searches of coset enumeration:
+the output is a unimodular change of basis, so search results never depend
+on reduction quality, only node counts do.
 """
 
 from __future__ import annotations

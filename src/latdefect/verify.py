@@ -93,7 +93,7 @@ class _Run:
             self.violations.append(message)
 
     def defects(self, lat):
-        return defects(lat, reduce=True, node_budget=self.node_budget)
+        return defects(lat, node_budget=self.node_budget)
 
 
 def _unimodular_bases(run: _Run, rank_bound: int) -> IntegralLattice:

@@ -20,9 +20,10 @@ of the division route that replaced it. forest_minimum runs the tree dynamic
 program on one CosetProblem, to be checked against the branch-and-bound
 search; smith_spinc_keys walks the spin-c classes through the discriminant
 group's Smith generators, the oracle of the Hermite box that replaced it.
-smith_saturation_check tests how the glued overlattice meets a summand's span
-through an integer kernel (a Smith form), the oracle of the parity test that
-replaced it. count_linalg_calls records which linear algebra a call reaches.
+smith_row_kernel reads an integer row kernel off a Smith form, the oracle of
+the Hermite kernel in is_diagonal_bimodular; smith_saturation_check uses it to
+test how the glued overlattice meets a summand's span, the oracle of the
+parity test that replaced it. count_linalg_calls records which linear algebra a call reaches.
 """
 
 from __future__ import annotations
@@ -416,6 +417,19 @@ def smith_spinc_keys(lat):
     return keys
 
 
+def smith_row_kernel(mat) -> list[list[int]]:
+    """Saturated basis of {y in Z^m : y * mat = 0}: the last m - rank rows of
+    the left Smith transform."""
+    from latdefect.linalg import smith_normal_form
+
+    m = len(mat)
+    if m == 0:
+        return []
+    diag, left, _right = smith_normal_form(mat)
+    rank = sum(1 for d in diag if d != 0)
+    return [list(left[i]) for i in range(rank, m)]
+
+
 def smith_saturation_check(basis2, lo: int, hi: int, n: int) -> None:
     """Raise GlueFailureError unless the overlattice meets the rational span
     of coordinates [lo, hi) exactly in the block lattice there.
@@ -426,10 +440,10 @@ def smith_saturation_check(basis2, lo: int, hi: int, n: int) -> None:
     determinant +-1.
     """
     from latdefect import GlueFailureError
-    from latdefect.linalg import adjugate, integer_row_kernel
+    from latdefect.linalg import adjugate
 
     outside = [[row[j] for j in range(n) if not lo <= j < hi] for row in basis2]
-    kernel = integer_row_kernel(outside)
+    kernel = smith_row_kernel(outside)
     if len(kernel) != hi - lo:
         raise GlueFailureError("intersection with a summand has wrong rank")
     block = []

@@ -105,7 +105,7 @@ def test_acceptance_5_defect_goldens():
 
     def timed(lat):
         start = time.perf_counter()
-        pair = defects(lat, reduce=True)
+        pair = defects(lat)
         timings.append(time.perf_counter() - start)
         return pair.d_plus, pair.d_minus
 
@@ -140,7 +140,7 @@ def test_acceptance_7_enumeration_against_exhaustive_search():
         form = random_spd_gram(rng, max_rank=4, max_entry=6)
         target = random_target(rng, len(form))
         expect_min, expect_args = box_minimum(form, target)
-        result = shortest_in_coset(CosetProblem(form, target), reduce=True)
+        result = shortest_in_coset(CosetProblem(form, target))
         if result.min_norm != expect_min or list(result.minimizers) != expect_args:
             mismatches += 1
     _report(

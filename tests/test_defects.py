@@ -40,7 +40,7 @@ def test_identity_lattices_have_zero_defect():
 
 
 def test_e8_defect():
-    pair = defects(e8_lattice(), reduce=True)
+    pair = defects(e8_lattice())
     assert pair.d_plus == -2
     assert pair.d_minus == -2
 
@@ -53,13 +53,13 @@ def test_a1_and_diagonal_bimodular_defects():
 
 
 def test_e7_defects():
-    pair = defects(e7_lattice(), reduce=True)
+    pair = defects(e7_lattice())
     assert (pair.d_plus, pair.d_minus) == (Fraction(-7, 4), -QUARTER)
 
 
 def test_defect_residues():
     for lat in (a1_lattice(), diagonal_bimodular_lattice(4), e7_lattice()):
-        pair = defects(lat, reduce=True)
+        pair = defects(lat)
         assert (pair.d_plus - QUARTER) % 2 == 0
         assert (pair.d_minus + QUARTER) % 2 == 0
 
@@ -67,9 +67,9 @@ def test_defect_residues():
 def test_defects_stable_under_cube_summands():
     base = e7_lattice()
     padded = direct_sum(base, identity_lattice(3))
-    assert defects(padded, reduce=True) == defects(base, reduce=True)
+    assert defects(padded) == defects(base)
     uni = direct_sum(e8_lattice(), identity_lattice(2))
-    assert defects(uni, reduce=True).d_plus == -2
+    assert defects(uni).d_plus == -2
 
 
 def test_defects_determinant_guard():
@@ -172,6 +172,6 @@ def test_defect_additivity_against_direct_sums():
     right = e8_lattice()
     both = direct_sum(left, right)
     assert (
-        min_char_norm(both, reduce=True).min_norm
-        == min_char_norm(left).min_norm + min_char_norm(right, reduce=True).min_norm
+        min_char_norm(both).min_norm
+        == min_char_norm(left).min_norm + min_char_norm(right).min_norm
     )

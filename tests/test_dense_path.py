@@ -238,8 +238,9 @@ GOLDENS = (
 @pytest.mark.parametrize("reduce", [False, True])
 def test_shared_preparation_matches_one_preparation_per_class(reduce):
     """Each class searched on its own, through the minimizer-recording
-    shortest_in_coset, visits the nodes and finds the minimum that the
-    shared preparation does."""
+    shortest_in_coset, finds the minimum that the shared preparation does;
+    with the same LLL step, which the shared preparation always takes, it
+    visits the same nodes too."""
     lattices = GOLDENS + [conjugated_bimodular(seed) for seed in range(50)]
     for lat in lattices:
         n = lat.rank
@@ -255,8 +256,12 @@ def test_shared_preparation_matches_one_preparation_per_class(reduce):
         for problem in problems:
             result = shortest_in_coset(problem, reduce=reduce)
             separate.append((result.min_norm, result.nodes_visited))
-        assert coset_minima(problems, reduce=reduce) == separate
-        pair = defects(lat, reduce=reduce)
+        shared = coset_minima(problems)
+        if reduce:
+            assert shared == separate
+        else:
+            assert [value for value, _nodes in shared] == [value for value, _nodes in separate]
+        pair = defects(lat)
         values = [Fraction(4 * value - n, 4) for value, _nodes in separate]
         if len(values) == 1:  # a unimodular lattice reports its defect twice
             values *= 2

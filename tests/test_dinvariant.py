@@ -146,6 +146,21 @@ def test_main_example_pair(ybar_report):
     assert ybar_report.pair == QuarterPair(Fraction(-31, 4), Fraction(-17, 4))
 
 
+def test_multiplicities_shift_by_one_product(ybar_report):
+    # k summands shift by k times the correction term; no k-long list is built
+    k = 10**30
+    report = evaluate_expression(f"{k}*P + Y(2; 15/13, 17/3, 23/22)")
+    shift = 2 * k
+    assert report.class_values == tuple(v + shift for v in ybar_report.class_values)
+    assert report.pair == QuarterPair(
+        ybar_report.pair.d_quarter + shift, ybar_report.pair.d_minus_quarter + shift
+    )
+    # Y(2; 2/1, 3/2, 5/4) is a Seifert homology sphere with d = -2
+    assert evaluate_expression("Y(2; 2/1, 3/2, 5/4)").class_values == (Fraction(-2),)
+    spheres = evaluate_expression(f"{k}*Y(2; 2/1, 3/2, 5/4) + {k}*-P + 3*P")
+    assert spheres.class_values == (Fraction(6 - 2 * shift),)
+
+
 def test_main_example_composed_with_spheres(ybar_report):
     combined = sum_with_homology_spheres(ybar_report.pair, [2, 2, 2])
     assert combined == QuarterPair(Fraction(-7, 4), Fraction(7, 4))

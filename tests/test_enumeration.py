@@ -1,12 +1,15 @@
 """Coset minimization: goldens, oracle agreement, budgets, reduction, and the
-serial search as the only one (no entry point takes threads)."""
+serial search as the only one (no entry point takes threads). Only
+shortest_in_coset lets the caller choose the LLL step."""
 
 import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import latdefect
 from latdefect import (
     BudgetExhaustedError,
     CosetProblem,
@@ -14,16 +17,19 @@ from latdefect import (
     NotSymmetricError,
     RadiusEmptyError,
     defects,
+    e8_lattice,
     enumerate_in_coset,
     lll_reduce_gram,
     max_char_square,
     min_char_norm,
+    roots,
     shortest_in_coset,
     verify_suite,
 )
 from latdefect.cli import main
 from latdefect.enumeration import coset_minima
 from latdefect.errors import EXIT_USAGE
+from latdefect.formats import gram_to_json
 from latdefect.linalg import adjugate, ldl_decomposition, mat_mul, quadratic_value, transpose
 from helpers import box_minimum, box_points_within, random_spd_gram, random_target
 
@@ -129,6 +135,43 @@ def test_no_entry_point_takes_threads(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_only_shortest_in_coset_takes_reduce(capsys, tmp_path):
+    # minimum searches always reduce and listings never do; only the search
+    # with minimizers can skip it, for a second route without LLL
+    takes = []
+    for name in latdefect.__all__:
+        obj = getattr(latdefect, name)
+        if callable(obj) and not isinstance(obj, type):
+            if "reduce" in inspect.signature(obj).parameters:
+                takes.append(name)
+    assert takes == ["shortest_in_coset"]
+    assert inspect.signature(shortest_in_coset).parameters["reduce"].default is True
+    gram = tmp_path / "i3.json"
+    gram.write_text(gram_to_json([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    assert main(["charmin", "--gram", str(gram), "--reduce"]) == EXIT_USAGE
+    assert "--reduce" in capsys.readouterr().err
+
+
+def test_minimum_searches_reduce_and_listings_do_not(monkeypatch):
+    enumeration = sys.modules["latdefect.enumeration"]
+    ranks = []
+
+    def counted(gram):
+        ranks.append(len(gram))
+        return lll_reduce_gram(gram)
+
+    monkeypatch.setattr(enumeration, "lll_reduce_gram", counted)
+    problem = CosetProblem([[2, 1, 0], [1, 2, 1], [0, 1, 3]], [Fraction(1, 2), 0, Fraction(1, 3)])
+    enumerate_in_coset(CosetProblem(problem.form, problem.target, radius=4))
+    roots(e8_lattice())
+    shortest_in_coset(problem, reduce=False)
+    shortest_in_coset(CosetProblem([[2]], [Fraction(1, 3)]))
+    assert ranks == []  # listings, the LLL-free route and rank 1
+    shortest_in_coset(problem)
+    coset_minima([problem, problem])
+    assert ranks == [3, 3]
+
+
 def test_lll_preserves_values():
     rng = random.Random(13)
     for _ in range(25):
@@ -148,8 +191,8 @@ def test_reduction_changes_nodes_not_values():
     # skewed planar form: reduction saves work but never changes the answer
     gram = [[901, 30], [30, 1]]
     target = [Fraction(1, 2), Fraction(1, 3)]
-    plain = shortest_in_coset(CosetProblem(gram, target))
-    reduced = shortest_in_coset(CosetProblem(gram, target), reduce=True)
+    plain = shortest_in_coset(CosetProblem(gram, target), reduce=False)
+    reduced = shortest_in_coset(CosetProblem(gram, target))
     assert plain.min_norm == reduced.min_norm
     assert sorted(plain.minimizers) == sorted(reduced.minimizers)
     assert reduced.nodes_visited < plain.nodes_visited

@@ -119,7 +119,7 @@ def test_cli_charmin(capsys, gram_files):
 
 def test_cli_charmin_json(capsys, gram_files):
     code, out, _ = run_cli(
-        capsys, ["--json", "charmin", "--gram", gram_files["i3"], "--reduce"]
+        capsys, ["--json", "charmin", "--gram", gram_files["i3"]]
     )
     assert code == 0
     payload = json.loads(out)
@@ -277,6 +277,29 @@ def test_cli_rejects_oversized_gram(capsys, tmp_path):
         code, out, err = run_cli(capsys, ["defect", "--gram", str(path)])
         assert code == 1 and out == ""
         assert fragment in err
+
+
+def test_cli_rejects_deeply_nested_gram(capsys, tmp_path):
+    # 100 KB of nested lists is malformed input, not a RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text('{"gram": ' + "[" * 50000 + "]" * 50000 + "}")
+    with pytest.raises(FormatError, match="invalid JSON: maximum recursion depth"):
+        gram_from_json(path.read_text())
+    code, out, err = run_cli(capsys, ["defect", "--gram", str(path)])
+    assert code == 1 and out == ""
+    assert "invalid JSON" in err
+
+
+def test_cli_reads_many_leading_minus_signs(capsys):
+    # each pair of minus signs cancels; the parser does not recurse per sign.
+    # "--" ends the options, since the expression starts with a minus sign
+    for count, expected in ((5000, "d = 2"), (5001, "d = -2")):
+        code, out, _ = run_cli(capsys, ["seifert", "d", "--", "-" * count + "P"])
+        assert code == 0 and out.splitlines() == [expected]
+    code, out, _ = run_cli(capsys, ["seifert", "d", "--", "- -\t- Y(2; 15/13, 17/3, 23/22)"])
+    assert code == 0
+    reversed_once = run_cli(capsys, ["seifert", "d", "--", "-Y(2; 15/13, 17/3, 23/22)"])[1]
+    assert out.splitlines()[0] == reversed_once.splitlines()[0]
 
 
 def test_cli_help_paths(capsys):

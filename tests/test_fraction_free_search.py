@@ -34,6 +34,7 @@ from latdefect import (
     random_unimodular,
     shortest_in_coset,
 )
+from latdefect.defects import _any_problem, _class_problem, characteristic_class_reps
 from latdefect.enumeration import _nearest_plane, coset_minima
 from latdefect.linalg import clear_denominators, fraction_free_ldl, ldl_decomposition
 from latdefect.reduction import lll_reduce_gram
@@ -117,13 +118,13 @@ def test_integer_nearest_plane_equals_fraction_babai(seed, rational):
 
 
 @SETTINGS
-@given(st.integers(0, 10**6), st.booleans())
-def test_coset_minima_is_the_search_without_minimizers(seed, reduce):
+@given(st.integers(0, 10**6))
+def test_coset_minima_is_the_search_without_minimizers(seed):
     rng = random.Random(seed)
     gram = random_spd_gram(rng, max_rank=6)
     problem = CosetProblem(gram, random_target(rng, len(gram)))
-    full = shortest_in_coset(problem, reduce=reduce)
-    assert coset_minima([problem], reduce=reduce) == [(full.min_norm, full.nodes_visited)]
+    full = shortest_in_coset(problem)
+    assert coset_minima([problem]) == [(full.min_norm, full.nodes_visited)]
 
 
 def conjugated(rng, base):
@@ -143,19 +144,19 @@ BIMODULAR_BASES = [
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.integers(0, 10**6), st.booleans(), st.booleans())
-def test_value_only_defects_match_min_char_norm(seed, bimodular, reduce):
+@given(st.integers(0, 10**6), st.booleans())
+def test_value_only_defects_match_min_char_norm(seed, bimodular):
     rng = random.Random(seed)
     bases = BIMODULAR_BASES if bimodular else UNIMODULAR_BASES
     lat = conjugated(rng, rng.choice(bases)(rng))
     n = lat.rank
-    got = defects(lat, reduce=reduce)
+    got = defects(lat)
     if bimodular:
-        plus = min_char_norm(lat, CharClassSign.PLUS, reduce=reduce).min_norm
-        minus = min_char_norm(lat, CharClassSign.MINUS, reduce=reduce).min_norm
+        plus = min_char_norm(lat, CharClassSign.PLUS).min_norm
+        minus = min_char_norm(lat, CharClassSign.MINUS).min_norm
         assert (got.d_plus, got.d_minus) == (Fraction(plus - n, 4), Fraction(minus - n, 4))
     else:
-        square = min_char_norm(lat, "any", reduce=reduce).min_norm
+        square = min_char_norm(lat, "any").min_norm
         assert got.d_plus == got.d_minus == Fraction(square - n, 4)
 
 
@@ -180,22 +181,26 @@ PINNED_LATTICES = {
     "conj d5": lambda: conjugate_lattice(diagonal_bimodular_lattice(5), U5),
 }
 
-# (lattice, sign, reduce): (min_norm, number of minimizers, nodes_visited)
+# (lattice, sign, reduce): (min square, number of minimizers, nodes_visited).
+# With reduce, min_char_norm's search, which always reduces; its minimizers
+# are pairing vectors up to sign. Without, the LLL-free route
+# shortest_in_coset(..., reduce=False) on the same coset problem; its
+# minimizers are offsets, both of each +-pair of pairing vectors.
 PINNED = {
     ("i3", "any", True): (3, 4, 28),
-    ("e7", "minus", False): (6, 28, 430),
+    ("e7", "minus", False): (6, 56, 430),
     ("e7", "minus", True): (6, 28, 430),
-    ("a1+e8", "plus", False): (2, 1, 52),
+    ("a1+e8", "plus", False): (2, 2, 52),
     ("a1+e8", "plus", True): (2, 1, 34),
-    ("conj e7", "minus", False): (6, 28, 610),
+    ("conj e7", "minus", False): (6, 56, 610),
     ("conj e7", "minus", True): (6, 28, 433),
-    ("conj i1+e8", "any", False): (1, 1, 79),
+    ("conj i1+e8", "any", False): (1, 2, 79),
     ("conj i1+e8", "any", True): (1, 1, 28),
-    ("conj d5", "any", False): (4, 8, 189),
+    ("conj d5", "any", False): (4, 16, 189),
     ("conj d5", "any", True): (4, 8, 108),
-    ("conj d5", "plus", False): (6, 16, 196),
+    ("conj d5", "plus", False): (6, 32, 196),
     ("conj d5", "plus", True): (6, 16, 124),
-    ("conj d5", "minus", False): (4, 8, 102),
+    ("conj d5", "minus", False): (4, 16, 102),
     ("conj d5", "minus", True): (4, 8, 63),
 }
 
@@ -203,8 +208,19 @@ PINNED = {
 @pytest.mark.parametrize("key", sorted(PINNED))
 def test_min_char_norm_node_counts_are_pinned(key):
     name, sign, reduce = key
-    result = min_char_norm(PINNED_LATTICES[name](), sign, reduce=reduce)
-    assert (result.min_norm, len(result.minimizers), result.nodes_visited) == PINNED[key]
+    lat = PINNED_LATTICES[name]()
+    if reduce:
+        result = min_char_norm(lat, sign)
+        square = result.min_norm
+    else:
+        if sign == "any":
+            problem = _any_problem(lat)
+        else:
+            rep = characteristic_class_reps(lat)[CharClassSign(sign)]
+            problem = _class_problem(lat, rep.pairings)
+        result = shortest_in_coset(problem, reduce=False)
+        square = 4 * result.min_norm
+    assert (square, len(result.minimizers), result.nodes_visited) == PINNED[key]
 
 
 def test_value_only_defects_keep_the_mod_8_check(monkeypatch):

@@ -56,7 +56,7 @@ def test_glue_e7_with_a1_is_e8():
     assert all(over.gram[i][i] % 2 == 0 for i in range(8))  # even lattice
     assert not unit_vectors(over)
     assert len(roots(over)) == 120
-    assert min_char_norm(over, reduce=True).min_norm == 0
+    assert min_char_norm(over).min_norm == 0
 
 
 def test_double_delta_is_cube_lattice():
@@ -65,7 +65,7 @@ def test_double_delta_is_cube_lattice():
         over = glue_overlattice(lat, lat)
         assert over.rank == 2 * n
         assert is_diagonal(over)
-        assert defects(over, reduce=True).d_plus == 0
+        assert defects(over).d_plus == 0
 
 
 def test_double_e7_realizes_minimal_defect_sum():
@@ -73,7 +73,7 @@ def test_double_e7_realizes_minimal_defect_sum():
     over = glue_overlattice(e7, e7)
     assert over.rank == 14
     assert not is_diagonal(over)
-    assert defects(over, reduce=True).d_plus == -2
+    assert defects(over).d_plus == -2
 
 
 def test_defect_additivity_over_glue():
@@ -85,10 +85,10 @@ def test_defect_additivity_over_glue():
     ]
     for left, right in pairs:
         over = glue_overlattice(left, right)
-        dl = defects(left, reduce=True)
-        dr = defects(right, reduce=True)
+        dl = defects(left)
+        dr = defects(right)
         expected = min(dl.d_plus + dr.d_minus, dl.d_minus + dr.d_plus)
-        assert defects(over, reduce=True).d_plus == expected
+        assert defects(over).d_plus == expected
 
 
 def test_glue_diagonality_matches_summand_recognizer():

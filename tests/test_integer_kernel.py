@@ -281,9 +281,10 @@ def test_benchmark_traced_linalg_names_stay_in_use(monkeypatch):
     """bench/tracer.py wraps these names, and reduction.lll_reduce_gram, at
     every module binding; its self-test needs each one called. Fraction
     inverses go through invert_matrix, where the wrapper sees them, while
-    defects on a |det| = 2 lattice and gluing build none. defects reduces
-    the Gram matrix once for both characteristic classes, through the
-    enumeration binding of lll_reduce_gram."""
+    defects on a |det| = 2 lattice and gluing build none. Every minimum
+    search of rank > 1 reduces its form, through the enumeration binding of
+    lll_reduce_gram, and defects reduces the Gram matrix once for both
+    characteristic classes."""
     linalg = sys.modules["latdefect.linalg"]
     reduction = sys.modules["latdefect.reduction"]
     enumeration = sys.modules["latdefect.enumeration"]
@@ -302,10 +303,10 @@ def test_benchmark_traced_linalg_names_stay_in_use(monkeypatch):
     latdefect.defects(a1_lattice())
     glue_overlattice(e7_lattice(), a1_lattice())
     assert calls["invert_matrix"] == []
+    assert reductions == []  # rank 1, and gluing runs no search
     latdefect.min_char_norm(identity_lattice(3))
     assert calls["invert_matrix"] == [3]
-    latdefect.defects(e7_lattice(), reduce=True)
-    assert reductions == [7]  # one reduction for both characteristic classes
+    assert reductions == [3]
     latdefect.defects(e7_lattice())
-    assert reductions == [7]
+    assert reductions == [3, 7]  # one reduction for both characteristic classes
     assert all(calls[name] for name in TRACED_LINALG), calls

@@ -1,5 +1,6 @@
 """Lattice validation, characteristic covectors, roots, and recognizers."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from latdefect import (
     a1_lattice,
     base_characteristic,
     char_class_sign,
+    conjugate_lattice,
     diagonal_bimodular_lattice,
     direct_sum,
     discriminant_group,
@@ -27,11 +29,13 @@ from latdefect import (
     is_characteristic,
     is_diagonal,
     is_diagonal_bimodular,
+    random_unimodular,
     roots,
     unit_vectors,
     validate_lattice,
 )
-from helpers import box_points_within, collapse_sign_pairs
+from latdefect.linalg import hermite_row_basis, mat_mul, quadratic_value, transpose
+from helpers import box_points_within, collapse_sign_pairs, smith_row_kernel
 
 
 def test_validate_rejects_asymmetric():
@@ -196,6 +200,23 @@ def test_is_diagonal_bimodular():
     lat = validate_lattice([[3, 1], [1, 1]])
     assert lat.determinant == 2
     assert is_diagonal_bimodular(lat)
+    # conjugated lattices, against the orthogonal complement of the unit
+    # vectors taken from the Smith kernel oracle
+    rng = random.Random(21)
+    bases = [diagonal_bimodular_lattice(n) for n in range(1, 8)]
+    bases += [e7_lattice(), direct_sum(a1_lattice(), e8_lattice())]
+    bases += [direct_sum(diagonal_bimodular_lattice(3), e8_lattice())]
+    verdicts = []
+    for base in bases:
+        lat = conjugate_lattice(base, random_unimodular(rng, base.rank))
+        units = unit_vectors(lat)
+        expected = len(hermite_row_basis(units)) == lat.rank - 1
+        if expected and units:
+            kernel = smith_row_kernel(mat_mul(lat.gram, transpose(units)))
+            expected = len(kernel) == 1 and quadratic_value(lat.gram, kernel[0]) == 2
+        assert is_diagonal_bimodular(lat) == expected
+        verdicts.append(expected)
+    assert verdicts == [True] * 7 + [False] * 3
 
 
 def test_delta_n_is_not_diagonal():

@@ -25,7 +25,7 @@ BENCH_SOURCES = sorted(BENCH.glob("*.py")) + sorted(BENCH.glob("tests/*.py"))
 DELETED = {
     "enumeration": ("coset_minimum", "rational_cholesky", "_solve", "_factor", "_columns",
                     "_cleared_vector", "_collapse_signs"),
-    "linalg": ("bareiss_determinant", "rational_rank"),
+    "linalg": ("bareiss_determinant", "rational_rank", "integer_row_kernel"),
     "lattice": ("is_minimal", "root_graph", "is_bipartite", "RootGraph"),
     "errors": ("NotRootsError", "NotIndependentError"),
     "glue": ("double",),

@@ -33,12 +33,12 @@ def test_random_unimodular_properties():
 def test_conjugation_preserves_invariants():
     rng = random.Random(11)
     lat = diagonal_bimodular_lattice(3)
-    base = defects(lat, reduce=True)
+    base = defects(lat)
     for _ in range(5):
         twisted = conjugate_lattice(lat, random_unimodular(rng, lat.rank))
         assert twisted.determinant == lat.determinant
         assert twisted.sign == lat.sign
-        assert defects(twisted, reduce=True) == base
+        assert defects(twisted) == base
 
 
 def test_conjugating_e8_keeps_unimodularity():
