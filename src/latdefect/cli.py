@@ -60,33 +60,20 @@ def _emit(settings: Settings, payload: dict, lines):
 @cli.command()
 @click.option("--gram", "gram_path", required=True,
               type=click.Path(exists=True, dir_okay=False), help="Gram matrix JSON file.")
-@click.option("--sign", type=click.Choice(["plus", "minus", "both"]), default="both",
-              show_default=True, help="Which characteristic class to report.")
 @click.pass_obj
-def defect(settings: Settings, gram_path, sign):
+def defect(settings: Settings, gram_path):
     """Defect invariant(s) of a definite lattice from its Gram matrix."""
     lat = _read_lattice(gram_path)
-    budget = settings.node_budget
-    if sign == "both":
-        if abs(lat.determinant) == 1:
-            value = defects(lat, node_budget=budget).d_plus
-            _emit(settings,
-                  {"determinant": lat.determinant, "defect": format_fraction(value)},
-                  [f"defect = {format_fraction(value)}"])
-            return
-        pair = defects(lat, node_budget=budget)
-        _emit(settings,
-              {"determinant": lat.determinant,
-               "d_plus": format_fraction(pair.d_plus),
-               "d_minus": format_fraction(pair.d_minus)},
-              [f"d_plus = {format_fraction(pair.d_plus)}",
-               f"d_minus = {format_fraction(pair.d_minus)}"])
+    pair = defects(lat, node_budget=settings.node_budget)
+    if abs(lat.determinant) == 1:
+        value = format_fraction(pair.d_plus)
+        _emit(settings, {"determinant": lat.determinant, "defect": value},
+              [f"defect = {value}"])
         return
-    result = min_char_norm(lat, sign, node_budget=budget)
-    value = (result.min_norm - lat.rank) / 4
+    d_plus, d_minus = format_fraction(pair.d_plus), format_fraction(pair.d_minus)
     _emit(settings,
-          {"determinant": lat.determinant, f"d_{sign}": format_fraction(value)},
-          [f"d_{sign} = {format_fraction(value)}"])
+          {"determinant": lat.determinant, "d_plus": d_plus, "d_minus": d_minus},
+          [f"d_plus = {d_plus}", f"d_minus = {d_minus}"])
 
 
 @cli.command()

@@ -213,11 +213,8 @@ def defects(
         squares = [4 * value for value, _nodes in minima]
         for sign, square in zip(signs, squares):
             _check_class_square(square, n, sign)
+        # a square n +- 1 mod 8 is a defect +-1/4 mod 2, so the residues hold
         d_plus, d_minus = (Fraction(square - n, 4) for square in squares)
-        if (d_plus - Fraction(1, 4)) % 2 != 0 or (d_minus + Fraction(1, 4)) % 2 != 0:
-            raise CongruenceViolationError(
-                f"defects ({d_plus}, {d_minus}) miss the +-1/4 residues"
-            )
         return Defects(d_plus=d_plus, d_minus=d_minus)
     raise UnsupportedDeterminantError(f"defects need |det| in {{1, 2}}, got {det}")
 

@@ -17,7 +17,6 @@ from .defects import max_char_square
 from .errors import (
     FormatError,
     LabellingViolationError,
-    NotNegativeDefiniteError,
     ResidueViolationError,
     TooManyBadVerticesError,
     UnnormalizedSeifertDataError,
@@ -159,14 +158,12 @@ def _seifert_tree(data: SeifertData) -> tuple[PlumbingTree, bool]:
 def seifert_class_values(
     data: SeifertData, *, node_budget: int | None = None
 ) -> tuple[Fraction, ...]:
-    """Correction terms of a Seifert space, one per spin-c structure."""
+    """Correction terms of a Seifert space, one per spin-c structure (its
+    plumbing lattice is negative definite: canonical_plumbing checks it)."""
     tree, flipped = _seifert_tree(data)
-    lat = tree.lattice
-    if lat.sign >= 0:
-        raise NotNegativeDefiniteError("plumbing lattice is not negative definite")
     values = [
         d_invariant(tree, cls, node_budget=node_budget)
-        for cls in spinc_classes(lat)
+        for cls in spinc_classes(tree.lattice)
     ]
     if flipped:
         values = [-v for v in values]

@@ -105,16 +105,16 @@ class _Scaled:
     value_scale chosen so each level cost d_i * u^2 scales to coeff_i * U^2
     for U = s_i * u. The search then runs entirely on integers, with every
     comparison equal to its unscaled counterpart. The scales are computed in
-    integers too: with the target cleared to T / den and column i of L to
-    C / cs, den cs const_i = cs T_i + sum_j C_j T_j.
+    integers too: with the target given cleared, as big / den, and column i
+    of L as C / cs, den cs const_i = cs big_i + sum_j C_j big_j. A factor
+    common to big and den leaves every scale unchanged.
     """
 
     __slots__ = ("n", "scales", "consts", "scols", "coeff", "value_scale")
 
-    def __init__(self, cols, diag, target):
+    def __init__(self, cols, diag, big, den):
         n = len(diag)
         self.n = n
-        (big,), den = clear_denominators([target])
         scales = []
         consts = []
         scols = []
@@ -291,12 +291,11 @@ def _search(prepared: _Prepared, problem: CosetProblem, mode: str, node_budget):
     for the same radius.
     """
     unimod, cols, diag = prepared.unimod, prepared.cols, prepared.diag
-    target = list(problem.target)
+    (big,), den = clear_denominators([problem.target])
     if unimod is not None:
-        (big,), den = clear_denominators([target])
-        target = [Fraction(x, den) for x in mat_vec(prepared.inverse, big)]
+        big = mat_vec(prepared.inverse, big)
 
-    scaled = _Scaled(cols, diag, target)
+    scaled = _Scaled(cols, diag, big, den)
     scale = scaled.value_scale
     cap = None if problem.radius is None else floor(problem.radius * scale)
     worker = _Worker(scaled, mode, cap, node_budget)

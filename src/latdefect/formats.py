@@ -81,9 +81,11 @@ def gram_from_json(text: str) -> list[list[int]]:
                 f"entry at row {i}, column {j} exceeds {MAX_GRAM_ENTRY} in absolute value",
             )
     if "rank" in document:
+        rank = document["rank"]
         _require(
-            document["rank"] == len(rows),
-            f"'rank' is {document['rank']} but 'gram' has {len(rows)} rows",
+            isinstance(rank, int) and not isinstance(rank, bool),
+            f"'rank' is {json.dumps(rank)}, not an integer",
         )
+        _require(rank == len(rows), f"'rank' is {rank} but 'gram' has {len(rows)} rows")
     return [list(row) for row in rows]
 

@@ -7,9 +7,10 @@ meets the rational spans of L and A exactly in L and A.
 
 All of it runs on integers: twice the glue vector, and basis2, twice the
 overlattice basis in direct-sum coordinates. basis2 is the Hermite form of
-2 Z^n and the doubled glue vector, so it is upper triangular with pivots 1
-and 2, and all but one of its rows are 2 e_i. The Gram product, restriction
-by back-substitution and the saturation test all use that shape.
+2 Z^n and the doubled glue vector g, written down in closed form: with k the
+first odd entry of g, row k is g mod 2 and every other row is 2 e_i. So it
+is upper triangular with pivots 1 and 2. The Gram product, restriction by
+back-substitution and the saturation test all use that shape.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .lattice import (
     validate_lattice,
     _require_positive,
 )
-from .linalg import hermite_row_basis, mat_vec, quadratic_value
+from .linalg import mat_vec, quadratic_value
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,22 @@ def _check_summand_spans(glue2, n_left: int) -> None:
             )
 
 
+def _basis2(glue2) -> tuple[tuple[int, ...], ...]:
+    """basis2, the Hermite form of 2 Z^n and glue2, in closed form.
+
+    Modulo 2 Z^n, glue2 is glue2 mod 2. With k its first odd entry, the rows
+    2 e_i (i != k) and glue2 mod 2 in row k are upper triangular with pivots
+    2 and 1, and entries in {0, 1} above each pivot 2: the Hermite form. With
+    no odd entry it is 2I, which the determinant check rejects.
+    """
+    n = len(glue2)
+    rows = [tuple(2 if i == j else 0 for j in range(n)) for i in range(n)]
+    k = next((i for i, x in enumerate(glue2) if x % 2), None)
+    if k is not None:
+        rows[k] = tuple(x % 2 for x in glue2)
+    return tuple(rows)
+
+
 def _doubled_gram(basis2, gram) -> list[list[int]]:
     """gram4 = basis2 gram basis2^T, through the nonzero entries of basis2's
     rows: at most 2n of them, so O(n^2) work in place of two n^3 products."""
@@ -117,8 +134,6 @@ def glue_overlattice(left: IntegralLattice, right: IntegralLattice) -> Overlatti
         _require_positive(lat, "glue_overlattice")
         if abs(lat.determinant) != 2:
             raise NotBimodularError(f"|det| = {abs(lat.determinant)}, need 2")
-    n_left = left.rank
-    n = n_left + right.rank
     summed = direct_sum(left, right)
     glue2 = _doubled_glue_coordinates(left) + _doubled_glue_coordinates(right)
     square4 = quadratic_value(summed.gram, glue2)
@@ -126,18 +141,14 @@ def glue_overlattice(left: IntegralLattice, right: IntegralLattice) -> Overlatti
         raise GlueFailureError(
             f"glue vector has non-integral self-pairing {Fraction(square4, 4)}"
         )
-    doubled = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    doubled.append(glue2)
-    basis2 = tuple(tuple(row) for row in hermite_row_basis(doubled))
-    if len(basis2) != n:
-        raise GlueFailureError("glued generators do not span the full rank")
+    basis2 = _basis2(glue2)
     gram4 = _doubled_gram(basis2, summed.gram)
     if any(x % 4 for row in gram4 for x in row):
         raise GlueFailureError("overlattice Gram is not integral")
     lattice = validate_lattice([[x // 4 for x in row] for row in gram4])
     if abs(lattice.determinant) != 1:
         raise GlueFailureError(f"overlattice determinant is {lattice.determinant}")
-    _check_summand_spans(glue2, n_left)
+    _check_summand_spans(glue2, left.rank)
     return Overlattice(
         gram=lattice.gram,
         sign=lattice.sign,

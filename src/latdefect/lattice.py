@@ -36,15 +36,12 @@ from .linalg import (
     first_asymmetry,
     fraction_free_ldl,
     hermite_row_basis,
-    identity,
     invert_matrix,
-    mat_mul,
     quadratic_value,
     reduce_mod_rows,
     require_square,
     sign_normalize,
     smith_normal_form,
-    transpose,
 )
 
 
@@ -332,38 +329,28 @@ def unit_vectors(lat: IntegralLattice) -> list[tuple[int, ...]]:
 def is_diagonal(lat: IntegralLattice) -> bool:
     """True exactly when the lattice is isometric to the standard cube lattice.
 
-    Norm-1 vectors are pairwise orthogonal or parallel, so spanning rank n
-    forces an orthonormal basis and unimodularity.
+    unit_vectors lists one norm-1 vector per +-pair. For two of different
+    pairs Cauchy-Schwarz gives |u.v| < 1, and u.v is an integer, so the
+    units are orthonormal. So there are at most n of them, and n span a
+    copy of Z^n, of determinant 1: the whole lattice.
     """
     _require_positive(lat, "is_diagonal")
-    units = unit_vectors(lat)
-    return len(hermite_row_basis(units)) == lat.rank
+    return len(unit_vectors(lat)) == lat.rank
 
 
 def is_diagonal_bimodular(lat: IntegralLattice) -> bool:
     """True exactly when the lattice is the cube lattice plus one doubled axis.
 
-    Checks |det| = 2, that norm-1 vectors span a hyperplane, and that their
-    orthogonal complement in the lattice is generated by a norm-2 vector.
+    Requires |det| = 2. The norm-1 vectors are orthonormal (see is_diagonal),
+    and n of them would force determinant 1. n - 1 of them span a unimodular
+    Z^(n-1), which splits off; its rank-1 complement has determinant 2, so a
+    norm-2 vector generates it. Conversely, Z^(n-1) plus a doubled axis has
+    exactly n - 1 pairs of units.
     """
     _require_positive(lat, "is_diagonal_bimodular")
     if abs(lat.determinant) != 2:
         raise NotBimodularError(f"|det| = {abs(lat.determinant)}, need 2")
-    units = unit_vectors(lat)
-    if len(hermite_row_basis(units)) != lat.rank - 1:
-        return False
-    if not units:
-        # rank 1, positive definite, determinant 2: the doubled axis itself
-        return True
-    # the rows of the Hermite basis of [A | I] with A part zero, for A the
-    # pairings with the units, are a basis of their orthogonal complement
-    k = len(units)
-    pairing_rows = mat_mul(lat.gram, transpose(units))
-    stacked = [row + unit for row, unit in zip(pairing_rows, identity(lat.rank))]
-    kernel = [row[k:] for row in hermite_row_basis(stacked) if not any(row[:k])]
-    if len(kernel) != 1:
-        return False
-    return quadratic_value(lat.gram, kernel[0]) == 2
+    return len(unit_vectors(lat)) == lat.rank - 1
 
 
 def direct_sum(left: IntegralLattice, right: IntegralLattice) -> IntegralLattice:

@@ -246,6 +246,10 @@ class ConnectedSum:
     source: str = field(default="", compare=False)
 
 
+# ASCII only: str.isdigit() also accepts superscripts and other scripts' digits
+_DIGITS = frozenset("0123456789")
+
+
 class _Parser:
     """Recursive descent over  expr := term ('+' term)*  with
     term := [count '*'] atom  and  atom := 'P' | '-' atom | 'Y(int; rat, ...)'.
@@ -273,7 +277,7 @@ class _Parser:
 
     def digits(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             raise self.error("expected digits")
@@ -332,7 +336,7 @@ class _Parser:
     def term(self) -> ExpressionTerm:
         self.skip_ws()
         count = 1
-        if self.peek().isdigit():
+        if self.peek() in _DIGITS:
             count = self.digits()
             if count == 0:
                 raise self.error("multiplicity must be positive")

@@ -21,7 +21,7 @@ program on one CosetProblem, to be checked against the branch-and-bound
 search; smith_spinc_keys walks the spin-c classes through the discriminant
 group's Smith generators, the oracle of the Hermite box that replaced it.
 smith_row_kernel reads an integer row kernel off a Smith form, the oracle of
-the Hermite kernel in is_diagonal_bimodular; smith_saturation_check uses it to
+the unit count in is_diagonal_bimodular; smith_saturation_check uses it to
 test how the glued overlattice meets a summand's span, the oracle of the
 parity test that replaced it. count_linalg_calls records which linear algebra a call reaches.
 """

@@ -41,6 +41,8 @@ from latdefect import (
     extend_covector,
     glue_overlattice,
     identity_lattice,
+    is_diagonal,
+    is_diagonal_bimodular,
     random_unimodular,
     restrict_covector,
     validate_lattice,
@@ -137,9 +139,17 @@ def passes(check, *args) -> bool:
     return True
 
 
-def assert_parity_matches_smith(glue2, n_left):
+def hermite_doubled_basis(glue2):
+    """The Hermite form of 2 Z^n and glue2, the route glue_overlattice's
+    closed form replaces."""
     n = len(glue2)
-    basis2 = hermite_row_basis([[2 * (i == j) for j in range(n)] for i in range(n)] + [glue2])
+    return hermite_row_basis([[2 * (i == j) for j in range(n)] for i in range(n)] + [glue2])
+
+
+def assert_parity_matches_smith(glue2, n_left):
+    basis2 = hermite_doubled_basis(glue2)
+    assert [list(row) for row in GLUE._basis2(glue2)] == basis2
+    n = len(glue2)
     smith = passes(smith_saturation_check, basis2, 0, n_left, n) and passes(
         smith_saturation_check, basis2, n_left, n, n
     )
@@ -164,8 +174,28 @@ def test_parity_test_matches_smith_saturation_on_bimodular_pairs(seed_left, seed
     assert assert_parity_matches_smith(glue2, left.rank)
 
 
+def test_closed_form_doubled_basis_is_the_hermite_form():
+    for seed in range(50):
+        left, right = conjugated_bimodular(2 * seed), conjugated_bimodular(2 * seed + 1)
+        glue2 = GLUE._doubled_glue_coordinates(left) + GLUE._doubled_glue_coordinates(right)
+        over = glue_overlattice(left, right)
+        assert [list(row) for row in over._doubled_basis] == hermite_doubled_basis(glue2)
+
+
+def test_recognizers_and_glue_take_no_hermite_or_smith_form(monkeypatch):
+    left, right = conjugated_bimodular(7), conjugated_bimodular(8)
+    for lat in (left, right):
+        discriminant_group(lat)
+    calls = count_linalg_calls(monkeypatch, ["hermite_row_basis", "smith_normal_form"])
+    over = glue_overlattice(left, right)
+    assert is_diagonal(over) == (is_diagonal_bimodular(left) and is_diagonal_bimodular(right))
+    assert calls == {"hermite_row_basis": [], "smith_normal_form": []}
+
+
 def test_glue_with_an_even_glue_vector_fails_on_the_determinant(monkeypatch):
-    # g = (2, 2) on A1 + A1 adjoins nothing: M = Z^2 has index 1, det 4
+    # g = (2, 2) on A1 + A1 adjoins nothing: M = Z^2 has index 1, det 4, and
+    # with no odd entry the closed form is 2I, as the Hermite form is
+    assert [list(row) for row in GLUE._basis2([2, 2])] == hermite_doubled_basis([2, 2])
     monkeypatch.setattr(GLUE, "_doubled_glue_coordinates", lambda lat: [2])
     with pytest.raises(GlueFailureError, match="determinant is 4"):
         glue_overlattice(a1_lattice(), a1_lattice())

@@ -55,6 +55,9 @@ def test_gram_json_diagnostics():
         ('{"gram": [[1.5]]}', "row 0, column 0"),
         ('{"gram": [[true]]}', "row 0, column 0"),
         ('{"rank": 3, "gram": [[1]]}', "'rank' is 3"),
+        # true and 1.0 both compare equal to the row count 1
+        ('{"rank": true, "gram": [[1]]}', "'rank' is true, not an integer"),
+        ('{"rank": 1.0, "gram": [[1]]}', "'rank' is 1.0, not an integer"),
     ]
     for text, fragment in cases:
         with pytest.raises(FormatError, match=fragment):
@@ -93,11 +96,20 @@ def test_cli_defect_pair(capsys, gram_files):
     code, out, _ = run_cli(capsys, ["defect", "--gram", gram_files["delta2"]])
     assert code == 0
     assert out == "d_plus = 1/4\nd_minus = -1/4\n"
+    d_plus = Fraction(out.splitlines()[0].removeprefix("d_plus = "))
+    # the plus class minimum from charmin gives the same defect
     code, out, _ = run_cli(
-        capsys, ["defect", "--gram", gram_files["delta2"], "--sign", "plus"]
+        capsys, ["--json", "charmin", "--gram", gram_files["delta2"], "--sign", "plus"]
     )
     assert code == 0
-    assert out == "d_plus = 1/4\n"
+    assert (Fraction(json.loads(out)["min"]) - 2) / 4 == d_plus
+
+
+def test_cli_defect_takes_no_sign(capsys, gram_files):
+    # one path: defect prints both classes; per-class minima are charmin's
+    code, _, err = run_cli(capsys, ["defect", "--gram", gram_files["delta2"], "--sign", "plus"])
+    assert code == 1
+    assert "--sign" in err
 
 
 def test_cli_defect_json(capsys, gram_files):

@@ -189,6 +189,22 @@ def test_is_diagonal():
     assert is_diagonal(lat)
 
 
+def test_is_diagonal_against_the_hermite_rank_of_the_units():
+    # the elkies suite's bases, conjugated, and a det-2 lattice, which has
+    # n - 1 pairs of units
+    rng = random.Random(22)
+    bases = [identity_lattice(n) for n in range(1, 9)]
+    bases += [e8_lattice(), direct_sum(identity_lattice(2), e8_lattice())]
+    bases += [diagonal_bimodular_lattice(4)]
+    verdicts = []
+    for base in bases:
+        lat = conjugate_lattice(base, random_unimodular(rng, base.rank))
+        expected = len(hermite_row_basis(unit_vectors(lat))) == lat.rank
+        assert is_diagonal(lat) == expected
+        verdicts.append(expected)
+    assert verdicts == [True] * 8 + [False] * 3
+
+
 def test_is_diagonal_bimodular():
     assert is_diagonal_bimodular(a1_lattice())
     for n in range(1, 6):

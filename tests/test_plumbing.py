@@ -150,6 +150,10 @@ def test_parse_expression_errors_carry_positions():
         ("Y(2: 3)", 3, "expected ';'"),
         ("Y(2; 1/0)", 8, "zero denominator"),
         ("P x", 2, "trailing"),
+        # ASCII digits only: str.isdigit() takes a superscript two, and an
+        # Arabic-Indic three, which int() would read as 3
+        ("Y(-1; -\u00b2)", 7, "expected digits"),
+        ("Y(-1; -\u0663)", 7, "expected digits"),
     ]
     for text, position, fragment in cases:
         with pytest.raises(ExpressionParseError, match=fragment) as info:

@@ -3,7 +3,8 @@
 The benchmark under bench/ reaches the library through `lib.<name>` on the
 imported package and through the per-layer function table of its tracer.
 Both are read here with ast, without importing or running the benchmark, so
-a deletion in the library that would break it fails this suite first.
+a deletion in the library that would break it fails this suite first. The
+library's own source is read the same way, to check that it holds no assert.
 """
 
 import ast
@@ -104,3 +105,15 @@ def test_deleted_names_are_gone():
     assert not hasattr(latdefect.Covector, "pairing_with")
     assert list(inspect.signature(lll_reduce_gram).parameters) == ["gram"]
     assert "scale" not in ForestPlan._fields
+
+
+def test_library_holds_no_assert():
+    # invariants are raised ToolkitErrors, because python -O strips asserts
+    source = Path(latdefect.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(source.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
