@@ -19,7 +19,6 @@ from .errors import (
     LabellingViolationError,
     ResidueViolationError,
     TooManyBadVerticesError,
-    UnnormalizedSeifertDataError,
     ToolkitError,
     UnsupportedExpressionError,
 )
@@ -148,18 +147,18 @@ def sum_with_homology_spheres(pair: QuarterPair, values) -> QuarterPair:
 
 
 def _seifert_tree(data: SeifertData) -> tuple[PlumbingTree, bool]:
-    """Canonical plumbing of the space or its reverse; flags the flip."""
-    try:
-        return canonical_plumbing(data), False
-    except UnnormalizedSeifertDataError:
-        return canonical_plumbing(reverse_orientation(data)), True
+    """Canonical plumbing of the space, or of its reverse when e(Y) > 0
+    (the side with a negative definite plumbing); flags the flip."""
+    flipped = data.euler_number > 0
+    return canonical_plumbing(reverse_orientation(data) if flipped else data), flipped
 
 
 def seifert_class_values(
     data: SeifertData, *, node_budget: int | None = None
 ) -> tuple[Fraction, ...]:
-    """Correction terms of a Seifert space, one per spin-c structure (its
-    plumbing lattice is negative definite: canonical_plumbing checks it)."""
+    """Correction terms of a Seifert space, one per spin-c structure, read on
+    the orientation with e(Y) < 0, whose canonical plumbing is negative
+    definite, and negated when that is the reverse."""
     tree, flipped = _seifert_tree(data)
     values = [
         d_invariant(tree, cls, node_budget=node_budget)

@@ -125,10 +125,6 @@ class NotRationalHomologySphereError(ToolkitError):
     pass
 
 
-class UnnormalizedSeifertDataError(ToolkitError):
-    """Seifert data outside the canonical plumbing domain; names the offender."""
-
-
 class TooManyBadVerticesError(ToolkitError):
     pass
 

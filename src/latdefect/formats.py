@@ -11,6 +11,7 @@ both, so larger input is rejected as malformed before any arithmetic.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import FormatError
@@ -25,16 +26,19 @@ def format_fraction(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# ASCII only: int() also reads other scripts' digits and underscores
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_fraction(text: str) -> Fraction:
-    parts = text.strip().split("/")
+    """Read 'p' or 'p/q' with surrounding whitespace; else FormatError."""
+    match = _RATIONAL.fullmatch(text.strip())
+    if match is None:
+        raise FormatError(f"invalid rational {text!r}: expected 'p' or 'p/q'")
     try:
-        if len(parts) == 1:
-            return Fraction(int(parts[0]))
-        if len(parts) == 2:
-            return Fraction(int(parts[0]), int(parts[1]))
-    except (ValueError, ZeroDivisionError) as err:
+        return Fraction(int(match[1]), int(match[2] or 1))
+    except (ValueError, ZeroDivisionError) as err:  # too many digits, or q = 0
         raise FormatError(f"invalid rational {text!r}: {err}") from None
-    raise FormatError(f"invalid rational {text!r}: expected 'p' or 'p/q'")
 
 
 def _require(condition: bool, message: str):

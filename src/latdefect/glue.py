@@ -23,9 +23,9 @@ from .errors import GlueFailureError, NotBimodularError
 from .lattice import (
     Covector,
     IntegralLattice,
-    direct_sum,
     discriminant_group,
     validate_lattice,
+    _block_diagonal,
     _require_positive,
 )
 from .linalg import mat_vec, quadratic_value
@@ -134,15 +134,15 @@ def glue_overlattice(left: IntegralLattice, right: IntegralLattice) -> Overlatti
         _require_positive(lat, "glue_overlattice")
         if abs(lat.determinant) != 2:
             raise NotBimodularError(f"|det| = {abs(lat.determinant)}, need 2")
-    summed = direct_sum(left, right)
+    summed = _block_diagonal(left, right)  # both blocks are validated already
     glue2 = _doubled_glue_coordinates(left) + _doubled_glue_coordinates(right)
-    square4 = quadratic_value(summed.gram, glue2)
+    square4 = quadratic_value(summed, glue2)
     if square4 % 4:
         raise GlueFailureError(
             f"glue vector has non-integral self-pairing {Fraction(square4, 4)}"
         )
     basis2 = _basis2(glue2)
-    gram4 = _doubled_gram(basis2, summed.gram)
+    gram4 = _doubled_gram(basis2, summed)
     if any(x % 4 for row in gram4 for x in row):
         raise GlueFailureError("overlattice Gram is not integral")
     lattice = validate_lattice([[x // 4 for x in row] for row in gram4])

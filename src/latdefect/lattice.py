@@ -353,18 +353,16 @@ def is_diagonal_bimodular(lat: IntegralLattice) -> bool:
     return len(unit_vectors(lat)) == lat.rank - 1
 
 
+def _block_diagonal(left: IntegralLattice, right: IntegralLattice) -> list[list[int]]:
+    """The Gram matrix of left + right, not validated."""
+    n, m = left.rank, right.rank
+    return [list(row) + [0] * m for row in left.gram] + [[0] * n + list(row) for row in right.gram]
+
+
 def direct_sum(left: IntegralLattice, right: IntegralLattice) -> IntegralLattice:
     if left.sign != right.sign:
         raise ValueError("direct sum needs matching definiteness signs")
-    n, m = left.rank, right.rank
-    gram = [[0] * (n + m) for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            gram[i][j] = left.gram[i][j]
-    for i in range(m):
-        for j in range(m):
-            gram[n + i][n + j] = right.gram[i][j]
-    return validate_lattice(gram)
+    return validate_lattice(_block_diagonal(left, right))
 
 
 def identity_lattice(n: int) -> IntegralLattice:

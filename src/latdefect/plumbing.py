@@ -1,16 +1,21 @@
 """Seifert fibered spaces, negative continued fractions, and plumbing trees.
 
 A Seifert space Y(e; r_1, ..., r_k) over the sphere is encoded by an integer
-central framing and nonzero rational leg parameters. When e <= -1 and every
-r_i < -1 the space bounds a canonical star-shaped negative definite plumbing:
-the central vertex carries weight e and leg i becomes a chain whose weights
-are the negative continued fraction expansion of r_i. A plumbing may have at
-most MAX_GRAM_RANK vertices: the expansion stops, and FormatError (exit code
-1) is raised, as soon as a space would need more.
+central framing and nonzero rational leg parameters; its Euler number is
+e(Y) = e - sum 1/r_i. canonical_plumbing first moves integers into the
+central weight (Neumann-Raymond normal form): with s = 1/r and m = ceil(s),
+the center becomes e - m and the leg becomes 1/(s - m) < -1, or drops when
+s = m. Neither e(Y) nor |H_1| changes. When e(Y) < 0 the space then bounds
+a star-shaped negative definite plumbing: the central vertex carries the
+shifted weight and leg i becomes a chain whose weights are the negative
+continued fraction expansion of its normalized parameter. A plumbing may
+have at most MAX_GRAM_RANK vertices: the expansion stops, and FormatError
+(exit code 1) is raised, as soon as a space would need more.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -18,10 +23,8 @@ from functools import cached_property
 from .errors import (
     ExpressionParseError,
     FormatError,
-    NotDefiniteError,
     NotNegativeDefiniteError,
     NotRationalHomologySphereError,
-    UnnormalizedSeifertDataError,
     ToolkitError,
     ZeroLegFramingError,
 )
@@ -45,7 +48,7 @@ class SeifertData:
                 "Euler number vanishes, first homology is infinite"
             )
 
-    @property
+    @cached_property
     def euler_number(self) -> Fraction:
         return Fraction(self.central) - sum(1 / r for r in self.legs)
 
@@ -172,27 +175,29 @@ def bad_vertex_indices(tree: PlumbingTree) -> tuple[int, ...]:
 
 
 def canonical_plumbing(data: SeifertData) -> PlumbingTree:
-    """Star-shaped negative definite plumbing of a Seifert space.
+    """Star-shaped plumbing of a Seifert space with its legs normalized.
 
-    Requires the normal form with central framing <= -1 and every leg
-    parameter below -1; the tree determinant then realizes the homology
-    order. Raises FormatError once the tree would pass MAX_GRAM_RANK
-    vertices, before any lattice is built.
+    Each normalized leg is a chain of weights <= -2, and the Schur
+    complement at the center is e(Y), so the star is negative definite
+    exactly when e(Y) < 0: e(Y) > 0 raises NotNegativeDefiniteError before
+    anything is built. The tree determinant realizes |H_1|. Raises
+    FormatError once the tree would pass MAX_GRAM_RANK vertices.
     """
-    if data.central > -1:
-        raise UnnormalizedSeifertDataError(
-            f"central framing {data.central} exceeds -1"
+    euler = data.euler_number
+    if euler > 0:
+        raise NotNegativeDefiniteError(
+            f"e(Y) = {euler} > 0: the canonical plumbing is not negative definite"
         )
-    for i, r in enumerate(data.legs):
-        if r >= -1:
-            raise UnnormalizedSeifertDataError(
-                f"leg {i + 1} parameter {r} is not below -1"
-            )
     weights = [data.central]
     edges = []
     for r in data.legs:
+        s = 1 / r
+        m = math.ceil(s)
+        weights[0] -= m
+        if s == m:
+            continue
         previous = 0
-        for w in _ncf_coefficients(r):
+        for w in _ncf_coefficients(1 / (s - m)):
             if len(weights) == MAX_GRAM_RANK:
                 raise FormatError(
                     f"the plumbing of this Seifert space has more than {MAX_GRAM_RANK} vertices"
@@ -201,19 +206,9 @@ def canonical_plumbing(data: SeifertData) -> PlumbingTree:
             edges.append((previous, len(weights) - 1))
             previous = len(weights) - 1
     tree = PlumbingTree(tuple(weights), tuple(edges))
-    try:
-        lat = tree.lattice
-    except NotDefiniteError as err:
-        raise NotNegativeDefiniteError(
-            "canonical plumbing is not negative definite"
-        ) from err
-    if lat.sign >= 0:
-        raise NotNegativeDefiniteError(
-            "canonical plumbing is not negative definite"
-        )
-    if abs(lat.determinant) != h1_order(data):
+    if abs(tree.lattice.determinant) != h1_order(data):
         raise ToolkitError(
-            f"plumbing determinant {lat.determinant} does not match |H_1| = {h1_order(data)}"
+            f"plumbing determinant {tree.lattice.determinant} does not match |H_1| = {h1_order(data)}"
         )
     return tree
 

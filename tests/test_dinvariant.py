@@ -1,5 +1,7 @@
 """Correction terms of plumbed 3-manifolds and connected sums."""
 
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,6 @@ import pytest
 from latdefect import (
     POINCARE_SPHERE_D,
     LabellingViolationError,
-    NotNegativeDefiniteError,
     PlumbingTree,
     QuarterPair,
     ResidueViolationError,
@@ -16,10 +17,13 @@ from latdefect import (
     UnsupportedExpressionError,
     d_invariant,
     evaluate_expression,
+    format_fraction,
     gram,
+    h1_order,
     is_characteristic,
     label_quarter,
     negative_e8_tree,
+    reverse_orientation,
     reverse_pair,
     seifert_class_values,
     spinc_classes,
@@ -127,10 +131,78 @@ def test_orientation_flip_negates_class_values():
 
 
 def test_indefinite_seifert_space_rejected():
-    with pytest.raises(NotNegativeDefiniteError):
-        seifert_class_values(
-            SeifertData(-1, (Fraction(-15, 13), Fraction(-17, 3), Fraction(-23, 22)))
-        )
+    # e(Y) = 5863/5865 > 0: read on the reverse, whose normalized plumbing
+    # Y(-2; -15/2, -17/14, -23) is negative definite, and negated
+    data = SeifertData(-1, (Fraction(-15, 13), Fraction(-17, 3), Fraction(-23, 22)))
+    assert data.euler_number > 0
+    values = seifert_class_values(data)
+    assert len(values) == 5863
+    assert values == tuple(-v for v in seifert_class_values(reverse_orientation(data)))
+
+
+def test_spaces_outside_normal_form_evaluate():
+    # the Poincare sphere and its reverse, and a space whose reverse is
+    # Y(-2; -2, -3/2, -4/3) in normal form
+    assert seifert_class_values(SeifertData(1, (2, 3, 5))) == (POINCARE_SPHERE_D,) == (2,)
+    assert evaluate_expression("Y(1; 2, 3, 5)").class_values == (2,)
+    assert evaluate_expression("Y(-1; -2, -3, -5)").class_values == (-2,)
+    assert evaluate_expression("Y(1; 2, 3, 4)").class_values == (Fraction(1, 4), Fraction(7, 4))
+
+
+def lens_d(p: int, q: int, i: int) -> Fraction:
+    """d(-L(p, q), i) by Ozsvath-Szabo's recursion (arXiv math/0110170,
+    Prop. 4.8), with d = 0 on L(1, q)."""
+    if p == 1:
+        return Fraction(0)
+    q %= p
+    return Fraction(p * q - (2 * i + 1 - p - q) ** 2, 4 * p * q) - lens_d(q, p % q, i % q)
+
+
+def test_lens_spaces_match_the_recursion():
+    # Y(e; r) is a lens space: with p/q = |e(Y)| in lowest terms, its class
+    # values are d(-L(p, q), i) when e(Y) < 0 and their negatives otherwise
+    assert sorted(seifert_class_values(SeifertData(-1, (Fraction(1, 2),)))) == [
+        Fraction(-1, 2), Fraction(1, 6), Fraction(1, 6)
+    ]
+    legs = {Fraction(s * a, b) for a in range(1, 12) for b in range(1, 12) for s in (1, -1)}
+    checked = 0
+    for central in range(-3, 4):
+        for r in sorted(legs):
+            euler = central - 1 / r
+            if euler == 0 or abs(euler * r.numerator) > 60:
+                continue
+            p, q = abs(euler).numerator, abs(euler).denominator
+            sign = 1 if euler < 0 else -1
+            expected = sorted(sign * lens_d(p, q, i) for i in range(p))
+            assert sorted(seifert_class_values(SeifertData(central, (r,)))) == expected, (central, r)
+            checked += 1
+    assert checked == 1156
+
+
+# SHA-256 of the class values of every space in the box below, as computed
+# before legs were normalized: there the box held exactly the spaces that
+# evaluated, those whose data or reverse is in normal form (center <= -1,
+# legs < -1) with e(Y) < 0
+NORMAL_FORM_BOX_DIGEST = "bd0d2c8400a6e6fd9f36d1aa12dd04267968cc3a5515be6d24d8dc72656f058e"
+
+
+def test_normalizing_keeps_the_values_of_normal_form_spaces():
+    legs = sorted({Fraction(-p, q) for p in range(2, 7) for q in range(1, p)})
+    lines = []
+    for central in range(-3, 0):
+        for k in (1, 2, 3):
+            for combo in itertools.combinations_with_replacement(legs, k):
+                if central - sum(1 / r for r in combo) >= 0:
+                    continue
+                data = SeifertData(central, combo)
+                if h1_order(data) > 60:
+                    continue
+                for space in (data, reverse_orientation(data)):
+                    legs_text = ",".join(map(format_fraction, space.legs))
+                    values = ",".join(map(format_fraction, sorted(seifert_class_values(space))))
+                    lines.append(f"{space.central};{legs_text}|{values}")
+    assert len(lines) == 894
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == NORMAL_FORM_BOX_DIGEST
 
 
 def test_two_large_homology_summands_rejected():

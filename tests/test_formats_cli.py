@@ -32,7 +32,12 @@ def test_parse_fraction():
     assert parse_fraction("3") == 3
     assert parse_fraction("-31/4") == Fraction(-31, 4)
     assert parse_fraction(" 7/2 ") == Fraction(7, 2)
-    for bad in ("a", "1/0", "1/2/3", ""):
+    assert parse_fraction("-0/5") == 0
+    # ASCII digits only: int() would read an Arabic-Indic three as 3, 1_0 as
+    # 10 and fullwidth 1/2 as 1/2; a sign goes on the numerator only
+    bad_inputs = ("a", "1/0", "1/2/3", "", "\u0663", "1_0", "\uff11/\uff12", "+3",
+                  "1/-2", "- 1", "1 / 2", "1.5", "1" * 5000)
+    for bad in bad_inputs:
         with pytest.raises(FormatError) as info:
             parse_fraction(bad)
         assert info.value.exit_code == 1
@@ -253,6 +258,8 @@ def test_cli_exit_codes(capsys, gram_files, tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("not json")
     assert run_cli(capsys, ["defect", "--gram", str(broken)])[0] == 1
+    radius = ["charmin", "--gram", gram_files["a1"], "--radius", "\u0663"]
+    assert run_cli(capsys, radius)[0] == 1
     # mathematical preconditions
     code, _, err = run_cli(capsys, ["defect", "--gram", gram_files["bad"]])
     assert code == 2 and "error:" in err

@@ -1,13 +1,18 @@
 """Definite filling and surgery obstructions from labelled correction terms."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from latdefect import (
     STANDARD_PAIR,
+    ConnectedSum,
+    ExpressionTerm,
     FillingConclusion,
     QuarterPair,
+    SeifertData,
     UnsupportedExpressionError,
     definite_verdict,
     evaluate_expression,
@@ -103,3 +108,22 @@ def test_main_example_verdicts(ybar_report):
     verdict = report_verdict(ybar_report)
     assert verdict.positive_definite is INCONCLUSIVE
     assert verdict.negative_definite is OBSTRUCTED
+
+
+def test_two_class_seifert_spaces_bound_their_own_plumbing():
+    # the abstract's Seifert claim as a test: Y bounds its negative definite
+    # plumbing when e(Y) < 0 and -Y does when e(Y) > 0, so that side is never
+    # obstructed, and no such space is obstructed both ways
+    legs = sorted({Fraction(s * a, b) for a in range(1, 6) for b in range(1, 6) for s in (1, -1)})
+    checked = 0
+    for central in range(-3, 4):
+        for combo in itertools.combinations_with_replacement(legs, 3):
+            euler = central - sum(1 / r for r in combo)
+            if abs(euler * math.prod(r.numerator for r in combo)) != 2:
+                continue
+            space = ConnectedSum((ExpressionTerm(1, SeifertData(central, combo)),))
+            verdict = report_verdict(evaluate_expression(space))
+            own = verdict.negative_definite if euler < 0 else verdict.positive_definite
+            assert own is INCONCLUSIVE, (central, combo)
+            checked += 1
+    assert checked == 990

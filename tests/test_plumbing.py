@@ -15,7 +15,6 @@ from latdefect import (
     PlumbingTree,
     PoincareAtom,
     SeifertData,
-    UnnormalizedSeifertDataError,
     ZeroLegFramingError,
     bad_vertex_indices,
     canonical_plumbing,
@@ -99,10 +98,20 @@ def test_e8_tree():
 
 
 def test_canonical_plumbing_rejects_unnormalized_data():
-    with pytest.raises(UnnormalizedSeifertDataError, match="central framing 0"):
-        canonical_plumbing(SeifertData(0, (Fraction(-3, 2),)))
-    with pytest.raises(UnnormalizedSeifertDataError, match="leg 2"):
-        canonical_plumbing(SeifertData(-2, (Fraction(-3, 2), Fraction(3, 2))))
+    # e(Y) > 0 is the one rejection: after normalizing, the star is negative
+    # definite exactly when e(Y) < 0
+    with pytest.raises(NotNegativeDefiniteError, match=r"e\(Y\) = 1/2 > 0") as info:
+        canonical_plumbing(SeifertData(0, (Fraction(-2),)))
+    assert info.value.exit_code == 2
+    # any other leg moves an integer into the central weight: 1/(3/2) = 2/3
+    # has ceiling 1, so the leg becomes 1/(2/3 - 1) = -3 and the center -3
+    shifted = SeifertData(-2, (Fraction(-3, 2), Fraction(3, 2)))
+    normal = SeifertData(-3, (Fraction(-3, 2), Fraction(-3)))
+    assert shifted.euler_number == normal.euler_number
+    assert canonical_plumbing(shifted) == canonical_plumbing(normal)
+    assert canonical_plumbing(normal).weights == (-3, -2, -2, -3)
+    # a leg with integral 1/r merges into the center: L(3, 1)
+    assert canonical_plumbing(SeifertData(-1, (Fraction(1, 2),))).weights == (-3,)
 
 
 def test_canonical_plumbing_rejects_indefinite_tree():

@@ -4,7 +4,8 @@ The benchmark under bench/ reaches the library through `lib.<name>` on the
 imported package and through the per-layer function table of its tracer.
 Both are read here with ast, without importing or running the benchmark, so
 a deletion in the library that would break it fails this suite first. The
-library's own source is read the same way, to check that it holds no assert.
+library's own source is read the same way, to check that it holds no assert
+and that every error class it declares is raised somewhere.
 """
 
 import ast
@@ -28,7 +29,7 @@ DELETED = {
                     "_cleared_vector", "_collapse_signs"),
     "linalg": ("bareiss_determinant", "rational_rank", "integer_row_kernel"),
     "lattice": ("is_minimal", "root_graph", "is_bipartite", "RootGraph"),
-    "errors": ("NotRootsError", "NotIndependentError"),
+    "errors": ("NotRootsError", "NotIndependentError", "UnnormalizedSeifertDataError"),
     "glue": ("double",),
     "plumbing": ("bad_vertices", "parse_seifert"),
     "formats": ("tree_to_json", "tree_from_json"),
@@ -107,12 +108,34 @@ def test_deleted_names_are_gone():
     assert "scale" not in ForestPlan._fields
 
 
+SOURCE = Path(latdefect.__file__).resolve().parent
+
+
+def test_every_error_class_is_constructed():
+    # an error class that nothing outside errors.py builds is dead taxonomy
+    errors = ast.parse((SOURCE / "errors.py").read_text())
+    declared = {
+        node.name
+        for node in errors.body
+        if isinstance(node, ast.ClassDef) and issubclass(getattr(latdefect, node.name), latdefect.ToolkitError)
+    }
+    declared.discard("ToolkitError")
+    constructed = {
+        node.func.id
+        for path in SOURCE.glob("*.py")
+        if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert len(declared) > 15
+    assert sorted(declared - constructed) == []
+
+
 def test_library_holds_no_assert():
     # invariants are raised ToolkitErrors, because python -O strips asserts
-    source = Path(latdefect.__file__).resolve().parent
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(source.glob("*.py"))
+        for path in sorted(SOURCE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
     ]

@@ -19,12 +19,9 @@ from hypothesis import strategies as st
 from latdefect import (
     BudgetExhaustedError,
     CosetProblem,
-    NotNegativeDefiniteError,
     NotRationalHomologySphereError,
     SeifertData,
-    UnnormalizedSeifertDataError,
     base_characteristic,
-    canonical_plumbing,
     gram,
     max_char_square,
     negative_e8_tree,
@@ -33,6 +30,7 @@ from latdefect import (
     validate_lattice,
 )
 from latdefect.cli import main
+from latdefect.dinvariant import _seifert_tree
 from latdefect.enumeration import coset_minima, enumerate_in_coset
 from latdefect.linalg import mat_vec
 
@@ -86,8 +84,10 @@ def test_forest_minimum_rejects_cycles_and_radius():
 
 
 def small_seifert_lattices():
-    legs = st.tuples(st.integers(2, 5), st.integers(1, 4)).filter(lambda ab: ab[0] > ab[1])
-    return st.tuples(st.integers(-3, -1), st.lists(legs, min_size=1, max_size=3))
+    """Centers and leg signs of both kinds, so that most legs are shifted
+    into the center before they are expanded."""
+    legs = st.tuples(st.sampled_from([1, -1]), st.integers(1, 5), st.integers(1, 4))
+    return st.tuples(st.integers(-3, 3), st.lists(legs, min_size=1, max_size=3))
 
 
 @SLOW
@@ -95,9 +95,10 @@ def small_seifert_lattices():
 def test_max_char_square_matches_search_on_every_class(raw):
     central, legs = raw
     try:
-        tree = canonical_plumbing(SeifertData(central, [Fraction(-a, b) for a, b in legs]))
-    except (NotNegativeDefiniteError, NotRationalHomologySphereError, UnnormalizedSeifertDataError):
+        data = SeifertData(central, [Fraction(s * a, b) for s, a, b in legs])
+    except NotRationalHomologySphereError:
         assume(False)
+    tree, _flipped = _seifert_tree(data)
     assume(tree.rank <= 10)
     lat = gram(tree)
     assume(abs(lat.determinant) <= 40)

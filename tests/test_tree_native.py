@@ -15,11 +15,9 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from latdefect import (
-    NotNegativeDefiniteError,
     NotRationalHomologySphereError,
     SeifertData,
     ToolkitError,
-    UnnormalizedSeifertDataError,
     canonical_plumbing,
     conjugate_lattice,
     evaluate_expression,
@@ -146,17 +144,20 @@ def test_lattice_plan_reads_no_dense_adjugate():
 
 
 def small_seifert_lattices():
-    legs = st.tuples(st.integers(2, 7), st.integers(1, 6)).filter(lambda ab: ab[0] > ab[1])
-    return st.tuples(st.integers(-3, -1), st.lists(legs, min_size=1, max_size=3))
+    """Centers and leg signs of both kinds, so that most legs are shifted
+    into the center before they are expanded."""
+    legs = st.tuples(st.sampled_from([1, -1]), st.integers(1, 7), st.integers(1, 6))
+    return st.tuples(st.integers(-3, 3), st.lists(legs, min_size=1, max_size=3))
 
 
 @st.composite
 def plumbing_lattices(draw):
     central, legs = draw(small_seifert_lattices())
     try:
-        tree = canonical_plumbing(SeifertData(central, [Fraction(-a, b) for a, b in legs]))
-    except (NotNegativeDefiniteError, NotRationalHomologySphereError, UnnormalizedSeifertDataError):
+        data = SeifertData(central, [Fraction(s * a, b) for s, a, b in legs])
+    except NotRationalHomologySphereError:
         assume(False)
+    tree, _flipped = _seifert_tree(data)
     assume(abs(tree.lattice.determinant) <= 300)
     return tree.lattice
 
