@@ -5,6 +5,15 @@ correction term of each spin-c structure is (max K^2 + s) / 4, maximizing the
 square over characteristic covectors in the class and counting vertices with
 s. Spaces with two-element first homology get their two values labelled by
 residue mod 2, and connected sums with homology spheres shift both labels.
+
+Conjugation gives d(Y, s) = d(Y, conj s) (Ozsvath-Szabo, arXiv
+math/0110170); on the lattice, K -> -K maps the class K + 2L onto -K + 2L and
+keeps every square, so both classes have the same maximum.
+seifert_class_values names the class of a rep p by adj p mod 2 |det| (a
+class adds 2 |det| y to adj p) and runs one tree dynamic program per
+conjugate pair: (h + t) / 2 of them for h classes, t of them self-conjugate
+(adj p = 0 mod |det|). The values are exact and the same, class by class,
+as one d_invariant per class.
 """
 
 from __future__ import annotations
@@ -12,8 +21,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .defects import max_char_square
+from .enumeration import plan_solve
 from .errors import (
     FormatError,
     LabellingViolationError,
@@ -156,16 +167,31 @@ def _seifert_tree(data: SeifertData) -> tuple[PlumbingTree, bool]:
 def seifert_class_values(
     data: SeifertData, *, node_budget: int | None = None
 ) -> tuple[Fraction, ...]:
-    """Correction terms of a Seifert space, one per spin-c structure, read on
-    the orientation with e(Y) < 0, whose canonical plumbing is negative
-    definite, and negated when that is the reverse."""
+    """Correction terms of a Seifert space, one per spin-c structure in
+    spinc_classes order, read on the orientation with e(Y) < 0, whose
+    canonical plumbing is negative definite, and negated when that is the
+    reverse.
+
+    The class of a rep p is named by adj p mod 2 |det| (adj p from the
+    plan's O(n) solve), and the conjugate class of -p by -adj p mod 2 |det|.
+    Conjugate classes have the same maximal square, so one d_invariant
+    serves both: a class whose key is already known runs no tree dynamic
+    program. node_budget bounds each dynamic program that runs.
+    """
     tree, flipped = _seifert_tree(data)
-    values = [
-        d_invariant(tree, cls, node_budget=node_budget)
-        for cls in spinc_classes(tree.lattice)
-    ]
-    if flipped:
-        values = [-v for v in values]
+    plan = tree.lattice.forest_plan
+    modulus = 2 * plan.determinant
+    known: dict[tuple[int, ...], Fraction] = {}
+    values = []
+    for cls in spinc_classes(tree.lattice):
+        adj = plan_solve(plan, cls.representative.pairings)
+        key = tuple(x % modulus for x in adj)
+        if key not in known:
+            value = d_invariant(tree, cls, node_budget=node_budget)
+            known[key] = known[tuple(-x % modulus for x in adj)] = (
+                -value if flipped else value
+            )
+        values.append(known[key])
     return tuple(values)
 
 
@@ -187,6 +213,8 @@ def evaluate_expression(
     At most one summand may have nontrivial first homology; homology sphere
     summands shift every class value, a summand of multiplicity k by k times
     its correction term. Two-class results carry the labelled pair.
+    node_budget bounds each tree dynamic program that runs; a class that
+    takes its conjugate's value (seifert_class_values) runs none.
     """
     if isinstance(expression, str):
         expression = parse_expression(expression)
@@ -213,7 +241,13 @@ def evaluate_expression(
     if special is None:
         return DInvariantReport(expression, 1, (shift,), None)
     values = seifert_class_values(special, node_budget=node_budget)
-    shifted = tuple(sorted(v + shift for v in values))
+    # sorted by numerator over the common denominator, with no Fraction
+    # comparison
+    common = lcm(*(v.denominator for v in values))
+    shifted = tuple(
+        v + shift
+        for v in sorted(values, key=lambda v: v.numerator * (common // v.denominator))
+    )
     pair = None
     if len(values) == 2:
         pair = sum_with_homology_spheres(label_quarter(values), [shift])

@@ -1,6 +1,7 @@
 """Correction terms of plumbed 3-manifolds and connected sums."""
 
 import hashlib
+import importlib
 import itertools
 from fractions import Fraction
 
@@ -8,11 +9,14 @@ import pytest
 
 from latdefect import (
     POINCARE_SPHERE_D,
+    BudgetExhaustedError,
+    Covector,
     LabellingViolationError,
     PlumbingTree,
     QuarterPair,
     ResidueViolationError,
     SeifertData,
+    SpinCClass,
     TooManyBadVerticesError,
     UnsupportedExpressionError,
     d_invariant,
@@ -29,6 +33,11 @@ from latdefect import (
     spinc_classes,
     sum_with_homology_spheres,
 )
+from latdefect.cli import main
+from latdefect.dinvariant import _seifert_tree
+from latdefect.enumeration import plan_solve
+
+DEFECTS = importlib.import_module("latdefect.defects")  # the package re-exports defects()
 
 
 def test_e8_boundary_has_d_two():
@@ -130,7 +139,7 @@ def test_orientation_flip_negates_class_values():
     assert sorted(forward) == [Fraction(-3, 4), 0, 0, Fraction(1, 4)]
 
 
-def test_indefinite_seifert_space_rejected():
+def test_positive_euler_number_space_evaluates_through_its_reverse():
     # e(Y) = 5863/5865 > 0: read on the reverse, whose normalized plumbing
     # Y(-2; -15/2, -17/14, -23) is negative definite, and negated
     data = SeifertData(-1, (Fraction(-15, 13), Fraction(-17, 3), Fraction(-23, 22)))
@@ -138,6 +147,118 @@ def test_indefinite_seifert_space_rejected():
     values = seifert_class_values(data)
     assert len(values) == 5863
     assert values == tuple(-v for v in seifert_class_values(reverse_orientation(data)))
+
+
+def per_class_values(data: SeifertData) -> list[Fraction]:
+    """d_invariant of every class in spinc_classes order, one tree dynamic
+    program each, negated when the plumbing is of the reverse."""
+    tree, flipped = _seifert_tree(data)
+    sign = -1 if flipped else 1
+    return [sign * d_invariant(tree, cls) for cls in spinc_classes(tree.lattice)]
+
+
+def counted_dynamic_programs(monkeypatch) -> list[int]:
+    """Node counts of every tree dynamic program run from now on."""
+    runs = []
+    original = DEFECTS.plan_minimum
+
+    def counting(*args, **kwargs):
+        value, nodes = original(*args, **kwargs)
+        runs.append(nodes)
+        return value, nodes
+
+    monkeypatch.setattr(DEFECTS, "plan_minimum", counting)
+    return runs
+
+
+def test_conjugate_classes_share_one_value_class_by_class():
+    # every three-leg space with legs -a/b, a <= 5, center -1 or -2 and 30 to
+    # 600 classes (72 of them with e(Y) > 0, read on the reverse), and two
+    # spaces with non-cyclic first homology
+    legs = sorted({Fraction(-p, q) for p in range(2, 6) for q in range(1, p)})
+    spaces = [
+        SeifertData(-2, (-2, -2, -2)),  # (Z/2)^2
+        SeifertData(-3, (-4, -4, -2)),  # Z/4 + Z/16
+    ]
+    for central in (-1, -2):
+        for combo in itertools.combinations_with_replacement(legs, 3):
+            if central != sum(1 / r for r in combo):
+                data = SeifertData(central, combo)
+                if 30 <= h1_order(data) <= 600:
+                    spaces.append(data)
+    assert len(spaces) == 146
+    assert sum(data.euler_number > 0 for data in spaces) == 72
+    for data in spaces:
+        assert list(seifert_class_values(data)) == per_class_values(data), data
+
+
+def test_conjugate_class_has_the_same_correction_term():
+    for data in (
+        SeifertData(-3, (-4, -4, -2)),
+        SeifertData(-2, (Fraction(-5, 2), Fraction(-5, 3), Fraction(-7, 3))),
+        SeifertData(-1, (-2, -2, -2)),  # e(Y) > 0
+    ):
+        tree, _flipped = _seifert_tree(data)
+        lat = tree.lattice
+        classes = spinc_classes(lat)
+        plan = lat.forest_plan
+        modulus = 2 * plan.determinant
+        keys = [
+            tuple(x % modulus for x in plan_solve(plan, c.representative.pairings))
+            for c in classes
+        ]
+        assert len(set(keys)) == len(classes)  # adj p mod 2 |det| names the class
+        for cls in classes[:: max(1, len(classes) // 8)]:
+            p = cls.representative.pairings
+            negated = SpinCClass(Covector(tuple(-x for x in p), lat), cls.class_id)
+            assert is_characteristic(negated.representative)
+            conjugate = classes[keys.index(tuple(-x % modulus for x in plan_solve(plan, p)))]
+            value = d_invariant(tree, cls)
+            assert d_invariant(tree, negated) == d_invariant(tree, conjugate) == value
+
+
+def self_conjugate_count(data: SeifertData) -> int:
+    """Classes with adj p = 0 mod |det|, that is adj p = -adj p mod 2 |det|."""
+    tree, _flipped = _seifert_tree(data)
+    plan = tree.lattice.forest_plan
+    return sum(
+        all(x % plan.determinant == 0 for x in plan_solve(plan, c.representative.pairings))
+        for c in spinc_classes(tree.lattice)
+    )
+
+
+@pytest.mark.parametrize(
+    ("data", "classes", "self_conjugate", "programs"),
+    [
+        (SeifertData(2, (Fraction(15, 13), Fraction(17, 3), Fraction(23, 22))), 2, 2, 2),
+        (SeifertData(-1, (Fraction(-15, 13), Fraction(-17, 3), Fraction(-23, 22))), 5863, 1, 2932),
+        (SeifertData(-3, (-4, -4, -2)), 64, 4, 34),
+        (SeifertData(-2, (-2, -2, -2)), 4, 4, 4),
+    ],
+)
+def test_one_dynamic_program_per_conjugate_pair(
+    monkeypatch, data, classes, self_conjugate, programs
+):
+    assert h1_order(data) == classes
+    assert self_conjugate_count(data) == self_conjugate
+    runs = counted_dynamic_programs(monkeypatch)
+    assert len(seifert_class_values(data)) == classes
+    assert len(runs) == (classes + self_conjugate) // 2 == programs
+
+
+def test_node_budget_bounds_each_dynamic_program(monkeypatch, capsys):
+    data = SeifertData(-3, (-4, -4, -2))
+    runs = counted_dynamic_programs(monkeypatch)
+    values = seifert_class_values(data)
+    first, largest = runs[0], max(runs)
+    assert sum(runs) > largest  # the budget is per program, not per space
+    assert seifert_class_values(data, node_budget=largest) == values
+    with pytest.raises(BudgetExhaustedError) as info:
+        seifert_class_values(data, node_budget=first - 1)
+    assert (info.value.nodes, info.value.budget) == (first, first - 1)
+    for budget, code in ((first - 1, 3), (largest, 0)):
+        assert main(["--node-budget", str(budget), "seifert", "d", "Y(-3; -4, -4, -2)"]) == code
+    assert "budget" in capsys.readouterr().err
 
 
 def test_spaces_outside_normal_form_evaluate():

@@ -97,7 +97,7 @@ def test_e8_tree():
     assert len(bad_vertex_indices(tree)) == 1
 
 
-def test_canonical_plumbing_rejects_unnormalized_data():
+def test_canonical_plumbing_normalizes_legs_and_rejects_only_positive_euler_number():
     # e(Y) > 0 is the one rejection: after normalizing, the star is negative
     # definite exactly when e(Y) < 0
     with pytest.raises(NotNegativeDefiniteError, match=r"e\(Y\) = 1/2 > 0") as info:
