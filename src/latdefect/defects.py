@@ -100,12 +100,13 @@ def _halved(big, det: int) -> tuple[list[int], int]:
 def _class_target(lat: IntegralLattice, rep_pairings) -> tuple[list[int], int]:
     """(big, den) with big / den the halved class target z / 2, in lowest terms.
 
-    z = G^{-1} p = sign adj p / det for the positive form, with the lattice's
-    cached adjugate; den = 2 |det| reduced by the gcd with the entries of big.
+    z = G^{-1} p = sign adj p / det for the positive form, with adj p from the
+    lattice's O(n^2) solve on its validation factor (IntegralLattice.solve);
+    den = 2 |det| reduced by the gcd with the entries of big.
     """
     det = lat.determinant
     flip = lat.sign if det > 0 else -lat.sign
-    return _halved([flip * x for x in mat_vec(lat.adjugate, list(rep_pairings))], abs(det))
+    return _halved([flip * x for x in lat.solve(rep_pairings)], abs(det))
 
 
 def _class_problem(lat: IntegralLattice, rep_pairings, radius=None) -> CosetProblem:

@@ -47,6 +47,7 @@ from .errors import (
 )
 from .linalg import (
     clear_denominators,
+    exact_quotient,
     first_asymmetry,
     integer_matrix_inverse,
     ldl_decomposition,
@@ -475,14 +476,6 @@ class ForestPlan(NamedTuple):
     factor: tuple
 
 
-def _exact(num: int, den: int) -> int:
-    """num / den, raising ToolkitError when den does not divide num."""
-    quotient, rest = divmod(num, den)
-    if rest:
-        raise ToolkitError(f"{num} is not divisible by {den}")
-    return quotient
-
-
 def forest_plan(form, factor) -> ForestPlan | None:
     """The ForestPlan of a symmetric positive definite integer form with its
     fraction_free_ldl factor, or None when the nonzero off-diagonal entries
@@ -532,9 +525,9 @@ def forest_plan(form, factor) -> ForestPlan | None:
             component[v] = minors[v]
         else:
             component[v] = component[p]
-            without_p = up[p] * _exact(products[p], minors[v])
-            up[v] = _exact(component[v] + link[v] ** 2 * products[v] * without_p, minors[v])
-        adj[v] = products[v] * up[v] * _exact(det, component[v])
+            without_p = up[p] * exact_quotient(products[p], minors[v])
+            up[v] = exact_quotient(component[v] + link[v] ** 2 * products[v] * without_p, minors[v])
+        adj[v] = products[v] * up[v] * exact_quotient(det, component[v])
     return ForestPlan(
         order=tuple(order),
         parent=tuple(parent),
@@ -573,9 +566,9 @@ def plan_solve(plan: ForestPlan, vec) -> list[int]:
     for v in reversed(plan.order):
         p = parent[v]
         if p < 0:
-            out[v] = folded[v] * _exact(det, minors[v])
+            out[v] = folded[v] * exact_quotient(det, minors[v])
         else:
-            out[v] = _exact(
+            out[v] = exact_quotient(
                 folded[v] * det - (plan.edge[v] // 2) * out[p] * products[v], minors[v]
             )
     return out

@@ -62,14 +62,14 @@ def _doubled_glue_coordinates(lat: IntegralLattice) -> list[int]:
     """Twice the coordinates of the canonical discriminant generator.
 
     The generator's coordinates are G^-1 p = adj p / det; doubling them must
-    clear the denominator det = +-2. Both the group and the integer adjugate
-    are cached on the lattice.
+    clear the denominator det = +-2. The group is cached on the lattice, and
+    adj p is one O(n^2) solve on its validation factor (IntegralLattice.solve).
     """
     group = discriminant_group(lat)
     if group.orders != (2,):
         raise NotBimodularError(f"discriminant group has orders {group.orders}")
     det = lat.determinant
-    coords = [2 * x for x in mat_vec(lat.adjugate, list(group.generators[0].pairings))]
+    coords = [2 * x for x in lat.solve(group.generators[0].pairings)]
     if any(x % det for x in coords):
         raise GlueFailureError("glue vector is not half-integral")
     return [x // det for x in coords]

@@ -32,12 +32,12 @@ from .errors import (
     ToolkitError,
 )
 from .linalg import (
-    adjugate as integer_adjugate,
+    dot,
+    factor_solve,
     first_asymmetry,
     fraction_free_ldl,
     hermite_row_basis,
     invert_matrix,
-    quadratic_value,
     reduce_mod_rows,
     require_square,
     sign_normalize,
@@ -72,7 +72,8 @@ class IntegralLattice:
     """Definite lattice; sign is +1 for positive definite, -1 for negative.
 
     factor is fraction_free_ldl(positive_gram), the elimination validation
-    ran; the forest plan reuses it.
+    ran; the forest plan and every covector solve (solve) reuse it, so no
+    dense adjugate or inverse is built for them.
     """
 
     gram: tuple[tuple[int, ...], ...]
@@ -95,21 +96,24 @@ class IntegralLattice:
         """G^-1 in Fractions, for the searches whose form it is."""
         return tuple(tuple(row) for row in invert_matrix(self.gram))
 
-    @cached_property
-    def adjugate(self) -> tuple[tuple[int, ...], ...]:
-        """det * G^-1 for the Gram matrix as given: an integer matrix.
+    def solve(self, vec) -> list[int]:
+        """adj(G) vec = det G^-1 vec for the Gram matrix G as given, in integers.
 
-        One fraction-free elimination (linalg.adjugate) builds no Fraction;
-        the determinant it reaches must equal the one validation found, or
-        ToolkitError is raised.
+        O(n^2) on the factor validation made (linalg.factor_solve), which is
+        that of the positive form P; adj(-P) = (-1)^(n-1) adj(P), so a
+        negative definite lattice of even rank negates it. The factor's
+        determinant must be |det|, or ToolkitError is raised.
         """
-        adj, det = integer_adjugate(self.gram)
-        if det != self.determinant:
+        reached = self.factor[1][self.rank]
+        if reached != abs(self.determinant):
             raise ToolkitError(
-                f"adjugate elimination reached determinant {det}, "
-                f"validation found {self.determinant}"
+                f"factor reached determinant {reached}, "
+                f"the lattice has determinant {self.determinant}"
             )
-        return tuple(tuple(row) for row in adj)
+        out = factor_solve(self.factor, vec)
+        if self.sign < 0 and self.rank % 2 == 0:
+            return [-x for x in out]
+        return out
 
     @cached_property
     def discriminant_group(self) -> "DiscriminantGroup":
@@ -149,7 +153,7 @@ class Covector:
     def norm(self) -> Fraction:
         """Square <xi, xi> with respect to the Gram matrix as given."""
         lat = self.lattice
-        return Fraction(quadratic_value(lat.adjugate, self.pairings), lat.determinant)
+        return Fraction(dot(self.pairings, lat.solve(self.pairings)), lat.determinant)
 
     @property
     def positive_norm(self) -> Fraction:

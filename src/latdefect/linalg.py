@@ -100,6 +100,44 @@ def fraction_free_row(gram_row, k: int, lam, minors) -> None:
             minors[k + 1] = val
 
 
+def factor_solve(factor, vec) -> list[int]:
+    """adj(s q) vec = det(s q) (s q)^-1 vec from factor = fraction_free_ldl(q)
+    = (lam, minors, s), in O(n^2) steps and integers only.
+
+    Forward, the row step of fraction_free_row applied to vec as one more
+    row gives row[j] = minors[j] y_j for L y = vec; so with
+    z = D^-1 y, z_j = row[j] / minors[j + 1]. Back-substituting L^T x = z
+    and scaling by det = minors[n] gives the integers
+    N_i = det x_i = (det row[i] - sum over j > i of lam[j][i] N_j) / minors[i + 1].
+    Each value in both passes is an integer minor, so every division is
+    exact for a true factor; each is checked, and ToolkitError is raised
+    when one is not.
+    """
+    lam, minors, _scale = factor
+    n = len(lam)
+    row = [int(x) for x in vec]
+    for j in range(n):
+        other = lam[j]
+        val = row[j]
+        for i in range(j):
+            val = exact_quotient(minors[i + 1] * val - row[i] * other[i], minors[i])
+        row[j] = val
+    det = minors[n]
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        num = det * row[i] - sum(lam[j][i] * out[j] for j in range(i + 1, n))
+        out[i] = exact_quotient(num, minors[i + 1])
+    return out
+
+
+def exact_quotient(num: int, den: int) -> int:
+    """num / den, raising ToolkitError when den does not divide num."""
+    quotient, rest = divmod(num, den)
+    if rest:
+        raise ToolkitError(f"{num} is not divisible by {den}")
+    return quotient
+
+
 def ldl_decomposition(q) -> tuple[list[list[Fraction]], list[Fraction]]:
     """Q = L D L^T with L unit lower triangular, D positive diagonal.
 

@@ -1,6 +1,8 @@
 """The dense-lattice path with each elimination done once per lattice.
 
-The integer adjugate is checked against det * G^-1 in Fractions, the cached
+The covector solve on the validation factor is checked against the dense
+Bareiss adjugate and against det * G^-1 in Fractions, and guarded to run no
+dense adjugate; the cached
 discriminant group against a count of Smith forms, the shared reduction and
 factorization behind defects against one preparation per class, and gluing
 on the triangular doubled basis against the Smith-form saturation test and
@@ -19,7 +21,7 @@ from helpers import (
     random_spd_gram,
     smith_saturation_check,
 )
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from latdefect import (
@@ -30,6 +32,7 @@ from latdefect import (
     ToolkitError,
     a1_lattice,
     base_characteristic,
+    char_class_sign,
     characteristic_class_reps,
     conjugate_lattice,
     defects,
@@ -49,7 +52,7 @@ from latdefect import (
 )
 from latdefect.defects import _any_problem, _class_problem
 from latdefect.enumeration import coset_minima, shortest_in_coset
-from latdefect.linalg import hermite_row_basis
+from latdefect.linalg import adjugate, hermite_row_basis, mat_vec, quadratic_value
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 GLUE = sys.modules["latdefect.glue"]
@@ -79,17 +82,72 @@ def conjugated_lattices(draw):
 @SETTINGS
 @given(conjugated_lattices())
 def test_integer_adjugate_is_det_times_the_fraction_inverse(lat):
+    # solve(e_i) is column i of adj G = det G^-1
     det = lat.determinant
+    n = lat.rank
+    columns = [lat.solve([int(i == j) for j in range(n)]) for i in range(n)]
     expected = [[det * x for x in row] for row in lat.gram_inverse]
-    assert [list(row) for row in lat.adjugate] == expected
-    assert all(type(x) is int for row in lat.adjugate for x in row)
+    assert [list(row) for row in zip(*columns)] == expected
+    assert all(type(x) is int for column in columns for x in column)
+
+
+@SETTINGS
+@given(conjugated_lattices(), st.integers(0, 10**6))
+@example(validate_lattice([[7]]), 0)
+@example(validate_lattice([[-7]]), 0)
+def test_solve_matches_the_dense_adjugate(lat, seed):
+    rng = random.Random(seed)
+    adj, det = adjugate(lat.gram)
+    assert det == lat.determinant
+    for _ in range(3):
+        vec = [rng.randint(-9, 9) for _ in range(lat.rank)]
+        assert lat.solve(vec) == mat_vec(adj, vec)
+
+
+def test_solve_on_glued_overlattices():
+    for seed in range(20):
+        over = glue_overlattice(conjugated_bimodular(2 * seed), conjugated_bimodular(2 * seed + 1))
+        adj, det = adjugate(over.gram)
+        assert det == over.determinant == 1
+        chi = base_characteristic(over)
+        assert over.solve(chi.pairings) == mat_vec(adj, list(chi.pairings))
+        assert chi.norm == quadratic_value(adj, chi.pairings)
 
 
 def test_integer_adjugate_checks_the_determinant():
     # the Gram matrix of A1 + A1 has determinant 4, not the 2 claimed here
     wrong = replace(validate_lattice([[2, 0], [0, 2]]), determinant=2)
     with pytest.raises(ToolkitError, match="determinant 4"):
-        wrong.adjugate
+        wrong.solve([1, 0])
+
+
+def test_solve_checks_every_division():
+    # [[2, 1], [1, 2]] factors as lam = [[], [1]], minors [1, 2, 3]; with
+    # lam[1][0] = 2 the back pass meets 7 / 2
+    lat = validate_lattice([[2, 1], [1, 2]])
+    assert lat.solve([1, 0]) == [2, -1]
+    lam, minors, scale = lat.factor
+    tampered = replace(lat, factor=([[], [2]], minors, scale))
+    with pytest.raises(ToolkitError, match="7 is not divisible by 2"):
+        tampered.solve([1, 0])
+
+
+def test_covector_questions_run_no_dense_adjugate(monkeypatch):
+    left, right = conjugated_bimodular(5), conjugated_bimodular(6)
+    calls = count_linalg_calls(monkeypatch, ["adjugate", "integer_matrix_inverse"])
+    over = glue_overlattice(left, right)
+    chi = base_characteristic(over)
+    parts = [restrict_covector(chi, side) for side in ("left", "right")]
+    assert extend_covector(over, *parts) == chi
+    assert chi.norm == sum(part.norm for part in parts)
+    for lat in (left, right):
+        for sign, rep in characteristic_class_reps(lat).items():
+            assert char_class_sign(rep) is sign
+    assert calls == {"adjugate": [], "integer_matrix_inverse": []}
+    # the searches behind defects invert only their LLL transforms
+    defects(left)
+    assert calls["integer_matrix_inverse"]
+    assert calls["adjugate"] == calls["integer_matrix_inverse"]
 
 
 def test_second_discriminant_group_runs_no_smith_form(monkeypatch):
@@ -105,7 +163,6 @@ def test_glue_takes_no_smith_form_or_adjugate_once_summands_are_cached(monkeypat
     left, right = conjugated_bimodular(5), conjugated_bimodular(6)
     for lat in (left, right):
         discriminant_group(lat)
-        lat.adjugate
     calls = count_linalg_calls(monkeypatch, ["smith_normal_form", "adjugate", "invert_matrix"])
     over = glue_overlattice(left, right)
     chi = base_characteristic(over)

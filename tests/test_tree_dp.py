@@ -32,7 +32,7 @@ from latdefect import (
 from latdefect.cli import main
 from latdefect.dinvariant import _seifert_tree
 from latdefect.enumeration import coset_minima, enumerate_in_coset
-from latdefect.linalg import mat_vec
+from latdefect.linalg import adjugate, mat_vec
 
 SLOW = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 DEFECTS = importlib.import_module("latdefect.defects")  # the package re-exports defects()
@@ -103,8 +103,8 @@ def test_max_char_square_matches_search_on_every_class(raw):
     lat = gram(tree)
     assume(abs(lat.determinant) <= 40)
     for cls in spinc_classes(lat):
-        # z = G^-1 p of the positive form -G, from the adjugate of G
-        adj = mat_vec(lat.adjugate, list(cls.representative.pairings))
+        # z = G^-1 p of the positive form -G, from the dense adjugate of G
+        adj = mat_vec(adjugate(lat.gram)[0], list(cls.representative.pairings))
         target = [Fraction(-x, 2 * lat.determinant) for x in adj]
         search = shortest_in_coset(CosetProblem(lat.positive_gram, target))
         assert max_char_square(lat, cls.representative) == -4 * search.min_norm

@@ -132,15 +132,16 @@ def test_main_example_factors_its_gram_once(monkeypatch):
     assert lat.forest_plan.factor is lat.factor
 
 
-def test_lattice_plan_reads_no_dense_adjugate():
+def test_lattice_plan_reads_no_dense_adjugate(monkeypatch):
     lat = canonical_plumbing(SeifertData(-2, [Fraction(-3, 1), Fraction(-5, 2), Fraction(-6, 1)])).lattice
     assert lat.positive_gram is lat.positive_gram
+    calls = count_linalg_calls(monkeypatch, ["adjugate"])
     plan = lat.forest_plan
-    assert "adjugate" not in vars(lat) and "gram_inverse" not in vars(lat)
     assert plan.determinant == abs(lat.determinant)
     for cls in spinc_classes(lat):
         rep = cls.representative.pairings
         assert _halved(plan_solve(plan, rep), plan.determinant) == _class_target(lat, rep)
+    assert calls == {"adjugate": []} and "gram_inverse" not in vars(lat)
 
 
 def small_seifert_lattices():
