@@ -170,7 +170,7 @@ def obstruct(settings: Settings, expression):
 @click.argument("expression")
 @click.pass_obj
 def surgery(settings: Settings, expression):
-    """Obstruction to homology cobordism with 2/q surgeries on knots."""
+    """Obstruction to homology cobordism with +-2/q surgeries on knots."""
     report = _evaluated(settings, expression)
     if report.pair is None:
         raise UnsupportedExpressionError(

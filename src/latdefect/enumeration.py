@@ -7,6 +7,8 @@ depth-first, each level visiting integer candidates in nearest-first zig-zag
 order; the first full descent therefore reproduces the nearest-plane rounding
 of -t and seeds the pruning radius. All arithmetic is exact: denominators are
 cleared once per factorization, so the inner loop works on plain integers.
+An integral form is kept in int from CosetProblem through LLL to the
+fraction-free factor, so it is never wrapped in Fractions and cleared again.
 
 There is one entry point per problem shape: shortest_in_coset reports the
 minimum with every minimizer; coset_minima runs the same search, node for
@@ -57,27 +59,34 @@ from .linalg import (
 from .reduction import lll_reduce_gram
 
 
+def _exact(x):
+    return x if type(x) in (int, Fraction) else Fraction(x)
+
+
 @dataclass(frozen=True)
 class CosetProblem:
     """Minimize (target + x)^T form (target + x) over x in Z^n.
 
     form must be square (FormatError otherwise), symmetric and positive
     definite (checked when factored); radius, when given, is an inclusive
-    upper bound on accepted values.
+    upper bound on accepted values. int and Fraction entries of form and
+    target are kept as given, and any other entry becomes a Fraction, so an
+    integral form reaches the search's integer kernel without a round trip
+    through Fractions; an int equals, and hashes as, its Fraction.
     """
 
-    form: tuple[tuple[Fraction, ...], ...]
-    target: tuple[Fraction, ...]
+    form: tuple[tuple[int | Fraction, ...], ...]
+    target: tuple[int | Fraction, ...]
     radius: Fraction | None = None
 
     def __init__(self, form, target, radius=None):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in form)
+        rows = tuple(tuple(map(_exact, row)) for row in form)
         require_square(rows)
         bad = first_asymmetry(rows)
         if bad is not None:
             i, j = bad
             raise NotSymmetricError(i, j, rows[i][j], rows[j][i])
-        tgt = tuple(Fraction(x) for x in target)
+        tgt = tuple(map(_exact, target))
         if len(tgt) != len(rows):
             raise ValueError("target length does not match form rank")
         object.__setattr__(self, "form", rows)
@@ -123,7 +132,9 @@ class _Scaled:
             col_scale = lcm(*(c.denominator for _j, c in cols[i]))
             col = [(j, c.numerator * (col_scale // c.denominator)) for j, c in cols[i]]
             whole = den * col_scale
-            k = col_scale * big[i] + sum(c * big[j] for j, c in col)  # whole * const
+            k = col_scale * big[i]  # whole * const
+            for j, c in col:
+                k += c * big[j]
             s = lcm(col_scale, whole // gcd(k, whole))
             scales.append(s)
             consts.append(k * s // whole)
@@ -152,46 +163,13 @@ class _Worker:
 
     def __init__(self, scaled, mode, cap, node_budget):
         self.sc = scaled
-        n = scaled.n
-        self.n = n
         self.mode = mode
         self.cap = cap  # fixed inclusive radius (collect, or shrink with radius)
         self.node_budget = node_budget
-        self.x = [0] * n
-        self.part = [0] * n
-        self.sbase = [0] * n
-        self.up = [0] * n
-        self.down = [0] * n
-        self.up_ok = [False] * n
-        self.down_ok = [False] * n
+        self.x = [0] * scaled.n
         self.best = None
         self.hits: list = []
         self.nodes = 0
-
-    def _spend(self) -> None:
-        self.nodes += 1
-        if self.node_budget is not None and self.nodes > self.node_budget:
-            raise BudgetExhaustedError(self.nodes, self.node_budget)
-
-    def _limit(self):
-        m = self.cap
-        if self.best is not None and (m is None or self.best < m):
-            m = self.best
-        return m
-
-    def _enter(self, i: int) -> None:
-        sc = self.sc
-        x = self.x
-        b = sc.consts[i]
-        for j, c in sc.scols[i]:
-            b += c * x[j]
-        self.sbase[i] = b
-        s = sc.scales[i]
-        r0 = (s - 2 * b) // (2 * s)
-        self.up[i] = r0
-        self.down[i] = r0 - 1
-        self.up_ok[i] = True
-        self.down_ok[i] = True
 
     def _record(self, total: int) -> None:
         if self.mode == "collect":
@@ -205,37 +183,48 @@ class _Worker:
             self.hits.append(tuple(self.x))
 
     def run(self) -> None:
-        if self.n == 0:
+        """One loop over nodes; limit is the lesser of cap and best."""
+        sc = self.sc
+        n = sc.n
+        if n == 0:
             self._record(0)
             return
-        scales = self.sc.scales
-        coeff = self.sc.coeff
-        sbase = self.sbase
-        part = self.part
-        up, down = self.up, self.down
-        up_ok, down_ok = self.up_ok, self.down_ok
-        i = self.n - 1
-        self._enter(i)
+        scales, consts, scols, coeff = sc.scales, sc.consts, sc.scols, sc.coeff
+        budget = self.node_budget
+        limit = self.cap
+        x = self.x
+        part = [0] * n
+        sbase = [0] * n
+        up = [0] * n
+        down = [0] * n
+        up_ok = [True] * n
+        down_ok = [True] * n
+        nodes = 0
+        i = n - 1
+        b = sbase[i] = consts[i]  # the last level depends on no choice
+        up[i] = (scales[i] - 2 * b) // (2 * scales[i])
+        down[i] = up[i] - 1
         while True:
+            s = scales[i]
             if up_ok[i] and down_ok[i]:
-                du = scales[i] * up[i] + sbase[i]
-                dd = scales[i] * down[i] + sbase[i]
-                side = 1 if abs(du) <= abs(dd) else -1
+                side = 1 if abs(s * up[i] + sbase[i]) <= abs(s * down[i] + sbase[i]) else -1
             elif up_ok[i]:
                 side = 1
             elif down_ok[i]:
                 side = -1
             else:
                 i += 1
-                if i == self.n:
+                if i == n:
+                    self.nodes = nodes
                     return
                 continue
             cand = up[i] if side == 1 else down[i]
-            u = scales[i] * cand + sbase[i]
-            cost = coeff[i] * u * u
-            self._spend()
-            limit = self._limit()
-            if limit is not None and part[i] + cost > limit:
+            u = s * cand + sbase[i]
+            total = part[i] + coeff[i] * u * u
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExhaustedError(nodes, budget)
+            if limit is not None and total > limit:
                 if side == 1:
                     up_ok[i] = False
                 else:
@@ -245,13 +234,22 @@ class _Worker:
                 up[i] += 1
             else:
                 down[i] -= 1
-            self.x[i] = cand
+            x[i] = cand
             if i == 0:
-                self._record(part[0] + cost)
+                self._record(total)
+                if self.best is not None and (limit is None or self.best < limit):
+                    limit = self.best
                 continue
-            part[i - 1] = part[i] + cost
             i -= 1
-            self._enter(i)
+            part[i] = total
+            b = consts[i]
+            for j, c in scols[i]:
+                b += c * x[j]
+            sbase[i] = b
+            s = scales[i]
+            up[i] = r0 = (s - 2 * b) // (2 * s)
+            down[i] = r0 - 1
+            up_ok[i] = down_ok[i] = True
 
 
 class _Prepared(NamedTuple):

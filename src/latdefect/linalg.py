@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import FormatError, NotPositiveDefiniteError, ToolkitError
@@ -25,15 +26,15 @@ def transpose(mat):
 
 def mat_mul(a, b):
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(mat, vec):
-    return [sum(x * y for x, y in zip(row, vec)) for row in mat]
+    return [sum(map(mul, row, vec)) for row in mat]
 
 
 def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def quadratic_value(mat, vec):
@@ -125,7 +126,9 @@ def factor_solve(factor, vec) -> list[int]:
     det = minors[n]
     out = [0] * n
     for i in range(n - 1, -1, -1):
-        num = det * row[i] - sum(lam[j][i] * out[j] for j in range(i + 1, n))
+        num = det * row[i]
+        for j in range(i + 1, n):
+            num -= lam[j][i] * out[j]
         out[i] = exact_quotient(num, minors[i + 1])
     return out
 
@@ -157,7 +160,10 @@ def ldl_decomposition(q) -> tuple[list[list[Fraction]], list[Fraction]]:
 
 
 def clear_denominators(mat) -> tuple[list[list[int]], int]:
-    """(scale * mat, scale) for the least scale making every entry an integer."""
+    """(scale * mat, scale) for the least scale making every entry an integer,
+    in new rows that callers may mutate; an all-int matrix is only copied."""
+    if all(type(x) is int for row in mat for x in row):
+        return [list(row) for row in mat], 1
     scale = lcm(*(x.denominator for row in mat for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row] for row in mat], scale
 

@@ -17,6 +17,8 @@ from .dinvariant import DInvariantReport, QuarterPair, reverse_pair
 from .errors import UnsupportedExpressionError
 
 STANDARD_PAIR = QuarterPair(Fraction(1, 4), Fraction(-1, 4))
+# d_{1/4} - d_{-1/4} over every +-2/q surgery on a knot in S^3
+SURGERY_DIFFERENCES = frozenset({Fraction(1, 2), Fraction(-3, 2)})
 
 
 class FillingConclusion(enum.Enum):
@@ -102,12 +104,21 @@ def report_verdict(report: DInvariantReport) -> Verdict:
 
 
 def surgery_cobordism_obstruction(pair: QuarterPair) -> bool:
-    """Whether the labels rule out homology cobordism to 2/q surgery on a knot.
+    """Whether the labels rule out homology cobordism to +-2/q surgery on a
+    knot in S^3: True iff d_{1/4} - d_{-1/4} is neither 1/2 nor -3/2.
 
-    Such surgeries satisfy d_{1/4} - d_{-1/4} >= 1/2; the same difference
-    serves both orientations.
+    Ni and Wu (arXiv 1009.4720) give, for every knot K and p/q > 0,
+    d(S^3_{p/q}(K), i) = d(L(p, q), i) - 2 max(V_{floor(i/q)},
+    V_{floor((p + q - 1 - i)/q)}), where V_0 >= V_1 >= ... >= 0 and each
+    V_j - V_{j+1} is 0 or 1. For p = 2 and odd q >= 3 both classes shift by
+    -2 V_0, so the difference is that of the lens space, 1/2. For q = 1 the
+    classes shift by -2 V_0 and -2 V_1, so it is 1/2 - 2 (V_0 - V_1), which
+    is 1/2 or -3/2. Since S^3_{-p/q}(K) is S^3_{p/q} of the mirror of K with
+    its orientation reversed, and reversal keeps the difference, these are
+    the only differences of +-2/q surgeries on knots, and a homology
+    cobordism keeps both labelled values.
     """
-    return pair.d_quarter - pair.d_minus_quarter < Fraction(1, 2)
+    return surgery_difference(pair) not in SURGERY_DIFFERENCES
 
 
 def surgery_difference(pair: QuarterPair) -> Fraction:

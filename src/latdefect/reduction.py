@@ -23,8 +23,9 @@ def lll_reduce_gram(gram):
     scaled to integers: the leading Gram minors d[k] and
     lam[k][j] = d[j + 1] mu[k][j] stay integers and every division is exact.
     It takes exactly the size reductions (rounding mu half up) and swaps of
-    rational LLL, so u is the one the Gram-Schmidt form over Fractions gives;
-    reduced is built in Fractions once at the end. Raises
+    rational LLL, so u is the one the Gram-Schmidt form over Fractions gives.
+    reduced is the integer working matrix itself when gram is integral, and
+    Fractions built once at the end otherwise; gram is never mutated. Raises
     NotPositiveDefiniteError when a non-positive Gram-Schmidt norm shows the
     form is not positive definite.
     """
@@ -90,4 +91,6 @@ def lll_reduce_gram(gram):
             for l in range(k - 2, -1, -1):
                 size_reduce(k, l)
             k += 1
+    if scale == 1:
+        return a, u
     return [[Fraction(x, scale) for x in row] for row in a], u

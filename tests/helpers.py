@@ -24,6 +24,8 @@ smith_row_kernel reads an integer row kernel off a Smith form, the oracle of
 the unit count in is_diagonal_bimodular; smith_saturation_check uses it to
 test how the glued overlattice meets a summand's span, the oracle of the
 parity test that replaced it. count_linalg_calls records which linear algebra a call reaches.
+reference_search is the branch-and-bound search written recursively over
+the Fraction LDL^T, the oracle of the flat integer loop's node counts.
 """
 
 from __future__ import annotations
@@ -226,6 +228,58 @@ def babai_value(form, target):
         w[i] = target[i] + cand
         total += diag[i] * (cand + b) ** 2
     return total
+
+
+def reference_search(form, target):
+    """(min_norm, sorted minimizers, nodes) of the search shortest_in_coset
+    runs without LLL, written recursively over the Fraction LDL^T: the
+    reference of the flat integer loop's node count and visiting order.
+
+    Level i (from the last) has offset b = t_i + sum over j > i of
+    L_ji (t_j + x_j) and tries x_i nearest-first from round_half_up(-b),
+    zig-zagging towards the nearer side (up on a tie); every candidate tried
+    is one node, and a side closes at its first candidate over the best
+    value so far.
+    """
+    lower, diag = fraction_ldl(form)
+    n = len(diag)
+    t = [Fraction(v) for v in target]
+    x = [0] * n
+    state = {"best": None, "hits": [], "nodes": 0}
+
+    def level(i, part):
+        b = t[i] + sum(lower[j][i] * (t[j] + x[j]) for j in range(i + 1, n))
+        up = _round_half_up(-b)
+        down = up - 1
+        up_ok = down_ok = True
+        while up_ok or down_ok:
+            rise = up_ok and (not down_ok or abs(up + b) <= abs(down + b))
+            cand = up if rise else down
+            total = part + diag[i] * (cand + b) ** 2
+            state["nodes"] += 1
+            best = state["best"]
+            if best is not None and total > best:
+                if rise:
+                    up_ok = False
+                else:
+                    down_ok = False
+                continue
+            if rise:
+                up += 1
+            else:
+                down -= 1
+            x[i] = cand
+            if i > 0:
+                level(i - 1, total)
+            elif best is None or total < best:
+                state["best"], state["hits"] = total, [tuple(x)]
+            elif total == best:
+                state["hits"].append(tuple(x))
+
+    if n == 0:
+        return Fraction(0), [()], 0
+    level(n - 1, Fraction(0))
+    return state["best"], sorted(state["hits"]), state["nodes"]
 
 
 def fraction_lll(gram, delta=Fraction(3, 4)):

@@ -4,8 +4,11 @@ Integral LLL and the fraction-free LDL^T are checked on hypothesis-drawn Gram
 matrices against the Gram-Schmidt LLL and LDL^T over Fractions kept in
 tests/helpers.py; the value-only searches behind defects and the tree DP's
 integer nearest-plane bound are checked against the routes that build
-minimizers or work in Fractions. Node counts of min_char_norm are pinned to
-the values the Fraction kernel gave.
+minimizers or work in Fractions. The integer search loop is checked node for
+node against a recursive search over Fractions, and searches on int Gram
+matrices, which stay ints down to the integer kernel, against their Fraction
+twins. Node counts of min_char_norm are pinned to the values the Fraction
+kernel gave.
 """
 
 import random
@@ -13,7 +16,15 @@ import sys
 from fractions import Fraction
 
 import pytest
-from helpers import babai_value, fraction_ldl, fraction_lll, random_spd_gram, random_target
+from helpers import (
+    babai_value,
+    fraction_inverse,
+    fraction_ldl,
+    fraction_lll,
+    random_spd_gram,
+    random_target,
+    reference_search,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +40,7 @@ from latdefect import (
     direct_sum,
     e7_lattice,
     e8_lattice,
+    enumerate_in_coset,
     identity_lattice,
     min_char_norm,
     random_unimodular,
@@ -36,7 +48,7 @@ from latdefect import (
 )
 from latdefect.defects import _any_problem, _class_problem, characteristic_class_reps
 from latdefect.enumeration import _nearest_plane, coset_minima
-from latdefect.linalg import clear_denominators, fraction_free_ldl, ldl_decomposition
+from latdefect.linalg import clear_denominators, fraction_free_ldl, ldl_decomposition, mat_vec
 from latdefect.reduction import lll_reduce_gram
 
 SETTINGS = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -127,6 +139,24 @@ def test_coset_minima_is_the_search_without_minimizers(seed):
     assert coset_minima([problem]) == [(full.min_norm, full.nodes_visited)]
 
 
+@SETTINGS
+@given(st.integers(0, 10**6), st.booleans())
+def test_flat_search_visits_the_reference_nodes(seed, integral):
+    # value, minimizers and node count of the integer loop equal those of
+    # the recursive Fraction search, with and without LLL (the reduced
+    # problem taken from the Fraction LLL oracle)
+    rng = random.Random(seed)
+    gram = random_spd_gram(rng, max_rank=7, max_entry=9)
+    target = [Fraction(rng.randint(-3, 3)) if integral else t for t in random_target(rng, len(gram))]
+    plain = shortest_in_coset(CosetProblem(gram, target), reduce=False)
+    assert (plain.min_norm, list(plain.minimizers), plain.nodes_visited) == reference_search(gram, target)
+    reduced_gram, u = fraction_lll(gram)
+    value, hits, nodes = reference_search(reduced_gram, mat_vec(fraction_inverse(u), target))
+    reduced = shortest_in_coset(CosetProblem(gram, target))
+    assert reduced.min_norm == value and reduced.nodes_visited == nodes
+    assert list(reduced.minimizers) == sorted(tuple(mat_vec(u, list(y))) for y in hits)
+
+
 def conjugated(rng, base):
     return conjugate_lattice(base, random_unimodular(rng, base.rank))
 
@@ -158,6 +188,57 @@ def test_value_only_defects_match_min_char_norm(seed, bimodular):
     else:
         square = min_char_norm(lat, "any").min_norm
         assert got.d_plus == got.d_minus == Fraction(square - n, 4)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 10**6), st.booleans())
+def test_int_forms_search_as_their_fraction_twins(seed, bimodular):
+    # the int Gram skips the Fraction round trip; every result, node counts
+    # included, is that of the same problem given in Fractions
+    rng = random.Random(seed)
+    lat = conjugated(rng, rng.choice(BIMODULAR_BASES if bimodular else UNIMODULAR_BASES)(rng))
+    gram = [list(row) for row in lat.gram]
+    target = [rng.choice([0, 1, -1, Fraction(1, 2), Fraction(-2, 3)]) for _ in gram]
+    problem = CosetProblem(gram, target)
+    twin = CosetProblem([[Fraction(x) for x in row] for row in gram], [Fraction(x) for x in target])
+    assert all(type(x) is int for row in problem.form for x in row)
+    assert all(type(x) is Fraction for row in twin.form for x in row)
+    assert problem == twin and hash(problem) == hash(twin)
+    best = shortest_in_coset(problem)
+    assert best == shortest_in_coset(twin)
+    assert coset_minima([problem]) == coset_minima([twin]) == [(best.min_norm, best.nodes_visited)]
+    radius = best.min_norm + 1
+    assert enumerate_in_coset(CosetProblem(gram, target, radius)) == enumerate_in_coset(
+        CosetProblem(twin.form, twin.target, radius)
+    )
+
+
+@SETTINGS
+@given(symmetric_grams())
+def test_integral_lll_returns_ints_and_leaves_its_argument(gram):
+    before = [row[:] for row in gram]
+    got = outcome(lll_reduce_gram, gram)
+    assert got == outcome(fraction_lll, gram)
+    assert gram == before
+    if not isinstance(got[0], str):
+        reduced, _u = got
+        assert all(type(x) is int for row in reduced for x in row)
+
+
+def test_rational_lll_returns_fractions():
+    reduced, _u = lll_reduce_gram([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
+    assert reduced == [[Fraction(1, 3), 0], [0, Fraction(1, 2)]]
+    assert all(type(x) is Fraction for row in reduced for x in row)
+
+
+def test_clear_denominators_copies_int_rows():
+    mat = ((2, -1), (-1, 3))
+    rows, scale = clear_denominators(mat)
+    assert (rows, scale) == ([[2, -1], [-1, 3]], 1)
+    assert all(type(row) is list for row in rows)
+    listed = [[2, -1], [-1, 3]]
+    rows, _scale = clear_denominators(listed)
+    assert rows == listed and all(a is not b for a, b in zip(rows, listed))
 
 
 # Fixed bases for the pinned lattices below.

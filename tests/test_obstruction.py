@@ -99,9 +99,46 @@ def test_surgery_obstruction():
     assert surgery_cobordism_obstruction(main) is True
     assert surgery_difference(STANDARD_PAIR) == Fraction(1, 2)
     assert surgery_cobordism_obstruction(STANDARD_PAIR) is False
+    # no +-2/q surgery on a knot has a difference other than 1/2 or -3/2
     wide = QuarterPair(Fraction(9, 4), Fraction(-1, 4))
     assert surgery_difference(wide) == Fraction(5, 2)
-    assert surgery_cobordism_obstruction(wide) is False
+    assert surgery_cobordism_obstruction(wide) is True
+    assert surgery_cobordism_obstruction(QuarterPair(Fraction(-7, 4), Fraction(-1, 4))) is False
+
+
+def torus_knot_v(r, s):
+    """Ni-Wu's V_j of the torus knot T(r, s), j >= 0, from its Alexander
+    polynomial (t^{rs} - 1)(t - 1) / ((t^r - 1)(t^s - 1)) = sum of a_k t^k,
+    symmetrized: V_j = sum over k >= 1 of k a_{j+k}."""
+    coeffs = [0] * (r * s + 2)
+    coeffs[0], coeffs[1], coeffs[r * s], coeffs[r * s + 1] = 1, -1, -1, 1
+    for m in (r, s):  # exact division by t^m - 1, from the lowest degree
+        quotient = []
+        for k in range(len(coeffs) - m):
+            quotient.append((quotient[k - m] if k >= m else 0) - coeffs[k])
+        coeffs = quotient
+    genus = (r - 1) * (s - 1) // 2
+    return lambda j: sum(k * coeffs[genus + j + k] for k in range(1, genus - j + 1))
+
+
+def test_two_surgeries_on_torus_knots_are_not_obstructed():
+    # S^3_{2/q}(T(r, s)) is Y(-1; -r/r*, -s/s*, -(2 - qrs)/q) for
+    # r* s + s* r = rs - 1; Ni-Wu gives its difference as 1/2 for q >= 3 and
+    # 1/2 - 2 (V_0 - V_1) for q = 1
+    lowered = set()
+    for r, s in [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5)]:
+        r_dual, s_dual = -pow(s, -1, r) % r, -pow(r, -1, s) % s
+        v = torus_knot_v(r, s)
+        for q in (1, 3, 5, 7):
+            legs = (Fraction(-r, r_dual), Fraction(-s, s_dual), Fraction(2 - q * r * s, q))
+            space = ConnectedSum((ExpressionTerm(1, SeifertData(-1, legs)),))
+            pair = evaluate_expression(space).pair
+            expected = Fraction(1, 2) - (2 * (v(0) - v(1)) if q == 1 else 0)
+            assert surgery_difference(pair) == expected, (r, s, q)
+            assert surgery_cobordism_obstruction(pair) is False, (r, s, q)
+            if expected != Fraction(1, 2):
+                lowered.add((r, s, q))
+    assert lowered == {(2, 3, 1), (3, 5, 1), (2, 7, 1), (4, 5, 1)}
 
 
 def test_main_example_verdicts(ybar_report):
