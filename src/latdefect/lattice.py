@@ -33,15 +33,18 @@ from .errors import (
 )
 from .linalg import (
     dot,
+    exact_quotient,
     factor_solve,
     first_asymmetry,
     fraction_free_ldl,
     hermite_row_basis,
     invert_matrix,
+    mat_mul,
     reduce_mod_rows,
     require_square,
     sign_normalize,
     smith_normal_form,
+    transpose,
 )
 
 
@@ -278,22 +281,28 @@ def discriminant_group(lat: IntegralLattice) -> DiscriminantGroup:
 
 
 def _discriminant_group(lat: IntegralLattice) -> DiscriminantGroup:
-    g = lat.positive_gram
-    diag, _left, right = smith_normal_form(g)
-    hnf = hermite_row_basis(g)
+    """L'/L read off the Hermite box, with a Smith form on its non-unit block.
+
+    The Hermite basis H of G Z^n is reduced (0 <= h_ij < h_jj above each
+    pivot), so every class mod H has a representative on F = {i : h_ii > 1},
+    and the rows of H at F vanish off F. So Z^n / G Z^n is Z^F / row(R) for
+    their F x F block R, upper triangular of determinant |det|. With
+    U R^T V = D, generator a is column a of U^-1, that is of R^T V divided
+    by d_a, placed on F and reduced mod H.
+    """
+    hnf = hermite_row_basis(lat.positive_gram)
+    free = [i for i, row in enumerate(hnf) if row[i] > 1]
+    block = [[hnf[i][j] for i in free] for j in free]  # R^T
+    diag, _left, right = smith_normal_form(block)
     orders = []
     gens = []
-    for i, d in enumerate(diag):
+    for d, column in zip(diag, transpose(mat_mul(block, right))):
         if d > 1:
             orders.append(d)
-            # U G V = D, so column i of U^-1 is column i of G V divided by d
-            column = []
-            for row in g:
-                x = sum(a * r[i] for a, r in zip(row, right))
-                if x % d:
-                    raise ToolkitError(f"column {i} of G V is not divisible by {d}")
-                column.append(x // d)
-            gens.append(Covector(tuple(reduce_mod_rows(column, hnf)), lat))
+            pairings = [0] * lat.rank
+            for i, x in zip(free, column):
+                pairings[i] = exact_quotient(x, d)
+            gens.append(Covector(tuple(reduce_mod_rows(pairings, hnf)), lat))
     total = 1
     for d in orders:
         total *= d

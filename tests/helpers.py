@@ -15,17 +15,21 @@ the package, since only the arithmetic around them is under test.
 
 cell_message is the tree dynamic program's message computed cell by cell, the
 oracle of its lower-envelope query; discriminant_generators_by_inverse reads
-discriminant generators off the inverse of the Smith left matrix, the oracle
-of the division route that replaced it. forest_minimum runs the tree dynamic
+discriminant generators off the inverse of the Smith left matrix of the whole
+Gram matrix, the oracle of the orders of the Hermite-box route that replaced
+it, and of its generators when |det| <= 2. forest_minimum runs the tree dynamic
 program on one CosetProblem, to be checked against the branch-and-bound
-search; smith_spinc_keys walks the spin-c classes through the discriminant
-group's Smith generators, the oracle of the Hermite box that replaced it.
+search; smith_spinc_keys walks the spin-c classes through those dense Smith
+generators, the oracle of the Hermite box that replaced it.
 smith_row_kernel reads an integer row kernel off a Smith form, the oracle of
 the unit count in is_diagonal_bimodular; smith_saturation_check uses it to
 test how the glued overlattice meets a summand's span, the oracle of the
 parity test that replaced it. count_linalg_calls records which linear algebra a call reaches.
 reference_search is the branch-and-bound search written recursively over
 the Fraction LDL^T, the oracle of the flat integer loop's node counts.
+lens_d (Ozsvath-Szabo's recursion for lens spaces) and torus_knot_v (Ni-Wu's
+V_j of a torus knot) are the second routes for lens spaces and surgeries on
+torus knots.
 """
 
 from __future__ import annotations
@@ -455,17 +459,17 @@ def forest_minimum(problem, *, node_budget=None):
 
 def smith_spinc_keys(lat):
     """Canonical keys modulo the rows of G of the spin-c shifts, walked as
-    every combination of the discriminant group's Smith generators."""
-    from latdefect import discriminant_group
+    every combination of the discriminant generators of the dense Smith
+    route (discriminant_generators_by_inverse)."""
     from latdefect.linalg import hermite_row_basis, reduce_mod_rows
 
-    group = discriminant_group(lat)
+    orders, generators = discriminant_generators_by_inverse(lat)
     basis = hermite_row_basis(lat.positive_gram)
     keys = set()
-    for coeffs in itertools.product(*(range(d) for d in group.orders)):
+    for coeffs in itertools.product(*(range(d) for d in orders)):
         shift = [0] * lat.rank
-        for c, gen in zip(coeffs, group.generators):
-            for i, p in enumerate(gen.pairings):
+        for c, gen in zip(coeffs, generators):
+            for i, p in enumerate(gen):
                 shift[i] += c * p
         keys.add(tuple(reduce_mod_rows(shift, basis)))
     return keys
@@ -534,3 +538,27 @@ def count_linalg_calls(monkeypatch, names):
                     if value is original:
                         monkeypatch.setattr(module, attribute, counted)
     return calls
+
+
+def lens_d(p: int, q: int, i: int) -> Fraction:
+    """d(-L(p, q), i) by Ozsvath-Szabo's recursion (arXiv math/0110170,
+    Prop. 4.8), with d = 0 on L(1, q)."""
+    if p == 1:
+        return Fraction(0)
+    q %= p
+    return Fraction(p * q - (2 * i + 1 - p - q) ** 2, 4 * p * q) - lens_d(q, p % q, i % q)
+
+
+def torus_knot_v(r, s):
+    """Ni-Wu's V_j of the torus knot T(r, s), j >= 0, from its Alexander
+    polynomial (t^{rs} - 1)(t - 1) / ((t^r - 1)(t^s - 1)) = sum of a_k t^k,
+    symmetrized: V_j = sum over k >= 1 of k a_{j+k}."""
+    coeffs = [0] * (r * s + 2)
+    coeffs[0], coeffs[1], coeffs[r * s], coeffs[r * s + 1] = 1, -1, -1, 1
+    for m in (r, s):  # exact division by t^m - 1, from the lowest degree
+        quotient = []
+        for k in range(len(coeffs) - m):
+            quotient.append((quotient[k - m] if k >= m else 0) - coeffs[k])
+        coeffs = quotient
+    genus = (r - 1) * (s - 1) // 2
+    return lambda j: sum(k * coeffs[genus + j + k] for k in range(1, genus - j + 1))

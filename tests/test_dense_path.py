@@ -2,8 +2,8 @@
 
 The covector solve on the validation factor is checked against the dense
 Bareiss adjugate and against det * G^-1 in Fractions, and guarded to run no
-dense adjugate; the cached
-discriminant group against a count of Smith forms, the shared reduction and
+dense adjugate; the cached discriminant group against a count and size of
+Smith forms, the shared reduction and
 factorization behind defects against one preparation per class, and gluing
 on the triangular doubled basis against the Smith-form saturation test and
 the Fraction restriction kept in tests/helpers.py.
@@ -152,11 +152,35 @@ def test_covector_questions_run_no_dense_adjugate(monkeypatch):
 
 def test_second_discriminant_group_runs_no_smith_form(monkeypatch):
     calls = count_linalg_calls(monkeypatch, ["smith_normal_form", "hermite_row_basis"])
-    lat = conjugated_bimodular(3)
+    lat = conjugated_bimodular(6)
+    assert lat.rank == 7
     first = discriminant_group(lat)
-    assert calls == {"smith_normal_form": [lat.rank], "hermite_row_basis": [lat.rank]}
+    assert calls == {"smith_normal_form": [1], "hermite_row_basis": [lat.rank]}
     assert discriminant_group(lat) is first
-    assert calls == {"smith_normal_form": [lat.rank], "hermite_row_basis": [lat.rank]}
+    assert calls == {"smith_normal_form": [1], "hermite_row_basis": [lat.rank]}
+
+
+D4_GRAM = [[2, 0, -1, 0], [0, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -1, 2]]
+
+
+def test_smith_form_runs_once_on_the_non_unit_hermite_pivots(monkeypatch):
+    # one Smith form per lattice, on as many rows as the Hermite basis has
+    # pivots above 1: one for |det| = 2 in either sign, none when
+    # unimodular, two for the Z/2 + Z/2 of D4
+    calls = count_linalg_calls(monkeypatch, ["smith_normal_form"])
+    rng = random.Random(0)
+    bimodular = [conjugated_bimodular(seed) for seed in (0, 1, 6, 9)]
+    bimodular += [validate_lattice([[-x for x in row] for row in lat.gram]) for lat in bimodular]
+    unimodular = [
+        conjugate_lattice(base, random_unimodular(rng, base.rank))
+        for base in (identity_lattice(5), e8_lattice())
+    ]
+    d4 = validate_lattice(D4_GRAM)
+    for lat in bimodular + unimodular + [d4]:
+        discriminant_group(lat)
+    assert calls == {"smith_normal_form": [1] * 8 + [0, 0, 2]}
+    assert discriminant_group(d4).orders == (2, 2)
+    assert [discriminant_group(lat).orders for lat in unimodular] == [(), ()]
 
 
 def test_glue_takes_no_smith_form_or_adjugate_once_summands_are_cached(monkeypatch):

@@ -6,6 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from helpers import lens_d
 
 from latdefect import (
     POINCARE_SPHERE_D,
@@ -268,15 +269,6 @@ def test_spaces_outside_normal_form_evaluate():
     assert evaluate_expression("Y(1; 2, 3, 5)").class_values == (2,)
     assert evaluate_expression("Y(-1; -2, -3, -5)").class_values == (-2,)
     assert evaluate_expression("Y(1; 2, 3, 4)").class_values == (Fraction(1, 4), Fraction(7, 4))
-
-
-def lens_d(p: int, q: int, i: int) -> Fraction:
-    """d(-L(p, q), i) by Ozsvath-Szabo's recursion (arXiv math/0110170,
-    Prop. 4.8), with d = 0 on L(1, q)."""
-    if p == 1:
-        return Fraction(0)
-    q %= p
-    return Fraction(p * q - (2 * i + 1 - p - q) ** 2, 4 * p * q) - lens_d(q, p % q, i % q)
 
 
 def test_lens_spaces_match_the_recursion():

@@ -1,12 +1,13 @@
 """The per-lattice forest plan, the lower-envelope messages of the tree DP,
 division-based discriminant generators and the spin-c class bound.
 
-Messages are checked against the cell-by-cell loop and discriminant
-generators against the inverse of the Smith left matrix, both kept in
-tests/helpers.py.
+Messages are checked against the cell-by-cell loop, and discriminant
+orders (and generators when |det| <= 2) against the inverse of the Smith
+left matrix, both kept in tests/helpers.py.
 """
 
 import importlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ from latdefect.defects import _class_problem, _class_target
 from latdefect.dinvariant import _seifert_tree
 from latdefect.enumeration import _message, plan_minimum
 from latdefect.lattice import MAX_SPINC_CLASSES
+from latdefect.linalg import hermite_row_basis, reduce_mod_rows
 
 SETTINGS = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 LATTICE = importlib.import_module("latdefect.lattice")
@@ -158,21 +160,50 @@ def lattices(draw):
 @SETTINGS
 @given(lattices())
 def test_discriminant_generators_match_the_inverse_route(lat):
+    # the orders are the oracle's; its generators are matched exactly for
+    # |det| <= 2, where the group has one canonical generator at most, and
+    # otherwise each generator g of order d is checked to be reduced, to have
+    # order exactly d, and the generators to span the whole group
     group = discriminant_group(lat)
     pairings = tuple(g.pairings for g in group.generators)
-    assert (group.orders, pairings) == discriminant_generators_by_inverse(lat)
+    orders, oracle = discriminant_generators_by_inverse(lat)
+    assert group.orders == orders
+    det = abs(lat.determinant)
+    if det <= 2:
+        assert pairings == oracle
+    hnf = hermite_row_basis(lat.positive_gram)
+    for gen, d in zip(pairings, group.orders):
+        assert reduce_mod_rows(gen, hnf) == list(gen)
+        # k g is in G Z^n exactly when adj(G) k g = 0 mod det
+        lands = [
+            k for k in range(1, d + 1)
+            if d % k == 0 and all(x % det == 0 for x in lat.solve([k * y for y in gen]))
+        ]
+        assert lands == [d]
+    keys = set()
+    for coeffs in itertools.product(*(range(d) for d in group.orders)):
+        shift = [sum(c * gen[i] for c, gen in zip(coeffs, pairings)) for i in range(lat.rank)]
+        keys.add(tuple(reduce_mod_rows(shift, hnf)))
+    assert len(keys) == det
 
 
 def test_discriminant_group_rejects_an_inexact_division(monkeypatch):
-    # with V replaced by the identity, column 1 of G V = (1, 2) is not
-    # divisible by the invariant factor 3
-    lat = validate_lattice([[2, 1], [1, 2]])
+    # Z/6 = Z/2 + Z/3 sits on the Hermite block diag(2, 3); with V replaced by
+    # the identity, column 1 of R^T V = (0, 3) is not divisible by the
+    # invariant factor 6
+    lat = validate_lattice([[2, 0], [0, 3]])
+    blocks = []
     smith = LATTICE.smith_normal_form
-    monkeypatch.setattr(
-        LATTICE, "smith_normal_form", lambda g: (smith(g)[0], smith(g)[1], [[1, 0], [0, 1]])
-    )
-    with pytest.raises(ToolkitError, match="not divisible by 3"):
+
+    def tampered(block):
+        blocks.append(block)
+        diag, left, _right = smith(block)
+        return diag, left, [[1, 0], [0, 1]]
+
+    monkeypatch.setattr(LATTICE, "smith_normal_form", tampered)
+    with pytest.raises(ToolkitError, match="not divisible by 6"):
         discriminant_group(lat)
+    assert blocks == [[[2, 0], [0, 3]]]
 
 
 def test_spinc_class_bound_is_inclusive():

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from helpers import lens_d, torus_knot_v
 
 from latdefect import (
     STANDARD_PAIR,
@@ -18,6 +19,7 @@ from latdefect import (
     evaluate_expression,
     positive_filling_obstruction,
     report_verdict,
+    seifert_class_values,
     sphere_definite_verdict,
     sphere_filling_obstruction,
     surgery_cobordism_obstruction,
@@ -106,21 +108,6 @@ def test_surgery_obstruction():
     assert surgery_cobordism_obstruction(QuarterPair(Fraction(-7, 4), Fraction(-1, 4))) is False
 
 
-def torus_knot_v(r, s):
-    """Ni-Wu's V_j of the torus knot T(r, s), j >= 0, from its Alexander
-    polynomial (t^{rs} - 1)(t - 1) / ((t^r - 1)(t^s - 1)) = sum of a_k t^k,
-    symmetrized: V_j = sum over k >= 1 of k a_{j+k}."""
-    coeffs = [0] * (r * s + 2)
-    coeffs[0], coeffs[1], coeffs[r * s], coeffs[r * s + 1] = 1, -1, -1, 1
-    for m in (r, s):  # exact division by t^m - 1, from the lowest degree
-        quotient = []
-        for k in range(len(coeffs) - m):
-            quotient.append((quotient[k - m] if k >= m else 0) - coeffs[k])
-        coeffs = quotient
-    genus = (r - 1) * (s - 1) // 2
-    return lambda j: sum(k * coeffs[genus + j + k] for k in range(1, genus - j + 1))
-
-
 def test_two_surgeries_on_torus_knots_are_not_obstructed():
     # S^3_{2/q}(T(r, s)) is Y(-1; -r/r*, -s/s*, -(2 - qrs)/q) for
     # r* s + s* r = rs - 1; Ni-Wu gives its difference as 1/2 for q >= 3 and
@@ -139,6 +126,29 @@ def test_two_surgeries_on_torus_knots_are_not_obstructed():
             if expected != Fraction(1, 2):
                 lowered.add((r, s, q))
     assert lowered == {(2, 3, 1), (3, 5, 1), (2, 7, 1), (4, 5, 1)}
+
+
+def test_surgeries_on_torus_knots_match_ni_wu_as_multisets():
+    # S^3_{p/q}(T(r, s)) for 0 < p < qrs is Y(-1; -r/r*, -s/s*, -(qrs - p)/q),
+    # and Ni-Wu give its class values as d(L(p, q), i) - 2 max(V_{floor(i/q)},
+    # V_{floor((p + q - 1 - i)/q)}) with d(L(p, q), i) = -lens_d(p, q, i);
+    # p = qrs - 1 is a lens space and is skipped
+    checked = 0
+    for r, s in [(2, 3), (2, 5), (3, 4)]:
+        r_dual, s_dual = -pow(s, -1, r) % r, -pow(r, -1, s) % s
+        v = torus_knot_v(r, s)
+        for q in (1, 2, 3):
+            for p in range(1, q * r * s - 1):
+                if math.gcd(p, q) != 1:
+                    continue
+                legs = (Fraction(-r, r_dual), Fraction(-s, s_dual), Fraction(p - q * r * s, q))
+                expected = sorted(
+                    -lens_d(p, q, i) - 2 * max(v(i // q), v((p + q - 1 - i) // q))
+                    for i in range(p)
+                )
+                assert sorted(seifert_class_values(SeifertData(-1, legs))) == expected, (r, s, p, q)
+                checked += 1
+    assert checked == 100
 
 
 def test_main_example_verdicts(ybar_report):
