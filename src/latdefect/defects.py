@@ -49,6 +49,7 @@ from .errors import (
     NotBimodularError,
     NotCharacteristicError,
     NotNegativeDefiniteError,
+    RadiusEmptyError,
     UnsupportedDeterminantError,
 )
 from .lattice import (
@@ -156,29 +157,29 @@ def min_char_norm(
     """Minimal characteristic square, restricted to one class when asked.
 
     The returned minimizers are the pairing vectors of the minimizing
-    covectors, one representative per {xi, -xi} pair, sorted.
+    covectors, one representative per {xi, -xi} pair, sorted. Raises
+    RadiusEmptyError, naming radius, when no square is at most radius.
     """
     _require_positive(lat, "min_char_norm")
     if sign == "any" or sign is None:
-        res = shortest_in_coset(_any_problem(lat, radius), node_budget=node_budget)
-        pairings = [
-            tuple(d + 2 * x for d, x in zip(lat.diagonal, offs))
-            for offs in res.minimizers
-        ]
-        return EnumerationResult(
-            min_norm=4 * res.min_norm,
-            minimizers=_collapse_pairings(pairings),
-            nodes_visited=res.nodes_visited,
-        )
-    wanted = CharClassSign(sign) if not isinstance(sign, CharClassSign) else sign
-    rep = characteristic_class_reps(lat)[wanted].pairings
-    res = shortest_in_coset(_class_problem(lat, rep, radius), node_budget=node_budget)
+        wanted, where, problem = None, "", _any_problem(lat, radius)
+    else:
+        wanted = CharClassSign(sign) if not isinstance(sign, CharClassSign) else sign
+        rep = characteristic_class_reps(lat)[wanted].pairings
+        where, problem = f" in the {wanted.value} class", _class_problem(lat, rep, radius)
+    try:
+        res = shortest_in_coset(problem, node_budget=node_budget)
+    except RadiusEmptyError:  # the search's radius is a quarter of the squares'
+        raise RadiusEmptyError(
+            f"no characteristic covector{where} with square <= {radius}"
+        ) from None
     value = 4 * res.min_norm
-    _check_class_square(value, lat.rank, wanted)
-    pairings = []
-    for x in res.minimizers:
-        shift = mat_vec(lat.positive_gram, list(x))
-        pairings.append(tuple(p + 2 * s for p, s in zip(rep, shift)))
+    if wanted is None:
+        pairings = [tuple(d + 2 * x for d, x in zip(lat.diagonal, offs)) for offs in res.minimizers]
+    else:
+        _check_class_square(value, lat.rank, wanted)
+        shifts = (mat_vec(lat.positive_gram, list(x)) for x in res.minimizers)
+        pairings = [tuple(p + 2 * s for p, s in zip(rep, shift)) for shift in shifts]
     return EnumerationResult(
         min_norm=value,
         minimizers=_collapse_pairings(pairings),

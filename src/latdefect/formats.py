@@ -37,8 +37,10 @@ def parse_fraction(text: str) -> Fraction:
         raise FormatError(f"invalid rational {text!r}: expected 'p' or 'p/q'")
     try:
         return Fraction(int(match[1]), int(match[2] or 1))
-    except (ValueError, ZeroDivisionError) as err:  # too many digits, or q = 0
+    except ValueError as err:  # too many digits
         raise FormatError(f"invalid rational {text!r}: {err}") from None
+    except ZeroDivisionError:
+        raise FormatError(f"invalid rational {text!r}: zero denominator") from None
 
 
 def _require(condition: bool, message: str):

@@ -5,19 +5,18 @@ unimodular integral overlattice by adjoining x + y, where x and y generate
 the two discriminant groups. The overlattice contains L + A with index 2 and
 meets the rational spans of L and A exactly in L and A.
 
-All of it runs on integers: twice the glue vector, and basis2, twice the
-overlattice basis in direct-sum coordinates. basis2 is the Hermite form of
-2 Z^n and the doubled glue vector g, written down in closed form: with k the
-first odd entry of g, row k is g mod 2 and every other row is 2 e_i. So it
-is upper triangular with pivots 1 and 2. The Gram product, restriction by
-back-substitution and the saturation test all use that shape.
+All of it runs on integers and on one parity vector. With g twice the glue
+vector in direct-sum coordinates, the overlattice is Z^n + Z e/2 for the
+glue parity e = g mod 2. With k the first index where e_k = 1, its basis is
+b_i = (unit vector i) for i != k and b_k = e/2: the Hermite form of the
+doubled basis, read off in closed form. The Gram matrix, restriction and
+extension are closed forms in e and k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import GlueFailureError, NotBimodularError
 from .lattice import (
@@ -28,34 +27,28 @@ from .lattice import (
     _block_diagonal,
     _require_positive,
 )
-from .linalg import mat_vec, quadratic_value
+from .linalg import quadratic_value
 
 
 @dataclass(frozen=True)
 class Overlattice(IntegralLattice):
     """Unimodular lattice containing left + right with index 2.
 
-    basis_change rows express the overlattice basis in coordinates of the
-    direct sum basis (left block first). It must be half-integral and upper
-    triangular with a nonzero diagonal, as is the Hermite form that
-    glue_overlattice builds. restrict_covector back-substitutes on it and
-    raises GlueFailureError for any other basis.
+    glue is the glue parity e, in direct-sum coordinates (left block
+    first): the overlattice is Z^n + Z e/2, in the basis of the module
+    docstring.
     """
 
-    basis_change: tuple[tuple[Fraction, ...], ...]
-    sublattice_index: int
+    glue: tuple[int, ...]
     left: IntegralLattice
     right: IntegralLattice
 
-    @cached_property
-    def _doubled_basis(self) -> tuple[tuple[int, ...], ...]:
-        """basis2 = 2 * basis_change, the integer matrix gluing works on.
+    sublattice_index = 2
 
-        Read off numerators and denominators, so no Fraction is built."""
-        rows = self.basis_change
-        if any(x.denominator not in (1, 2) for row in rows for x in row):
-            raise GlueFailureError("basis change is not half-integral")
-        return tuple(tuple(2 * x.numerator // x.denominator for x in row) for row in rows)
+    @property
+    def basis_change(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Rows express the overlattice basis in direct-sum coordinates."""
+        return tuple(tuple(Fraction(x, 2) for x in row) for row in _basis2(self.glue))
 
 
 def _doubled_glue_coordinates(lat: IntegralLattice) -> list[int]:
@@ -115,20 +108,34 @@ def _basis2(glue2) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _doubled_gram(basis2, gram) -> list[list[int]]:
-    """gram4 = basis2 gram basis2^T, through the nonzero entries of basis2's
-    rows: at most 2n of them, so O(n^2) work in place of two n^3 products."""
-    rows = [[(j, x) for j, x in enumerate(row) if x] for row in basis2]
-    n = len(gram)
-    left = [[sum(x * gram[j][c] for j, x in row) for c in range(n)] for row in rows]
-    return [[sum(lrow[j] * x for j, x in row) for row in rows] for lrow in left]
+def _glued_gram(gram, e) -> list[list[int]]:
+    """The Gram matrix of the basis b: G_ij for i, j != k, (eG)_j / 2 in
+    row and column k, and eGe / 4 at (k, k). Raises GlueFailureError when a
+    halving is not exact. With no odd entry the overlattice is Z^n, of
+    index 1, and its Gram matrix is G, which the determinant check rejects.
+    """
+    if 1 not in e:
+        return gram
+    k = e.index(1)
+    odd = [j for j, x in enumerate(e) if x]
+    eg = [sum(gram[j][c] for j in odd) for c in range(len(gram))]
+    ege = sum(eg[j] for j in odd)
+    if ege % 4 or any(x % 2 for j, x in enumerate(eg) if j != k):
+        raise GlueFailureError("overlattice Gram is not integral")
+    row = [x // 2 for x in eg]
+    row[k] = ege // 4
+    out = [list(r) for r in gram]
+    out[k] = row
+    for j, x in enumerate(row):
+        out[j][k] = x
+    return out
 
 
 def glue_overlattice(left: IntegralLattice, right: IntegralLattice) -> Overlattice:
     """Build the unimodular overlattice of two positive definite |det| = 2 lattices.
 
-    Everything runs on the integer doubled basis: twice the glue vector, and
-    basis2, twice the overlattice basis. Each halving is checked first.
+    Everything runs on integers: twice the glue vector and its parity.
+    Each halving is checked first.
     """
     for lat in (left, right):
         _require_positive(lat, "glue_overlattice")
@@ -141,81 +148,56 @@ def glue_overlattice(left: IntegralLattice, right: IntegralLattice) -> Overlatti
         raise GlueFailureError(
             f"glue vector has non-integral self-pairing {Fraction(square4, 4)}"
         )
-    basis2 = _basis2(glue2)
-    gram4 = _doubled_gram(basis2, summed)
-    if any(x % 4 for row in gram4 for x in row):
-        raise GlueFailureError("overlattice Gram is not integral")
-    lattice = validate_lattice([[x // 4 for x in row] for row in gram4])
+    e = tuple(x % 2 for x in glue2)
+    lattice = validate_lattice(_glued_gram(summed, e))
     if abs(lattice.determinant) != 1:
         raise GlueFailureError(f"overlattice determinant is {lattice.determinant}")
-    _check_summand_spans(glue2, left.rank)
+    _check_summand_spans(e, left.rank)
     return Overlattice(
         gram=lattice.gram,
         sign=lattice.sign,
         determinant=lattice.determinant,
         factor=lattice.factor,
-        basis_change=tuple(tuple(Fraction(x, 2) for x in row) for row in basis2),
-        sublattice_index=2,
+        glue=e,
         left=left,
         right=right,
     )
 
 
-def _restricted_pairings(basis2, pairings) -> list[int]:
-    """q with basis2 q = 2 p, by back-substitution on the triangular basis2.
-
-    Overlattice pairings are p = basis_change q for the summand pairings q,
-    so q = 2 basis2^-1 p. Raises GlueFailureError when basis2 is not upper
-    triangular with a nonzero diagonal, and when a division is not exact:
-    the entries below it are already exact integers, so that entry of q is
-    not an integer.
-    """
-    n = len(basis2)
-    q = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = basis2[i]
-        pivot = row[i]
-        if pivot == 0 or any(row[:i]):
-            raise GlueFailureError(
-                "doubled basis is not upper triangular with a nonzero diagonal"
-            )
-        num = 2 * pairings[i] - sum(row[j] * q[j] for j in range(i + 1, n))
-        q[i], rest = divmod(num, pivot)
-        if rest:
-            raise GlueFailureError(
-                f"restricted pairing {i} is {Fraction(num, pivot)}, not integral"
-            )
-    return q
-
-
 def restrict_covector(cov: Covector, side: str) -> Covector:
     """Orthogonal projection of an overlattice covector to one summand.
 
-    The projection pairs with summand vectors exactly as the original does,
-    so its pairing vector is read off through the inverse basis change.
+    The projection pairs with summand vectors exactly as the original does.
+    So its pairings q are the pairings p except at k, where b_k = e/2 gives
+    p_k = (q_k + sum of q_j over the other j with e_j = 1) / 2.
     """
     over = cov.lattice
     if not isinstance(over, Overlattice):
         raise ValueError("covector does not live on a glued overlattice")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    ints = _restricted_pairings(over._doubled_basis, cov.pairings)
+    p = cov.pairings
+    k = over.glue.index(1)
+    q = list(p)
+    q[k] = 2 * p[k] - sum(x for j, x in enumerate(p) if over.glue[j] and j != k)
     n_left = over.left.rank
     if side == "left":
-        return Covector(tuple(ints[:n_left]), over.left)
-    return Covector(tuple(ints[n_left:]), over.right)
+        return Covector(tuple(q[:n_left]), over.left)
+    return Covector(tuple(q[n_left:]), over.right)
 
 
 def extend_covector(over: Overlattice, left_cov: Covector, right_cov: Covector) -> Covector | None:
     """Combine summand covectors into an overlattice covector when possible.
 
-    Returns None when the combined functional is not integral on the
-    overlattice.
+    The pairings s carry over except at k, which pairs with e/2 to half the
+    sum t of s_j over e_j = 1. Returns None when t is odd: the combined
+    functional is then not integral on the overlattice.
     """
     if left_cov.lattice != over.left or right_cov.lattice != over.right:
         raise ValueError("covectors do not match the glued summands")
     stacked = list(left_cov.pairings) + list(right_cov.pairings)
-    doubled = mat_vec(over._doubled_basis, stacked)
-    if any(p % 2 for p in doubled):
+    t = sum(s for s, x in zip(stacked, over.glue) if x)
+    if t % 2:
         return None
-    return Covector(tuple(p // 2 for p in doubled), over)
+    stacked[over.glue.index(1)] = t // 2
+    return Covector(tuple(stacked), over)

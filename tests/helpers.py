@@ -365,7 +365,9 @@ def fraction_lll(gram, delta=Fraction(3, 4)):
 
 
 def fraction_glue(left, right):
-    """(Gram, basis_change) of the glued overlattice over Fractions."""
+    """(Gram, basis_change) of the glued overlattice: the glue vector from
+    Fraction inverses, the basis from the Hermite form of the doubled
+    generators, and the Gram matrix from a dense product."""
     from latdefect import discriminant_group
     from latdefect.linalg import hermite_row_basis
 
@@ -382,12 +384,14 @@ def fraction_glue(left, right):
     assert quadratic_value(summed, glue).denominator == 1
     doubled = [[2 * int(i == j) for j in range(n)] for i in range(n)]
     doubled.append([int(2 * x) for x in glue])
-    rows = [[Fraction(x, 2) for x in row] for row in hermite_row_basis(doubled)]
+    basis2 = hermite_row_basis(doubled)
+    # the dense product B2 G B2^T of twice the basis is four times the Gram
+    left_products = [[sum(r[i] * summed[i][j] for i in range(n)) for j in range(n)] for r in basis2]
     gram = [
-        [sum(r[i] * summed[i][j] * s[j] for i in range(n) for j in range(n)) for s in rows]
-        for r in rows
+        [Fraction(sum(x * y for x, y in zip(lr, s)), 4) for s in basis2] for lr in left_products
     ]
     assert all(x.denominator == 1 for row in gram for x in row)
+    rows = [[Fraction(x, 2) for x in row] for row in basis2]
     return [[int(x) for x in row] for row in gram], rows
 
 

@@ -134,8 +134,15 @@ def test_min_char_norm_radius_passthrough():
     assert result.min_norm == 2
     from latdefect import RadiusEmptyError
 
-    with pytest.raises(RadiusEmptyError):
-        min_char_norm(a1_lattice(), "plus", radius=1)
+    # the error names the bound on squares, not the quarter the search uses
+    for lat, sign, radius, where in (
+        (a1_lattice(), "plus", 1, " in the plus class"),
+        (e7_lattice(), "minus", 1, " in the minus class"),
+        (identity_lattice(3), "any", 2, ""),
+    ):
+        message = f"^no characteristic covector{where} with square <= {radius}$"
+        with pytest.raises(RadiusEmptyError, match=message):
+            min_char_norm(lat, sign, radius=radius)
 
 
 def test_characteristic_class_reps_split():

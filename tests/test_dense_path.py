@@ -4,9 +4,9 @@ The covector solve on the validation factor is checked against the dense
 Bareiss adjugate and against det * G^-1 in Fractions, and guarded to run no
 dense adjugate; the cached discriminant group against a count and size of
 Smith forms, the shared reduction and
-factorization behind defects against one preparation per class, and gluing
-on the triangular doubled basis against the Smith-form saturation test and
-the Fraction restriction kept in tests/helpers.py.
+factorization behind defects against one preparation per class, and
+gluing's closed forms in the glue parity against the Smith-form saturation
+test and the Hermite and Fraction routes kept in tests/helpers.py.
 """
 
 import random
@@ -17,6 +17,8 @@ from fractions import Fraction
 import pytest
 from helpers import (
     count_linalg_calls,
+    fraction_extend,
+    fraction_glue,
     fraction_restrict,
     random_spd_gram,
     smith_saturation_check,
@@ -28,7 +30,6 @@ from latdefect import (
     CharClassSign,
     Covector,
     GlueFailureError,
-    Overlattice,
     ToolkitError,
     a1_lattice,
     base_characteristic,
@@ -260,7 +261,37 @@ def test_closed_form_doubled_basis_is_the_hermite_form():
         left, right = conjugated_bimodular(2 * seed), conjugated_bimodular(2 * seed + 1)
         glue2 = GLUE._doubled_glue_coordinates(left) + GLUE._doubled_glue_coordinates(right)
         over = glue_overlattice(left, right)
-        assert [list(row) for row in over._doubled_basis] == hermite_doubled_basis(glue2)
+        assert over.glue == tuple(x % 2 for x in glue2)
+        assert [[2 * x for x in row] for row in over.basis_change] == hermite_doubled_basis(glue2)
+
+
+def test_glue_matches_the_fraction_route_on_300_seeded_pairs():
+    # Gram, basis, restriction and extension against tests/helpers.py's
+    # Hermite form and Fraction inverse, on the same pairs every run
+    extended_to_none = 0
+    for seed in range(300):
+        left, right = conjugated_bimodular(2 * seed), conjugated_bimodular(2 * seed + 1)
+        over = glue_overlattice(left, right)
+        gram, basis_change = fraction_glue(left, right)
+        assert [list(row) for row in over.gram] == gram
+        assert [list(row) for row in over.basis_change] == basis_change
+        rng = random.Random(seed)
+        covectors = [base_characteristic(over)] + [
+            Covector(tuple(rng.randint(-5, 5) for _ in range(over.rank)), over) for _ in range(2)
+        ]
+        for cov in covectors:
+            parts = [restrict_covector(cov, side) for side in ("left", "right")]
+            expected = fraction_restrict(basis_change, cov.pairings)
+            assert parts[0].pairings + parts[1].pairings == expected
+            assert extend_covector(over, *parts) == cov
+        for _ in range(3):
+            lcov = Covector(tuple(rng.randint(-4, 4) for _ in range(left.rank)), left)
+            rcov = Covector(tuple(rng.randint(-4, 4) for _ in range(right.rank)), right)
+            extended = extend_covector(over, lcov, rcov)
+            expected = fraction_extend(basis_change, lcov.pairings + rcov.pairings)
+            assert (None if extended is None else extended.pairings) == expected
+            extended_to_none += extended is None
+    assert 0 < extended_to_none < 900
 
 
 def test_recognizers_and_glue_take_no_hermite_or_smith_form(monkeypatch):
@@ -282,60 +313,15 @@ def test_glue_with_an_even_glue_vector_fails_on_the_determinant(monkeypatch):
         glue_overlattice(a1_lattice(), a1_lattice())
 
 
-@st.composite
-def triangular_bases(draw):
-    """An upper triangular integer basis2 with a nonzero diagonal, and
-    overlattice pairings to restrict through it."""
-    n = draw(st.integers(1, 6))
-    basis2 = [
-        [0] * i + [draw(st.sampled_from([-4, -2, -1, 1, 2, 3]))]
-        + [draw(st.integers(-3, 3)) for _ in range(n - i - 1)]
-        for i in range(n)
-    ]
-    pairings = [draw(st.integers(-6, 6)) for _ in range(n)]
-    return basis2, pairings
-
-
-@SETTINGS
-@given(triangular_bases())
-def test_back_substitution_matches_fraction_restrict(case):
-    basis2, pairings = case
-    expected = fraction_restrict([[Fraction(x, 2) for x in row] for row in basis2], pairings)
-    try:
-        got = tuple(GLUE._restricted_pairings(basis2, pairings))
-    except GlueFailureError as err:
-        assert "not integral" in str(err)
-        got = None
-    assert got == expected
-
-
-def handmade(doubled):
-    return Overlattice(
-        gram=((1, 0), (0, 1)),
-        sign=1,
-        determinant=1,
-        factor=identity_lattice(2).factor,
-        basis_change=tuple(tuple(Fraction(x, 2) for x in row) for row in doubled),
-        sublattice_index=2,
-        left=a1_lattice(),
-        right=a1_lattice(),
-    )
-
-
-@pytest.mark.parametrize("doubled", [((0, 2), (2, 0)), ((2, 0), (1, 2)), ((2, 1), (0, 0))])
-def test_back_substitution_rejects_a_basis_that_is_not_triangular(doubled):
-    cov = Covector((0, 0), handmade(doubled))
-    with pytest.raises(GlueFailureError, match="not upper triangular"):
-        restrict_covector(cov, "left")
-
-
 def test_glued_doubled_basis_is_triangular_with_one_unit_pivot():
     over = glue_overlattice(e7_lattice(), a1_lattice())
-    basis2 = over._doubled_basis
+    basis2 = [[2 * x for x in row] for row in over.basis_change]
     n = len(basis2)
-    assert [list(row) for row in basis2] == [[int(2 * x) for x in row] for row in over.basis_change]
+    assert all(x.denominator == 1 for row in basis2 for x in row)
     assert all(basis2[i][j] == 0 for i in range(n) for j in range(i))
     assert sorted(basis2[i][i] for i in range(n)) == [1] + [2] * (n - 1)
+    k = over.glue.index(1)
+    assert basis2[k] == list(over.glue)
 
 
 GOLDENS = (

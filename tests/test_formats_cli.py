@@ -9,6 +9,7 @@ from latdefect import (
     FormatError,
     SeifertData,
     canonical_plumbing,
+    e7_lattice,
     format_fraction,
     gram_from_json,
     gram_to_json,
@@ -20,6 +21,19 @@ from latdefect.formats import MAX_GRAM_ENTRY, MAX_GRAM_RANK
 
 A1_DOC = '{"rank": 1, "gram": [[2]]}'
 I3_DOC = json.dumps({"rank": 3, "gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+E7_DOC = gram_to_json(e7_lattice().gram)
+# glue --json basis rows, in direct-sum coordinates
+A1_A1_BASIS = [["1/2", "1/2"], ["0", "1"]]
+E7_A1_BASIS = [
+    ["1", "0", "0", "0", "0", "0", "0", "0"],
+    ["0", "1", "0", "0", "0", "0", "0", "0"],
+    ["0", "0", "1", "0", "0", "0", "0", "0"],
+    ["0", "0", "0", "1/2", "0", "1/2", "1/2", "1/2"],
+    ["0", "0", "0", "0", "1", "0", "0", "0"],
+    ["0", "0", "0", "0", "0", "1", "0", "0"],
+    ["0", "0", "0", "0", "0", "0", "1", "0"],
+    ["0", "0", "0", "0", "0", "0", "0", "1"],
+]
 
 
 def test_format_fraction():
@@ -41,6 +55,8 @@ def test_parse_fraction():
         with pytest.raises(FormatError) as info:
             parse_fraction(bad)
         assert info.value.exit_code == 1
+    with pytest.raises(FormatError, match="^invalid rational '1/0': zero denominator$"):
+        parse_fraction("1/0")
 
 
 def test_gram_json_roundtrip():
@@ -72,7 +88,7 @@ def test_gram_json_diagnostics():
 @pytest.fixture()
 def gram_files(tmp_path):
     files = {}
-    for name, doc in (("a1", A1_DOC), ("a1b", A1_DOC), ("i3", I3_DOC)):
+    for name, doc in (("a1", A1_DOC), ("a1b", A1_DOC), ("i3", I3_DOC), ("e7", E7_DOC)):
         path = tmp_path / f"{name}.json"
         path.write_text(doc)
         files[name] = str(path)
@@ -165,6 +181,13 @@ def test_cli_glue(capsys, gram_files):
     assert payload["rank"] == 2
     assert payload["index"] == 2
     assert abs(payload["determinant"]) == 1
+    assert payload["basis"] == A1_A1_BASIS
+    code, out, _ = run_cli(
+        capsys,
+        ["--json", "glue", "--left", gram_files["e7"], "--right", gram_files["a1"]],
+    )
+    assert code == 0
+    assert json.loads(out)["basis"] == E7_A1_BASIS
 
 
 def test_cli_seifert_d_sphere(capsys):
@@ -260,14 +283,19 @@ def test_cli_exit_codes(capsys, gram_files, tmp_path):
     assert run_cli(capsys, ["defect", "--gram", str(broken)])[0] == 1
     radius = ["charmin", "--gram", gram_files["a1"], "--radius", "\u0663"]
     assert run_cli(capsys, radius)[0] == 1
+    code, _, err = run_cli(capsys, radius[:-1] + ["1/0"])
+    assert code == 1 and "invalid rational '1/0': zero denominator" in err
     # mathematical preconditions
     code, _, err = run_cli(capsys, ["defect", "--gram", gram_files["bad"]])
     assert code == 2 and "error:" in err
-    code, _, _ = run_cli(
+    # an empty radius names the bound on squares the caller gave
+    code, _, err = run_cli(
         capsys,
         ["charmin", "--gram", gram_files["a1"], "--sign", "plus", "--radius", "1"],
     )
-    assert code == 2
+    assert code == 2 and "no characteristic covector in the plus class with square <= 1\n" in err
+    code, _, err = run_cli(capsys, ["charmin", "--gram", gram_files["a1"], "--radius", "-1"])
+    assert code == 2 and "no characteristic covector with square <= -1\n" in err
     # node budget exhaustion
     code, _, err = run_cli(
         capsys, ["--node-budget", "1", "charmin", "--gram", gram_files["i3"]]

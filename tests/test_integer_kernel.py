@@ -27,7 +27,6 @@ from latdefect import (
     Covector,
     GlueFailureError,
     NotDefiniteError,
-    Overlattice,
     ToolkitError,
     a1_lattice,
     base_characteristic,
@@ -229,32 +228,7 @@ def test_glue_matches_fraction_route(pair, rng):
         assert (None if extended is None else extended.pairings) == expected
 
 
-def handmade_overlattice(basis_change):
-    return Overlattice(
-        gram=((1, 0), (0, 1)),
-        sign=1,
-        determinant=1,
-        factor=identity_lattice(2).factor,
-        basis_change=basis_change,
-        sublattice_index=2,
-        left=a1_lattice(),
-        right=a1_lattice(),
-    )
-
-
 def test_glue_divisibility_guards():
-    # basis_change^-1 = diag(1/2, 1): odd first pairings do not restrict
-    over = handmade_overlattice(((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1))))
-    cov = Covector((1, 0), over)
-    assert fraction_restrict(over.basis_change, cov.pairings) is None
-    with pytest.raises(GlueFailureError, match="not integral"):
-        restrict_covector(cov, "left")
-    # quarter entries are not half-integral
-    quarter = handmade_overlattice(((Fraction(1, 4), Fraction(0)), (Fraction(0), Fraction(1))))
-    with pytest.raises(GlueFailureError, match="half-integral"):
-        restrict_covector(Covector((1, 0), quarter), "left")
-    with pytest.raises(GlueFailureError, match="half-integral"):
-        extend_covector(quarter, Covector((0,), quarter.left), Covector((0,), quarter.right))
     # twice the basis (1/2, 0), (0, 1) meets the first axis in half a vector
     with pytest.raises(GlueFailureError, match="intersection vector is not integral"):
         smith_saturation_check([[1, 0], [0, 2]], 0, 1, 2)

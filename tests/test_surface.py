@@ -30,7 +30,7 @@ DELETED = {
     "linalg": ("bareiss_determinant", "rational_rank", "integer_row_kernel"),
     "lattice": ("is_minimal", "root_graph", "is_bipartite", "RootGraph"),
     "errors": ("NotRootsError", "NotIndependentError", "UnnormalizedSeifertDataError"),
-    "glue": ("double",),
+    "glue": ("double", "_doubled_gram", "_restricted_pairings"),
     "plumbing": ("bad_vertices", "parse_seifert"),
     "formats": ("tree_to_json", "tree_from_json"),
 }
