@@ -7,23 +7,23 @@ d_plus = 1/4 (mod 2) and d_minus = -1/4 (mod 2).
 
 Reductions to coset enumeration:
 
-  * unrestricted minimum: pairing vectors p run over diag(G) + 2 Z^n and the
-    square is p^T G^{-1} p, so minimize with form G^{-1}, target diag(G)/2,
-    and scale by 4;
-  * per-class minimum (classes of Char mod 2L): in basis coordinates z with
-    square z^T G z, the class of a representative chi is z_chi + 2 Z^n, so
-    minimize with form G, target z_chi / 2, and scale by 4.
+  * per class (classes of Char mod 2L): in basis coordinates z with square
+    z^T G z, the class of a representative chi is z_chi + 2 Z^n, so minimize
+    with the integral form G, target z_chi / 2 = adj chi / (2 |det|)
+    (_class_target), and scale by 4. A unimodular lattice has one class, of
+    diag(G); a |det| = 2 lattice has two (characteristic_class_reps);
+  * all of Char, for min_char_norm(sign="any"): pairing vectors p run over
+    diag(G) + 2 Z^n and the square is p^T G^{-1} p, so minimize with form
+    G^{-1}, target diag(G)/2, and scale by 4.
 
 defects and max_char_square need only values: they run the branch-and-bound
-search through coset_minima, which builds no minimizers. On a |det| = 2
-lattice both classes search the same positive Gram matrix, so defects hands
-both class targets to one coset_minima call, which reduces and factors it
-once. When the Gram graph is a forest (as for every plumbing tree),
-max_char_square takes the exact tree dynamic program instead: the lattice
-builds its ForestPlan once, and each class hands plan_minimum its integer
-target adj p / (2 |det|), with adj p from the plan's O(n) solve on the tree,
-so no CosetProblem, no dense adjugate and no Fraction is built before the
-value.
+search through coset_minima, which builds no minimizers. defects hands all
+class targets to one coset_minima call, which reduces and factors G once.
+When the Gram graph is a forest (as for every plumbing tree),
+max_char_square hands its target to the exact tree dynamic program instead
+(plan_minimum on the lattice's ForestPlan), with adj chi from the O(n) solve
+on the tree, so no CosetProblem, no dense adjugate and no Fraction is built
+before the value.
 min_char_norm reports the minimizing pairing vectors through
 shortest_in_coset. Every one of these searches LLL-reduces its form first,
 as enumeration does for each minimum search; there is no switch, since
@@ -41,7 +41,6 @@ from .enumeration import (
     EnumerationResult,
     coset_minima,
     plan_minimum,
-    plan_solve,
     shortest_in_coset,
 )
 from .errors import (
@@ -91,23 +90,16 @@ def _any_problem(lat: IntegralLattice, radius=None) -> CosetProblem:
     return CosetProblem(lat.gram_inverse, target, radius=inner_radius)
 
 
-def _halved(big, det: int) -> tuple[list[int], int]:
-    """big / (2 det) in lowest terms, as (numerators, denominator); det > 0."""
-    den = 2 * det
-    g = gcd(den, *big)
-    return [x // g for x in big], den // g
-
-
 def _class_target(lat: IntegralLattice, rep_pairings) -> tuple[list[int], int]:
     """(big, den) with big / den the halved class target z / 2, in lowest terms.
 
-    z = G^{-1} p = sign adj p / det for the positive form, with adj p from the
-    lattice's O(n^2) solve on its validation factor (IntegralLattice.solve);
-    den = 2 |det| reduced by the gcd with the entries of big.
+    z = P^{-1} p = adj p / |det| for the positive form P, with adj p from
+    lat.solve; den = 2 |det| reduced by the gcd with the entries of big.
     """
-    det = lat.determinant
-    flip = lat.sign if det > 0 else -lat.sign
-    return _halved([flip * x for x in lat.solve(rep_pairings)], abs(det))
+    adj = lat.solve(rep_pairings)
+    den = 2 * abs(lat.determinant)
+    g = gcd(den, *adj)
+    return [x // g for x in adj], den // g
 
 
 def _class_problem(lat: IntegralLattice, rep_pairings, radius=None) -> CosetProblem:
@@ -121,9 +113,10 @@ def _class_problem(lat: IntegralLattice, rep_pairings, radius=None) -> CosetProb
     return CosetProblem(lat.positive_gram, [Fraction(x, den) for x in big], radius=inner_radius)
 
 
-def _check_class_square(value: Fraction, rank: int, sign: CharClassSign) -> None:
-    """The minimal square of a class is rank + 1 (plus) or rank - 1 (minus) mod 8."""
-    expected = (rank + 1) % 8 if sign is CharClassSign.PLUS else (rank - 1) % 8
+def _check_class_square(value: Fraction, rank: int, sign: CharClassSign | None) -> None:
+    """The minimal square of a class is rank + 1 (plus), rank - 1 (minus), or
+    for the one class of a unimodular lattice (None) rank, mod 8 (van der Blij)."""
+    expected = (rank + {None: 0, CharClassSign.PLUS: 1, CharClassSign.MINUS: -1}[sign]) % 8
     if value.denominator != 1 or int(value) % 8 != expected:
         raise CongruenceViolationError(
             f"class minimum {value} is not {expected} mod 8"
@@ -196,29 +189,28 @@ def defects(
 
     Unimodular lattices get a single defect reported in both fields;
     |det| = 2 lattices get one defect per characteristic class. The minima
-    are those min_char_norm finds, by the same searches (each with its own
-    node_budget), but only their values are kept; the two class searches
-    share one reduction and factorization of the Gram matrix.
+    are those of min_char_norm, but every class is searched on the integral
+    Gram matrix, reduced and factored once, each with its own node_budget,
+    and only the values are kept.
     """
     _require_positive(lat, "defects")
     det = abs(lat.determinant)
     n = lat.rank
     if det == 1:
-        square = 4 * coset_minima([_any_problem(lat)], node_budget=node_budget)[0][0]
-        d = Fraction(square - n, 4)
-        return Defects(d_plus=d, d_minus=d)
-    if det == 2:
+        classes = [(None, lat.diagonal)]
+    elif det == 2:
         reps = characteristic_class_reps(lat)
-        signs = (CharClassSign.PLUS, CharClassSign.MINUS)
-        problems = [_class_problem(lat, reps[s].pairings) for s in signs]
-        minima = coset_minima(problems, node_budget=node_budget)
-        squares = [4 * value for value, _nodes in minima]
-        for sign, square in zip(signs, squares):
-            _check_class_square(square, n, sign)
-        # a square n +- 1 mod 8 is a defect +-1/4 mod 2, so the residues hold
-        d_plus, d_minus = (Fraction(square - n, 4) for square in squares)
-        return Defects(d_plus=d_plus, d_minus=d_minus)
-    raise UnsupportedDeterminantError(f"defects need |det| in {{1, 2}}, got {det}")
+        classes = [(s, reps[s].pairings) for s in (CharClassSign.PLUS, CharClassSign.MINUS)]
+    else:
+        raise UnsupportedDeterminantError(f"defects need |det| in {{1, 2}}, got {det}")
+    problems = [_class_problem(lat, rep) for _sign, rep in classes]
+    minima = coset_minima(problems, node_budget=node_budget)
+    found = []
+    for (sign, _rep), (value, _nodes) in zip(classes, minima):
+        _check_class_square(4 * value, n, sign)
+        found.append(Fraction(4 * value - n, 4))
+    # a square n, n + 1 or n - 1 mod 8 is a defect 0, 1/4 or -1/4 mod 2
+    return Defects(d_plus=found[0], d_minus=found[-1])
 
 
 def max_char_square(
@@ -230,10 +222,10 @@ def max_char_square(
     """Largest square over the class rep + 2L of a negative definite lattice.
 
     Equals minus the minimal square of the corresponding coset in the
-    positive definite negation. A forest-shaped Gram matrix is solved exactly
-    by the tree dynamic program (plan_minimum on the lattice's forest_plan),
-    where node_budget bounds its nodes; any other goes through the
-    branch-and-bound search.
+    positive definite negation, for the class target of _class_target. A
+    forest-shaped Gram matrix is solved exactly by the tree dynamic program
+    (plan_minimum on the lattice's forest_plan), where node_budget bounds its
+    nodes; any other goes through the branch-and-bound search.
     """
     if lat.sign >= 0:
         raise NotNegativeDefiniteError("max_char_square needs a negative definite lattice")
@@ -243,12 +235,10 @@ def max_char_square(
         raise NotCharacteristicError(
             f"pairings {class_rep.pairings} are not characteristic"
         )
+    rep = class_rep.pairings
     plan = lat.forest_plan
     if plan is not None:
-        # z = G^-1 p = adj p / |det| for the positive Gram G
-        big, den = _halved(plan_solve(plan, class_rep.pairings), plan.determinant)
-        return -4 * plan_minimum(plan, big, den, node_budget=node_budget)[0]
-    [(value, _nodes)] = coset_minima(
-        [_class_problem(lat, class_rep.pairings)], node_budget=node_budget
-    )
+        value, _nodes = plan_minimum(plan, *_class_target(lat, rep), node_budget=node_budget)
+    else:
+        [(value, _nodes)] = coset_minima([_class_problem(lat, rep)], node_budget=node_budget)
     return -4 * value

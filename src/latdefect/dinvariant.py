@@ -24,7 +24,6 @@ from fractions import Fraction
 from math import lcm
 
 from .defects import max_char_square
-from .enumeration import plan_solve
 from .errors import (
     FormatError,
     LabellingViolationError,
@@ -172,19 +171,19 @@ def seifert_class_values(
     canonical plumbing is negative definite, and negated when that is the
     reverse.
 
-    The class of a rep p is named by adj p mod 2 |det| (adj p from the
-    plan's O(n) solve), and the conjugate class of -p by -adj p mod 2 |det|.
+    The class of a rep p is named by adj p = lat.solve(p) mod 2 |det|, and
+    the conjugate class of -p by -adj p mod 2 |det|.
     Conjugate classes have the same maximal square, so one d_invariant
     serves both: a class whose key is already known runs no tree dynamic
     program. node_budget bounds each dynamic program that runs.
     """
     tree, flipped = _seifert_tree(data)
-    plan = tree.lattice.forest_plan
-    modulus = 2 * plan.determinant
+    lat = tree.lattice
+    modulus = 2 * abs(lat.determinant)
     known: dict[tuple[int, ...], Fraction] = {}
     values = []
-    for cls in spinc_classes(tree.lattice):
-        adj = plan_solve(plan, cls.representative.pairings)
+    for cls in spinc_classes(lat):
+        adj = lat.solve(cls.representative.pairings)
         key = tuple(x % modulus for x in adj)
         if key not in known:
             value = d_invariant(tree, cls, node_budget=node_budget)

@@ -1,8 +1,8 @@
 """Definite integral lattices and their characteristic covectors.
 
 A lattice is stored by its integer Gram matrix exactly as supplied. Negative
-definite input is accepted and tagged; search routines always run on the
-positive definite negation, while determinants, covector norms, and dual Gram
+definite input is accepted and tagged; searches and covector solves run on
+the positive definite form, while determinants, covector norms, and dual Gram
 matrices refer to the matrix as given.
 
 A covector (element of the dual lattice) is stored by its integer pairing
@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .enumeration import CosetProblem, ForestPlan, enumerate_in_coset, forest_plan
+from .enumeration import CosetProblem, ForestPlan, enumerate_in_coset, forest_plan, plan_solve
 from .errors import (
     CongruenceViolationError,
     NotBimodularError,
@@ -100,12 +100,12 @@ class IntegralLattice:
         return tuple(tuple(row) for row in invert_matrix(self.gram))
 
     def solve(self, vec) -> list[int]:
-        """adj(G) vec = det G^-1 vec for the Gram matrix G as given, in integers.
+        """adj(P) vec = |det| P^-1 vec for the positive definite form P, in integers.
 
-        O(n^2) on the factor validation made (linalg.factor_solve), which is
-        that of the positive form P; adj(-P) = (-1)^(n-1) adj(P), so a
-        negative definite lattice of even rank negates it. The factor's
-        determinant must be |det|, or ToolkitError is raised.
+        O(n) on the tree (enumeration.plan_solve) for a forest, O(n^2) on the
+        factor validation made (linalg.factor_solve) otherwise. For the Gram
+        matrix G = sign P as given, G^-1 vec = sign solve(vec) / |det|. The
+        factor's determinant must be |det|, or ToolkitError is raised.
         """
         reached = self.factor[1][self.rank]
         if reached != abs(self.determinant):
@@ -113,10 +113,10 @@ class IntegralLattice:
                 f"factor reached determinant {reached}, "
                 f"the lattice has determinant {self.determinant}"
             )
-        out = factor_solve(self.factor, vec)
-        if self.sign < 0 and self.rank % 2 == 0:
-            return [-x for x in out]
-        return out
+        plan = self.forest_plan
+        if plan is not None:
+            return plan_solve(plan, vec)
+        return factor_solve(self.factor, vec)
 
     @cached_property
     def discriminant_group(self) -> "DiscriminantGroup":
@@ -130,8 +130,8 @@ class IntegralLattice:
 
         Built by elimination on the tree (enumeration.forest_plan) with the
         factor validation left: its determinant, checked against the
-        factor's, is |det|, and its adjugate diagonal and the class targets
-        (plan_solve) need no dense adjugate.
+        factor's, is |det|, and its adjugate diagonal and the covector
+        solves on it (solve) need no dense adjugate.
         """
         return forest_plan(self.positive_gram, self.factor)
 
@@ -155,12 +155,13 @@ class Covector:
     @property
     def norm(self) -> Fraction:
         """Square <xi, xi> with respect to the Gram matrix as given."""
-        lat = self.lattice
-        return Fraction(dot(self.pairings, lat.solve(self.pairings)), lat.determinant)
+        return self.lattice.sign * self.positive_norm
 
     @property
     def positive_norm(self) -> Fraction:
-        return self.norm if self.lattice.sign > 0 else -self.norm
+        """Square on the positive definite form: p^T adj(P) p / |det|."""
+        lat = self.lattice
+        return Fraction(dot(self.pairings, lat.solve(self.pairings)), abs(lat.determinant))
 
     def translate(self, delta) -> "Covector":
         return Covector(

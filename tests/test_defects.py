@@ -1,6 +1,7 @@
 """Defect invariants, characteristic minima, and class arithmetic."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,6 @@ from latdefect import (
     min_char_norm,
     validate_lattice,
 )
-from latdefect.linalg import quadratic_value
 from helpers import box_minimum
 
 
@@ -70,6 +70,18 @@ def test_defects_stable_under_cube_summands():
     assert defects(padded) == defects(base)
     uni = direct_sum(e8_lattice(), identity_lattice(2))
     assert defects(uni).d_plus == -2
+
+
+def test_unimodular_defects_check_the_minimum_mod_8(monkeypatch):
+    # characteristic squares of a unimodular lattice are its rank mod 8 (van
+    # der Blij), so a minimum of 0 fits E8 (8 = 0 mod 8) but not I_3
+    defects_module = sys.modules["latdefect.defects"]
+    monkeypatch.setattr(
+        defects_module, "coset_minima", lambda problems, **k: [(Fraction(0), 0)] * len(problems)
+    )
+    assert defects(e8_lattice()).d_plus == -2
+    with pytest.raises(CongruenceViolationError, match="is not 3 mod 8"):
+        defects(identity_lattice(3))
 
 
 def test_defects_determinant_guard():

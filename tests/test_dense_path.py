@@ -1,12 +1,14 @@
 """The dense-lattice path with each elimination done once per lattice.
 
-The covector solve on the validation factor is checked against the dense
-Bareiss adjugate and against det * G^-1 in Fractions, and guarded to run no
-dense adjugate; the cached discriminant group against a count and size of
-Smith forms, the shared reduction and
-factorization behind defects against one preparation per class, and
-gluing's closed forms in the glue parity against the Smith-form saturation
-test and the Hermite and Fraction routes kept in tests/helpers.py.
+The covector solve (on the tree or the validation factor) is checked against
+the dense Bareiss adjugate of the positive form and against sign |det| G^-1
+in Fractions, and guarded to run no dense adjugate; the cached discriminant
+group against a count and size of Smith forms, the shared reduction and
+factorization behind defects against one preparation per class, the
+unimodular defect on G against the "any" search on G^-1 with no Fraction
+inverse built, and gluing's closed forms in the glue parity against the
+Smith-form saturation test and the Hermite and Fraction routes kept in
+tests/helpers.py.
 """
 
 import random
@@ -47,6 +49,7 @@ from latdefect import (
     identity_lattice,
     is_diagonal,
     is_diagonal_bimodular,
+    min_char_norm,
     random_unimodular,
     restrict_covector,
     validate_lattice,
@@ -62,9 +65,23 @@ BIMODULAR_BASES = [a1_lattice, e7_lattice, lambda: direct_sum(a1_lattice(), e8_l
 ]
 
 
+# I_m, E8 and I_k + E8, the bases of the elkies suite
+UNIMODULAR_BASES = (
+    [e8_lattice]
+    + [(lambda m=m: identity_lattice(m)) for m in range(1, 9)]
+    + [(lambda k=k: direct_sum(identity_lattice(k), e8_lattice())) for k in (1, 2)]
+)
+
+
 def conjugated_bimodular(seed: int):
     rng = random.Random(seed)
     base = rng.choice(BIMODULAR_BASES)()
+    return conjugate_lattice(base, random_unimodular(rng, base.rank))
+
+
+def conjugated_unimodular(seed: int):
+    rng = random.Random(seed)
+    base = rng.choice(UNIMODULAR_BASES)()
     return conjugate_lattice(base, random_unimodular(rng, base.rank))
 
 
@@ -83,12 +100,15 @@ def conjugated_lattices(draw):
 @SETTINGS
 @given(conjugated_lattices())
 def test_integer_adjugate_is_det_times_the_fraction_inverse(lat):
-    # solve(e_i) is column i of adj G = det G^-1
-    det = lat.determinant
+    # solve(e_i) is column i of adj P = det P P^-1 for the positive form
+    # P = sign G, so adj P = sign |det| G^-1
     n = lat.rank
     columns = [lat.solve([int(i == j) for j in range(n)]) for i in range(n)]
-    expected = [[det * x for x in row] for row in lat.gram_inverse]
-    assert [list(row) for row in zip(*columns)] == expected
+    adj, det = adjugate(lat.positive_gram)
+    assert det == abs(lat.determinant)
+    assert [list(row) for row in zip(*columns)] == adj
+    expected = [[lat.sign * det * x for x in row] for row in lat.gram_inverse]
+    assert adj == expected
     assert all(type(x) is int for column in columns for x in column)
 
 
@@ -98,8 +118,8 @@ def test_integer_adjugate_is_det_times_the_fraction_inverse(lat):
 @example(validate_lattice([[-7]]), 0)
 def test_solve_matches_the_dense_adjugate(lat, seed):
     rng = random.Random(seed)
-    adj, det = adjugate(lat.gram)
-    assert det == lat.determinant
+    adj, det = adjugate(lat.positive_gram)
+    assert det == abs(lat.determinant)
     for _ in range(3):
         vec = [rng.randint(-9, 9) for _ in range(lat.rank)]
         assert lat.solve(vec) == mat_vec(adj, vec)
@@ -123,14 +143,16 @@ def test_integer_adjugate_checks_the_determinant():
 
 
 def test_solve_checks_every_division():
-    # [[2, 1], [1, 2]] factors as lam = [[], [1]], minors [1, 2, 3]; with
-    # lam[1][0] = 2 the back pass meets 7 / 2
-    lat = validate_lattice([[2, 1], [1, 2]])
-    assert lat.solve([1, 0]) == [2, -1]
+    # the triangle [[2, 1, 1], [1, 2, 1], [1, 1, 2]] is no forest, so solve
+    # runs on the factor: lam = [[], [1], [1, 1]], minors [1, 2, 3, 4]; with
+    # lam[2][0] = 2 the solve meets -5 / 2
+    lat = validate_lattice([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+    assert lat.forest_plan is None
+    assert lat.solve([1, 0, 0]) == [3, -1, -1]
     lam, minors, scale = lat.factor
-    tampered = replace(lat, factor=([[], [2]], minors, scale))
-    with pytest.raises(ToolkitError, match="7 is not divisible by 2"):
-        tampered.solve([1, 0])
+    tampered = replace(lat, factor=([[], [1], [2, 1]], minors, scale))
+    with pytest.raises(ToolkitError, match="-5 is not divisible by 2"):
+        tampered.solve([1, 0, 0])
 
 
 def test_covector_questions_run_no_dense_adjugate(monkeypatch):
@@ -363,6 +385,25 @@ def test_shared_preparation_matches_one_preparation_per_class(reduce):
         if len(values) == 1:  # a unimodular lattice reports its defect twice
             values *= 2
         assert [pair.d_plus, pair.d_minus] == values
+
+
+def test_unimodular_defect_on_the_gram_matches_the_any_search_on_its_inverse():
+    # defects searches the one class of diag(G) on the integral G;
+    # min_char_norm(sign="any") searches all characteristic pairings on G^-1
+    for seed in range(60):
+        lat = conjugated_unimodular(seed)
+        square = min_char_norm(lat, "any").min_norm
+        assert defects(lat).d_plus == (square - lat.rank) / 4
+
+
+def test_unimodular_defects_build_no_fraction_inverse(monkeypatch):
+    lattices = [conjugated_unimodular(seed) for seed in range(20)]
+    lattices += [e8_lattice(), identity_lattice(3)]
+    calls = count_linalg_calls(monkeypatch, ["invert_matrix"])
+    for lat in lattices:
+        defects(lat)
+    assert calls == {"invert_matrix": []}
+    assert all("gram_inverse" not in vars(lat) for lat in lattices)
 
 
 def test_shared_preparation_needs_one_form():

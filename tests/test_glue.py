@@ -1,7 +1,6 @@
 """Gluing determinant-2 lattices into unimodular overlattices."""
 
 import importlib
-from fractions import Fraction
 
 import pytest
 

@@ -5,7 +5,8 @@ imported package and through the per-layer function table of its tracer.
 Both are read here with ast, without importing or running the benchmark, so
 a deletion in the library that would break it fails this suite first. The
 library's own source is read the same way, to check that it holds no assert
-and that every error class it declares is raised somewhere.
+and that every error class it declares is raised somewhere, and with the
+tests, that no module imports a name it never reads.
 """
 
 import ast
@@ -31,6 +32,7 @@ DELETED = {
     "lattice": ("is_minimal", "root_graph", "is_bipartite", "RootGraph"),
     "errors": ("NotRootsError", "NotIndependentError", "UnnormalizedSeifertDataError"),
     "glue": ("double", "_doubled_gram", "_restricted_pairings"),
+    "defects": ("_halved",),
     "plumbing": ("bad_vertices", "parse_seifert"),
     "formats": ("tree_to_json", "tree_from_json"),
 }
@@ -141,3 +143,30 @@ def test_library_holds_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def unread_imports(path: Path) -> list[str]:
+    """Names one module imports (other than from __future__) and never reads."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unread = sorted(name for name in bound if name not in read)
+    return [f"{path.name}:{bound[name]} {name}" for name in unread]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__.py imports to re-export; every other import must be read
+    paths = [p for p in sorted(SOURCE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(TESTS.glob("*.py"))
+    assert len(paths) > 30
+    assert [entry for path in paths for entry in unread_imports(path)] == []

@@ -8,6 +8,7 @@ inversion and no Smith form, and factors its Gram matrix once.
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from helpers import count_linalg_calls, random_spd_gram, smith_spinc_keys
@@ -27,12 +28,13 @@ from latdefect import (
     spinc_classes,
     validate_lattice,
 )
-from latdefect.defects import _class_target, _halved
+from latdefect.defects import _class_target
 from latdefect.dinvariant import _seifert_tree
 from latdefect.enumeration import forest_plan, plan_solve
 from latdefect.linalg import (
     adjugate,
     clear_denominators,
+    factor_solve,
     fraction_free_ldl,
     hermite_row_basis,
     mat_vec,
@@ -138,9 +140,12 @@ def test_lattice_plan_reads_no_dense_adjugate(monkeypatch):
     calls = count_linalg_calls(monkeypatch, ["adjugate"])
     plan = lat.forest_plan
     assert plan.determinant == abs(lat.determinant)
+    den = 2 * plan.determinant
     for cls in spinc_classes(lat):
         rep = cls.representative.pairings
-        assert _halved(plan_solve(plan, rep), plan.determinant) == _class_target(lat, rep)
+        adj = factor_solve(lat.factor, rep)
+        g = gcd(den, *adj)
+        assert _class_target(lat, rep) == ([x // g for x in adj], den // g)
     assert calls == {"adjugate": []} and "gram_inverse" not in vars(lat)
 
 
