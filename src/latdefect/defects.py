@@ -11,23 +11,21 @@ Reductions to coset enumeration:
     z^T G z, the class of a representative chi is z_chi + 2 Z^n, so minimize
     with the integral form G, target z_chi / 2 = adj chi / (2 |det|)
     (_class_target), and scale by 4. A unimodular lattice has one class, of
-    diag(G); a |det| = 2 lattice has two (characteristic_class_reps);
+    diag(G); a |det| = 2 lattice has its two spin-c classes, by sign
+    (characteristic_class_reps);
   * all of Char, for min_char_norm(sign="any"): pairing vectors p run over
     diag(G) + 2 Z^n and the square is p^T G^{-1} p, so minimize with form
     G^{-1}, target diag(G)/2, and scale by 4.
 
-defects and max_char_square need only values: they run the branch-and-bound
-search through coset_minima, which builds no minimizers. defects hands all
-class targets to one coset_minima call, which reduces and factors G once.
-When the Gram graph is a forest (as for every plumbing tree),
-max_char_square hands its target to the exact tree dynamic program instead
-(plan_minimum on the lattice's ForestPlan), with adj chi from the O(n) solve
-on the tree, so no CosetProblem, no dense adjugate and no Fraction is built
-before the value.
-min_char_norm reports the minimizing pairing vectors through
-shortest_in_coset. Every one of these searches LLL-reduces its form first,
-as enumeration does for each minimum search; there is no switch, since
-reduction changes node counts only.
+defects and max_char_square need only values, and take them from one
+route, _class_minima: when the Gram graph is a forest (as for every
+plumbing tree) the exact tree dynamic program (plan_minimum on the
+lattice's ForestPlan), which builds no CosetProblem, no dense adjugate and
+no Fraction before the value; otherwise one coset_minima call, the
+branch-and-bound search without minimizers, which reduces and factors G
+once for every class target. min_char_norm reports the minimizing pairing
+vectors through shortest_in_coset. Every branch-and-bound search LLL-reduces
+its form first; there is no switch, since reduction changes node counts only.
 """
 
 from __future__ import annotations
@@ -57,8 +55,8 @@ from .lattice import (
     IntegralLattice,
     base_characteristic,
     char_class_sign,
-    discriminant_group,
     is_characteristic,
+    spinc_classes,
     _require_positive,
 )
 from .linalg import mat_vec, sign_normalize
@@ -90,27 +88,37 @@ def _any_problem(lat: IntegralLattice, radius=None) -> CosetProblem:
     return CosetProblem(lat.gram_inverse, target, radius=inner_radius)
 
 
-def _class_target(lat: IntegralLattice, rep_pairings) -> tuple[list[int], int]:
+def _class_target(rep: Covector) -> tuple[list[int], int]:
     """(big, den) with big / den the halved class target z / 2, in lowest terms.
 
-    z = P^{-1} p = adj p / |det| for the positive form P, with adj p from
-    lat.solve; den = 2 |det| reduced by the gcd with the entries of big.
+    z = P^{-1} p = adj p / |det| for the positive form P, with adj p solved
+    once per covector (Covector._adj); den = 2 |det| over the gcd with big.
     """
-    adj = lat.solve(rep_pairings)
-    den = 2 * abs(lat.determinant)
-    g = gcd(den, *adj)
-    return [x // g for x in adj], den // g
+    den = 2 * abs(rep.lattice.determinant)
+    g = gcd(den, *rep._adj)
+    return [x // g for x in rep._adj], den // g
 
 
-def _class_problem(lat: IntegralLattice, rep_pairings, radius=None) -> CosetProblem:
+def _class_problem(rep: Covector, radius=None) -> CosetProblem:
     """The class rep + 2L in basis coordinates of the positive form.
 
     The coset z + 2 Z^n of z = G^{-1} p is halved to z / 2 + Z^n
     (_class_target), so values and radius are a quarter of the squares.
     """
-    big, den = _class_target(lat, rep_pairings)
+    big, den = _class_target(rep)
+    target = [Fraction(x, den) for x in big]
     inner_radius = None if radius is None else Fraction(radius) / 4
-    return CosetProblem(lat.positive_gram, [Fraction(x, den) for x in big], radius=inner_radius)
+    return CosetProblem(rep.lattice.positive_gram, target, radius=inner_radius)
+
+
+def _class_minima(lat: IntegralLattice, reps, node_budget) -> list[tuple[Fraction, int]]:
+    """(min, nodes) of each class rep + 2L, min a quarter of its least square:
+    the tree dynamic program per class on a forest Gram graph, else one
+    coset_minima search that prepares G once. node_budget bounds each class."""
+    plan = lat.forest_plan
+    if plan is not None:
+        return [plan_minimum(plan, *_class_target(r), node_budget=node_budget) for r in reps]
+    return coset_minima([_class_problem(r) for r in reps], node_budget=node_budget)
 
 
 def _check_class_square(value: Fraction, rank: int, sign: CharClassSign | None) -> None:
@@ -124,15 +132,11 @@ def _check_class_square(value: Fraction, rank: int, sign: CharClassSign | None) 
 
 
 def characteristic_class_reps(lat: IntegralLattice) -> dict[CharClassSign, Covector]:
-    """Representatives of the two characteristic classes of a |det| = 2 lattice."""
+    """Representatives of the two characteristic classes of a |det| = 2
+    lattice: the reps of its two spin-c classes, labelled by char_class_sign."""
     if abs(lat.determinant) != 2:
         raise NotBimodularError(f"|det| = {abs(lat.determinant)}, need 2")
-    chi = base_characteristic(lat)
-    gen = discriminant_group(lat).generators[0]
-    shifted = chi.translate([2 * p for p in gen.pairings])
-    reps = {}
-    for cov in (chi, shifted):
-        reps[char_class_sign(cov)] = cov
+    reps = {char_class_sign(c.representative): c.representative for c in spinc_classes(lat)}
     if len(reps) != 2:
         raise CongruenceViolationError(
             "characteristic classes do not split into opposite signs"
@@ -158,8 +162,8 @@ def min_char_norm(
         wanted, where, problem = None, "", _any_problem(lat, radius)
     else:
         wanted = CharClassSign(sign) if not isinstance(sign, CharClassSign) else sign
-        rep = characteristic_class_reps(lat)[wanted].pairings
-        where, problem = f" in the {wanted.value} class", _class_problem(lat, rep, radius)
+        rep = characteristic_class_reps(lat)[wanted]
+        where, problem = f" in the {wanted.value} class", _class_problem(rep, radius)
     try:
         res = shortest_in_coset(problem, node_budget=node_budget)
     except RadiusEmptyError:  # the search's radius is a quarter of the squares'
@@ -172,7 +176,7 @@ def min_char_norm(
     else:
         _check_class_square(value, lat.rank, wanted)
         shifts = (mat_vec(lat.positive_gram, list(x)) for x in res.minimizers)
-        pairings = [tuple(p + 2 * s for p, s in zip(rep, shift)) for shift in shifts]
+        pairings = [tuple(p + 2 * s for p, s in zip(rep.pairings, shift)) for shift in shifts]
     return EnumerationResult(
         min_norm=value,
         minimizers=_collapse_pairings(pairings),
@@ -189,24 +193,22 @@ def defects(
 
     Unimodular lattices get a single defect reported in both fields;
     |det| = 2 lattices get one defect per characteristic class. The minima
-    are those of min_char_norm, but every class is searched on the integral
-    Gram matrix, reduced and factored once, each with its own node_budget,
-    and only the values are kept.
+    are those of min_char_norm, taken by _class_minima, each class with its
+    own node_budget, and only the values are kept.
     """
     _require_positive(lat, "defects")
     det = abs(lat.determinant)
     n = lat.rank
     if det == 1:
-        classes = [(None, lat.diagonal)]
+        classes = {None: base_characteristic(lat)}
     elif det == 2:
         reps = characteristic_class_reps(lat)
-        classes = [(s, reps[s].pairings) for s in (CharClassSign.PLUS, CharClassSign.MINUS)]
+        classes = {s: reps[s] for s in (CharClassSign.PLUS, CharClassSign.MINUS)}
     else:
         raise UnsupportedDeterminantError(f"defects need |det| in {{1, 2}}, got {det}")
-    problems = [_class_problem(lat, rep) for _sign, rep in classes]
-    minima = coset_minima(problems, node_budget=node_budget)
+    minima = _class_minima(lat, list(classes.values()), node_budget)
     found = []
-    for (sign, _rep), (value, _nodes) in zip(classes, minima):
+    for sign, (value, _nodes) in zip(classes, minima):
         _check_class_square(4 * value, n, sign)
         found.append(Fraction(4 * value - n, 4))
     # a square n, n + 1 or n - 1 mod 8 is a defect 0, 1/4 or -1/4 mod 2
@@ -222,10 +224,9 @@ def max_char_square(
     """Largest square over the class rep + 2L of a negative definite lattice.
 
     Equals minus the minimal square of the corresponding coset in the
-    positive definite negation, for the class target of _class_target. A
-    forest-shaped Gram matrix is solved exactly by the tree dynamic program
-    (plan_minimum on the lattice's forest_plan), where node_budget bounds its
-    nodes; any other goes through the branch-and-bound search.
+    positive definite negation, taken by _class_minima: the tree dynamic
+    program on a forest-shaped Gram matrix, the branch-and-bound search on
+    any other. node_budget bounds its nodes.
     """
     if lat.sign >= 0:
         raise NotNegativeDefiniteError("max_char_square needs a negative definite lattice")
@@ -235,10 +236,5 @@ def max_char_square(
         raise NotCharacteristicError(
             f"pairings {class_rep.pairings} are not characteristic"
         )
-    rep = class_rep.pairings
-    plan = lat.forest_plan
-    if plan is not None:
-        value, _nodes = plan_minimum(plan, *_class_target(lat, rep), node_budget=node_budget)
-    else:
-        [(value, _nodes)] = coset_minima([_class_problem(lat, rep)], node_budget=node_budget)
+    [(value, _nodes)] = _class_minima(lat, [class_rep], node_budget)
     return -4 * value

@@ -9,31 +9,28 @@ residue mod 2, and connected sums with homology spheres shift both labels.
 Conjugation gives d(Y, s) = d(Y, conj s) (Ozsvath-Szabo, arXiv
 math/0110170); on the lattice, K -> -K maps the class K + 2L onto -K + 2L and
 keeps every square, so both classes have the same maximum.
-seifert_class_values names the class of a rep p by adj p mod 2 |det| (a
-class adds 2 |det| y to adj p) and runs one tree dynamic program per
-conjugate pair: (h + t) / 2 of them for h classes, t of them self-conjugate
+seifert_class_values names the class of a rep p (lattice.spinc_classes) by
+adj p mod 2 |det|, solved once for key and target alike (a class adds
+2 |det| y to adj p), and runs one tree dynamic program per conjugate pair:
+(h + t) / 2 of them for h classes, t of them self-conjugate
 (adj p = 0 mod |det|). The values are exact and the same, class by class,
 as one d_invariant per class.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .defects import max_char_square
 from .errors import (
-    FormatError,
     LabellingViolationError,
     ResidueViolationError,
     TooManyBadVerticesError,
-    ToolkitError,
     UnsupportedExpressionError,
 )
-from .lattice import MAX_SPINC_CLASSES, Covector, IntegralLattice
-from .linalg import hermite_row_basis
+from .lattice import SpinCClass, spinc_classes
 from .plumbing import (
     ConnectedSum,
     PlumbingTree,
@@ -49,62 +46,21 @@ from .plumbing import (
 POINCARE_SPHERE_D = Fraction(2)
 
 
-@dataclass(frozen=True)
-class SpinCClass:
-    """A coset of twice the lattice inside the characteristic covectors."""
-
-    representative: Covector
-    class_id: tuple[int, ...]
-
-
-def spinc_classes(lat: IntegralLattice) -> tuple[SpinCClass, ...]:
-    """All spin-c structures on the boundary, one characteristic rep each.
-
-    They are the classes chi + 2 G Z^n of characteristic pairings, so they
-    correspond to the shifts in Z^n / G Z^n. The row Hermite basis of the
-    nonsingular G is upper triangular with pivots h_ii, and the reduced
-    representatives modulo its rows are exactly the box of shifts with
-    0 <= shift_i < h_ii. So the reps are diag(G) + 2 shift over that box,
-    and class_id holds the shift at the pivots above 1. There are |det| of
-    them; more than MAX_SPINC_CLASSES is rejected with FormatError before
-    any is built.
-    """
-    count = abs(lat.determinant)
-    if count > MAX_SPINC_CLASSES:
-        raise FormatError(
-            f"{count} spin-c classes exceed the limit of {MAX_SPINC_CLASSES}"
-        )
-    basis = hermite_row_basis(lat.positive_gram)
-    free = [(i, row[i]) for i, row in enumerate(basis) if row[i] > 1]
-    classes = []
-    for shift in itertools.product(*(range(h) for _i, h in free)):
-        pairings = list(lat.diagonal)
-        for (i, _h), s in zip(free, shift):
-            pairings[i] += 2 * s
-        classes.append(SpinCClass(Covector(tuple(pairings), lat), shift))
-    if len(classes) != count:
-        raise ToolkitError(
-            f"found {len(classes)} spin-c classes, expected |det| = {count}"
-        )
-    return tuple(classes)
-
-
 def d_invariant(
     tree: PlumbingTree, cls: SpinCClass, *, node_budget: int | None = None
 ) -> Fraction:
     """Correction term of one spin-c structure on the plumbing boundary.
 
     The plumbing lattice is a tree, so max_char_square takes the exact tree
-    dynamic program; node_budget bounds its nodes.
+    dynamic program; node_budget bounds its nodes. A class of another
+    lattice raises NotCharacteristicError.
     """
     bad = bad_vertex_indices(tree)
     if len(bad) > 1:
         raise TooManyBadVerticesError(
             f"tree has bad vertices {bad}, the formula allows at most one"
         )
-    square = max_char_square(
-        cls.representative.lattice, cls.representative, node_budget=node_budget
-    )
+    square = max_char_square(tree.lattice, cls.representative, node_budget=node_budget)
     return Fraction(square + tree.rank, 4)
 
 
@@ -171,8 +127,8 @@ def seifert_class_values(
     canonical plumbing is negative definite, and negated when that is the
     reverse.
 
-    The class of a rep p is named by adj p = lat.solve(p) mod 2 |det|, and
-    the conjugate class of -p by -adj p mod 2 |det|.
+    The class of a rep p is named by adj p mod 2 |det| (Covector._adj, reused
+    by the program's target), and the conjugate class of -p by -adj p.
     Conjugate classes have the same maximal square, so one d_invariant
     serves both: a class whose key is already known runs no tree dynamic
     program. node_budget bounds each dynamic program that runs.
@@ -183,7 +139,7 @@ def seifert_class_values(
     known: dict[tuple[int, ...], Fraction] = {}
     values = []
     for cls in spinc_classes(lat):
-        adj = lat.solve(cls.representative.pairings)
+        adj = cls.representative._adj
         key = tuple(x % modulus for x in adj)
         if key not in known:
             value = d_invariant(tree, cls, node_budget=node_budget)

@@ -10,11 +10,14 @@ vector p with p[i] = <xi, e_i> against the chosen basis. It is characteristic
 exactly when p is congruent to the Gram diagonal mod 2. For |det| = 2 the
 characteristic covectors fall into two classes told apart by the square mod 8
 (n + 1 for the plus class, n - 1 for minus, with n the rank, squares taken on
-the positive definite form).
+the positive definite form). Those are the lattice's two spin-c classes
+chi + 2 G Z^n, which spinc_classes lists for any |det| over the box of one
+row Hermite basis of G, cached on the lattice for discriminant_group too.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -23,6 +26,7 @@ from functools import cached_property
 from .enumeration import CosetProblem, ForestPlan, enumerate_in_coset, forest_plan, plan_solve
 from .errors import (
     CongruenceViolationError,
+    FormatError,
     NotBimodularError,
     NotCharacteristicError,
     NotDefiniteError,
@@ -54,7 +58,7 @@ from .linalg import (
 MAX_GRAM_RANK = 64
 MAX_GRAM_ENTRY = 10**6
 # Spin-c classes are walked one by one, each with its own correction term, so
-# a plumbing is held to this many (|det| of its lattice; see dinvariant).
+# a plumbing is held to this many (|det| of its lattice; see spinc_classes).
 MAX_SPINC_CLASSES = 2**16
 
 
@@ -124,6 +128,13 @@ class IntegralLattice:
         return _discriminant_group(self)
 
     @cached_property
+    def _hermite_box(self) -> tuple[list[list[int]], list[int]]:
+        """(H, free): the row Hermite basis H of the positive Gram matrix and the
+        indices of its pivots above 1, for discriminant_group and spinc_classes."""
+        hnf = hermite_row_basis(self.positive_gram)
+        return hnf, [i for i, row in enumerate(hnf) if row[i] > 1]
+
+    @cached_property
     def forest_plan(self) -> ForestPlan | None:
         """The tree dynamic program's plan for the positive definite form, or
         None when its graph is not a forest.
@@ -157,16 +168,28 @@ class Covector:
         """Square <xi, xi> with respect to the Gram matrix as given."""
         return self.lattice.sign * self.positive_norm
 
+    @cached_property
+    def _adj(self) -> tuple[int, ...]:
+        """adj(P) p for the positive definite form P, solved once per covector."""
+        return tuple(self.lattice.solve(self.pairings))
+
     @property
     def positive_norm(self) -> Fraction:
         """Square on the positive definite form: p^T adj(P) p / |det|."""
-        lat = self.lattice
-        return Fraction(dot(self.pairings, lat.solve(self.pairings)), abs(lat.determinant))
+        return Fraction(dot(self.pairings, self._adj), abs(self.lattice.determinant))
 
     def translate(self, delta) -> "Covector":
-        return Covector(
-            tuple(p + d for p, d in zip(self.pairings, _integer_entries(delta))), self.lattice
-        )
+        """self + delta; ValueError when delta's length is not the rank."""
+        pairs = zip(self.pairings, _integer_entries(delta), strict=True)
+        return Covector(tuple(p + d for p, d in pairs), self.lattice)
+
+
+@dataclass(frozen=True)
+class SpinCClass:
+    """A coset of twice the lattice inside the characteristic covectors."""
+
+    representative: Covector
+    class_id: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -291,8 +314,7 @@ def _discriminant_group(lat: IntegralLattice) -> DiscriminantGroup:
     U R^T V = D, generator a is column a of U^-1, that is of R^T V divided
     by d_a, placed on F and reduced mod H.
     """
-    hnf = hermite_row_basis(lat.positive_gram)
-    free = [i for i, row in enumerate(hnf) if row[i] > 1]
+    hnf, free = lat._hermite_box
     block = [[hnf[i][j] for i in free] for j in free]  # R^T
     diag, _left, right = smith_normal_form(block)
     orders = []
@@ -312,6 +334,31 @@ def _discriminant_group(lat: IntegralLattice) -> DiscriminantGroup:
             f"invariant factors multiply to {total}, not |det| = {abs(lat.determinant)}"
         )
     return DiscriminantGroup(orders=tuple(orders), generators=tuple(gens))
+
+
+def spinc_classes(lat: IntegralLattice) -> tuple[SpinCClass, ...]:
+    """All spin-c structures on the boundary, one characteristic rep each.
+
+    The classes chi + 2 G Z^n correspond to the shifts in Z^n / G Z^n, whose
+    reduced representatives modulo the row Hermite basis of G (cached on the
+    lattice) are exactly the box 0 <= shift_i < h_ii over its pivots. So the
+    reps are diag(G) + 2 shift over that box, base class first, and class_id
+    holds the shift at the pivots above 1. There are |det| of them; more than
+    MAX_SPINC_CLASSES is rejected with FormatError before any is built.
+    """
+    count = abs(lat.determinant)
+    if count > MAX_SPINC_CLASSES:
+        raise FormatError(f"{count} spin-c classes exceed the limit of {MAX_SPINC_CLASSES}")
+    hnf, free = lat._hermite_box
+    classes = []
+    for shift in itertools.product(*(range(hnf[i][i]) for i in free)):
+        pairings = list(lat.diagonal)
+        for i, s in zip(free, shift):
+            pairings[i] += 2 * s
+        classes.append(SpinCClass(Covector(tuple(pairings), lat), shift))
+    if len(classes) != count:
+        raise ToolkitError(f"found {len(classes)} spin-c classes, expected |det| = {count}")
+    return tuple(classes)
 
 
 def _require_positive(lat: IntegralLattice, what: str) -> None:

@@ -27,6 +27,10 @@ test how the glued overlattice meets a summand's span, the oracle of the
 parity test that replaced it. count_linalg_calls records which linear algebra a call reaches.
 reference_search is the branch-and-bound search written recursively over
 the Fraction LDL^T, the oracle of the flat integer loop's node counts.
+translate_class_reps is the characteristic classes of a |det| = 2 lattice
+built as chi and chi + 2 * (discriminant generator), the oracle of the
+spin-c box that replaced it. U7 is a fixed unimodular basis change that
+takes E7 off the forests.
 lens_d (Ozsvath-Szabo's recursion for lens spaces) and torus_knot_v (Ni-Wu's
 V_j of a torus knot) are the second routes for lens spaces and surgeries on
 torus knots.
@@ -477,6 +481,22 @@ def smith_spinc_keys(lat):
                 shift[i] += c * p
         keys.add(tuple(reduce_mod_rows(shift, basis)))
     return keys
+
+
+def translate_class_reps(lat):
+    """{sign: pairings} of chi = diag(G) and chi + 2 * (the generator of
+    discriminant_group), labelled by char_class_sign."""
+    from latdefect import base_characteristic, char_class_sign, discriminant_group
+
+    chi = base_characteristic(lat)
+    gen = discriminant_group(lat).generators[0]
+    shifted = chi.translate([2 * p for p in gen.pairings])
+    return {char_class_sign(cov): cov.pairings for cov in (chi, shifted)}
+
+
+U7 = [[0, -1, 0, 0, 0, 0, 0], [1, 0, 0, 0, -1, 0, 1], [0, 1, 0, 0, 0, -1, -1],
+      [0, 0, 0, 0, 0, 0, 1], [0, 0, -1, 0, 0, 0, 0], [0, 0, 0, -1, 0, 0, 0],
+      [0, 0, 0, 0, -1, 0, 0]]
 
 
 def smith_row_kernel(mat) -> list[list[int]]:

@@ -1,0 +1,133 @@
+"""One construction and one route for characteristic classes.
+
+The characteristic classes of a |det| = 2 lattice are its two spin-c
+classes, read off the Hermite box that discriminant_group shares, and are
+checked against the chi / chi + 2 * generator construction they replaced
+(helpers.translate_class_reps). Every class value goes through
+defects._class_minima, whose tree dynamic program is checked against the
+branch-and-bound search on the same class problems. Each class
+representative is solved once, for its sign or key and its target alike.
+"""
+
+import random
+import sys
+from fractions import Fraction
+
+from helpers import U7, count_linalg_calls, translate_class_reps
+
+from latdefect import (
+    CharClassSign,
+    SeifertData,
+    a1_lattice,
+    base_characteristic,
+    characteristic_class_reps,
+    conjugate_lattice,
+    defects,
+    diagonal_bimodular_lattice,
+    direct_sum,
+    discriminant_group,
+    e7_lattice,
+    e8_lattice,
+    identity_lattice,
+    min_char_norm,
+    parse_expression,
+    random_unimodular,
+    seifert_class_values,
+    spinc_classes,
+    validate_lattice,
+)
+from latdefect.defects import _class_minima, _class_problem
+from latdefect.enumeration import coset_minima
+
+LATTICE = sys.modules["latdefect.lattice"]
+
+TREE_LATTICES = (
+    [a1_lattice(), e7_lattice(), e8_lattice()]
+    + [diagonal_bimodular_lattice(n) for n in range(1, 9)]
+    + [identity_lattice(n) for n in range(1, 11)]
+)
+
+
+def class_reps(lat):
+    if abs(lat.determinant) == 1:
+        return [base_characteristic(lat)]
+    reps = characteristic_class_reps(lat)
+    return [reps[CharClassSign.PLUS], reps[CharClassSign.MINUS]]
+
+
+def test_tree_dynamic_program_agrees_with_the_search_on_class_problems():
+    for lat in TREE_LATTICES:
+        assert lat.forest_plan is not None
+        reps = class_reps(lat)
+        tree = [value for value, _nodes in _class_minima(lat, reps, None)]
+        search = [value for value, _nodes in coset_minima([_class_problem(r) for r in reps])]
+        assert tree == search
+        n = lat.rank
+        pair = defects(lat)
+        if len(reps) == 1:
+            expected = [(min_char_norm(lat).min_norm - n) / 4] * 2
+        else:
+            expected = [
+                (min_char_norm(lat, sign).min_norm - n) / 4
+                for sign in (CharClassSign.PLUS, CharClassSign.MINUS)
+            ]
+        assert [pair.d_plus, pair.d_minus] == expected
+
+
+def counted_plan_solves(monkeypatch) -> list[int]:
+    """Ranks of every plan_solve the lattices run from now on."""
+    calls = []
+    original = LATTICE.plan_solve
+
+    def counting(plan, vec):
+        calls.append(len(vec))
+        return original(plan, vec)
+
+    monkeypatch.setattr(LATTICE, "plan_solve", counting)
+    return calls
+
+
+def test_each_class_representative_is_solved_once(monkeypatch):
+    conjugated = conjugate_lattice(e7_lattice(), U7)
+    assert conjugated.forest_plan is None
+    calls = count_linalg_calls(monkeypatch, ["factor_solve"])
+    defects(conjugated)
+    assert len(calls["factor_solve"]) == 2
+
+    solves = counted_plan_solves(monkeypatch)
+    (term,) = parse_expression("Y(2; 15/13, 17/3, 23/22)").terms
+    assert seifert_class_values(term.atom) == (Fraction(-31, 4), Fraction(-17, 4))
+    assert solves == [32, 32]
+
+    solves.clear()
+    many = SeifertData(-1, (Fraction(-5, 2), Fraction(-5, 3), Fraction(-5, 4)))
+    values = seifert_class_values(many)
+    assert len(values) == 100
+    assert len(solves) == 100
+
+
+def test_one_hermite_form_serves_every_class_question(monkeypatch):
+    lat = conjugate_lattice(e7_lattice(), U7)
+    calls = count_linalg_calls(monkeypatch, ["hermite_row_basis"])
+    classes = spinc_classes(lat)
+    reps = characteristic_class_reps(lat)
+    group = discriminant_group(lat)
+    assert calls == {"hermite_row_basis": [7]}
+    assert group.orders == (2,) and len(classes) == 2
+    assert [c.representative for c in classes] == list(reps.values())
+
+
+BIMODULAR_BASES = [a1_lattice, e7_lattice, lambda: direct_sum(a1_lattice(), e8_lattice())] + [
+    (lambda k=k: diagonal_bimodular_lattice(k)) for k in range(1, 7)
+]
+
+
+def test_class_reps_match_the_translated_generator_construction():
+    for seed in range(300):
+        rng = random.Random(seed)
+        base = rng.choice(BIMODULAR_BASES)()
+        lat = conjugate_lattice(base, random_unimodular(rng, base.rank))
+        if rng.random() < 0.5:
+            lat = validate_lattice([[-x for x in row] for row in lat.gram])
+        found = [(sign, cov.pairings) for sign, cov in characteristic_class_reps(lat).items()]
+        assert found == list(translate_class_reps(lat).items())

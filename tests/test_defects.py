@@ -77,7 +77,7 @@ def test_unimodular_defects_check_the_minimum_mod_8(monkeypatch):
     # der Blij), so a minimum of 0 fits E8 (8 = 0 mod 8) but not I_3
     defects_module = sys.modules["latdefect.defects"]
     monkeypatch.setattr(
-        defects_module, "coset_minima", lambda problems, **k: [(Fraction(0), 0)] * len(problems)
+        defects_module, "_class_minima", lambda lat, reps, node_budget: [(Fraction(0), 0)] * len(reps)
     )
     assert defects(e8_lattice()).d_plus == -2
     with pytest.raises(CongruenceViolationError, match="is not 3 mod 8"):

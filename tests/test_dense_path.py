@@ -167,8 +167,10 @@ def test_covector_questions_run_no_dense_adjugate(monkeypatch):
         for sign, rep in characteristic_class_reps(lat).items():
             assert char_class_sign(rep) is sign
     assert calls == {"adjugate": [], "integer_matrix_inverse": []}
-    # the searches behind defects invert only their LLL transforms
-    defects(left)
+    # the searches behind defects on a non-forest invert only their LLL
+    # transforms
+    assert right.forest_plan is None
+    defects(right)
     assert calls["integer_matrix_inverse"]
     assert calls["adjugate"] == calls["integer_matrix_inverse"]
 
@@ -368,7 +370,7 @@ def test_shared_preparation_matches_one_preparation_per_class(reduce):
         else:
             reps = characteristic_class_reps(lat)
             problems = [
-                _class_problem(lat, reps[s].pairings)
+                _class_problem(reps[s])
                 for s in (CharClassSign.PLUS, CharClassSign.MINUS)
             ]
         separate = []
@@ -409,8 +411,8 @@ def test_unimodular_defects_build_no_fraction_inverse(monkeypatch):
 def test_shared_preparation_needs_one_form():
     lat = e7_lattice()
     other = conjugated_bimodular(1)
-    problems = [_class_problem(lat, base_characteristic(lat).pairings)]
-    problems.append(_class_problem(other, base_characteristic(other).pairings))
+    problems = [_class_problem(base_characteristic(lat))]
+    problems.append(_class_problem(base_characteristic(other)))
     assert problems[0].form != problems[1].form
     with pytest.raises(ValueError, match="share one form"):
         coset_minima(problems)

@@ -13,6 +13,7 @@ from latdefect import (
     BudgetExhaustedError,
     Covector,
     LabellingViolationError,
+    NotCharacteristicError,
     PlumbingTree,
     QuarterPair,
     ResidueViolationError,
@@ -28,6 +29,7 @@ from latdefect import (
     is_characteristic,
     label_quarter,
     negative_e8_tree,
+    parse_expression,
     reverse_orientation,
     reverse_pair,
     seifert_class_values,
@@ -45,6 +47,17 @@ def test_e8_boundary_has_d_two():
     tree = negative_e8_tree()
     (cls,) = spinc_classes(gram(tree))
     assert d_invariant(tree, cls) == POINCARE_SPHERE_D == 2
+
+
+def test_d_invariant_rejects_a_class_of_another_plumbing():
+    # the rank-4 plumbing's first class once gave 5/4 on the rank-8 tree
+    trees = [
+        _seifert_tree(parse_expression(text).terms[0].atom)[0]
+        for text in ("Y(-1; -2, -3, -5)", "Y(-1; -2, -4, -5)")
+    ]
+    assert [tree.rank for tree in trees] == [8, 4]
+    with pytest.raises(NotCharacteristicError, match="different lattice"):
+        d_invariant(trees[0], spinc_classes(trees[1].lattice)[0])
 
 
 def test_single_vertex_trees():

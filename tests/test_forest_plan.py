@@ -104,7 +104,7 @@ def test_main_example_node_total_is_pinned():
     lat = main_example_lattice()
     found = []
     for cls in spinc_classes(lat):
-        value, nodes = plan_minimum(lat.forest_plan, *_class_target(lat, cls.representative.pairings))
+        value, nodes = plan_minimum(lat.forest_plan, *_class_target(cls.representative))
         assert -4 * value == max_char_square(lat, cls.representative)
         found.append((value, nodes))
     # cell by cell, the same two classes cost 484,923 nodes
@@ -115,9 +115,9 @@ def test_main_example_node_total_is_pinned():
 def test_lattice_plan_agrees_with_the_problem_route():
     lat = canonical_plumbing(SeifertData(-2, [Fraction(-3, 1), Fraction(-5, 2), Fraction(-6, 1)])).lattice
     for cls in spinc_classes(lat):
-        rep = cls.representative.pairings
-        assert plan_minimum(lat.forest_plan, *_class_target(lat, rep)) == forest_minimum(
-            _class_problem(lat, rep)
+        rep = cls.representative
+        assert plan_minimum(lat.forest_plan, *_class_target(rep)) == forest_minimum(
+            _class_problem(rep)
         )
     triangle = validate_lattice([[-2, -1, -1], [-1, -2, -1], [-1, -1, -2]])
     assert triangle.forest_plan is None

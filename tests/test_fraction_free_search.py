@@ -24,6 +24,7 @@ from helpers import (
     random_spd_gram,
     random_target,
     reference_search,
+    U7,
 )
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -241,10 +242,7 @@ def test_clear_denominators_copies_int_rows():
     assert rows == listed and all(a is not b for a, b in zip(rows, listed))
 
 
-# Fixed bases for the pinned lattices below.
-U7 = [[0, -1, 0, 0, 0, 0, 0], [1, 0, 0, 0, -1, 0, 1], [0, 1, 0, 0, 0, -1, -1],
-      [0, 0, 0, 0, 0, 0, 1], [0, 0, -1, 0, 0, 0, 0], [0, 0, 0, -1, 0, 0, 0],
-      [0, 0, 0, 0, -1, 0, 0]]
+# Fixed bases for the pinned lattices below (U7 from helpers).
 U9 = [[0, 0, 0, 0, 0, -1, 0, 0, 0], [-1, 0, 0, 0, 1, 0, 0, 1, 0],
       [0, 0, 0, 0, 0, 1, 1, 1, 0], [0, -1, 0, 0, 1, 0, 0, 1, 0],
       [0, 0, 0, 1, 0, 0, 0, 0, 0], [0, -1, 1, 1, 1, 0, 0, 1, 0],
@@ -298,7 +296,7 @@ def test_min_char_norm_node_counts_are_pinned(key):
             problem = _any_problem(lat)
         else:
             rep = characteristic_class_reps(lat)[CharClassSign(sign)]
-            problem = _class_problem(lat, rep.pairings)
+            problem = _class_problem(rep)
         result = shortest_in_coset(problem, reduce=False)
         square = 4 * result.min_norm
     assert (square, len(result.minimizers), result.nodes_visited) == PINNED[key]
@@ -309,7 +307,7 @@ def test_value_only_defects_keep_the_mod_8_check(monkeypatch):
     # not the minus class (7 - 1 = 6 mod 8)
     defects_module = sys.modules["latdefect.defects"]
     monkeypatch.setattr(
-        defects_module, "coset_minima", lambda problems, **k: [(Fraction(0), 0)] * len(problems)
+        defects_module, "_class_minima", lambda lat, reps, node_budget: [(Fraction(0), 0)] * len(reps)
     )
     with pytest.raises(CongruenceViolationError, match="is not 6 mod 8"):
         defects(e7_lattice())

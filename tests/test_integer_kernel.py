@@ -18,6 +18,7 @@ from helpers import (
     fraction_restrict,
     ldl_validation,
     smith_saturation_check,
+    U7,
 )
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -257,8 +258,8 @@ def test_benchmark_traced_linalg_names_stay_in_use(monkeypatch):
     inverses go through invert_matrix, where the wrapper sees them, while
     defects on a |det| = 2 lattice and gluing build none. Every minimum
     search of rank > 1 reduces its form, through the enumeration binding of
-    lll_reduce_gram, and defects reduces the Gram matrix once for both
-    characteristic classes."""
+    lll_reduce_gram, and defects on a non-forest (E7 in the basis U7)
+    reduces the Gram matrix once for both characteristic classes."""
     linalg = sys.modules["latdefect.linalg"]
     reduction = sys.modules["latdefect.reduction"]
     enumeration = sys.modules["latdefect.enumeration"]
@@ -281,6 +282,8 @@ def test_benchmark_traced_linalg_names_stay_in_use(monkeypatch):
     latdefect.min_char_norm(identity_lattice(3))
     assert calls["invert_matrix"] == [3]
     assert reductions == [3]
-    latdefect.defects(e7_lattice())
+    conjugated = conjugate_lattice(e7_lattice(), U7)
+    assert conjugated.forest_plan is None
+    latdefect.defects(conjugated)
     assert reductions == [3, 7]  # one reduction for both characteristic classes
     assert all(calls[name] for name in TRACED_LINALG), calls

@@ -261,6 +261,14 @@ def test_non_integer_entries_are_rejected_not_truncated(entry):
         validate_lattice([[2, entry], [entry, 2]])
 
 
+def test_translate_rejects_a_shift_of_another_length():
+    chi = base_characteristic(e7_lattice())
+    for delta in ([2] * 8, [2] * 6):
+        with pytest.raises(ValueError):
+            chi.translate(delta)
+    assert chi.translate([2] * 7).pairings == (4,) * 7
+
+
 def test_integral_fractions_are_accepted_as_ints():
     lat = a1_lattice()
     cov = Covector((Fraction(4, 2),), lat)

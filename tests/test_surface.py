@@ -87,6 +87,24 @@ def test_every_traced_layer_function_resolves():
     assert missing == []
 
 
+def test_traced_exports_are_the_layer_functions():
+    # the tracer wraps bindings by identity, so an export that is a copy of a
+    # traced function, not the function itself, would escape tracing
+    exported = [
+        (layer, name)
+        for layer, names in tracer_layers().items()
+        for name in names
+        if hasattr(latdefect, name)
+    ]
+    assert ("dinvariant", "spinc_classes") in exported
+    copies = [
+        f"{layer}.{name}"
+        for layer, name in exported
+        if getattr(importlib.import_module(f"latdefect.{layer}"), name) is not getattr(latdefect, name)
+    ]
+    assert copies == []
+
+
 def test_all_is_unique_and_resolves():
     duplicates = [name for name, count in Counter(latdefect.__all__).items() if count > 1]
     assert duplicates == []
