@@ -18,13 +18,14 @@ Reductions to coset enumeration:
     G^{-1}, target diag(G)/2, and scale by 4.
 
 defects and max_char_square need only values, and take them from one
-route, _class_minima: when the Gram graph is a forest (as for every
-plumbing tree) the exact tree dynamic program (plan_minimum on the
-lattice's ForestPlan), which builds no CosetProblem, no dense adjugate and
-no Fraction before the value; otherwise one coset_minima call, the
-branch-and-bound search without minimizers, which reduces and factors G
-once for every class target. min_char_norm reports the minimizing pairing
-vectors through shortest_in_coset. Every branch-and-bound search LLL-reduces
+route, _class_minima, which makes each integer class target once and builds
+no CosetProblem and no Fraction before the value: when the Gram graph is a
+forest (as for every plumbing tree) the exact tree dynamic program
+(plan_minimum on the lattice's ForestPlan), with no dense adjugate;
+otherwise one coset_minima call, the branch-and-bound search without
+minimizers, which reduces and factors G once for every class target.
+min_char_norm reports the minimizing pairing vectors through
+shortest_in_coset. Every branch-and-bound search LLL-reduces
 its form first; there is no switch, since reduction changes node counts only.
 """
 
@@ -114,11 +115,13 @@ def _class_problem(rep: Covector, radius=None) -> CosetProblem:
 def _class_minima(lat: IntegralLattice, reps, node_budget) -> list[tuple[Fraction, int]]:
     """(min, nodes) of each class rep + 2L, min a quarter of its least square:
     the tree dynamic program per class on a forest Gram graph, else one
-    coset_minima search that prepares G once. node_budget bounds each class."""
+    coset_minima search that prepares G once, both on the integer targets of
+    _class_target. node_budget bounds each class."""
+    targets = [_class_target(r) for r in reps]
     plan = lat.forest_plan
     if plan is not None:
-        return [plan_minimum(plan, *_class_target(r), node_budget=node_budget) for r in reps]
-    return coset_minima([_class_problem(r) for r in reps], node_budget=node_budget)
+        return [plan_minimum(plan, big, den, node_budget=node_budget) for big, den in targets]
+    return coset_minima(lat.positive_gram, targets, node_budget=node_budget)
 
 
 def _check_class_square(value: Fraction, rank: int, sign: CharClassSign | None) -> None:

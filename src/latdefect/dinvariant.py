@@ -99,16 +99,20 @@ def reverse_pair(pair: QuarterPair) -> QuarterPair:
     return QuarterPair(-pair.d_minus_quarter, -pair.d_quarter)
 
 
+def _sphere_term(value) -> Fraction:
+    """The correction term of an integral homology sphere, as a Fraction;
+    ResidueViolationError unless it is an even integer."""
+    value = Fraction(value)
+    if value.denominator != 1 or value % 2 != 0:
+        raise ResidueViolationError(
+            f"homology sphere correction term {value} is not an even integer"
+        )
+    return value
+
+
 def sum_with_homology_spheres(pair: QuarterPair, values) -> QuarterPair:
     """Shift both labels by correction terms of homology sphere summands."""
-    total = Fraction(0)
-    for v in values:
-        v = Fraction(v)
-        if v.denominator != 1 or v % 2 != 0:
-            raise ResidueViolationError(
-                f"homology sphere correction term {v} is not an even integer"
-            )
-        total += v
+    total = sum(map(_sphere_term, values), Fraction(0))
     return QuarterPair(pair.d_quarter + total, pair.d_minus_quarter + total)
 
 
@@ -182,11 +186,7 @@ def evaluate_expression(
             continue
         if h1_order(atom) == 1:
             (value,) = seifert_class_values(atom, node_budget=node_budget)
-            if value.denominator != 1 or value % 2 != 0:
-                raise ResidueViolationError(
-                    f"homology sphere correction term {value} is not an even integer"
-                )
-            shift += term.count * value
+            shift += term.count * _sphere_term(value)
             continue
         if special is not None or term.count > 1:
             raise UnsupportedExpressionError(

@@ -5,20 +5,23 @@ and a rational target t, minimize (t + x)^T Q (t + x) over integer vectors x.
 Levels are eliminated through an exact LDL^T factorization and explored
 depth-first, each level visiting integer candidates in nearest-first zig-zag
 order; the first full descent therefore reproduces the nearest-plane rounding
-of -t and seeds the pruning radius. All arithmetic is exact: denominators are
-cleared once per factorization, so the inner loop works on plain integers.
+of -t and seeds the pruning radius. All arithmetic is exact: a target
+enters the search as integers big / den, and _scale clears the denominators
+of the factor once per search, so the inner loop works on plain integers.
 An integral form is kept in int from CosetProblem through LLL to the
 fraction-free factor, so it is never wrapped in Fractions and cleared again.
 
 There is one entry point per problem shape: shortest_in_coset reports the
 minimum with every minimizer; coset_minima runs the same search, node for
-node, for callers that need only minimum values, reducing and factoring the
-form once for every target on it; enumerate_in_coset lists every point
-within a radius. Integral LLL conjugates the problem by a unimodular matrix:
-it changes node counts, never results. Both minimum searches apply it to
-every form of rank > 1; the listing, whose radius is fixed, runs faster
-without it. The search is serial, so node counts, and whether a node budget
-suffices, are the same on every run.
+node, for callers that need only minimum values, on integer targets
+(big, den) that share one form, which it reduces and factors once;
+enumerate_in_coset lists every point within a radius. The two entry points
+that take a CosetProblem clear its target to (big, den) once. Integral LLL
+conjugates the problem by a unimodular matrix: it changes node counts, never
+results. Both minimum searches apply it to every form of rank > 1; the
+listing, whose radius is fixed, runs faster without it. The search is
+serial, so node counts, and whether a node budget suffices, are the same on
+every run.
 
 When Q is an integer form whose off-diagonal support is a forest (every
 plumbing tree is one), the exact minimum value needs no search: the
@@ -63,6 +66,15 @@ def _exact(x):
     return x if type(x) in (int, Fraction) else Fraction(x)
 
 
+def _require_symmetric(rows) -> None:
+    """FormatError unless rows is square, NotSymmetricError unless symmetric."""
+    require_square(rows)
+    bad = first_asymmetry(rows)
+    if bad is not None:
+        i, j = bad
+        raise NotSymmetricError(i, j, rows[i][j], rows[j][i])
+
+
 @dataclass(frozen=True)
 class CosetProblem:
     """Minimize (target + x)^T form (target + x) over x in Z^n.
@@ -81,11 +93,7 @@ class CosetProblem:
 
     def __init__(self, form, target, radius=None):
         rows = tuple(tuple(map(_exact, row)) for row in form)
-        require_square(rows)
-        bad = first_asymmetry(rows)
-        if bad is not None:
-            i, j = bad
-            raise NotSymmetricError(i, j, rows[i][j], rows[j][i])
+        _require_symmetric(rows)
         tgt = tuple(map(_exact, target))
         if len(tgt) != len(rows):
             raise ValueError("target length does not match form rank")
@@ -105,151 +113,42 @@ class EnumerationResult:
     nodes_visited: int
 
 
-class _Scaled:
-    """Denominator-cleared copy of the factored problem.
+def _scale(cols, diag, big, den):
+    """(scales, consts, scols, coeff, value_scale): the denominator-cleared
+    levels of one factored search for the target big / den.
 
     At level i the offset base_i = target_i + sum_j L_ji (target_j + x_j) is
     an affine function of the integer choices x_j, so a per-level scale s_i
     (the lcm of the relevant denominators) makes s_i * base_i an integer for
-    every x. Values are tracked as integer multiples of 1 / value_scale, with
+    every x: s_i base_i = consts_i + sum of c x_j over (j, c) in scols_i.
+    Values are tracked as integer multiples of 1 / value_scale, with
     value_scale chosen so each level cost d_i * u^2 scales to coeff_i * U^2
     for U = s_i * u. The search then runs entirely on integers, with every
     comparison equal to its unscaled counterpart. The scales are computed in
-    integers too: with the target given cleared, as big / den, and column i
-    of L as C / cs, den cs const_i = cs big_i + sum_j C_j big_j. A factor
-    common to big and den leaves every scale unchanged.
+    integers too: with column i of L as C / cs,
+    den cs const_i = cs big_i + sum_j C_j big_j. A factor common to big and
+    den leaves every scale unchanged.
     """
-
-    __slots__ = ("n", "scales", "consts", "scols", "coeff", "value_scale")
-
-    def __init__(self, cols, diag, big, den):
-        n = len(diag)
-        self.n = n
-        scales = []
-        consts = []
-        scols = []
-        for i in range(n):
-            col_scale = lcm(*(c.denominator for _j, c in cols[i]))
-            col = [(j, c.numerator * (col_scale // c.denominator)) for j, c in cols[i]]
-            whole = den * col_scale
-            k = col_scale * big[i]  # whole * const
-            for j, c in col:
-                k += c * big[j]
-            s = lcm(col_scale, whole // gcd(k, whole))
-            scales.append(s)
-            consts.append(k * s // whole)
-            scols.append(tuple((j, c * (s // col_scale)) for j, c in col))
-        value_scale = 1
-        for i in range(n):
-            value_scale = lcm(value_scale, scales[i] ** 2 * diag[i].denominator)
-        coeff = [
-            d.numerator * (value_scale // (s * s * d.denominator))
-            for d, s in zip(diag, scales)
-        ]
-        self.scales = scales
-        self.consts = consts
-        self.scols = scols
-        self.coeff = coeff
-        self.value_scale = value_scale
-
-
-class _Worker:
-    """The depth-first searcher over levels n-1..0.
-
-    All values handled here (cap, best, recorded totals) are in value_scale
-    units of the _Scaled context. Every candidate tried is one node, and
-    BudgetExhaustedError is raised once there are more than node_budget.
-    """
-
-    def __init__(self, scaled, mode, cap, node_budget):
-        self.sc = scaled
-        self.mode = mode
-        self.cap = cap  # fixed inclusive radius (collect, or shrink with radius)
-        self.node_budget = node_budget
-        self.x = [0] * scaled.n
-        self.best = None
-        self.hits: list = []
-        self.nodes = 0
-
-    def _record(self, total: int) -> None:
-        if self.mode == "collect":
-            self.hits.append((tuple(self.x), total))
-            return
-        if self.best is None or total < self.best:
-            self.best = total
-            if self.mode == "shrink":
-                self.hits = [tuple(self.x)]
-        elif total == self.best and self.mode == "shrink":
-            self.hits.append(tuple(self.x))
-
-    def run(self) -> None:
-        """One loop over nodes; limit is the lesser of cap and best."""
-        sc = self.sc
-        n = sc.n
-        if n == 0:
-            self._record(0)
-            return
-        scales, consts, scols, coeff = sc.scales, sc.consts, sc.scols, sc.coeff
-        budget = self.node_budget
-        limit = self.cap
-        x = self.x
-        part = [0] * n
-        sbase = [0] * n
-        up = [0] * n
-        down = [0] * n
-        up_ok = [True] * n
-        down_ok = [True] * n
-        nodes = 0
-        i = n - 1
-        b = sbase[i] = consts[i]  # the last level depends on no choice
-        up[i] = (scales[i] - 2 * b) // (2 * scales[i])
-        down[i] = up[i] - 1
-        while True:
-            s = scales[i]
-            if up_ok[i] and down_ok[i]:
-                side = 1 if abs(s * up[i] + sbase[i]) <= abs(s * down[i] + sbase[i]) else -1
-            elif up_ok[i]:
-                side = 1
-            elif down_ok[i]:
-                side = -1
-            else:
-                i += 1
-                if i == n:
-                    self.nodes = nodes
-                    return
-                continue
-            cand = up[i] if side == 1 else down[i]
-            u = s * cand + sbase[i]
-            total = part[i] + coeff[i] * u * u
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExhaustedError(nodes, budget)
-            if limit is not None and total > limit:
-                if side == 1:
-                    up_ok[i] = False
-                else:
-                    down_ok[i] = False
-                continue
-            if side == 1:
-                up[i] += 1
-            else:
-                down[i] -= 1
-            x[i] = cand
-            if i == 0:
-                self._record(total)
-                if self.best is not None and (limit is None or self.best < limit):
-                    limit = self.best
-                continue
-            i -= 1
-            part[i] = total
-            b = consts[i]
-            for j, c in scols[i]:
-                b += c * x[j]
-            sbase[i] = b
-            s = scales[i]
-            up[i] = r0 = (s - 2 * b) // (2 * s)
-            down[i] = r0 - 1
-            up_ok[i] = down_ok[i] = True
+    scales = []
+    consts = []
+    scols = []
+    for i, pairs in enumerate(cols):
+        col_scale = lcm(*(c.denominator for _j, c in pairs))
+        col = [(j, c.numerator * (col_scale // c.denominator)) for j, c in pairs]
+        whole = den * col_scale
+        k = col_scale * big[i]  # whole * const
+        for j, c in col:
+            k += c * big[j]
+        s = lcm(col_scale, whole // gcd(k, whole))
+        scales.append(s)
+        consts.append(k * s // whole)
+        scols.append(tuple((j, c * (s // col_scale)) for j, c in col))
+    value_scale = lcm(*(s * s * d.denominator for s, d in zip(scales, diag)))
+    coeff = [
+        d.numerator * (value_scale // (s * s * d.denominator))
+        for d, s in zip(diag, scales)
+    ]
+    return scales, consts, scols, coeff, value_scale
 
 
 class _Prepared(NamedTuple):
@@ -279,41 +178,97 @@ def _prepare(form, reduce: bool) -> _Prepared:
     return _Prepared(unimod, inverse, cols, diag)
 
 
-def _search(prepared: _Prepared, problem: CosetProblem, mode: str, node_budget):
-    """(best, hits, nodes) of one search on a prepared form; best is None when
-    nothing is in range. The target is mapped into the reduced basis,
-    searched, and the hits are mapped back.
+def _search(prepared: _Prepared, big, den: int, radius, mode: str, node_budget):
+    """(best, hits, nodes) of one search for the target big / den (integers,
+    den > 0) on a prepared form; best is None when nothing is within the
+    inclusive radius (None for no bound). The target is mapped into the
+    reduced basis, searched over levels n-1..0, and the hits are mapped back.
 
     mode "collect" records every point within the radius with its value,
     "shrink" the minimizers at the shrinking minimum, and "value" nothing but
     the minimum. Recording never prunes, so all three visit the same nodes
-    for the same radius.
+    for the same radius. Every candidate tried is one node, and
+    BudgetExhaustedError is raised once there are more than node_budget.
     """
-    unimod, cols, diag = prepared.unimod, prepared.cols, prepared.diag
-    (big,), den = clear_denominators([problem.target])
+    unimod = prepared.unimod
     if unimod is not None:
         big = mat_vec(prepared.inverse, big)
-
-    scaled = _Scaled(cols, diag, big, den)
-    scale = scaled.value_scale
-    cap = None if problem.radius is None else floor(problem.radius * scale)
-    worker = _Worker(scaled, mode, cap, node_budget)
-    worker.run()
-    best, hits = worker.best, worker.hits
-
-    if best is not None:
-        best = Fraction(best, scale)
-    if mode == "collect":
-        hits = [(x, Fraction(v, scale)) for x, v in hits]
-
-    if unimod is not None:
-        if mode == "collect":
-            hits = [
-                (tuple(mat_vec(unimod, list(x))), val) for x, val in hits
-            ]
+    scales, consts, scols, coeff, value_scale = _scale(prepared.cols, prepared.diag, big, den)
+    n = len(scales)
+    # values, limit and best are in 1 / value_scale units; limit is the
+    # lesser of the radius and the best value so far
+    limit = None if radius is None else floor(radius * value_scale)
+    if n == 0:  # the empty point alone, of value 0
+        if limit is not None and limit < 0:
+            return None, [], 0
+        return Fraction(0), [((), Fraction(0))] if mode == "collect" else [()], 0
+    best = None
+    hits: list = []
+    nodes = 0
+    x = [0] * n
+    part = [0] * n
+    sbase = [0] * n
+    up = [0] * n
+    down = [0] * n
+    up_ok = [True] * n
+    down_ok = [True] * n
+    i = n - 1
+    b = sbase[i] = consts[i]  # the last level depends on no choice
+    up[i] = (scales[i] - 2 * b) // (2 * scales[i])
+    down[i] = up[i] - 1
+    while True:
+        s = scales[i]
+        if up_ok[i] and down_ok[i]:
+            side = 1 if abs(s * up[i] + sbase[i]) <= abs(s * down[i] + sbase[i]) else -1
+        elif up_ok[i]:
+            side = 1
+        elif down_ok[i]:
+            side = -1
         else:
-            hits = [tuple(mat_vec(unimod, list(x))) for x in hits]
-    return best, hits, worker.nodes
+            i += 1
+            if i == n:
+                break
+            continue
+        cand = up[i] if side == 1 else down[i]
+        u = s * cand + sbase[i]
+        total = part[i] + coeff[i] * u * u
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise BudgetExhaustedError(nodes, node_budget)
+        if limit is not None and total > limit:
+            if side == 1:
+                up_ok[i] = False
+            else:
+                down_ok[i] = False
+            continue
+        if side == 1:
+            up[i] += 1
+        else:
+            down[i] -= 1
+        x[i] = cand
+        if i == 0:
+            if mode == "collect":
+                hits.append((tuple(x), Fraction(total, value_scale)))
+            elif best is None or total < best:
+                limit = best = total
+                if mode == "shrink":
+                    hits = [tuple(x)]
+            elif mode == "shrink":  # total == best, as best caps the limit
+                hits.append(tuple(x))
+            continue
+        i -= 1
+        part[i] = total
+        b = consts[i]
+        for j, c in scols[i]:
+            b += c * x[j]
+        sbase[i] = b
+        s = scales[i]
+        up[i] = r0 = (s - 2 * b) // (2 * s)
+        down[i] = r0 - 1
+        up_ok[i] = down_ok[i] = True
+    if unimod is not None:  # listings are never reduced, so hits are bare points
+        hits = [tuple(mat_vec(unimod, y)) for y in hits]
+    return None if best is None else Fraction(best, value_scale), hits, nodes
 
 
 def shortest_in_coset(
@@ -331,7 +286,10 @@ def shortest_in_coset(
     RadiusEmptyError when a radius was given and no coset point lies within
     it; BudgetExhaustedError when the node budget runs out first.
     """
-    best, hits, nodes = _search(_prepare(problem.form, reduce), problem, "shrink", node_budget)
+    (big,), den = clear_denominators([problem.target])
+    best, hits, nodes = _search(
+        _prepare(problem.form, reduce), big, den, problem.radius, "shrink", node_budget
+    )
     if best is None:
         raise RadiusEmptyError(
             f"no coset point with value <= {problem.radius}"
@@ -344,28 +302,27 @@ def shortest_in_coset(
 
 
 def coset_minima(
-    problems,
+    form,
+    targets,
     *,
     node_budget: int | None = None,
 ) -> list[tuple[Fraction, int]]:
-    """(min_norm, nodes) of each problem, for problems that share one form.
+    """(min_norm, nodes) of each target (big, den), the coset big / den + Z^n
+    of integers big and den > 0, on one symmetric positive definite form.
 
-    Each search is the one shortest_in_coset runs, node for node, but records
-    no minimizer. The form is reduced and factored once, and each target is
-    searched on that preparation, with its own node_budget. Raises ValueError
-    when the forms differ, and otherwise as shortest_in_coset does.
+    Each search is the one shortest_in_coset runs on that target, node for
+    node, but records no minimizer. The form is reduced and factored once,
+    and each target is searched on that preparation, with its own
+    node_budget. The form is checked as a CosetProblem's is, and a target
+    of the wrong length or with den <= 0 raises ValueError.
     """
-    form = problems[0].form
-    if any(p.form != form for p in problems):
-        raise ValueError("coset_minima needs problems that share one form")
+    _require_symmetric(form)
     prepared = _prepare(form, True)
     out = []
-    for problem in problems:
-        best, _hits, nodes = _search(prepared, problem, "value", node_budget)
-        if best is None:
-            raise RadiusEmptyError(
-                f"no coset point with value <= {problem.radius}"
-            )
+    for big, den in targets:
+        if len(big) != len(form) or den <= 0:
+            raise ValueError("a target needs one integer per form row over a den > 0")
+        best, _hits, nodes = _search(prepared, big, den, None, "value", node_budget)
         out.append((best, nodes))
     return out
 
@@ -382,7 +339,10 @@ def enumerate_in_coset(
     """
     if problem.radius is None:
         raise ValueError("enumerate_in_coset requires a radius")
-    _best, hits, nodes = _search(_prepare(problem.form, False), problem, "collect", node_budget)
+    (big,), den = clear_denominators([problem.target])
+    _best, hits, nodes = _search(
+        _prepare(problem.form, False), big, den, problem.radius, "collect", node_budget
+    )
     return sorted(hits), nodes
 
 

@@ -62,15 +62,20 @@ def positive_filling_obstruction(pair: QuarterPair) -> tuple[FillingConclusion, 
     )
 
 
-def definite_verdict(pair: QuarterPair) -> Verdict:
-    """Run the filling obstruction on both orientations of a two-class space."""
-    positive, positive_reason = positive_filling_obstruction(pair)
-    negative, negative_reason = positive_filling_obstruction(reverse_pair(pair))
+def _both_orientations(check, value, reverse) -> Verdict:
+    """The verdict of a positive-side check run on a value and on its reverse."""
+    positive, positive_reason = check(value)
+    negative, negative_reason = check(reverse)
     return Verdict(
         positive_definite=positive,
         negative_definite=negative,
         reason=f"positive: {positive_reason}; negative: {negative_reason}",
     )
+
+
+def definite_verdict(pair: QuarterPair) -> Verdict:
+    """Run the filling obstruction on both orientations of a two-class space."""
+    return _both_orientations(positive_filling_obstruction, pair, reverse_pair(pair))
 
 
 def sphere_filling_obstruction(value: Fraction) -> tuple[FillingConclusion, str]:
@@ -82,13 +87,8 @@ def sphere_filling_obstruction(value: Fraction) -> tuple[FillingConclusion, str]
 
 def sphere_definite_verdict(value: Fraction) -> Verdict:
     """Both-orientation verdict for a homology sphere."""
-    positive, positive_reason = sphere_filling_obstruction(Fraction(value))
-    negative, negative_reason = sphere_filling_obstruction(-Fraction(value))
-    return Verdict(
-        positive_definite=positive,
-        negative_definite=negative,
-        reason=f"positive: {positive_reason}; negative: {negative_reason}",
-    )
+    value = Fraction(value)
+    return _both_orientations(sphere_filling_obstruction, value, -value)
 
 
 def report_verdict(report: DInvariantReport) -> Verdict:

@@ -19,7 +19,7 @@ discriminant generators off the inverse of the Smith left matrix of the whole
 Gram matrix, the oracle of the orders of the Hermite-box route that replaced
 it, and of its generators when |det| <= 2. forest_minimum runs the tree dynamic
 program on one CosetProblem, to be checked against the branch-and-bound
-search; smith_spinc_keys walks the spin-c classes through those dense Smith
+search; integer_target clears the target of one for coset_minima; smith_spinc_keys walks the spin-c classes through those dense Smith
 generators, the oracle of the Hermite box that replaced it.
 smith_row_kernel reads an integer row kernel off a Smith form, the oracle of
 the unit count in is_diagonal_bimodular; smith_saturation_check uses it to
@@ -441,6 +441,15 @@ def discriminant_generators_by_inverse(lat):
             column = [left_inv[r][i] for r in range(lat.rank)]
             gens.append(tuple(reduce_mod_rows(column, hnf)))
     return tuple(orders), tuple(gens)
+
+
+def integer_target(problem):
+    """(big, den): the target of a CosetProblem cleared to big / den, as
+    coset_minima takes it."""
+    from latdefect.linalg import clear_denominators
+
+    (big,), den = clear_denominators([problem.target])
+    return big, den
 
 
 def forest_minimum(problem, *, node_budget=None):

@@ -36,7 +36,7 @@ from latdefect import (
     spinc_classes,
     validate_lattice,
 )
-from latdefect.defects import _class_minima, _class_problem
+from latdefect.defects import _class_minima, _class_target
 from latdefect.enumeration import coset_minima
 
 LATTICE = sys.modules["latdefect.lattice"]
@@ -60,7 +60,8 @@ def test_tree_dynamic_program_agrees_with_the_search_on_class_problems():
         assert lat.forest_plan is not None
         reps = class_reps(lat)
         tree = [value for value, _nodes in _class_minima(lat, reps, None)]
-        search = [value for value, _nodes in coset_minima([_class_problem(r) for r in reps])]
+        targets = [_class_target(r) for r in reps]
+        search = [value for value, _nodes in coset_minima(lat.positive_gram, targets)]
         assert tree == search
         n = lat.rank
         pair = defects(lat)

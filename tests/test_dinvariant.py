@@ -123,6 +123,15 @@ def test_sum_with_homology_spheres():
         sum_with_homology_spheres(pair, [Fraction(1, 2)])
 
 
+def test_homology_sphere_summands_must_have_even_terms(monkeypatch):
+    # Y(2; 2/1, 3/2, 5/4) has |H1| = 1; an odd term for it is refused as
+    # sum_with_homology_spheres refuses one
+    dinvariant = importlib.import_module("latdefect.dinvariant")
+    monkeypatch.setattr(dinvariant, "seifert_class_values", lambda data, **_: (Fraction(1),))
+    with pytest.raises(ResidueViolationError, match="term 1 is not an even integer"):
+        evaluate_expression("Y(2; 2/1, 3/2, 5/4) + Y(-2; -3/2, -5/3)")
+
+
 def test_evaluate_poincare_sums():
     assert evaluate_expression("P").class_values == (Fraction(2),)
     assert evaluate_expression("-P").class_values == (Fraction(-2),)

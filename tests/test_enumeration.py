@@ -13,6 +13,7 @@ import latdefect
 from latdefect import (
     BudgetExhaustedError,
     CosetProblem,
+    FormatError,
     NotPositiveDefiniteError,
     NotSymmetricError,
     RadiusEmptyError,
@@ -31,7 +32,7 @@ from latdefect.enumeration import coset_minima
 from latdefect.errors import EXIT_USAGE
 from latdefect.formats import gram_to_json
 from latdefect.linalg import adjugate, ldl_decomposition, mat_mul, quadratic_value, transpose
-from helpers import box_minimum, box_points_within, random_spd_gram, random_target
+from helpers import box_minimum, box_points_within, integer_target, random_spd_gram, random_target
 
 
 def test_problem_validation():
@@ -39,6 +40,14 @@ def test_problem_validation():
         CosetProblem([[1, 2], [3, 1]], [0, 0])
     with pytest.raises(ValueError):
         CosetProblem([[1]], [0, 0])
+    # coset_minima takes a bare form and integer targets, checked the same way
+    with pytest.raises(NotSymmetricError):
+        coset_minima([[1, 2], [3, 1]], [([0, 0], 1)])
+    with pytest.raises(FormatError):
+        coset_minima([[2, 1]], [([1, 0], 2)])
+    for target in (([0, 0], 1), ([0], 0)):
+        with pytest.raises(ValueError):
+            coset_minima([[1]], [target])
 
 
 def test_problem_rejects_indefinite_on_solve():
@@ -60,9 +69,18 @@ def test_zero_target():
 
 
 def test_rank_zero():
+    # the one point of Z^0 has value 0, so it lies within a radius >= 0 only
     result = shortest_in_coset(CosetProblem([], []))
     assert result.min_norm == 0
     assert result.minimizers == ((),)
+    assert coset_minima([], [([], 1)]) == [(0, 0)]
+    with pytest.raises(ValueError):
+        enumerate_in_coset(CosetProblem([], []))
+    assert enumerate_in_coset(CosetProblem([], [], radius=0)) == ([((), 0)], 0)
+    for radius in (-1, Fraction(-1, 2)):
+        with pytest.raises(RadiusEmptyError):
+            shortest_in_coset(CosetProblem([], [], radius=radius))
+        assert enumerate_in_coset(CosetProblem([], [], radius=radius)) == ([], 0)
 
 
 def test_rational_cholesky_golden():
@@ -168,7 +186,7 @@ def test_minimum_searches_reduce_and_listings_do_not(monkeypatch):
     shortest_in_coset(CosetProblem([[2]], [Fraction(1, 3)]))
     assert ranks == []  # listings, the LLL-free route and rank 1
     shortest_in_coset(problem)
-    coset_minima([problem, problem])
+    coset_minima(problem.form, [integer_target(problem)] * 2)
     assert ranks == [3, 3]
 
 

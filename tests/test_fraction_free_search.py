@@ -21,6 +21,7 @@ from helpers import (
     fraction_inverse,
     fraction_ldl,
     fraction_lll,
+    integer_target,
     random_spd_gram,
     random_target,
     reference_search,
@@ -137,7 +138,23 @@ def test_coset_minima_is_the_search_without_minimizers(seed):
     gram = random_spd_gram(rng, max_rank=6)
     problem = CosetProblem(gram, random_target(rng, len(gram)))
     full = shortest_in_coset(problem)
-    assert coset_minima([problem]) == [(full.min_norm, full.nodes_visited)]
+    assert coset_minima(gram, [integer_target(problem)]) == [(full.min_norm, full.nodes_visited)]
+
+
+@SETTINGS
+@given(st.integers(0, 10**6))
+def test_a_factor_common_to_big_and_den_changes_no_search(seed):
+    # coset_minima takes each target (big, den) as given, in lowest terms or
+    # not: a common factor k leaves every level scale, so every node, alone
+    rng = random.Random(seed)
+    gram = random_spd_gram(rng, max_rank=6)
+    problem = CosetProblem(gram, random_target(rng, len(gram)))
+    full = shortest_in_coset(problem)
+    big, den = integer_target(problem)
+    for k in range(1, 6):
+        assert coset_minima(gram, [([k * b for b in big], k * den)]) == [
+            (full.min_norm, full.nodes_visited)
+        ]
 
 
 @SETTINGS
@@ -207,7 +224,8 @@ def test_int_forms_search_as_their_fraction_twins(seed, bimodular):
     assert problem == twin and hash(problem) == hash(twin)
     best = shortest_in_coset(problem)
     assert best == shortest_in_coset(twin)
-    assert coset_minima([problem]) == coset_minima([twin]) == [(best.min_norm, best.nodes_visited)]
+    minima = [coset_minima(p.form, [integer_target(p)]) for p in (problem, twin)]
+    assert minima[0] == minima[1] == [(best.min_norm, best.nodes_visited)]
     radius = best.min_norm + 1
     assert enumerate_in_coset(CosetProblem(gram, target, radius)) == enumerate_in_coset(
         CosetProblem(twin.form, twin.target, radius)

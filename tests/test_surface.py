@@ -27,7 +27,7 @@ BENCH_SOURCES = sorted(BENCH.glob("*.py")) + sorted(BENCH.glob("tests/*.py"))
 # Removed helpers that no library caller, command or benchmark reached.
 DELETED = {
     "enumeration": ("coset_minimum", "rational_cholesky", "_solve", "_factor", "_columns",
-                    "_cleared_vector", "_collapse_signs"),
+                    "_cleared_vector", "_collapse_signs", "_Scaled", "_Worker"),
     "linalg": ("bareiss_determinant", "rational_rank", "integer_row_kernel"),
     "lattice": ("is_minimal", "root_graph", "is_bipartite", "RootGraph"),
     "errors": ("NotRootsError", "NotIndependentError", "UnnormalizedSeifertDataError"),

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import forest_minimum
+from helpers import forest_minimum, integer_target
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -151,14 +151,15 @@ def test_search_budget_is_exact(problem):
     # the minimizer, value-only and collect modes: (run under a budget,
     # unbudgeted result, node count)
     full = shortest_in_coset(problem)
-    [value] = coset_minima([problem])
+    targets = [integer_target(problem)]
+    [value] = coset_minima(problem.form, targets)
     assert value == (full.min_norm, full.nodes_visited)
     within = CosetProblem(problem.form, problem.target, radius=full.min_norm + 1)
     points, collected = enumerate_in_coset(within)
     assert len(points) > 1 and collected > full.nodes_visited
     searches = [
         (lambda budget: shortest_in_coset(problem, node_budget=budget), full, full.nodes_visited),
-        (lambda budget: coset_minima([problem], node_budget=budget)[0], value, value[1]),
+        (lambda budget: coset_minima(problem.form, targets, node_budget=budget)[0], value, value[1]),
         (lambda budget: enumerate_in_coset(within, node_budget=budget), (points, collected), collected),
     ]
     for run, result, nodes in searches:
@@ -172,12 +173,13 @@ def test_search_budget_is_exact(problem):
 def test_coset_minima_gives_each_target_its_own_budget():
     path = budget_cases()[0]
     other = CosetProblem(path.form, [Fraction(-1, 3), 0, Fraction(1, 2), Fraction(5, 6)])
-    expected = coset_minima([path]) + coset_minima([other])
+    targets = [integer_target(path), integer_target(other)]
+    expected = coset_minima(path.form, targets[:1]) + coset_minima(path.form, targets[1:])
     small, large = sorted(nodes for _value, nodes in expected)
     assert 0 < small < large
-    assert coset_minima([path, other], node_budget=large) == expected
+    assert coset_minima(path.form, targets, node_budget=large) == expected
     with pytest.raises(BudgetExhaustedError) as info:
-        coset_minima([path, other], node_budget=large - 1)
+        coset_minima(path.form, targets, node_budget=large - 1)
     assert info.value.nodes == large
 
 
