@@ -60,7 +60,7 @@ from .lattice import (
     spinc_classes,
     _require_positive,
 )
-from .linalg import mat_vec, sign_normalize
+from .linalg import mat_vec, sign_representatives
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,6 @@ class Defects:
 
     d_plus: Fraction
     d_minus: Fraction
-
-
-def _collapse_pairings(pairings) -> tuple[tuple[int, ...], ...]:
-    seen = set()
-    for p in pairings:
-        seen.add(sign_normalize(p))
-    return tuple(sorted(seen))
 
 
 def _any_problem(lat: IntegralLattice, radius=None) -> CosetProblem:
@@ -182,7 +175,7 @@ def min_char_norm(
         pairings = [tuple(p + 2 * s for p, s in zip(rep.pairings, shift)) for shift in shifts]
     return EnumerationResult(
         min_norm=value,
-        minimizers=_collapse_pairings(pairings),
+        minimizers=tuple(sign_representatives(pairings)),
         nodes_visited=res.nodes_visited,
     )
 

@@ -110,12 +110,6 @@ def _sphere_term(value) -> Fraction:
     return value
 
 
-def sum_with_homology_spheres(pair: QuarterPair, values) -> QuarterPair:
-    """Shift both labels by correction terms of homology sphere summands."""
-    total = sum(map(_sphere_term, values), Fraction(0))
-    return QuarterPair(pair.d_quarter + total, pair.d_minus_quarter + total)
-
-
 def _seifert_tree(data: SeifertData) -> tuple[PlumbingTree, bool]:
     """Canonical plumbing of the space, or of its reverse when e(Y) > 0
     (the side with a negative definite plumbing); flags the flip."""
@@ -156,12 +150,18 @@ def seifert_class_values(
 
 @dataclass(frozen=True)
 class DInvariantReport:
-    """Correction terms of a connected sum expression."""
+    """Correction terms of a connected sum expression: one class value per
+    spin-c structure, and the labelled pair of those values when there are
+    two."""
 
     expression: ConnectedSum
-    h1: int
     class_values: tuple[Fraction, ...]
     pair: QuarterPair | None
+
+    @property
+    def h1(self) -> int:
+        """Order of the first homology: the number of spin-c structures."""
+        return len(self.class_values)
 
 
 def evaluate_expression(
@@ -171,7 +171,8 @@ def evaluate_expression(
 
     At most one summand may have nontrivial first homology; homology sphere
     summands shift every class value, a summand of multiplicity k by k times
-    its correction term. Two-class results carry the labelled pair.
+    its correction term. Two-class results carry the labelled pair of the
+    shifted values; the shift is an even integer, so it keeps each label.
     node_budget bounds each tree dynamic program that runs; a class that
     takes its conjugate's value (seifert_class_values) runs none.
     """
@@ -194,7 +195,7 @@ def evaluate_expression(
             )
         special = atom
     if special is None:
-        return DInvariantReport(expression, 1, (shift,), None)
+        return DInvariantReport(expression, (shift,), None)
     values = seifert_class_values(special, node_budget=node_budget)
     # sorted by numerator over the common denominator, with no Fraction
     # comparison
@@ -203,7 +204,5 @@ def evaluate_expression(
         v + shift
         for v in sorted(values, key=lambda v: v.numerator * (common // v.denominator))
     )
-    pair = None
-    if len(values) == 2:
-        pair = sum_with_homology_spheres(label_quarter(values), [shift])
-    return DInvariantReport(expression, h1_order(special), shifted, pair)
+    pair = label_quarter(shifted) if len(shifted) == 2 else None
+    return DInvariantReport(expression, shifted, pair)

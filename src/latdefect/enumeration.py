@@ -46,33 +46,22 @@ from typing import NamedTuple
 
 from .errors import (
     BudgetExhaustedError,
-    NotSymmetricError,
     RadiusEmptyError,
     ToolkitError,
 )
 from .linalg import (
     clear_denominators,
     exact_quotient,
-    first_asymmetry,
     integer_matrix_inverse,
     ldl_decomposition,
     mat_vec,
-    require_square,
+    require_symmetric,
 )
 from .reduction import lll_reduce_gram
 
 
 def _exact(x):
     return x if type(x) in (int, Fraction) else Fraction(x)
-
-
-def _require_symmetric(rows) -> None:
-    """FormatError unless rows is square, NotSymmetricError unless symmetric."""
-    require_square(rows)
-    bad = first_asymmetry(rows)
-    if bad is not None:
-        i, j = bad
-        raise NotSymmetricError(i, j, rows[i][j], rows[j][i])
 
 
 @dataclass(frozen=True)
@@ -93,7 +82,7 @@ class CosetProblem:
 
     def __init__(self, form, target, radius=None):
         rows = tuple(tuple(map(_exact, row)) for row in form)
-        _require_symmetric(rows)
+        require_symmetric(rows)
         tgt = tuple(map(_exact, target))
         if len(tgt) != len(rows):
             raise ValueError("target length does not match form rank")
@@ -316,7 +305,7 @@ def coset_minima(
     node_budget. The form is checked as a CosetProblem's is, and a target
     of the wrong length or with den <= 0 raises ValueError.
     """
-    _require_symmetric(form)
+    require_symmetric(form)
     prepared = _prepare(form, True)
     out = []
     for big, den in targets:

@@ -27,7 +27,6 @@ from .lattice import (
     _block_diagonal,
     _require_positive,
 )
-from .linalg import quadratic_value
 
 
 @dataclass(frozen=True)
@@ -113,6 +112,10 @@ def _glued_gram(gram, e) -> list[list[int]]:
     row and column k, and eGe / 4 at (k, k). Raises GlueFailureError when a
     halving is not exact. With no odd entry the overlattice is Z^n, of
     index 1, and its Gram matrix is G, which the determinant check rejects.
+
+    eGe / 4 is the glue vector's self-pairing: with g = e + 2v twice the
+    glue vector, gGg = eGe + 4 (eGv + vGv), so g/2 pairs integrally with
+    itself exactly when eGe = 0 (mod 4).
     """
     if 1 not in e:
         return gram
@@ -120,7 +123,9 @@ def _glued_gram(gram, e) -> list[list[int]]:
     odd = [j for j, x in enumerate(e) if x]
     eg = [sum(gram[j][c] for j in odd) for c in range(len(gram))]
     ege = sum(eg[j] for j in odd)
-    if ege % 4 or any(x % 2 for j, x in enumerate(eg) if j != k):
+    if ege % 4:
+        raise GlueFailureError(f"glue vector has non-integral self-pairing {Fraction(ege, 4)}")
+    if any(x % 2 for j, x in enumerate(eg) if j != k):
         raise GlueFailureError("overlattice Gram is not integral")
     row = [x // 2 for x in eg]
     row[k] = ege // 4
@@ -135,7 +140,7 @@ def glue_overlattice(left: IntegralLattice, right: IntegralLattice) -> Overlatti
     """Build the unimodular overlattice of two positive definite |det| = 2 lattices.
 
     Everything runs on integers: twice the glue vector and its parity.
-    Each halving is checked first.
+    Each halving is checked first, once, in _glued_gram.
     """
     for lat in (left, right):
         _require_positive(lat, "glue_overlattice")
@@ -143,11 +148,6 @@ def glue_overlattice(left: IntegralLattice, right: IntegralLattice) -> Overlatti
             raise NotBimodularError(f"|det| = {abs(lat.determinant)}, need 2")
     summed = _block_diagonal(left, right)  # both blocks are validated already
     glue2 = _doubled_glue_coordinates(left) + _doubled_glue_coordinates(right)
-    square4 = quadratic_value(summed, glue2)
-    if square4 % 4:
-        raise GlueFailureError(
-            f"glue vector has non-integral self-pairing {Fraction(square4, 4)}"
-        )
     e = tuple(x % 2 for x in glue2)
     lattice = validate_lattice(_glued_gram(summed, e))
     if abs(lattice.determinant) != 1:

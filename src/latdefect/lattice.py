@@ -32,21 +32,19 @@ from .errors import (
     NotDefiniteError,
     NotIntegerError,
     NotPositiveDefiniteError,
-    NotSymmetricError,
     ToolkitError,
 )
 from .linalg import (
     dot,
     exact_quotient,
     factor_solve,
-    first_asymmetry,
     fraction_free_ldl,
     hermite_row_basis,
     invert_matrix,
     mat_mul,
     reduce_mod_rows,
-    require_square,
-    sign_normalize,
+    require_symmetric,
+    sign_representatives,
     smith_normal_form,
     transpose,
 )
@@ -236,11 +234,7 @@ def validate_lattice(gram) -> IntegralLattice:
     n = len(rows)
     if n == 0:
         raise NotDefiniteError(0, 0)
-    require_square(rows)
-    bad = first_asymmetry(rows)
-    if bad is not None:
-        i, j = bad
-        raise NotSymmetricError(i, j, rows[i][j], rows[j][i])
+    require_symmetric(rows)
     sign = -1 if rows[0][0] < 0 else 1
     try:
         factor = fraction_free_ldl(rows if sign > 0 else [[-x for x in row] for row in rows])
@@ -372,8 +366,7 @@ def _vectors_of_norm(lat: IntegralLattice, value: int) -> list[tuple[int, ...]]:
     """All lattice vectors of the exact given norm, one per +-pair, sorted."""
     problem = CosetProblem(lat.gram, [0] * lat.rank, radius=Fraction(value))
     hits, _nodes = enumerate_in_coset(problem)
-    found = {sign_normalize(x) for x, v in hits if v == value}
-    return sorted(found)
+    return sign_representatives(x for x, v in hits if v == value)
 
 
 def roots(lat: IntegralLattice) -> list[tuple[int, ...]]:

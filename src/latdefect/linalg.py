@@ -11,7 +11,7 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .errors import FormatError, NotPositiveDefiniteError, ToolkitError
+from .errors import FormatError, NotPositiveDefiniteError, NotSymmetricError, ToolkitError
 
 IntMatrix = Sequence[Sequence[int]]
 
@@ -50,15 +50,15 @@ def require_square(mat) -> None:
             raise FormatError(f"row {i} has length {len(row)}, expected {n}")
 
 
-def first_asymmetry(mat) -> tuple[int, int] | None:
-    """The first (i, j) with i < j and mat[i][j] != mat[j][i], or None; mat
-    must be square (require_square)."""
+def require_symmetric(mat) -> None:
+    """FormatError unless mat is square (require_square), NotSymmetricError
+    naming the first (i, j) with i < j and mat[i][j] != mat[j][i]."""
+    require_square(mat)
     n = len(mat)
     for i in range(n):
         for j in range(i + 1, n):
             if mat[i][j] != mat[j][i]:
-                return i, j
-    return None
+                raise NotSymmetricError(i, j, mat[i][j], mat[j][i])
 
 
 def fraction_free_ldl(q) -> tuple[list[list[int]], list[int], int]:
@@ -355,3 +355,8 @@ def sign_normalize(vec) -> tuple:
         if x != 0:
             return tuple(vec) if x > 0 else tuple(-y for y in vec)
     return tuple(vec)
+
+
+def sign_representatives(vectors) -> list[tuple]:
+    """One sign_normalize representative per +-pair among vectors, sorted."""
+    return sorted({sign_normalize(v) for v in vectors})

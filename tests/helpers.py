@@ -33,14 +33,18 @@ spin-c box that replaced it. U7 is a fixed unimodular basis change that
 takes E7 off the forests.
 lens_d (Ozsvath-Szabo's recursion for lens spaces) and torus_knot_v (Ni-Wu's
 V_j of a torus knot) are the second routes for lens spaces and surgeries on
-torus knots.
+torus knots; tau_canonical_d (Nemethi's tau-function) is the second route for
+the canonical class of a Seifert space. tracer_layers reads the benchmark
+tracer's table of traced functions.
 """
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import sympy
 
@@ -582,6 +586,38 @@ def lens_d(p: int, q: int, i: int) -> Fraction:
     return Fraction(p * q - (2 * i + 1 - p - q) ** 2, 4 * p * q) - lens_d(q, p % q, i % q)
 
 
+def tau_canonical_d(data) -> Fraction:
+    """d of the canonical spin-c structure of a Seifert space with e(Y) < 0,
+    by Nemethi's tau-function (arXiv math/0310083): (K^2 + s) / 4 - 2 min tau.
+
+    With m_j = ceil(1/r_j), the normalized center is e0 = central - sum m_j,
+    and each leg with 1/r_j != m_j has omega_j / alpha_j = m_j - 1/r_j; k
+    counts those legs. tau(0) = 0 and
+    tau(n + 1) - tau(n) = 1 - e0 n - sum_j ceil(n omega_j / alpha_j).
+    The step is at least 1 - k + n |e(Y)|, so the minimum is reached by
+    n = floor((k - 1) / |e(Y)|) + 1. K pairs each vertex v of the canonical
+    plumbing to -G_vv - 2, and K^2 = -K^T adj(P) K / det P for P = -G: only
+    the plumbing is shared with the tree dynamic program.
+    """
+    from latdefect import canonical_plumbing
+    from latdefect.linalg import adjugate
+
+    inverses = [1 / r for r in data.legs]
+    e0 = data.central - sum(math.ceil(x) for x in inverses)
+    slopes = [math.ceil(x) - x for x in inverses if x != math.ceil(x)]
+    last = math.floor((len(slopes) - 1) / -data.euler_number) + 1
+    tau = lowest = 0
+    for n in range(last):
+        tau += 1 - e0 * n - sum(math.ceil(n * w) for w in slopes)
+        lowest = min(lowest, tau)
+    gram = canonical_plumbing(data).lattice.gram
+    canonical = [-row[v] - 2 for v, row in enumerate(gram)]
+    adj, det = adjugate([[-x for x in row] for row in gram])
+    adj_k = [sum(a * c for a, c in zip(row, canonical)) for row in adj]
+    square = Fraction(-sum(c * y for c, y in zip(canonical, adj_k)), det)
+    return (square + len(gram)) / 4 - 2 * lowest
+
+
 def torus_knot_v(r, s):
     """Ni-Wu's V_j of the torus knot T(r, s), j >= 0, from its Alexander
     polynomial (t^{rs} - 1)(t - 1) / ((t^r - 1)(t^s - 1)) = sum of a_k t^k,
@@ -595,3 +631,14 @@ def torus_knot_v(r, s):
         coeffs = quotient
     genus = (r - 1) * (s - 1) // 2
     return lambda j: sum(k * coeffs[genus + j + k] for k in range(1, genus - j + 1))
+
+
+def tracer_layers() -> dict[str, tuple[str, ...]]:
+    """The LAYERS table of bench/tracer.py, read as a literal."""
+    tracer = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    for node in ast.parse(tracer.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py defines no LAYERS")

@@ -3,10 +3,11 @@
 import hashlib
 import importlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
-from helpers import lens_d
+from helpers import lens_d, tau_canonical_d
 
 from latdefect import (
     POINCARE_SPHERE_D,
@@ -21,6 +22,7 @@ from latdefect import (
     SpinCClass,
     TooManyBadVerticesError,
     UnsupportedExpressionError,
+    canonical_plumbing,
     d_invariant,
     evaluate_expression,
     format_fraction,
@@ -28,13 +30,13 @@ from latdefect import (
     h1_order,
     is_characteristic,
     label_quarter,
+    max_char_square,
     negative_e8_tree,
     parse_expression,
     reverse_orientation,
     reverse_pair,
     seifert_class_values,
     spinc_classes,
-    sum_with_homology_spheres,
 )
 from latdefect.cli import main
 from latdefect.dinvariant import _seifert_tree
@@ -113,19 +115,9 @@ def test_reverse_pair_negates_and_swaps():
     assert reverse_pair(reverse_pair(pair)) == pair
 
 
-def test_sum_with_homology_spheres():
-    pair = QuarterPair(Fraction(-31, 4), Fraction(-17, 4))
-    shifted = sum_with_homology_spheres(pair, [2, 2, 2])
-    assert shifted == QuarterPair(Fraction(-7, 4), Fraction(7, 4))
-    with pytest.raises(ResidueViolationError):
-        sum_with_homology_spheres(pair, [3])
-    with pytest.raises(ResidueViolationError):
-        sum_with_homology_spheres(pair, [Fraction(1, 2)])
-
-
 def test_homology_sphere_summands_must_have_even_terms(monkeypatch):
-    # Y(2; 2/1, 3/2, 5/4) has |H1| = 1; an odd term for it is refused as
-    # sum_with_homology_spheres refuses one
+    # Y(2; 2/1, 3/2, 5/4) has |H1| = 1; a homology sphere summand whose
+    # term is not an even integer is refused
     dinvariant = importlib.import_module("latdefect.dinvariant")
     monkeypatch.setattr(dinvariant, "seifert_class_values", lambda data, **_: (Fraction(1),))
     with pytest.raises(ResidueViolationError, match="term 1 is not an even integer"):
@@ -369,7 +361,45 @@ def test_multiplicities_shift_by_one_product(ybar_report):
 
 
 def test_main_example_composed_with_spheres(ybar_report):
-    combined = sum_with_homology_spheres(ybar_report.pair, [2, 2, 2])
-    assert combined == QuarterPair(Fraction(-7, 4), Fraction(7, 4))
+    # the pair of a sum labels the shifted class values
+    combined = evaluate_expression("3*P + Y(2; 15/13, 17/3, 23/22)")
+    assert combined.pair == QuarterPair(Fraction(-7, 4), Fraction(7, 4))
+    assert combined.pair == label_quarter(v + 6 for v in ybar_report.class_values)
+    assert combined.h1 == 2
     reversed_pair = reverse_pair(ybar_report.pair)
     assert reversed_pair == QuarterPair(Fraction(17, 4), Fraction(31, 4))
+
+
+def canonical_class_d(data: SeifertData) -> Fraction:
+    """(max K^2 + s) / 4 over the class of K, K(v) = -v.v - 2, by the tree
+    dynamic program on the canonical plumbing."""
+    lat = canonical_plumbing(data).lattice
+    canonical = Covector(tuple(-row[v] - 2 for v, row in enumerate(lat.gram)), lat)
+    return (max_char_square(lat, canonical) + lat.rank) / 4
+
+
+def test_tau_function_matches_the_tree_dp_on_the_canonical_class():
+    # the reversed main example pins the tau step: with floor for ceil in it,
+    # the tau route gives -1999/4 here while few sampled spaces move
+    reversed_main = parse_expression("Y(-2; -15/13, -17/3, -23/22)").terms[0].atom
+    assert tau_canonical_d(reversed_main) == canonical_class_d(reversed_main) == Fraction(17, 4)
+    # seeded sample of the box e in [-3, 3], 1-3 legs +-p/q with p, q <= 7,
+    # |H1| <= 60, each space taken on the side with e(Y) < 0
+    rng = random.Random(22)
+    checked = 0
+    while checked < 1000:
+        central = rng.randint(-3, 3)
+        legs = tuple(
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 7))
+            for _ in range(rng.randint(1, 3))
+        )
+        euler = central - sum(1 / r for r in legs)
+        if euler == 0:
+            continue
+        data = SeifertData(central, legs)
+        if euler > 0:
+            data = reverse_orientation(data)
+        if h1_order(data) > 60:
+            continue
+        assert tau_canonical_d(data) == canonical_class_d(data), data
+        checked += 1

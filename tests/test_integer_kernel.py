@@ -18,6 +18,7 @@ from helpers import (
     fraction_restrict,
     ldl_validation,
     smith_saturation_check,
+    tracer_layers,
     U7,
 )
 from hypothesis import HealthCheck, given, settings
@@ -243,13 +244,19 @@ def test_glue_rejects_a_glue_vector_with_odd_self_pairing(monkeypatch):
         glue_overlattice(a1_lattice(), a1_lattice())
 
 
-TRACED_LINALG = (
-    "invert_matrix",
-    "ldl_decomposition",
-    "integer_matrix_inverse",
-    "smith_normal_form",
-    "hermite_row_basis",
-)
+def test_glue_rejects_a_glue_vector_with_an_odd_pairing(monkeypatch):
+    # on G = [[1, -1], [-1, 3]] (det 2) twice, parity e = (0, 1, 1, 0) has
+    # eG = (-1, 3, 1, -1): eGe = 4 passes, but e/2 pairs -1/2 with the first
+    # basis vector
+    lat = validate_lattice([[1, -1], [-1, 3]])
+    assert lat.determinant == 2
+    doubled = iter([[0, 1], [1, 0]])
+    monkeypatch.setattr(GLUE, "_doubled_glue_coordinates", lambda lat: next(doubled))
+    with pytest.raises(GlueFailureError, match="overlattice Gram is not integral"):
+        glue_overlattice(lat, lat)
+
+
+TRACED_LINALG = tracer_layers()["linalg"]
 
 
 def test_benchmark_traced_linalg_names_stay_in_use(monkeypatch):

@@ -6,10 +6,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from latdefect.errors import NotPositiveDefiniteError
+from latdefect.errors import FormatError, NotPositiveDefiniteError, NotSymmetricError
 from latdefect.linalg import (
     adjugate,
-    first_asymmetry,
     hermite_row_basis,
     integer_matrix_inverse,
     invert_matrix,
@@ -18,7 +17,9 @@ from latdefect.linalg import (
     mat_vec,
     quadratic_value,
     reduce_mod_rows,
+    require_symmetric,
     sign_normalize,
+    sign_representatives,
     smith_normal_form,
     transpose,
 )
@@ -30,10 +31,14 @@ def random_int_matrix(rng, m, n, span=9):
     return [[rng.randint(-span, span) for _ in range(n)] for _ in range(m)]
 
 
-def test_first_asymmetry():
-    assert first_asymmetry([[1, 2], [2, 1]]) is None
-    assert first_asymmetry([[1, 2], [3, 1]]) == (0, 1)
-    assert first_asymmetry([]) is None
+def test_require_symmetric():
+    require_symmetric([[1, 2], [2, 1]])
+    with pytest.raises(NotSymmetricError) as info:
+        require_symmetric([[1, 2], [3, 1]])
+    assert (info.value.row, info.value.col) == (0, 1)
+    require_symmetric([])
+    with pytest.raises(FormatError, match="row 1 has length 1, expected 2"):
+        require_symmetric([[1, 2], [2]])
 
 
 def test_determinant_matches_sympy():
@@ -199,3 +204,9 @@ def test_quadratic_value_and_sign_normalize():
     assert sign_normalize((0, -2, 1)) == (0, 2, -1)
     assert sign_normalize((0, 0)) == (0, 0)
     assert sign_normalize((3, -1)) == (3, -1)
+
+
+def test_sign_representatives_keep_one_sorted_vector_per_pair():
+    vectors = [(0, -2, 1), (1, 0, 0), (0, 2, -1), (-1, 0, 0), (0, 0, 0)]
+    assert sign_representatives(vectors) == [(0, 0, 0), (0, 2, -1), (1, 0, 0)]
+    assert sign_representatives(iter([])) == []

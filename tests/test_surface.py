@@ -16,6 +16,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from helpers import tracer_layers
 
 import latdefect
 from latdefect.enumeration import ForestPlan
@@ -27,12 +28,14 @@ BENCH_SOURCES = sorted(BENCH.glob("*.py")) + sorted(BENCH.glob("tests/*.py"))
 # Removed helpers that no library caller, command or benchmark reached.
 DELETED = {
     "enumeration": ("coset_minimum", "rational_cholesky", "_solve", "_factor", "_columns",
-                    "_cleared_vector", "_collapse_signs", "_Scaled", "_Worker"),
-    "linalg": ("bareiss_determinant", "rational_rank", "integer_row_kernel"),
+                    "_cleared_vector", "_collapse_signs", "_Scaled", "_Worker",
+                    "_require_symmetric"),
+    "linalg": ("bareiss_determinant", "rational_rank", "integer_row_kernel", "first_asymmetry"),
     "lattice": ("is_minimal", "root_graph", "is_bipartite", "RootGraph"),
     "errors": ("NotRootsError", "NotIndependentError", "UnnormalizedSeifertDataError"),
     "glue": ("double", "_doubled_gram", "_restricted_pairings"),
-    "defects": ("_halved",),
+    "defects": ("_halved", "_collapse_pairings"),
+    "dinvariant": ("sum_with_homology_spheres",),
     "plumbing": ("bad_vertices", "parse_seifert"),
     "formats": ("tree_to_json", "tree_from_json"),
 }
@@ -47,16 +50,6 @@ def lib_attributes(path: Path) -> set[str]:
         and isinstance(node.value, ast.Name)
         and node.value.id == "lib"
     }
-
-
-def tracer_layers() -> dict[str, tuple[str, ...]]:
-    """The LAYERS table of bench/tracer.py, read as a literal."""
-    for node in ast.parse((BENCH / "tracer.py").read_text()).body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
-        ):
-            return ast.literal_eval(node.value)
-    raise AssertionError("bench/tracer.py defines no LAYERS")
 
 
 def test_bench_sources_are_found():
