@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .enumeration import (
     CosetProblem,
@@ -56,6 +55,7 @@ from .lattice import (
     IntegralLattice,
     base_characteristic,
     char_class_sign,
+    dual_gram,
     is_characteristic,
     spinc_classes,
     _require_positive,
@@ -79,18 +79,16 @@ def _any_problem(lat: IntegralLattice, radius=None) -> CosetProblem:
     """
     target = [Fraction(d, 2) for d in lat.diagonal]
     inner_radius = None if radius is None else Fraction(radius) / 4
-    return CosetProblem(lat.gram_inverse, target, radius=inner_radius)
+    return CosetProblem(dual_gram(lat), target, radius=inner_radius)
 
 
 def _class_target(rep: Covector) -> tuple[list[int], int]:
-    """(big, den) with big / den the halved class target z / 2, in lowest terms.
-
-    z = P^{-1} p = adj p / |det| for the positive form P, with adj p solved
-    once per covector (Covector._adj); den = 2 |det| over the gcd with big.
+    """(adj p, 2 |det|): big / den is the halved class target z / 2, for
+    z = P^{-1} p = adj p / |det| on the positive form P, with adj p solved
+    once per covector (Covector._adj). A factor common to big and den moves
+    no value and no node count of either search, so none is removed.
     """
-    den = 2 * abs(rep.lattice.determinant)
-    g = gcd(den, *rep._adj)
-    return [x // g for x in rep._adj], den // g
+    return list(rep._adj), 2 * abs(rep.lattice.determinant)
 
 
 def _class_problem(rep: Covector, radius=None) -> CosetProblem:
@@ -154,7 +152,7 @@ def min_char_norm(
     RadiusEmptyError, naming radius, when no square is at most radius.
     """
     _require_positive(lat, "min_char_norm")
-    if sign == "any" or sign is None:
+    if sign == "any":
         wanted, where, problem = None, "", _any_problem(lat, radius)
     else:
         wanted = CharClassSign(sign) if not isinstance(sign, CharClassSign) else sign

@@ -154,7 +154,6 @@ class DInvariantReport:
     spin-c structure, and the labelled pair of those values when there are
     two."""
 
-    expression: ConnectedSum
     class_values: tuple[Fraction, ...]
     pair: QuarterPair | None
 
@@ -195,7 +194,7 @@ def evaluate_expression(
             )
         special = atom
     if special is None:
-        return DInvariantReport(expression, (shift,), None)
+        return DInvariantReport((shift,), None)
     values = seifert_class_values(special, node_budget=node_budget)
     # sorted by numerator over the common denominator, with no Fraction
     # comparison
@@ -205,4 +204,4 @@ def evaluate_expression(
         for v in sorted(values, key=lambda v: v.numerator * (common // v.denominator))
     )
     pair = label_quarter(shifted) if len(shifted) == 2 else None
-    return DInvariantReport(expression, shifted, pair)
+    return DInvariantReport(shifted, pair)

@@ -489,7 +489,8 @@ def forest_plan(form, factor) -> ForestPlan | None:
 
 
 def plan_solve(plan: ForestPlan, vec) -> list[int]:
-    """adj Q vec for the integer form Q of the plan, in O(n) steps; so
+    """adj Q vec for the integer form Q of the plan and n ints vec
+    (IntegralLattice.solve checks them), in O(n) steps; so
     Q^-1 vec = (adj Q vec) / determinant.
 
     Leaf-to-root elimination leaves the row of v as
@@ -502,7 +503,7 @@ def plan_solve(plan: ForestPlan, vec) -> list[int]:
     division is checked to be exact (ToolkitError otherwise).
     """
     parent, minors, products, det = plan.parent, plan.minors, plan.products, plan.determinant
-    folded = [int(x) for x in vec]
+    folded = list(vec)
     partial = [1] * len(folded)
     for v in plan.order:
         p = parent[v]

@@ -96,19 +96,19 @@ class IntegralLattice:
             return self.gram
         return tuple(tuple(-x for x in row) for row in self.gram)
 
-    @cached_property
-    def gram_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        """G^-1 in Fractions, for the searches whose form it is."""
-        return tuple(tuple(row) for row in invert_matrix(self.gram))
-
     def solve(self, vec) -> list[int]:
         """adj(P) vec = |det| P^-1 vec for the positive definite form P, in integers.
 
         O(n) on the tree (enumeration.plan_solve) for a forest, O(n^2) on the
         factor validation made (linalg.factor_solve) otherwise. For the Gram
-        matrix G = sign P as given, G^-1 vec = sign solve(vec) / |det|. The
-        factor's determinant must be |det|, or ToolkitError is raised.
+        matrix G = sign P as given, G^-1 vec = sign solve(vec) / |det|. An
+        entry that is not an integer raises NotIntegerError (as Covector's
+        do) and a length other than the rank ValueError. The factor's
+        determinant must be |det|, or ToolkitError is raised.
         """
+        vec = _integer_entries(vec)
+        if len(vec) != self.rank:
+            raise ValueError(f"vector of length {len(vec)}, the lattice has rank {self.rank}")
         reached = self.factor[1][self.rank]
         if reached != abs(self.determinant):
             raise ToolkitError(
@@ -121,9 +121,36 @@ class IntegralLattice:
         return factor_solve(self.factor, vec)
 
     @cached_property
-    def discriminant_group(self) -> "DiscriminantGroup":
-        """L'/L, computed once per lattice (see discriminant_group)."""
-        return _discriminant_group(self)
+    def _discriminant_group(self) -> "DiscriminantGroup":
+        """L'/L read off the Hermite box, with a Smith form on its non-unit block.
+
+        The Hermite basis H of G Z^n is reduced (0 <= h_ij < h_jj above each
+        pivot), so every class mod H has a representative on F = {i : h_ii > 1},
+        and the rows of H at F vanish off F. So Z^n / G Z^n is Z^F / row(R) for
+        their F x F block R, upper triangular of determinant |det|. With
+        U R^T V = D, generator a is column a of U^-1, that is of R^T V divided
+        by d_a, placed on F and reduced mod H.
+        """
+        hnf, free = self._hermite_box
+        block = [[hnf[i][j] for i in free] for j in free]  # R^T
+        diag, _left, right = smith_normal_form(block)
+        orders = []
+        gens = []
+        for d, column in zip(diag, transpose(mat_mul(block, right))):
+            if d > 1:
+                orders.append(d)
+                pairings = [0] * self.rank
+                for i, x in zip(free, column):
+                    pairings[i] = exact_quotient(x, d)
+                gens.append(Covector(tuple(reduce_mod_rows(pairings, hnf)), self))
+        total = 1
+        for d in orders:
+            total *= d
+        if total != abs(self.determinant):
+            raise ToolkitError(
+                f"invariant factors multiply to {total}, not |det| = {abs(self.determinant)}"
+            )
+        return DiscriminantGroup(orders=tuple(orders), generators=tuple(gens))
 
     @cached_property
     def _hermite_box(self) -> tuple[list[list[int]], list[int]]:
@@ -187,7 +214,6 @@ class SpinCClass:
     """A coset of twice the lattice inside the characteristic covectors."""
 
     representative: Covector
-    class_id: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -245,8 +271,9 @@ def validate_lattice(gram) -> IntegralLattice:
 
 
 def dual_gram(lat: IntegralLattice) -> tuple[tuple[Fraction, ...], ...]:
-    """Gram matrix of the dual basis: the exact inverse of the Gram given."""
-    return lat.gram_inverse
+    """Gram matrix of the dual basis: the exact inverse of the Gram given,
+    in Fractions, inverted anew on each call."""
+    return tuple(tuple(row) for row in invert_matrix(lat.gram))
 
 
 def base_characteristic(lat: IntegralLattice) -> Covector:
@@ -295,39 +322,7 @@ def discriminant_group(lat: IntegralLattice) -> DiscriminantGroup:
     The group is computed once per lattice object and cached on it, so a
     second call runs no Smith or Hermite form.
     """
-    return lat.discriminant_group
-
-
-def _discriminant_group(lat: IntegralLattice) -> DiscriminantGroup:
-    """L'/L read off the Hermite box, with a Smith form on its non-unit block.
-
-    The Hermite basis H of G Z^n is reduced (0 <= h_ij < h_jj above each
-    pivot), so every class mod H has a representative on F = {i : h_ii > 1},
-    and the rows of H at F vanish off F. So Z^n / G Z^n is Z^F / row(R) for
-    their F x F block R, upper triangular of determinant |det|. With
-    U R^T V = D, generator a is column a of U^-1, that is of R^T V divided
-    by d_a, placed on F and reduced mod H.
-    """
-    hnf, free = lat._hermite_box
-    block = [[hnf[i][j] for i in free] for j in free]  # R^T
-    diag, _left, right = smith_normal_form(block)
-    orders = []
-    gens = []
-    for d, column in zip(diag, transpose(mat_mul(block, right))):
-        if d > 1:
-            orders.append(d)
-            pairings = [0] * lat.rank
-            for i, x in zip(free, column):
-                pairings[i] = exact_quotient(x, d)
-            gens.append(Covector(tuple(reduce_mod_rows(pairings, hnf)), lat))
-    total = 1
-    for d in orders:
-        total *= d
-    if total != abs(lat.determinant):
-        raise ToolkitError(
-            f"invariant factors multiply to {total}, not |det| = {abs(lat.determinant)}"
-        )
-    return DiscriminantGroup(orders=tuple(orders), generators=tuple(gens))
+    return lat._discriminant_group
 
 
 def spinc_classes(lat: IntegralLattice) -> tuple[SpinCClass, ...]:
@@ -336,9 +331,9 @@ def spinc_classes(lat: IntegralLattice) -> tuple[SpinCClass, ...]:
     The classes chi + 2 G Z^n correspond to the shifts in Z^n / G Z^n, whose
     reduced representatives modulo the row Hermite basis of G (cached on the
     lattice) are exactly the box 0 <= shift_i < h_ii over its pivots. So the
-    reps are diag(G) + 2 shift over that box, base class first, and class_id
-    holds the shift at the pivots above 1. There are |det| of them; more than
-    MAX_SPINC_CLASSES is rejected with FormatError before any is built.
+    reps are diag(G) + 2 shift over that box, base class first. There are
+    |det| of them; more than MAX_SPINC_CLASSES is rejected with FormatError
+    before any is built.
     """
     count = abs(lat.determinant)
     if count > MAX_SPINC_CLASSES:
@@ -349,7 +344,7 @@ def spinc_classes(lat: IntegralLattice) -> tuple[SpinCClass, ...]:
         pairings = list(lat.diagonal)
         for i, s in zip(free, shift):
             pairings[i] += 2 * s
-        classes.append(SpinCClass(Covector(tuple(pairings), lat), shift))
+        classes.append(SpinCClass(Covector(tuple(pairings), lat)))
     if len(classes) != count:
         raise ToolkitError(f"found {len(classes)} spin-c classes, expected |det| = {count}")
     return tuple(classes)

@@ -37,10 +37,6 @@ def dot(u, v):
     return sum(map(mul, u, v))
 
 
-def quadratic_value(mat, vec):
-    return dot(vec, mat_vec(mat, vec))
-
-
 def require_square(mat) -> None:
     """Raise FormatError naming the first row whose length is not the number
     of rows."""
@@ -103,7 +99,8 @@ def fraction_free_row(gram_row, k: int, lam, minors) -> None:
 
 def factor_solve(factor, vec) -> list[int]:
     """adj(s q) vec = det(s q) (s q)^-1 vec from factor = fraction_free_ldl(q)
-    = (lam, minors, s), in O(n^2) steps and integers only.
+    = (lam, minors, s), in O(n^2) steps and integers only, for n ints vec
+    (IntegralLattice.solve checks them).
 
     Forward, the row step of fraction_free_row applied to vec as one more
     row gives row[j] = minors[j] y_j for L y = vec; so with
@@ -116,7 +113,7 @@ def factor_solve(factor, vec) -> list[int]:
     """
     lam, minors, _scale = factor
     n = len(lam)
-    row = [int(x) for x in vec]
+    row = list(vec)
     for j in range(n):
         other = lam[j]
         val = row[j]

@@ -16,7 +16,7 @@ have at most MAX_GRAM_RANK vertices: the expansion stops, and FormatError
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -238,7 +238,6 @@ class ExpressionTerm:
 @dataclass(frozen=True)
 class ConnectedSum:
     terms: tuple[ExpressionTerm, ...]
-    source: str = field(default="", compare=False)
 
 
 # ASCII only: str.isdigit() also accepts superscripts and other scripts' digits
@@ -347,7 +346,7 @@ class _Parser:
             self.skip_ws()
         if self.pos != len(self.text):
             raise self.error("unexpected trailing input")
-        return ConnectedSum(tuple(terms), source=self.text)
+        return ConnectedSum(tuple(terms))
 
 
 def parse_expression(text: str) -> ConnectedSum:

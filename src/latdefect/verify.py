@@ -37,6 +37,8 @@ from .linalg import mat_mul, mat_vec, transpose
 from .plumbing import SeifertData, canonical_plumbing, h1_order, neg_continued_fraction
 
 SUITE_NAMES = ("elkies", "bimodular", "congruence", "glue", "roundtrip")
+# the default rank_bound of verify_suite and of `latdefect verify`
+DEFAULT_RANK_BOUND = 8
 _ENTRY_CAP = 3
 
 
@@ -279,7 +281,7 @@ _SUITES = {
 def verify_suite(
     name: str,
     *,
-    rank_bound: int = 6,
+    rank_bound: int = DEFAULT_RANK_BOUND,
     trials: int = 100,
     seed: int = 0,
     node_budget: int | None = None,

@@ -18,6 +18,7 @@ from latdefect import (
     defects,
     diagonal_bimodular_lattice,
     direct_sum,
+    dual_gram,
     e7_lattice,
     e8_lattice,
     identity_lattice,
@@ -135,7 +136,7 @@ def test_min_char_norm_agrees_with_box_oracle():
                 break
             except Exception:
                 continue
-        inverse = [[Fraction(x) for x in row] for row in lat.gram_inverse]
+        inverse = [[Fraction(x) for x in row] for row in dual_gram(lat)]
         target = [Fraction(d, 2) for d in lat.diagonal]
         expect, _ = box_minimum(inverse, target)
         assert min_char_norm(lat).min_norm == 4 * expect

@@ -23,8 +23,10 @@ from helpers import (
     fraction_glue,
     fraction_restrict,
     integer_target,
+    quadratic_value,
     random_spd_gram,
     smith_saturation_check,
+    U7,
 )
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -33,6 +35,7 @@ from latdefect import (
     CharClassSign,
     Covector,
     GlueFailureError,
+    NotIntegerError,
     ToolkitError,
     a1_lattice,
     base_characteristic,
@@ -43,6 +46,7 @@ from latdefect import (
     diagonal_bimodular_lattice,
     direct_sum,
     discriminant_group,
+    dual_gram,
     e7_lattice,
     e8_lattice,
     extend_covector,
@@ -57,7 +61,7 @@ from latdefect import (
 )
 from latdefect.defects import _any_problem, _class_problem
 from latdefect.enumeration import coset_minima, shortest_in_coset
-from latdefect.linalg import adjugate, hermite_row_basis, mat_vec, quadratic_value
+from latdefect.linalg import adjugate, hermite_row_basis, mat_vec
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 GLUE = sys.modules["latdefect.glue"]
@@ -108,7 +112,7 @@ def test_integer_adjugate_is_det_times_the_fraction_inverse(lat):
     adj, det = adjugate(lat.positive_gram)
     assert det == abs(lat.determinant)
     assert [list(row) for row in zip(*columns)] == adj
-    expected = [[lat.sign * det * x for x in row] for row in lat.gram_inverse]
+    expected = [[lat.sign * det * x for x in row] for row in dual_gram(lat)]
     assert adj == expected
     assert all(type(x) is int for column in columns for x in column)
 
@@ -124,6 +128,23 @@ def test_solve_matches_the_dense_adjugate(lat, seed):
     for _ in range(3):
         vec = [rng.randint(-9, 9) for _ in range(lat.rank)]
         assert lat.solve(vec) == mat_vec(adj, vec)
+
+
+def test_solve_rejects_a_non_integer_entry_and_a_wrong_length():
+    # one check on both paths: the tree solve of a forest and the factor
+    # solve otherwise; an integral Fraction passes as its integer
+    forest = a1_lattice()
+    dense = conjugate_lattice(e7_lattice(), U7)
+    assert forest.forest_plan is not None and dense.forest_plan is None
+    assert forest.solve([Fraction(4, 2)]) == forest.solve([2]) == [2]
+    for lat in (forest, dense):
+        n = lat.rank
+        for bad in (Fraction(1, 2), 0.9, "1"):
+            with pytest.raises(NotIntegerError):
+                lat.solve([bad] + [0] * (n - 1))
+        for length in (n - 1, n + 1):
+            with pytest.raises(ValueError, match=f"length {length}, the lattice has rank {n}"):
+                lat.solve([1] * length)
 
 
 def test_solve_on_glued_overlattices():
@@ -406,5 +427,4 @@ def test_unimodular_defects_build_no_fraction_inverse(monkeypatch):
     for lat in lattices:
         defects(lat)
     assert calls == {"invert_matrix": []}
-    assert all("gram_inverse" not in vars(lat) for lat in lattices)
 

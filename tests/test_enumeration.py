@@ -31,8 +31,15 @@ from latdefect.cli import main
 from latdefect.enumeration import coset_minima
 from latdefect.errors import EXIT_USAGE
 from latdefect.formats import gram_to_json
-from latdefect.linalg import adjugate, ldl_decomposition, mat_mul, quadratic_value, transpose
-from helpers import box_minimum, box_points_within, integer_target, random_spd_gram, random_target
+from latdefect.linalg import adjugate, ldl_decomposition, mat_mul, transpose
+from helpers import (
+    box_minimum,
+    box_points_within,
+    integer_target,
+    quadratic_value,
+    random_spd_gram,
+    random_target,
+)
 
 
 def test_problem_validation():

@@ -14,6 +14,7 @@ kernel gave.
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from helpers import (
@@ -35,6 +36,8 @@ from latdefect import (
     CongruenceViolationError,
     CosetProblem,
     NotPositiveDefiniteError,
+    NotRationalHomologySphereError,
+    SeifertData,
     a1_lattice,
     conjugate_lattice,
     defects,
@@ -47,9 +50,11 @@ from latdefect import (
     min_char_norm,
     random_unimodular,
     shortest_in_coset,
+    spinc_classes,
 )
-from latdefect.defects import _any_problem, _class_problem, characteristic_class_reps
-from latdefect.enumeration import _nearest_plane, coset_minima
+from latdefect.defects import _any_problem, _class_problem, _class_target, characteristic_class_reps
+from latdefect.dinvariant import _seifert_tree
+from latdefect.enumeration import _nearest_plane, coset_minima, plan_minimum
 from latdefect.linalg import clear_denominators, fraction_free_ldl, ldl_decomposition, mat_vec
 from latdefect.reduction import lll_reduce_gram
 
@@ -144,8 +149,10 @@ def test_coset_minima_is_the_search_without_minimizers(seed):
 @SETTINGS
 @given(st.integers(0, 10**6))
 def test_a_factor_common_to_big_and_den_changes_no_search(seed):
-    # coset_minima takes each target (big, den) as given, in lowest terms or
-    # not: a common factor k leaves every level scale, so every node, alone
+    # coset_minima and plan_minimum take each target (big, den) as given, in
+    # lowest terms or not: a common factor k leaves every level scale and
+    # every DP domain, so every node, alone. So a class target is
+    # (adj p, 2 |det|) with no gcd taken out.
     rng = random.Random(seed)
     gram = random_spd_gram(rng, max_rank=6)
     problem = CosetProblem(gram, random_target(rng, len(gram)))
@@ -155,6 +162,33 @@ def test_a_factor_common_to_big_and_den_changes_no_search(seed):
         assert coset_minima(gram, [([k * b for b in big], k * den)]) == [
             (full.min_norm, full.nodes_visited)
         ]
+    lat = seifert_lattice(rng)
+    classes = spinc_classes(lat)
+    for cls in classes[:: max(1, len(classes) // 4)]:
+        adj, den = _class_target(cls.representative)
+        assert den == 2 * abs(lat.determinant)
+        g = gcd(den, *adj)
+        low = [x // g for x in adj], den // g
+        expected = plan_minimum(lat.forest_plan, *low)
+        assert plan_minimum(lat.forest_plan, adj, den) == expected
+        for k in range(1, 6):
+            assert plan_minimum(lat.forest_plan, [k * x for x in low[0]], k * low[1]) == expected
+
+
+def seifert_lattice(rng):
+    """The plumbing lattice of a seeded Seifert space with 1-3 legs and at
+    most 300 spin-c classes."""
+    while True:
+        legs = [
+            Fraction(rng.choice([1, -1]) * rng.randint(1, 7), rng.randint(1, 6))
+            for _ in range(rng.randint(1, 3))
+        ]
+        try:
+            tree, _flipped = _seifert_tree(SeifertData(rng.randint(-3, 3), legs))
+        except NotRationalHomologySphereError:
+            continue
+        if abs(tree.lattice.determinant) <= 300:
+            return tree.lattice
 
 
 @SETTINGS

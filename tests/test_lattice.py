@@ -34,8 +34,8 @@ from latdefect import (
     unit_vectors,
     validate_lattice,
 )
-from latdefect.linalg import hermite_row_basis, mat_mul, quadratic_value, transpose
-from helpers import box_points_within, collapse_sign_pairs, smith_row_kernel
+from latdefect.linalg import hermite_row_basis, mat_mul, transpose
+from helpers import box_points_within, collapse_sign_pairs, quadratic_value, smith_row_kernel
 
 
 def test_validate_rejects_asymmetric():
@@ -170,8 +170,6 @@ def test_roots_of_e8():
     e8 = e8_lattice()
     found = roots(e8)
     assert len(found) == 120
-    from latdefect.linalg import quadratic_value
-
     assert all(quadratic_value(e8.gram, v) == 2 for v in found)
     assert len(set(found)) == 120
 

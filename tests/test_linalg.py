@@ -15,7 +15,6 @@ from latdefect.linalg import (
     ldl_decomposition,
     mat_mul,
     mat_vec,
-    quadratic_value,
     reduce_mod_rows,
     require_symmetric,
     sign_normalize,
@@ -199,8 +198,7 @@ def test_reduce_mod_rows_idempotent():
         assert all(x == 0 for x in reduce_mod_rows(diff, basis))
 
 
-def test_quadratic_value_and_sign_normalize():
-    assert quadratic_value([[2, -1], [-1, 2]], [1, 1]) == 2
+def test_sign_normalize():
     assert sign_normalize((0, -2, 1)) == (0, 2, -1)
     assert sign_normalize((0, 0)) == (0, 0)
     assert sign_normalize((3, -1)) == (3, -1)

@@ -10,17 +10,21 @@ tests, that no module imports a name it never reads.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from helpers import tracer_layers
 
 import latdefect
+from latdefect.cli import verify as verify_command
 from latdefect.enumeration import ForestPlan
 from latdefect.reduction import lll_reduce_gram
+from latdefect.verify import DEFAULT_RANK_BOUND
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 BENCH_SOURCES = sorted(BENCH.glob("*.py")) + sorted(BENCH.glob("tests/*.py"))
@@ -30,7 +34,8 @@ DELETED = {
     "enumeration": ("coset_minimum", "rational_cholesky", "_solve", "_factor", "_columns",
                     "_cleared_vector", "_collapse_signs", "_Scaled", "_Worker",
                     "_require_symmetric"),
-    "linalg": ("bareiss_determinant", "rational_rank", "integer_row_kernel", "first_asymmetry"),
+    "linalg": ("bareiss_determinant", "rational_rank", "integer_row_kernel", "first_asymmetry",
+               "quadratic_value"),
     "lattice": ("is_minimal", "root_graph", "is_bipartite", "RootGraph"),
     "errors": ("NotRootsError", "NotIndependentError", "UnnormalizedSeifertDataError"),
     "glue": ("double", "_doubled_gram", "_restricted_pairings"),
@@ -120,6 +125,26 @@ def test_deleted_names_are_gone():
     assert not hasattr(latdefect.IntegralLattice, "adjugate")
     assert list(inspect.signature(lll_reduce_gram).parameters) == ["gram"]
     assert "scale" not in ForestPlan._fields
+
+
+def test_unread_fields_and_second_names_are_gone():
+    # fields nothing read, and public names that repeated dual_gram and
+    # discriminant_group; the group's per-lattice cache is private
+    assert [f.name for f in dataclasses.fields(latdefect.SpinCClass)] == ["representative"]
+    assert "source" not in {f.name for f in dataclasses.fields(latdefect.ConnectedSum)}
+    assert "expression" not in {f.name for f in dataclasses.fields(latdefect.DInvariantReport)}
+    lat = latdefect.a1_lattice()
+    assert not hasattr(lat, "gram_inverse") and not hasattr(lat, "discriminant_group")
+    assert latdefect.discriminant_group(lat) is latdefect.discriminant_group(lat)
+    assert latdefect.dual_gram(lat) == ((Fraction(1, 2),),)
+    # "any" is the one spelling of the unrestricted search
+    assert latdefect.min_char_norm(lat, "any").min_norm == 0
+    with pytest.raises(ValueError):
+        latdefect.min_char_norm(lat, None)
+    # one rank_bound default, for the function and the command
+    default = inspect.signature(latdefect.verify_suite).parameters["rank_bound"].default
+    [option] = [p for p in verify_command.params if p.name == "rank_bound"]
+    assert default == option.default == DEFAULT_RANK_BOUND
 
 
 SOURCE = Path(latdefect.__file__).resolve().parent
