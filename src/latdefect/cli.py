@@ -23,7 +23,7 @@ from .formats import format_fraction, gram_from_json, gram_to_json, parse_fracti
 from .glue import glue_overlattice
 from .lattice import validate_lattice
 from .obstruction import report_verdict, surgery_cobordism_obstruction, surgery_difference
-from .verify import DEFAULT_RANK_BOUND, SUITE_NAMES, verify_suite
+from .verify import DEFAULT_RANK_BOUND, DEFAULT_TRIALS, SUITE_NAMES, verify_suite
 
 
 @dataclasses.dataclass
@@ -187,7 +187,7 @@ def surgery(settings: Settings, expression):
 @cli.command()
 @click.argument("suite", required=False, type=click.Choice(SUITE_NAMES))
 @click.option("--rank-bound", type=click.IntRange(min=1), default=DEFAULT_RANK_BOUND, show_default=True)
-@click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=DEFAULT_TRIALS, show_default=True)
 @click.pass_obj
 def verify(settings: Settings, suite, rank_bound, trials):
     """Run one randomized verification suite, or all of them."""

@@ -94,11 +94,6 @@ def label_quarter(values) -> QuarterPair:
     return QuarterPair(quarter[0], minus[0])
 
 
-def reverse_pair(pair: QuarterPair) -> QuarterPair:
-    """Labelled pair of the orientation reverse."""
-    return QuarterPair(-pair.d_minus_quarter, -pair.d_quarter)
-
-
 def _sphere_term(value) -> Fraction:
     """The correction term of an integral homology sphere, as a Fraction;
     ResidueViolationError unless it is an even integer."""

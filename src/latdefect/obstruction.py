@@ -1,10 +1,11 @@
 """Definite filling obstructions from correction terms.
 
-A space with two-element first homology that bounds a positive definite
-4-manifold has reversed label sum at least 0, and equality forces the pair
-(1/4, -1/4). Running the clause on both orientations decides whether any
-definite filling can exist. An analogous sign test applies to homology
-spheres.
+If a space bounds a positive definite 4-manifold, the sum of its labelled
+correction terms is at most 0, and equality holds only at the values of the
+diagonal lattice's boundary: (0) for S^3 and (1/4, -1/4) for RP^3. This is
+Elkies' theorem (arXiv math/9906019) for one spin-c class and the bimodular
+bound for two. Running the rule on the values and on those of the reversed
+space decides whether any definite filling can exist.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dinvariant import DInvariantReport, QuarterPair, reverse_pair
+from .dinvariant import DInvariantReport, QuarterPair
 from .errors import UnsupportedExpressionError
 
 STANDARD_PAIR = QuarterPair(Fraction(1, 4), Fraction(-1, 4))
@@ -38,69 +39,42 @@ class Verdict:
     reason: str
 
 
-def positive_filling_obstruction(pair: QuarterPair) -> tuple[FillingConclusion, str]:
-    """One verdict component: can the space bound positive definite?
-
-    Obstructed iff the label sum is positive, or zero with a pair other than
-    (1/4, -1/4).
-    """
-    total = pair.d_quarter + pair.d_minus_quarter
+def _positive_filling(values: tuple[Fraction, ...]) -> tuple[FillingConclusion, str]:
+    """One verdict component: can a space with labelled values (d) or
+    (d_{1/4}, d_{-1/4}) bound positive definite? Obstructed iff their sum is
+    positive, or zero away from the diagonal boundary's values; one class
+    summing to zero is the value 0 itself."""
+    total = sum(values)
+    name = "d" if len(values) == 1 else "d_{1/4} + d_{-1/4}"
     if total > 0:
+        return FillingConclusion.OBSTRUCTED, f"{name} = {total} > 0"
+    if total == 0 and len(values) == 2 and QuarterPair(*values) != STANDARD_PAIR:
         return (
             FillingConclusion.OBSTRUCTED,
-            f"d_{{1/4}} + d_{{-1/4}} = {total} > 0",
+            f"{name} = 0 with values ({values[0]}, {values[1]}) != (1/4, -1/4)",
         )
-    if total == 0 and pair != STANDARD_PAIR:
-        return (
-            FillingConclusion.OBSTRUCTED,
-            f"d_{{1/4}} + d_{{-1/4}} = 0 with values ({pair.d_quarter}, "
-            f"{pair.d_minus_quarter}) != (1/4, -1/4)",
-        )
-    return (
-        FillingConclusion.INCONCLUSIVE,
-        f"d_{{1/4}} + d_{{-1/4}} = {total} permits a positive filling",
-    )
+    return FillingConclusion.INCONCLUSIVE, f"{name} = {total} permits a positive filling"
 
 
-def _both_orientations(check, value, reverse) -> Verdict:
-    """The verdict of a positive-side check run on a value and on its reverse."""
-    positive, positive_reason = check(value)
-    negative, negative_reason = check(reverse)
+def report_verdict(report: DInvariantReport) -> Verdict:
+    """Verdict for an evaluated expression with one or two spin-c classes:
+    the positive-side rule on its labelled values, and on the reversed
+    space's, which are those values negated in reverse order."""
+    if report.h1 == 1:
+        values = report.class_values
+    elif report.pair is not None:
+        values = (report.pair.d_quarter, report.pair.d_minus_quarter)
+    else:
+        raise UnsupportedExpressionError(
+            "filling verdict needs one class or a labelled pair of classes"
+        )
+    positive, positive_reason = _positive_filling(values)
+    negative, negative_reason = _positive_filling(tuple(-v for v in reversed(values)))
     return Verdict(
         positive_definite=positive,
         negative_definite=negative,
         reason=f"positive: {positive_reason}; negative: {negative_reason}",
     )
-
-
-def definite_verdict(pair: QuarterPair) -> Verdict:
-    """Run the filling obstruction on both orientations of a two-class space."""
-    return _both_orientations(positive_filling_obstruction, pair, reverse_pair(pair))
-
-
-def sphere_filling_obstruction(value: Fraction) -> tuple[FillingConclusion, str]:
-    """One verdict component for a homology sphere: d > 0 blocks positive fillings."""
-    if value > 0:
-        return FillingConclusion.OBSTRUCTED, f"d = {value} > 0"
-    return FillingConclusion.INCONCLUSIVE, f"d = {value} permits a positive filling"
-
-
-def sphere_definite_verdict(value: Fraction) -> Verdict:
-    """Both-orientation verdict for a homology sphere."""
-    value = Fraction(value)
-    return _both_orientations(sphere_filling_obstruction, value, -value)
-
-
-def report_verdict(report: DInvariantReport) -> Verdict:
-    """Verdict for an evaluated expression with one or two spin-c classes."""
-    if report.h1 == 1:
-        (value,) = report.class_values
-        return sphere_definite_verdict(value)
-    if report.pair is None:
-        raise UnsupportedExpressionError(
-            "filling verdict needs one class or a labelled pair of classes"
-        )
-    return definite_verdict(report.pair)
 
 
 def surgery_cobordism_obstruction(pair: QuarterPair) -> bool:

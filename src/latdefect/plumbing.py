@@ -231,8 +231,14 @@ class PoincareAtom:
 
 @dataclass(frozen=True)
 class ExpressionTerm:
+    """A summand taken count >= 1 times."""
+
     count: int
     atom: PoincareAtom | SeifertData
+
+    def __post_init__(self):
+        if not isinstance(self.count, int) or self.count < 1:
+            raise FormatError(f"multiplicity {self.count} is not a positive int")
 
 
 @dataclass(frozen=True)

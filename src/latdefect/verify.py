@@ -37,8 +37,9 @@ from .linalg import mat_mul, mat_vec, transpose
 from .plumbing import SeifertData, canonical_plumbing, h1_order, neg_continued_fraction
 
 SUITE_NAMES = ("elkies", "bimodular", "congruence", "glue", "roundtrip")
-# the default rank_bound of verify_suite and of `latdefect verify`
+# the defaults of verify_suite and of `latdefect verify`
 DEFAULT_RANK_BOUND = 8
+DEFAULT_TRIALS = 100
 _ENTRY_CAP = 3
 
 
@@ -282,13 +283,22 @@ def verify_suite(
     name: str,
     *,
     rank_bound: int = DEFAULT_RANK_BOUND,
-    trials: int = 100,
+    trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     node_budget: int | None = None,
 ) -> SuiteReport:
-    """Run one named suite; raises SuiteFailureError on any violation."""
+    """Run one named suite; raises SuiteFailureError on any violation.
+
+    The arguments are checked before any trial runs: rank_bound and trials
+    must be at least 1, and seed an int, so that every run can be repeated.
+    """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}, expected one of {SUITE_NAMES}")
+    for arg, value in (("rank_bound", rank_bound), ("trials", trials)):
+        if not isinstance(value, int) or value < 1:
+            raise ValueError(f"{arg} must be an int of at least 1, got {value!r}")
+    if not isinstance(seed, int):
+        raise ValueError(f"seed must be an int, got {seed!r}")
     run = _Run(name, random.Random(seed), node_budget)
     _SUITES[name](run, rank_bound, trials)
     if run.violations:

@@ -34,7 +34,6 @@ from latdefect import (
     negative_e8_tree,
     parse_expression,
     reverse_orientation,
-    reverse_pair,
     seifert_class_values,
     spinc_classes,
 )
@@ -109,10 +108,14 @@ def test_label_quarter():
         label_quarter([Fraction(1, 2), Fraction(-1, 4)])
 
 
-def test_reverse_pair_negates_and_swaps():
-    pair = QuarterPair(Fraction(-31, 4), Fraction(-17, 4))
-    assert reverse_pair(pair) == QuarterPair(Fraction(17, 4), Fraction(31, 4))
-    assert reverse_pair(reverse_pair(pair)) == pair
+def test_reverse_pair_negates_and_swaps(ybar_report):
+    # evaluated on its own, the reversed space's pair is the pair negated with
+    # its labels swapped, the reversal that report_verdict reads
+    pair = ybar_report.pair
+    reversed_pair = evaluate_expression("-Y(2; 15/13, 17/3, 23/22)").pair
+    assert reversed_pair == QuarterPair(-pair.d_minus_quarter, -pair.d_quarter)
+    assert reversed_pair == QuarterPair(Fraction(17, 4), Fraction(31, 4))
+    assert evaluate_expression("--Y(2; 15/13, 17/3, 23/22)").pair == pair
 
 
 def test_homology_sphere_summands_must_have_even_terms(monkeypatch):
@@ -366,8 +369,11 @@ def test_main_example_composed_with_spheres(ybar_report):
     assert combined.pair == QuarterPair(Fraction(-7, 4), Fraction(7, 4))
     assert combined.pair == label_quarter(v + 6 for v in ybar_report.class_values)
     assert combined.h1 == 2
-    reversed_pair = reverse_pair(ybar_report.pair)
-    assert reversed_pair == QuarterPair(Fraction(17, 4), Fraction(31, 4))
+    # reversing every summand negates the pair and swaps its labels, which
+    # leaves the main sum's pair where it was
+    reversed_pair = evaluate_expression("3*-P + -Y(2; 15/13, 17/3, 23/22)").pair
+    assert reversed_pair == QuarterPair(-combined.pair.d_minus_quarter, -combined.pair.d_quarter)
+    assert reversed_pair == combined.pair
 
 
 def canonical_class_d(data: SeifertData) -> Fraction:

@@ -10,18 +10,15 @@ from helpers import lens_d, torus_knot_v
 from latdefect import (
     STANDARD_PAIR,
     ConnectedSum,
+    DInvariantReport,
     ExpressionTerm,
     FillingConclusion,
     QuarterPair,
     SeifertData,
     UnsupportedExpressionError,
-    definite_verdict,
     evaluate_expression,
-    positive_filling_obstruction,
     report_verdict,
     seifert_class_values,
-    sphere_definite_verdict,
-    sphere_filling_obstruction,
     surgery_cobordism_obstruction,
     surgery_difference,
 )
@@ -30,58 +27,70 @@ OBSTRUCTED = FillingConclusion.OBSTRUCTED
 INCONCLUSIVE = FillingConclusion.INCONCLUSIVE
 
 
+def pair_verdict(pair: QuarterPair):
+    """report_verdict on a two-class report holding the labelled pair."""
+    values = tuple(sorted((pair.d_quarter, pair.d_minus_quarter)))
+    return report_verdict(DInvariantReport(values, pair))
+
+
+def sphere_verdict(value):
+    """report_verdict on a one-class report."""
+    return report_verdict(DInvariantReport((Fraction(value),), None))
+
+
 def test_positive_filling_clause():
     # positive label sum
-    conclusion, reason = positive_filling_obstruction(
-        QuarterPair(Fraction(9, 4), Fraction(-1, 4))
+    verdict = pair_verdict(QuarterPair(Fraction(9, 4), Fraction(-1, 4)))
+    assert verdict.positive_definite is OBSTRUCTED
+    assert verdict.reason == (
+        "positive: d_{1/4} + d_{-1/4} = 2 > 0; "
+        "negative: d_{1/4} + d_{-1/4} = -2 permits a positive filling"
     )
-    assert conclusion is OBSTRUCTED
-    assert "> 0" in reason
     # zero sum away from the standard pair
-    conclusion, reason = positive_filling_obstruction(
-        QuarterPair(Fraction(-7, 4), Fraction(7, 4))
-    )
-    assert conclusion is OBSTRUCTED
-    assert "!= (1/4, -1/4)" in reason
+    verdict = pair_verdict(QuarterPair(Fraction(-7, 4), Fraction(7, 4)))
+    assert verdict.positive_definite is OBSTRUCTED
+    assert "!= (1/4, -1/4)" in verdict.reason
     # the standard pair itself
-    conclusion, _ = positive_filling_obstruction(STANDARD_PAIR)
-    assert conclusion is INCONCLUSIVE
+    assert pair_verdict(STANDARD_PAIR).positive_definite is INCONCLUSIVE
     # negative sum
-    conclusion, _ = positive_filling_obstruction(
-        QuarterPair(Fraction(-31, 4), Fraction(-17, 4))
-    )
-    assert conclusion is INCONCLUSIVE
+    verdict = pair_verdict(QuarterPair(Fraction(-31, 4), Fraction(-17, 4)))
+    assert verdict.positive_definite is INCONCLUSIVE
 
 
 def test_definite_verdict_blocks_both_orientations():
-    verdict = definite_verdict(QuarterPair(Fraction(-7, 4), Fraction(7, 4)))
+    verdict = pair_verdict(QuarterPair(Fraction(-7, 4), Fraction(7, 4)))
     assert verdict.positive_definite is OBSTRUCTED
     assert verdict.negative_definite is OBSTRUCTED
     assert "positive:" in verdict.reason and "negative:" in verdict.reason
 
 
 def test_definite_verdict_on_standard_pair():
-    verdict = definite_verdict(STANDARD_PAIR)
+    verdict = pair_verdict(STANDARD_PAIR)
     assert verdict.positive_definite is INCONCLUSIVE
     # reversed standard pair is again (1/4, -1/4)
     assert verdict.negative_definite is INCONCLUSIVE
+    assert verdict.reason == (
+        "positive: d_{1/4} + d_{-1/4} = 0 permits a positive filling; "
+        "negative: d_{1/4} + d_{-1/4} = 0 permits a positive filling"
+    )
 
 
 def test_definite_verdict_single_sided():
-    verdict = definite_verdict(QuarterPair(Fraction(-31, 4), Fraction(-17, 4)))
+    verdict = pair_verdict(QuarterPair(Fraction(-31, 4), Fraction(-17, 4)))
     assert verdict.positive_definite is INCONCLUSIVE
     assert verdict.negative_definite is OBSTRUCTED
 
 
 def test_sphere_clauses():
-    assert sphere_filling_obstruction(Fraction(2))[0] is OBSTRUCTED
-    assert sphere_filling_obstruction(Fraction(0))[0] is INCONCLUSIVE
-    verdict = sphere_definite_verdict(Fraction(2))
+    verdict = sphere_verdict(2)
     assert verdict.positive_definite is OBSTRUCTED
     assert verdict.negative_definite is INCONCLUSIVE
-    flat = sphere_definite_verdict(Fraction(0))
+    flat = sphere_verdict(0)
     assert flat.positive_definite is INCONCLUSIVE
     assert flat.negative_definite is INCONCLUSIVE
+    assert flat.reason == (
+        "positive: d = 0 permits a positive filling; negative: d = 0 permits a positive filling"
+    )
 
 
 def test_report_verdict_dispatch():
@@ -89,6 +98,13 @@ def test_report_verdict_dispatch():
     verdict = report_verdict(sphere)
     assert verdict.positive_definite is OBSTRUCTED
     assert verdict.negative_definite is INCONCLUSIVE
+    assert verdict.reason == "positive: d = 2 > 0; negative: d = -2 permits a positive filling"
+    reversed_sphere = report_verdict(evaluate_expression("-P"))
+    assert reversed_sphere.positive_definite is INCONCLUSIVE
+    assert reversed_sphere.negative_definite is OBSTRUCTED
+    assert reversed_sphere.reason == (
+        "positive: d = -2 permits a positive filling; negative: d = 2 > 0"
+    )
 
     eleven = evaluate_expression("Y(-2; -3/2, -5/3)")
     with pytest.raises(UnsupportedExpressionError):
@@ -155,6 +171,18 @@ def test_main_example_verdicts(ybar_report):
     verdict = report_verdict(ybar_report)
     assert verdict.positive_definite is INCONCLUSIVE
     assert verdict.negative_definite is OBSTRUCTED
+    assert verdict.reason == (
+        "positive: d_{1/4} + d_{-1/4} = -12 permits a positive filling; "
+        "negative: d_{1/4} + d_{-1/4} = 12 > 0"
+    )
+    # 3*P shifts both values by 6, and the sum then bounds neither way
+    shifted = tuple(v + 6 for v in ybar_report.class_values)
+    verdict = report_verdict(DInvariantReport(shifted, QuarterPair(*shifted)))
+    assert verdict.positive_definite is verdict.negative_definite is OBSTRUCTED
+    assert verdict.reason == (
+        "positive: d_{1/4} + d_{-1/4} = 0 with values (-7/4, 7/4) != (1/4, -1/4); "
+        "negative: d_{1/4} + d_{-1/4} = 0 with values (-7/4, 7/4) != (1/4, -1/4)"
+    )
 
 
 def test_two_class_seifert_spaces_bound_their_own_plumbing():

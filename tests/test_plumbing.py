@@ -10,6 +10,7 @@ from latdefect import (
     ConnectedSum,
     ExpressionParseError,
     ExpressionTerm,
+    FormatError,
     NotNegativeDefiniteError,
     NotRationalHomologySphereError,
     PlumbingTree,
@@ -148,6 +149,15 @@ def test_parse_expression_goldens():
     assert parse_expression("-Y(2; 3/2)").terms == (
         ExpressionTerm(1, SeifertData(-2, (Fraction(-3, 2),))),
     )
+
+
+@pytest.mark.parametrize("count", [0, -1, -2, Fraction(1, 2)])
+@pytest.mark.parametrize("atom", [PoincareAtom(), YBAR], ids=["P", "two-class"])
+def test_hand_built_terms_need_a_positive_count(atom, count):
+    # the parser refuses 0*P with a position; a term built by hand once took
+    # any count, and a two-class summand then ignored it
+    with pytest.raises(FormatError, match=f"multiplicity {count} is not a positive int"):
+        ExpressionTerm(count, atom)
 
 
 def test_parse_expression_errors_carry_positions():

@@ -24,7 +24,7 @@ import latdefect
 from latdefect.cli import verify as verify_command
 from latdefect.enumeration import ForestPlan
 from latdefect.reduction import lll_reduce_gram
-from latdefect.verify import DEFAULT_RANK_BOUND
+from latdefect.verify import DEFAULT_RANK_BOUND, DEFAULT_TRIALS
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 BENCH_SOURCES = sorted(BENCH.glob("*.py")) + sorted(BENCH.glob("tests/*.py"))
@@ -40,7 +40,9 @@ DELETED = {
     "errors": ("NotRootsError", "NotIndependentError", "UnnormalizedSeifertDataError"),
     "glue": ("double", "_doubled_gram", "_restricted_pairings"),
     "defects": ("_halved", "_collapse_pairings"),
-    "dinvariant": ("sum_with_homology_spheres",),
+    "dinvariant": ("sum_with_homology_spheres", "reverse_pair"),
+    "obstruction": ("positive_filling_obstruction", "sphere_filling_obstruction",
+                    "definite_verdict", "sphere_definite_verdict", "_both_orientations"),
     "plumbing": ("bad_vertices", "parse_seifert"),
     "formats": ("tree_to_json", "tree_from_json"),
 }
@@ -141,10 +143,11 @@ def test_unread_fields_and_second_names_are_gone():
     assert latdefect.min_char_norm(lat, "any").min_norm == 0
     with pytest.raises(ValueError):
         latdefect.min_char_norm(lat, None)
-    # one rank_bound default, for the function and the command
-    default = inspect.signature(latdefect.verify_suite).parameters["rank_bound"].default
-    [option] = [p for p in verify_command.params if p.name == "rank_bound"]
-    assert default == option.default == DEFAULT_RANK_BOUND
+    # one rank_bound and one trials default, for the function and the command
+    parameters = inspect.signature(latdefect.verify_suite).parameters
+    options = {p.name: p.default for p in verify_command.params}
+    assert parameters["rank_bound"].default == options["rank_bound"] == DEFAULT_RANK_BOUND == 8
+    assert parameters["trials"].default == options["trials"] == DEFAULT_TRIALS == 100
 
 
 SOURCE = Path(latdefect.__file__).resolve().parent

@@ -64,6 +64,22 @@ def test_unknown_suite_rejected():
         verify_suite("nonsense")
 
 
+@pytest.mark.parametrize(
+    "arg, value",
+    [("trials", -1), ("trials", 0), ("rank_bound", 0), ("rank_bound", -3), ("seed", None),
+     ("seed", 1.5), ("seed", "0")],
+)
+def test_bad_arguments_are_rejected_before_any_trial(arg, value, monkeypatch):
+    # trials=-1 once reported zero checks, rank_bound=0 leaked randrange's
+    # message, and seed=None drew an unrepeatable run
+    def no_run(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(sys.modules["latdefect.verify"], "_Run", no_run)
+    with pytest.raises(ValueError, match=f"^{arg} must be"):
+        verify_suite("elkies", **{arg: value})
+
+
 def test_violations_surface_as_suite_failure(monkeypatch):
     # break the diagonality recognizer so the unimodular suite must object
     monkeypatch.setattr("latdefect.verify.is_diagonal", lambda lat: False)
