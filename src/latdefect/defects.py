@@ -115,6 +115,13 @@ def _class_minima(lat: IntegralLattice, reps, node_budget) -> list[tuple[Fractio
     return coset_minima(lat.positive_gram, targets, node_budget=node_budget)
 
 
+def check_node_budget(node_budget) -> None:
+    """ValueError unless node_budget is None or an int of at least 1; the
+    searches (enumeration) take any int as an exact budget."""
+    if node_budget is not None and (not isinstance(node_budget, int) or node_budget < 1):
+        raise ValueError(f"node_budget must be None or an int of at least 1, got {node_budget!r}")
+
+
 def _check_class_square(value: Fraction, rank: int, sign: CharClassSign | None) -> None:
     """The minimal square of a class is rank + 1 (plus), rank - 1 (minus), or
     for the one class of a unimodular lattice (None) rank, mod 8 (van der Blij)."""
@@ -152,6 +159,7 @@ def min_char_norm(
     RadiusEmptyError, naming radius, when no square is at most radius.
     """
     _require_positive(lat, "min_char_norm")
+    check_node_budget(node_budget)
     if sign == "any":
         wanted, where, problem = None, "", _any_problem(lat, radius)
     else:
@@ -191,6 +199,7 @@ def defects(
     own node_budget, and only the values are kept.
     """
     _require_positive(lat, "defects")
+    check_node_budget(node_budget)
     det = abs(lat.determinant)
     n = lat.rank
     if det == 1:
@@ -224,6 +233,7 @@ def max_char_square(
     """
     if lat.sign >= 0:
         raise NotNegativeDefiniteError("max_char_square needs a negative definite lattice")
+    check_node_budget(node_budget)
     if class_rep.lattice != lat:
         raise NotCharacteristicError("class representative belongs to a different lattice")
     if not is_characteristic(class_rep):

@@ -9,9 +9,10 @@ residue mod 2, and connected sums with homology spheres shift both labels.
 Conjugation gives d(Y, s) = d(Y, conj s) (Ozsvath-Szabo, arXiv
 math/0110170); on the lattice, K -> -K maps the class K + 2L onto -K + 2L and
 keeps every square, so both classes have the same maximum.
-seifert_class_values names the class of a rep p (lattice.spinc_classes) by
-adj p mod 2 |det|, solved once for key and target alike (a class adds
-2 |det| y to adj p), and runs one tree dynamic program per conjugate pair:
+seifert_class_values names the class of a rep p by adj p mod 2 |det|, which
+lattice.spinc_classes gives every rep from |free| + 1 solves per space and
+the class target reuses (a class adds 2 |det| y to adj p). It checks the bad
+vertices once per space and runs one tree dynamic program per conjugate pair:
 (h + t) / 2 of them for h classes, t of them self-conjugate
 (adj p = 0 mod |det|). The values are exact and the same, class by class,
 as one d_invariant per class.
@@ -19,11 +20,11 @@ as one d_invariant per class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .defects import max_char_square
+from .defects import check_node_budget, max_char_square
 from .errors import (
     LabellingViolationError,
     ResidueViolationError,
@@ -46,6 +47,19 @@ from .plumbing import (
 POINCARE_SPHERE_D = Fraction(2)
 
 
+def _require_one_bad_vertex(tree: PlumbingTree) -> None:
+    bad = bad_vertex_indices(tree)
+    if len(bad) > 1:
+        raise TooManyBadVerticesError(
+            f"tree has bad vertices {bad}, the formula allows at most one"
+        )
+
+
+def _correction_term(square: Fraction, rank: int, sign: int = 1) -> Fraction:
+    """sign (square + rank) / 4, in ints and then one Fraction."""
+    return Fraction(sign * (square.numerator + rank * square.denominator), 4 * square.denominator)
+
+
 def d_invariant(
     tree: PlumbingTree, cls: SpinCClass, *, node_budget: int | None = None
 ) -> Fraction:
@@ -55,13 +69,9 @@ def d_invariant(
     dynamic program; node_budget bounds its nodes. A class of another
     lattice raises NotCharacteristicError.
     """
-    bad = bad_vertex_indices(tree)
-    if len(bad) > 1:
-        raise TooManyBadVerticesError(
-            f"tree has bad vertices {bad}, the formula allows at most one"
-        )
+    _require_one_bad_vertex(tree)
     square = max_char_square(tree.lattice, cls.representative, node_budget=node_budget)
-    return Fraction(square + tree.rank, 4)
+    return _correction_term(square, tree.rank)
 
 
 @dataclass(frozen=True)
@@ -122,22 +132,24 @@ def seifert_class_values(
 
     The class of a rep p is named by adj p mod 2 |det| (Covector._adj, reused
     by the program's target), and the conjugate class of -p by -adj p.
-    Conjugate classes have the same maximal square, so one d_invariant
+    Conjugate classes have the same maximal square, so one max_char_square
     serves both: a class whose key is already known runs no tree dynamic
     program. node_budget bounds each dynamic program that runs.
     """
     tree, flipped = _seifert_tree(data)
+    _require_one_bad_vertex(tree)
     lat = tree.lattice
     modulus = 2 * abs(lat.determinant)
+    sign = -1 if flipped else 1
     known: dict[tuple[int, ...], Fraction] = {}
     values = []
     for cls in spinc_classes(lat):
-        adj = cls.representative._adj
-        key = tuple(x % modulus for x in adj)
+        rep = cls.representative
+        key = tuple(x % modulus for x in rep._adj)
         if key not in known:
-            value = d_invariant(tree, cls, node_budget=node_budget)
-            known[key] = known[tuple(-x % modulus for x in adj)] = (
-                -value if flipped else value
+            square = max_char_square(lat, rep, node_budget=node_budget)
+            known[key] = known[tuple(-x % modulus for x in rep._adj)] = _correction_term(
+                square, tree.rank, sign
             )
         values.append(known[key])
     return tuple(values)
@@ -146,11 +158,15 @@ def seifert_class_values(
 @dataclass(frozen=True)
 class DInvariantReport:
     """Correction terms of a connected sum expression: one class value per
-    spin-c structure, and the labelled pair of those values when there are
-    two."""
+    spin-c structure, and the labelled pair derived from those values
+    (label_quarter) when there are two, None otherwise."""
 
     class_values: tuple[Fraction, ...]
-    pair: QuarterPair | None
+    pair: QuarterPair | None = field(init=False)
+
+    def __post_init__(self):
+        values = self.class_values
+        object.__setattr__(self, "pair", label_quarter(values) if len(values) == 2 else None)
 
     @property
     def h1(self) -> int:
@@ -170,6 +186,7 @@ def evaluate_expression(
     node_budget bounds each tree dynamic program that runs; a class that
     takes its conjugate's value (seifert_class_values) runs none.
     """
+    check_node_budget(node_budget)
     if isinstance(expression, str):
         expression = parse_expression(expression)
     shift = Fraction(0)
@@ -189,14 +206,13 @@ def evaluate_expression(
             )
         special = atom
     if special is None:
-        return DInvariantReport((shift,), None)
+        return DInvariantReport((shift,))
     values = seifert_class_values(special, node_budget=node_budget)
+    if shift:
+        values = tuple(v + shift for v in values)
     # sorted by numerator over the common denominator, with no Fraction
     # comparison
     common = lcm(*(v.denominator for v in values))
-    shifted = tuple(
-        v + shift
-        for v in sorted(values, key=lambda v: v.numerator * (common // v.denominator))
+    return DInvariantReport(
+        tuple(sorted(values, key=lambda v: v.numerator * (common // v.denominator)))
     )
-    pair = label_quarter(shifted) if len(shifted) == 2 else None
-    return DInvariantReport(shifted, pair)

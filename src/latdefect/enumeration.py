@@ -30,8 +30,9 @@ program over integer-scaled coordinates solves it. Its work is split in
 two. forest_plan gathers once per form what depends on Q alone: the order,
 integer weights, subtree minors and the diagonal of the adjugate, all by
 leaf-to-root elimination on the tree in O(n) integer steps. It runs no
-dense elimination: the caller passes the fraction-free LDL for the
-nearest-plane bound, and a lattice passes the one its validation made.
+dense elimination: the caller passes the fraction-free LDL, whose
+nearest-plane constants the plan keeps for every target's bound, and a
+lattice passes the one its validation made.
 plan_solve multiplies a vector by the adjugate in O(n) steps on the same
 minors. plan_minimum then takes one integer target over a denominator, and
 computes each message as a lower-envelope query in integers.
@@ -365,34 +366,45 @@ def _forest_order(form):
     return order, parent
 
 
-def _nearest_plane(factor, big, den: int) -> tuple[int, int]:
-    """(N, M) with N / M = R den^2, for R the value of the nearest-plane
-    rounding of -target, in integers only.
-
-    factor is fraction_free_ldl(form) = (lam, d, s), and big = den * target
-    an integer vector. With W = den (target + x), starting from big,
-    level i (from the last) has offset B_i / S_i for S_i = d[i+1] den and
-    B_i = d[i+1] W_i + sum over j > i of lam[j][i] W_j, rounds
-    x_i = round_half_up(-B_i / S_i), and costs U_i^2 / (d[i] d[i+1] s den^2)
-    with U_i = S_i x_i + B_i. The costs are summed over the common
-    denominator lcm(d[i] d[i+1]) s.
-    """
+def _nearest_plane_constants(factor) -> tuple:
+    """(levels, M): what _nearest_plane needs of factor = fraction_free_ldl(form)
+    = (lam, d, s) for any target: level i, from the last, as (i, d[i+1], the
+    nonzero (j, lam[j][i]) for j > i, common // (d[i] d[i+1])), for
+    common = lcm(d[i] d[i+1]), and M = common s."""
     lam, minors, scale = factor
     n = len(lam)
     common = lcm(*(minors[i] * minors[i + 1] for i in range(n)))
+    levels = tuple(
+        (i, minors[i + 1], tuple((j, lam[j][i]) for j in range(i + 1, n) if lam[j][i]),
+         common // (minors[i] * minors[i + 1]))
+        for i in range(n - 1, -1, -1)
+    )
+    return levels, common * scale
+
+
+def _nearest_plane(constants, big, den: int) -> tuple[int, int]:
+    """(N, M) with N / M = R den^2, for R the value of the nearest-plane
+    rounding of -target = -big / den, in integers only.
+
+    With W = den (target + x), starting from big, level i (from the last)
+    has offset B_i / S_i for S_i = d[i+1] den and
+    B_i = d[i+1] W_i + sum over j > i of lam[j][i] W_j, rounds
+    x_i = round_half_up(-B_i / S_i), and costs U_i^2 / (d[i] d[i+1] s den^2)
+    with U_i = S_i x_i + B_i, all summed over M.
+    """
+    levels, reach_den = constants
     w = list(big)
     total = 0
-    for i in range(n - 1, -1, -1):
-        d = minors[i + 1]
+    for i, d, col, weight in levels:
         b = d * w[i]
-        for j in range(i + 1, n):
-            b += lam[j][i] * w[j]
+        for j, c in col:
+            b += c * w[j]
         s = d * den
         x = (s - 2 * b) // (2 * s)
         w[i] += den * x
         u = s * x + b
-        total += u * u * (common // (minors[i] * d))
-    return total, common * scale
+        total += u * u * weight
+    return total, reach_den
 
 
 class ForestPlan(NamedTuple):
@@ -406,8 +418,9 @@ class ForestPlan(NamedTuple):
     children w of v, which is the determinant of that subtree with v
     removed. determinant = det Q, and adjugate_diagonal[v] = det(Q - v) is
     the v-th diagonal entry of adj Q = det Q * Q^-1, so (Q^-1)_vv =
-    adjugate_diagonal[v] / determinant. factor = fraction_free_ldl(Q), as
-    the caller made it, feeds the nearest-plane bound.
+    adjugate_diagonal[v] / determinant. nearest_plane holds the
+    _nearest_plane_constants of fraction_free_ldl(Q), as the caller made it,
+    for the bound of every target.
     A NamedTuple rather than a dataclass: a frozen dataclass of this many
     fields costs about 1.5 ms of import time.
     """
@@ -420,7 +433,7 @@ class ForestPlan(NamedTuple):
     products: tuple[int, ...]
     determinant: int
     adjugate_diagonal: tuple[int, ...]
-    factor: tuple
+    nearest_plane: tuple
 
 
 def forest_plan(form, factor) -> ForestPlan | None:
@@ -484,7 +497,7 @@ def forest_plan(form, factor) -> ForestPlan | None:
         products=tuple(products),
         determinant=det,
         adjugate_diagonal=tuple(adj),
-        factor=factor,
+        nearest_plane=_nearest_plane_constants(factor),
     )
 
 
@@ -580,7 +593,7 @@ def plan_minimum(
     a non-root vertex), one per parent value queried and one per root value;
     node_budget is checked against that exact total before any message.
     """
-    reach, reach_den = _nearest_plane(plan.factor, big, den)
+    reach, reach_den = _nearest_plane(plan.nearest_plane, big, den)
     whole = reach_den * plan.determinant
     domains = []
     for c, q in zip(big, plan.adjugate_diagonal):

@@ -12,7 +12,8 @@ characteristic covectors fall into two classes told apart by the square mod 8
 (n + 1 for the plus class, n - 1 for minus, with n the rank, squares taken on
 the positive definite form). Those are the lattice's two spin-c classes
 chi + 2 G Z^n, which spinc_classes lists for any |det| over the box of one
-row Hermite basis of G, cached on the lattice for discriminant_group too.
+row Hermite basis of G, cached on the lattice for discriminant_group too; the
+adj p of every rep comes from |free| + 1 solves per lattice.
 """
 
 from __future__ import annotations
@@ -195,7 +196,8 @@ class Covector:
 
     @cached_property
     def _adj(self) -> tuple[int, ...]:
-        """adj(P) p for the positive definite form P, solved once per covector."""
+        """adj(P) p for the positive definite form P, solved once per covector
+        (spinc_classes sets it on its reps by linearity)."""
         return tuple(self.lattice.solve(self.pairings))
 
     @property
@@ -331,20 +333,27 @@ def spinc_classes(lat: IntegralLattice) -> tuple[SpinCClass, ...]:
     The classes chi + 2 G Z^n correspond to the shifts in Z^n / G Z^n, whose
     reduced representatives modulo the row Hermite basis of G (cached on the
     lattice) are exactly the box 0 <= shift_i < h_ii over its pivots. So the
-    reps are diag(G) + 2 shift over that box, base class first. There are
-    |det| of them; more than MAX_SPINC_CLASSES is rejected with FormatError
-    before any is built.
+    reps are diag(G) + 2 shift over that box, base class first, and each
+    rep's adj p (Covector._adj) is adj diag(G) + 2 sum of shift_i adj e_i.
+    There are |det| of them; more than MAX_SPINC_CLASSES is rejected with
+    FormatError before any is built.
     """
     count = abs(lat.determinant)
     if count > MAX_SPINC_CLASSES:
         raise FormatError(f"{count} spin-c classes exceed the limit of {MAX_SPINC_CLASSES}")
     hnf, free = lat._hermite_box
+    base = lat.solve(lat.diagonal)
+    adj_units = [lat.solve([int(j == i) for j in range(lat.rank)]) for i in free]
     classes = []
     for shift in itertools.product(*(range(hnf[i][i]) for i in free)):
         pairings = list(lat.diagonal)
-        for i, s in zip(free, shift):
+        adj = base
+        for i, s, unit in zip(free, shift, adj_units):
             pairings[i] += 2 * s
-        classes.append(SpinCClass(Covector(tuple(pairings), lat)))
+            adj = [a + 2 * s * u for a, u in zip(adj, unit)]
+        rep = Covector(tuple(pairings), lat)
+        vars(rep)["_adj"] = tuple(adj)
+        classes.append(SpinCClass(rep))
     if len(classes) != count:
         raise ToolkitError(f"found {len(classes)} spin-c classes, expected |det| = {count}")
     return tuple(classes)

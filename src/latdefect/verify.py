@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .defects import characteristic_class_reps, defects
+from .defects import characteristic_class_reps, check_node_budget, defects
 from .errors import SuiteFailureError, ToolkitError
 from .glue import extend_covector, glue_overlattice, restrict_covector
 from .lattice import (
@@ -290,7 +290,8 @@ def verify_suite(
     """Run one named suite; raises SuiteFailureError on any violation.
 
     The arguments are checked before any trial runs: rank_bound and trials
-    must be at least 1, and seed an int, so that every run can be repeated.
+    must be at least 1, seed an int, so that every run can be repeated, and
+    node_budget None or at least 1 (ValueError otherwise).
     """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}, expected one of {SUITE_NAMES}")
@@ -299,6 +300,7 @@ def verify_suite(
             raise ValueError(f"{arg} must be an int of at least 1, got {value!r}")
     if not isinstance(seed, int):
         raise ValueError(f"seed must be an int, got {seed!r}")
+    check_node_budget(node_budget)
     run = _Run(name, random.Random(seed), node_budget)
     _SUITES[name](run, rank_bound, trials)
     if run.violations:

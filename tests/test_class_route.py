@@ -5,8 +5,10 @@ classes, read off the Hermite box that discriminant_group shares, and are
 checked against the chi / chi + 2 * generator construction they replaced
 (helpers.translate_class_reps). Every class value goes through
 defects._class_minima, whose tree dynamic program is checked against the
-branch-and-bound search on the same class problems. Each class
-representative is solved once, for its sign or key and its target alike.
+branch-and-bound search on the same class problems. The class
+representatives of a lattice take their adj p from |free| + 1 solves, one of
+diag(G) and one per Hermite pivot above 1, and use it for sign or key and
+target alike.
 """
 
 import random
@@ -28,6 +30,7 @@ from latdefect import (
     discriminant_group,
     e7_lattice,
     e8_lattice,
+    h1_order,
     identity_lattice,
     min_char_norm,
     parse_expression,
@@ -37,6 +40,7 @@ from latdefect import (
     validate_lattice,
 )
 from latdefect.defects import _class_minima, _class_target
+from latdefect.dinvariant import _seifert_tree
 from latdefect.enumeration import coset_minima
 
 LATTICE = sys.modules["latdefect.lattice"]
@@ -100,11 +104,35 @@ def test_each_class_representative_is_solved_once(monkeypatch):
     assert seifert_class_values(term.atom) == (Fraction(-31, 4), Fraction(-17, 4))
     assert solves == [32, 32]
 
+    # H1 = Z/10 + Z/10: two pivots above 1, so 3 solves for the 100 classes
     solves.clear()
     many = SeifertData(-1, (Fraction(-5, 2), Fraction(-5, 3), Fraction(-5, 4)))
     values = seifert_class_values(many)
     assert len(values) == 100
-    assert len(solves) == 100
+    assert solves == [6, 6, 6]
+
+
+def test_box_combined_adj_is_the_solve_of_each_rep():
+    rng = random.Random(25)
+    spaces = [SeifertData(-1, (Fraction(-5, 2), Fraction(-5, 3), Fraction(-5, 4)))]
+    while len(spaces) < 40:
+        legs = tuple(
+            Fraction(rng.choice((-1, 1)) * rng.randint(2, 7), rng.randint(1, 5))
+            for _ in range(rng.randint(1, 3))
+        )
+        data = SeifertData(rng.randint(-3, 3), legs)
+        if data.euler_number != 0 and h1_order(data) <= 400:
+            spaces.append(data)
+    seen = set()
+    for data in spaces:
+        tree, flipped = _seifert_tree(data)
+        lat = tree.lattice
+        _hnf, free = lat._hermite_box
+        seen.add((len(free) > 1, flipped))
+        for cls in spinc_classes(lat):
+            rep = cls.representative
+            assert rep._adj == tuple(lat.solve(rep.pairings))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_one_hermite_form_serves_every_class_question(monkeypatch):

@@ -13,6 +13,7 @@ from latdefect import (
     POINCARE_SPHERE_D,
     BudgetExhaustedError,
     Covector,
+    DInvariantReport,
     LabellingViolationError,
     NotCharacteristicError,
     PlumbingTree,
@@ -22,8 +23,11 @@ from latdefect import (
     SpinCClass,
     TooManyBadVerticesError,
     UnsupportedExpressionError,
+    base_characteristic,
     canonical_plumbing,
     d_invariant,
+    defects,
+    e8_lattice,
     evaluate_expression,
     format_fraction,
     gram,
@@ -31,6 +35,7 @@ from latdefect import (
     is_characteristic,
     label_quarter,
     max_char_square,
+    min_char_norm,
     negative_e8_tree,
     parse_expression,
     reverse_orientation,
@@ -277,6 +282,38 @@ def test_node_budget_bounds_each_dynamic_program(monkeypatch, capsys):
     for budget, code in ((first - 1, 3), (largest, 0)):
         assert main(["--node-budget", str(budget), "seifert", "d", "Y(-3; -4, -4, -2)"]) == code
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", [-5, 0, 1.5, "3"])
+def test_node_budget_is_checked_where_it_enters(budget):
+    # evaluate_expression("P", node_budget=-5) once returned, as no dynamic
+    # program runs on the sphere
+    e8 = e8_lattice()
+    negative = gram(negative_e8_tree())
+    entries = [
+        lambda: evaluate_expression("P", node_budget=budget),
+        lambda: seifert_class_values(SeifertData(-3, (-4, -4, -2)), node_budget=budget),
+        lambda: defects(e8, node_budget=budget),
+        lambda: min_char_norm(e8, node_budget=budget),
+        lambda: max_char_square(negative, base_characteristic(negative), node_budget=budget),
+    ]
+    for entry in entries:
+        with pytest.raises(ValueError, match="^node_budget must be None or an int of at least 1"):
+            entry()
+    assert evaluate_expression("P", node_budget=1).class_values == (2,)
+
+
+def test_report_pair_is_derived_from_its_values():
+    values = (Fraction(-31, 4), Fraction(-17, 4))
+    assert DInvariantReport(values).pair == label_quarter(values)
+    assert DInvariantReport(values).pair == QuarterPair(Fraction(-31, 4), Fraction(-17, 4))
+    assert DInvariantReport((Fraction(2),)).pair is None
+    assert evaluate_expression("Y(-2; 2, 3, 4)").h1 > 2
+    assert evaluate_expression("Y(-2; 2, 3, 4)").pair is None
+    with pytest.raises(TypeError):
+        DInvariantReport(values, QuarterPair(Fraction(1, 4), Fraction(-1, 4)))
+    with pytest.raises(LabellingViolationError):
+        DInvariantReport((Fraction(0), Fraction(1)))
 
 
 def test_spaces_outside_normal_form_evaluate():

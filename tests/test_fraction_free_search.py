@@ -54,7 +54,7 @@ from latdefect import (
 )
 from latdefect.defects import _any_problem, _class_problem, _class_target, characteristic_class_reps
 from latdefect.dinvariant import _seifert_tree
-from latdefect.enumeration import _nearest_plane, coset_minima, plan_minimum
+from latdefect.enumeration import _nearest_plane, _nearest_plane_constants, coset_minima, plan_minimum
 from latdefect.linalg import clear_denominators, fraction_free_ldl, ldl_decomposition, mat_vec
 from latdefect.reduction import lll_reduce_gram
 
@@ -132,7 +132,8 @@ def test_integer_nearest_plane_equals_fraction_babai(seed, rational):
         gram = [[Fraction(x, 3) for x in row] for row in gram]
     target = random_target(rng, len(gram))
     (big,), den = clear_denominators([target])
-    reach, reach_den = _nearest_plane(fraction_free_ldl(gram), big, den)
+    constants = _nearest_plane_constants(fraction_free_ldl(gram))
+    reach, reach_den = _nearest_plane(constants, big, den)
     assert Fraction(reach, reach_den) == babai_value(gram, target) * den * den
 
 

@@ -29,13 +29,14 @@ INCONCLUSIVE = FillingConclusion.INCONCLUSIVE
 
 def pair_verdict(pair: QuarterPair):
     """report_verdict on a two-class report holding the labelled pair."""
-    values = tuple(sorted((pair.d_quarter, pair.d_minus_quarter)))
-    return report_verdict(DInvariantReport(values, pair))
+    report = DInvariantReport(tuple(sorted((pair.d_quarter, pair.d_minus_quarter))))
+    assert report.pair == pair
+    return report_verdict(report)
 
 
 def sphere_verdict(value):
     """report_verdict on a one-class report."""
-    return report_verdict(DInvariantReport((Fraction(value),), None))
+    return report_verdict(DInvariantReport((Fraction(value),)))
 
 
 def test_positive_filling_clause():
@@ -177,7 +178,7 @@ def test_main_example_verdicts(ybar_report):
     )
     # 3*P shifts both values by 6, and the sum then bounds neither way
     shifted = tuple(v + 6 for v in ybar_report.class_values)
-    verdict = report_verdict(DInvariantReport(shifted, QuarterPair(*shifted)))
+    verdict = report_verdict(DInvariantReport(shifted))
     assert verdict.positive_definite is verdict.negative_definite is OBSTRUCTED
     assert verdict.reason == (
         "positive: d_{1/4} + d_{-1/4} = 0 with values (-7/4, 7/4) != (1/4, -1/4); "

@@ -29,7 +29,7 @@ from latdefect import (
 )
 from latdefect.defects import _class_target
 from latdefect.dinvariant import _seifert_tree
-from latdefect.enumeration import forest_plan, plan_solve
+from latdefect.enumeration import _nearest_plane_constants, forest_plan, plan_solve
 from latdefect.linalg import (
     adjugate,
     clear_denominators,
@@ -130,7 +130,7 @@ def test_main_example_factors_its_gram_once(monkeypatch):
     assert calls["fraction_free_ldl"].count(32) == 1
     (term,) = parse_expression("Y(2; 15/13, 17/3, 23/22)").terms
     lat = _seifert_tree(term.atom)[0].lattice
-    assert lat.forest_plan.factor is lat.factor
+    assert lat.forest_plan.nearest_plane == _nearest_plane_constants(lat.factor)
 
 
 def test_lattice_plan_reads_no_dense_adjugate(monkeypatch):

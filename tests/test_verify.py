@@ -67,11 +67,13 @@ def test_unknown_suite_rejected():
 @pytest.mark.parametrize(
     "arg, value",
     [("trials", -1), ("trials", 0), ("rank_bound", 0), ("rank_bound", -3), ("seed", None),
-     ("seed", 1.5), ("seed", "0")],
+     ("seed", 1.5), ("seed", "0"), ("node_budget", -1), ("node_budget", 0),
+     ("node_budget", 1.5)],
 )
 def test_bad_arguments_are_rejected_before_any_trial(arg, value, monkeypatch):
     # trials=-1 once reported zero checks, rank_bound=0 leaked randrange's
-    # message, and seed=None drew an unrepeatable run
+    # message, seed=None drew an unrepeatable run, and node_budget=-1 failed
+    # inside the first search as an exhausted budget
     def no_run(*args):
         raise AssertionError("a trial ran")
 
