@@ -37,13 +37,13 @@ from fractions import Fraction
 from .enumeration import (
     CosetProblem,
     EnumerationResult,
+    check_node_budget,
     coset_minima,
     plan_minimum,
     shortest_in_coset,
 )
 from .errors import (
     CongruenceViolationError,
-    NotBimodularError,
     NotCharacteristicError,
     NotNegativeDefiniteError,
     RadiusEmptyError,
@@ -56,8 +56,10 @@ from .lattice import (
     base_characteristic,
     char_class_sign,
     dual_gram,
-    is_characteristic,
     spinc_classes,
+    _class_residue,
+    _require_bimodular,
+    _require_characteristic,
     _require_positive,
 )
 from .linalg import mat_vec, sign_representatives
@@ -115,17 +117,9 @@ def _class_minima(lat: IntegralLattice, reps, node_budget) -> list[tuple[Fractio
     return coset_minima(lat.positive_gram, targets, node_budget=node_budget)
 
 
-def check_node_budget(node_budget) -> None:
-    """ValueError unless node_budget is None or an int of at least 1; the
-    searches (enumeration) take any int as an exact budget."""
-    if node_budget is not None and (not isinstance(node_budget, int) or node_budget < 1):
-        raise ValueError(f"node_budget must be None or an int of at least 1, got {node_budget!r}")
-
-
 def _check_class_square(value: Fraction, rank: int, sign: CharClassSign | None) -> None:
-    """The minimal square of a class is rank + 1 (plus), rank - 1 (minus), or
-    for the one class of a unimodular lattice (None) rank, mod 8 (van der Blij)."""
-    expected = (rank + {None: 0, CharClassSign.PLUS: 1, CharClassSign.MINUS: -1}[sign]) % 8
+    """The minimal square of a class has its residue mod 8 (_class_residue)."""
+    expected = _class_residue(rank, sign)
     if value.denominator != 1 or int(value) % 8 != expected:
         raise CongruenceViolationError(
             f"class minimum {value} is not {expected} mod 8"
@@ -135,8 +129,7 @@ def _check_class_square(value: Fraction, rank: int, sign: CharClassSign | None) 
 def characteristic_class_reps(lat: IntegralLattice) -> dict[CharClassSign, Covector]:
     """Representatives of the two characteristic classes of a |det| = 2
     lattice: the reps of its two spin-c classes, labelled by char_class_sign."""
-    if abs(lat.determinant) != 2:
-        raise NotBimodularError(f"|det| = {abs(lat.determinant)}, need 2")
+    _require_bimodular(lat)
     reps = {char_class_sign(c.representative): c.representative for c in spinc_classes(lat)}
     if len(reps) != 2:
         raise CongruenceViolationError(
@@ -163,7 +156,7 @@ def min_char_norm(
     if sign == "any":
         wanted, where, problem = None, "", _any_problem(lat, radius)
     else:
-        wanted = CharClassSign(sign) if not isinstance(sign, CharClassSign) else sign
+        wanted = CharClassSign(sign)
         rep = characteristic_class_reps(lat)[wanted]
         where, problem = f" in the {wanted.value} class", _class_problem(rep, radius)
     try:
@@ -214,7 +207,7 @@ def defects(
     for sign, (value, _nodes) in zip(classes, minima):
         _check_class_square(4 * value, n, sign)
         found.append(Fraction(4 * value - n, 4))
-    # a square n, n + 1 or n - 1 mod 8 is a defect 0, 1/4 or -1/4 mod 2
+    # the class residues mod 8 (_class_residue) make defects 0, 1/4 or -1/4 mod 2
     return Defects(d_plus=found[0], d_minus=found[-1])
 
 
@@ -236,9 +229,6 @@ def max_char_square(
     check_node_budget(node_budget)
     if class_rep.lattice != lat:
         raise NotCharacteristicError("class representative belongs to a different lattice")
-    if not is_characteristic(class_rep):
-        raise NotCharacteristicError(
-            f"pairings {class_rep.pairings} are not characteristic"
-        )
+    _require_characteristic(class_rep)
     [(value, _nodes)] = _class_minima(lat, [class_rep], node_budget)
     return -4 * value

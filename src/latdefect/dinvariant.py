@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .defects import check_node_budget, max_char_square
+from .defects import max_char_square
+from .enumeration import check_node_budget
 from .errors import (
     LabellingViolationError,
     ResidueViolationError,

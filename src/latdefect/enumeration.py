@@ -141,6 +141,18 @@ def _scale(cols, diag, big, den):
     return scales, consts, scols, coeff, value_scale
 
 
+def check_node_budget(node_budget) -> None:
+    """ValueError unless node_budget is None or an int of at least 1, at each
+    public entry point; the searches take any int as an exact budget."""
+    if node_budget is not None and (type(node_budget) is not int or node_budget < 1):
+        raise ValueError(f"node_budget must be None or an int of at least 1, got {node_budget!r}")
+
+
+def _check_budget_type(node_budget) -> None:
+    if node_budget is not None and type(node_budget) is not int:
+        raise ValueError(f"node_budget must be None or an int, got {node_budget!r}")
+
+
 class _Prepared(NamedTuple):
     """What every search on one form shares: the LLL basis change unimod and
     its integer inverse (None when the form was not reduced), and the LDL
@@ -180,6 +192,7 @@ def _search(prepared: _Prepared, big, den: int, radius, mode: str, node_budget):
     for the same radius. Every candidate tried is one node, and
     BudgetExhaustedError is raised once there are more than node_budget.
     """
+    _check_budget_type(node_budget)
     unimod = prepared.unimod
     if unimod is not None:
         big = mat_vec(prepared.inverse, big)
@@ -593,6 +606,7 @@ def plan_minimum(
     a non-root vertex), one per parent value queried and one per root value;
     node_budget is checked against that exact total before any message.
     """
+    _check_budget_type(node_budget)
     reach, reach_den = _nearest_plane(plan.nearest_plane, big, den)
     whole = reach_den * plan.determinant
     domains = []

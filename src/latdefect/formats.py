@@ -78,20 +78,14 @@ def gram_from_json(text: str) -> list[list[int]]:
     require_square(rows)
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
-            _require(
-                isinstance(entry, int) and not isinstance(entry, bool),
-                f"entry at row {i}, column {j} is not an integer",
-            )
+            _require(type(entry) is int, f"entry at row {i}, column {j} is not an integer")
             _require(
                 abs(entry) <= MAX_GRAM_ENTRY,
                 f"entry at row {i}, column {j} exceeds {MAX_GRAM_ENTRY} in absolute value",
             )
     if "rank" in document:
         rank = document["rank"]
-        _require(
-            isinstance(rank, int) and not isinstance(rank, bool),
-            f"'rank' is {json.dumps(rank)}, not an integer",
-        )
+        _require(type(rank) is int, f"'rank' is {json.dumps(rank)}, not an integer")
         _require(rank == len(rows), f"'rank' is {rank} but 'gram' has {len(rows)} rows")
     return [list(row) for row in rows]
 

@@ -18,13 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GlueFailureError, NotBimodularError
+from .errors import GlueFailureError
 from .lattice import (
     Covector,
     IntegralLattice,
     discriminant_group,
     validate_lattice,
     _block_diagonal,
+    _require_bimodular,
     _require_positive,
 )
 
@@ -57,11 +58,8 @@ def _doubled_glue_coordinates(lat: IntegralLattice) -> list[int]:
     clear the denominator det = +-2. The group is cached on the lattice, and
     adj p is one O(n^2) solve on its validation factor (IntegralLattice.solve).
     """
-    group = discriminant_group(lat)
-    if group.orders != (2,):
-        raise NotBimodularError(f"discriminant group has orders {group.orders}")
     det = lat.determinant
-    coords = [2 * x for x in lat.solve(group.generators[0].pairings)]
+    coords = [2 * x for x in lat.solve(discriminant_group(lat).generators[0].pairings)]
     if any(x % det for x in coords):
         raise GlueFailureError("glue vector is not half-integral")
     return [x // det for x in coords]
@@ -144,8 +142,7 @@ def glue_overlattice(left: IntegralLattice, right: IntegralLattice) -> Overlatti
     """
     for lat in (left, right):
         _require_positive(lat, "glue_overlattice")
-        if abs(lat.determinant) != 2:
-            raise NotBimodularError(f"|det| = {abs(lat.determinant)}, need 2")
+        _require_bimodular(lat)
     summed = _block_diagonal(left, right)  # both blocks are validated already
     glue2 = _doubled_glue_coordinates(left) + _doubled_glue_coordinates(right)
     e = tuple(x % 2 for x in glue2)

@@ -1,17 +1,16 @@
 """Definite integral lattices and their characteristic covectors.
 
 A lattice is stored by its integer Gram matrix exactly as supplied. Negative
-definite input is accepted and tagged; searches and covector solves run on
-the positive definite form, while determinants, covector norms, and dual Gram
+definite input is accepted and tagged; searches, covector solves and covector
+squares run on the positive definite form, while determinants and dual Gram
 matrices refer to the matrix as given.
 
 A covector (element of the dual lattice) is stored by its integer pairing
 vector p with p[i] = <xi, e_i> against the chosen basis. It is characteristic
 exactly when p is congruent to the Gram diagonal mod 2. For |det| = 2 the
 characteristic covectors fall into two classes told apart by the square mod 8
-(n + 1 for the plus class, n - 1 for minus, with n the rank, squares taken on
-the positive definite form). Those are the lattice's two spin-c classes
-chi + 2 G Z^n, which spinc_classes lists for any |det| over the box of one
+(_class_residue). Those are the lattice's two spin-c classes chi + 2 G Z^n,
+which spinc_classes lists for any |det| over the box of one
 row Hermite basis of G, cached on the lattice for discriminant_group too; the
 adj p of every rep comes from |free| + 1 solves per lattice.
 """
@@ -189,11 +188,6 @@ class Covector:
             raise ValueError("pairing vector length does not match lattice rank")
         object.__setattr__(self, "pairings", _integer_entries(self.pairings))
 
-    @property
-    def norm(self) -> Fraction:
-        """Square <xi, xi> with respect to the Gram matrix as given."""
-        return self.lattice.sign * self.positive_norm
-
     @cached_property
     def _adj(self) -> tuple[int, ...]:
         """adj(P) p for the positive definite form P, solved once per covector
@@ -230,7 +224,7 @@ def _integer_entries(values) -> tuple[int, ...]:
     """values as a tuple of ints, without truncation.
 
     ints pass as they are and integral Fractions give their numerators; any
-    other entry (a float, a string, a Fraction such as 1/2) raises
+    other entry (a bool, a float, a string, a Fraction such as 1/2) raises
     NotIntegerError, where int() would silently round it toward zero. The
     common all-int case costs one type test per entry.
     """
@@ -241,10 +235,8 @@ def _integer_entries(values) -> tuple[int, ...]:
 
 
 def _integer_entry(x) -> int:
-    if isinstance(x, int):
+    if type(x) is int or isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
     raise NotIntegerError(f"entry {x!r} is not an integer")
 
 
@@ -288,6 +280,22 @@ def is_characteristic(cov: Covector) -> bool:
     return all((p - d) % 2 == 0 for p, d in zip(cov.pairings, diag))
 
 
+def _require_characteristic(cov: Covector) -> None:
+    if not is_characteristic(cov):
+        raise NotCharacteristicError(f"pairings {cov.pairings} are not characteristic")
+
+
+def _require_bimodular(lat: IntegralLattice) -> None:
+    if abs(lat.determinant) != 2:
+        raise NotBimodularError(f"|det| = {abs(lat.determinant)}, need 2")
+
+
+def _class_residue(rank: int, sign: CharClassSign | None) -> int:
+    """The square mod 8 of a characteristic covector (van der Blij): rank + 1
+    (plus) or rank - 1 (minus) if |det| = 2, rank for |det| = 1 (None)."""
+    return (rank + {None: 0, CharClassSign.PLUS: 1, CharClassSign.MINUS: -1}[sign]) % 8
+
+
 def char_class_sign(cov: Covector) -> CharClassSign:
     """Which of the two mod-8 classes a characteristic covector sits in.
 
@@ -295,25 +303,20 @@ def char_class_sign(cov: Covector) -> CharClassSign:
     available for negative definite lattices as well. Requires |det| = 2.
     """
     lat = cov.lattice
-    if abs(lat.determinant) != 2:
-        raise NotBimodularError(f"|det| = {abs(lat.determinant)}, need 2")
-    if not is_characteristic(cov):
-        raise NotCharacteristicError(f"pairings {cov.pairings} are not characteristic")
+    _require_bimodular(lat)
+    _require_characteristic(cov)
     square = cov.positive_norm
     if square.denominator != 1:
         raise CongruenceViolationError(
             f"characteristic square {square} is not an integer"
         )
     residue = int(square) % 8
-    n = lat.rank
-    if residue == (n + 1) % 8:
-        return CharClassSign.PLUS
-    if residue == (n - 1) % 8:
-        return CharClassSign.MINUS
-    raise CongruenceViolationError(
-        f"characteristic square {square} is {residue} mod 8, expected "
-        f"{(n + 1) % 8} or {(n - 1) % 8}"
-    )
+    signs = {_class_residue(lat.rank, sign): sign for sign in CharClassSign}
+    if residue not in signs:
+        raise CongruenceViolationError(
+            f"characteristic square {square} is {residue} mod 8, expected {' or '.join(map(str, signs))}"
+        )
+    return signs[residue]
 
 
 def discriminant_group(lat: IntegralLattice) -> DiscriminantGroup:
@@ -406,8 +409,7 @@ def is_diagonal_bimodular(lat: IntegralLattice) -> bool:
     exactly n - 1 pairs of units.
     """
     _require_positive(lat, "is_diagonal_bimodular")
-    if abs(lat.determinant) != 2:
-        raise NotBimodularError(f"|det| = {abs(lat.determinant)}, need 2")
+    _require_bimodular(lat)
     return len(unit_vectors(lat)) == lat.rank - 1
 
 

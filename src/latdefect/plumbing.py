@@ -225,7 +225,7 @@ class PoincareAtom:
     orientation: int = 1
 
     def __post_init__(self):
-        if self.orientation not in (1, -1):
+        if type(self.orientation) is not int or self.orientation not in (1, -1):
             raise FormatError(f"Poincare sphere orientation {self.orientation} is not +-1")
 
 
@@ -237,7 +237,7 @@ class ExpressionTerm:
     atom: PoincareAtom | SeifertData
 
     def __post_init__(self):
-        if not isinstance(self.count, int) or self.count < 1:
+        if type(self.count) is not int or self.count < 1:
             raise FormatError(f"multiplicity {self.count} is not a positive int")
 
 

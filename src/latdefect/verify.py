@@ -12,7 +12,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .defects import characteristic_class_reps, check_node_budget, defects
+from .defects import characteristic_class_reps, defects
+from .enumeration import check_node_budget
 from .errors import SuiteFailureError, ToolkitError
 from .glue import extend_covector, glue_overlattice, restrict_covector
 from .lattice import (
@@ -36,7 +37,6 @@ from .lattice import (
 from .linalg import mat_mul, mat_vec, transpose
 from .plumbing import SeifertData, canonical_plumbing, h1_order, neg_continued_fraction
 
-SUITE_NAMES = ("elkies", "bimodular", "congruence", "glue", "roundtrip")
 # the defaults of verify_suite and of `latdefect verify`
 DEFAULT_RANK_BOUND = 8
 DEFAULT_TRIALS = 100
@@ -277,6 +277,7 @@ _SUITES = {
     "glue": _suite_glue,
     "roundtrip": _suite_roundtrip,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def verify_suite(
@@ -296,9 +297,9 @@ def verify_suite(
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}, expected one of {SUITE_NAMES}")
     for arg, value in (("rank_bound", rank_bound), ("trials", trials)):
-        if not isinstance(value, int) or value < 1:
+        if type(value) is not int or value < 1:
             raise ValueError(f"{arg} must be an int of at least 1, got {value!r}")
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise ValueError(f"seed must be an int, got {seed!r}")
     check_node_budget(node_budget)
     run = _Run(name, random.Random(seed), node_budget)

@@ -5,7 +5,8 @@ classes, read off the Hermite box that discriminant_group shares, and are
 checked against the chi / chi + 2 * generator construction they replaced
 (helpers.translate_class_reps). Every class value goes through
 defects._class_minima, whose tree dynamic program is checked against the
-branch-and-bound search on the same class problems. The class
+branch-and-bound search on the same class problems, and both against a
+closed form on Z^(n-1) + <delta> for |det| = delta up to 7. The class
 representatives of a lattice take their adj p from |free| + 1 solves, one of
 diag(G) and one per Hermite pivot above 1, and use it for sign or key and
 target alike.
@@ -42,6 +43,7 @@ from latdefect import (
 from latdefect.defects import _class_minima, _class_target
 from latdefect.dinvariant import _seifert_tree
 from latdefect.enumeration import coset_minima
+from latdefect.linalg import integer_matrix_inverse, mat_vec, transpose
 
 LATTICE = sys.modules["latdefect.lattice"]
 
@@ -77,6 +79,41 @@ def test_tree_dynamic_program_agrees_with_the_search_on_class_problems():
                 for sign in (CharClassSign.PLUS, CharClassSign.MINUS)
             ]
         assert [pair.d_plus, pair.d_minus] == expected
+
+
+def test_class_minima_beyond_det_two_match_the_closed_form():
+    # On Z^(n-1) + <delta> the class of a rep p is p_n mod 2 delta, with
+    # p_n = delta mod 2, and each unit axis adds at least 1, so its least
+    # square is n - 1 + min p^2 / delta over that residue. The diagonal basis
+    # takes the tree dynamic program; a seeded conjugate takes the search,
+    # which is the route _class_minima picks once the conjugate has a cycle
+    # (from rank 3 on: every graph on two vertices is a forest).
+    rng = random.Random(26)
+    for delta in range(2, 8):
+        for n in range(1, 6):
+            gram = [[int(i == j) for j in range(n)] for i in range(n)]
+            gram[-1][-1] = delta
+            lat = validate_lattice(gram)
+            u = random_unimodular(rng, n)
+            conj = conjugate_lattice(lat, u)
+            while n >= 3 and conj.forest_plan is not None:
+                u = random_unimodular(rng, n)
+                conj = conjugate_lattice(lat, u)
+            back = transpose(integer_matrix_inverse(u))  # pairings p = U^-T p'
+
+            def expected(p):
+                r = p[-1] % (2 * delta)
+                return n - 1 + Fraction(min(r, 2 * delta - r) ** 2, delta)
+
+            reps = [c.representative for c in spinc_classes(lat)]
+            assert lat.forest_plan is not None and len(reps) == delta
+            tree = _class_minima(lat, reps, None)
+            assert [4 * value for value, _nodes in tree] == [expected(r.pairings) for r in reps]
+            reps = [c.representative for c in spinc_classes(conj)]
+            search = coset_minima(conj.positive_gram, [_class_target(r) for r in reps])
+            assert [4 * value for value, _nodes in search] == [
+                expected(mat_vec(back, list(r.pairings))) for r in reps
+            ]
 
 
 def counted_plan_solves(monkeypatch) -> list[int]:

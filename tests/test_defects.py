@@ -117,7 +117,7 @@ def test_min_char_norm_minimizers_are_characteristic():
             cov = Covector(p, lat)
             assert is_characteristic(cov)
             assert char_class_sign(cov) is sign
-            assert cov.norm == Fraction(result.min_norm)
+            assert cov.positive_norm == Fraction(result.min_norm)
 
 
 def test_min_char_norm_agrees_with_box_oracle():

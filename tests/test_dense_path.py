@@ -139,7 +139,7 @@ def test_solve_rejects_a_non_integer_entry_and_a_wrong_length():
     assert forest.solve([Fraction(4, 2)]) == forest.solve([2]) == [2]
     for lat in (forest, dense):
         n = lat.rank
-        for bad in (Fraction(1, 2), 0.9, "1"):
+        for bad in (Fraction(1, 2), 0.9, "1", True):
             with pytest.raises(NotIntegerError):
                 lat.solve([bad] + [0] * (n - 1))
         for length in (n - 1, n + 1):
@@ -154,7 +154,7 @@ def test_solve_on_glued_overlattices():
         assert det == over.determinant == 1
         chi = base_characteristic(over)
         assert over.solve(chi.pairings) == mat_vec(adj, list(chi.pairings))
-        assert chi.norm == quadratic_value(adj, chi.pairings)
+        assert chi.positive_norm == quadratic_value(adj, chi.pairings)
 
 
 def test_integer_adjugate_checks_the_determinant():
@@ -184,7 +184,7 @@ def test_covector_questions_run_no_dense_adjugate(monkeypatch):
     chi = base_characteristic(over)
     parts = [restrict_covector(chi, side) for side in ("left", "right")]
     assert extend_covector(over, *parts) == chi
-    assert chi.norm == sum(part.norm for part in parts)
+    assert chi.positive_norm == sum(part.positive_norm for part in parts)
     for lat in (left, right):
         for sign, rep in characteristic_class_reps(lat).items():
             assert char_class_sign(rep) is sign

@@ -284,7 +284,7 @@ def test_node_budget_bounds_each_dynamic_program(monkeypatch, capsys):
     assert "budget" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("budget", [-5, 0, 1.5, "3"])
+@pytest.mark.parametrize("budget", [-5, 0, 1.5, "3", True])
 def test_node_budget_is_checked_where_it_enters(budget):
     # evaluate_expression("P", node_budget=-5) once returned, as no dynamic
     # program runs on the sphere

@@ -117,7 +117,7 @@ def test_restriction_is_orthogonal_projection():
     assert left.lattice == over.left
     assert right.lattice == over.right
     # Pythagoras across the orthogonal splitting
-    assert chi.norm == left.norm + right.norm
+    assert chi.positive_norm == left.positive_norm + right.positive_norm
     assert is_characteristic(left)
     assert is_characteristic(right)
     assert char_class_sign(left) is char_class_sign(right).opposite

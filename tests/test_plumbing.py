@@ -151,13 +151,19 @@ def test_parse_expression_goldens():
     )
 
 
-@pytest.mark.parametrize("count", [0, -1, -2, Fraction(1, 2)])
+@pytest.mark.parametrize("count", [0, -1, -2, Fraction(1, 2), True])
 @pytest.mark.parametrize("atom", [PoincareAtom(), YBAR], ids=["P", "two-class"])
 def test_hand_built_terms_need_a_positive_count(atom, count):
     # the parser refuses 0*P with a position; a term built by hand once took
     # any count, and a two-class summand then ignored it
     with pytest.raises(FormatError, match=f"multiplicity {count} is not a positive int"):
         ExpressionTerm(count, atom)
+
+
+@pytest.mark.parametrize("orientation", [0, 2, -2, 1.0, True])
+def test_hand_built_poincare_atoms_need_orientation_plus_or_minus_one(orientation):
+    with pytest.raises(FormatError, match=f"orientation {orientation} is not"):
+        PoincareAtom(orientation)
 
 
 def test_parse_expression_errors_carry_positions():

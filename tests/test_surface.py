@@ -124,6 +124,7 @@ def test_deleted_names_are_gone():
     assert left == []
     assert "star_center" not in inspect.signature(latdefect.PlumbingTree).parameters
     assert not hasattr(latdefect.Covector, "pairing_with")
+    assert not hasattr(latdefect.Covector, "norm")
     assert not hasattr(latdefect.IntegralLattice, "adjugate")
     assert list(inspect.signature(lll_reduce_gram).parameters) == ["gram"]
     assert "scale" not in ForestPlan._fields

@@ -136,6 +136,11 @@ def budget_cases():
     return [path, cube]
 
 
+# budgets the searches reject before their first node; any int is an exact
+# budget there, so 0 is exhausted at the first node
+NOT_INTS = ("3", 1.5, True)
+
+
 @pytest.mark.parametrize("problem", budget_cases())
 def test_forest_budget_is_exact(problem):
     value, nodes = forest_minimum(problem)
@@ -144,6 +149,9 @@ def test_forest_budget_is_exact(problem):
         with pytest.raises(BudgetExhaustedError) as info:
             forest_minimum(problem, node_budget=budget)
         assert info.value.nodes == nodes and info.value.budget == budget
+    for budget in NOT_INTS:
+        with pytest.raises(ValueError, match="^node_budget must be None or an int, got"):
+            forest_minimum(problem, node_budget=budget)
 
 
 @pytest.mark.parametrize("problem", budget_cases())
@@ -168,6 +176,9 @@ def test_search_budget_is_exact(problem):
             with pytest.raises(BudgetExhaustedError) as info:
                 run(budget)
             assert info.value.nodes == budget + 1 and info.value.budget == budget
+        for budget in NOT_INTS:
+            with pytest.raises(ValueError, match="^node_budget must be None or an int, got"):
+                run(budget)
 
 
 def test_coset_minima_gives_each_target_its_own_budget():

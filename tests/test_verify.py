@@ -68,7 +68,7 @@ def test_unknown_suite_rejected():
     "arg, value",
     [("trials", -1), ("trials", 0), ("rank_bound", 0), ("rank_bound", -3), ("seed", None),
      ("seed", 1.5), ("seed", "0"), ("node_budget", -1), ("node_budget", 0),
-     ("node_budget", 1.5)],
+     ("node_budget", 1.5), ("trials", True), ("rank_bound", True), ("seed", False)],
 )
 def test_bad_arguments_are_rejected_before_any_trial(arg, value, monkeypatch):
     # trials=-1 once reported zero checks, rank_bound=0 leaked randrange's
