@@ -1,6 +1,8 @@
 """Exact arithmetic for definite lattices, correction terms, and filling
 obstructions of plumbed 3-manifolds."""
 
+from types import ModuleType as _ModuleType
+
 from .defects import (
     Defects,
     characteristic_class_reps,
@@ -123,104 +125,9 @@ from .verify import (
 
 __version__ = "0.1.0"
 
+# every public name imported above; the submodules bound as attributes are not
 __all__ = [
-    "BudgetExhaustedError",
-    "CharClassSign",
-    "ConnectedSum",
-    "CongruenceViolationError",
-    "CosetProblem",
-    "Covector",
-    "DInvariantReport",
-    "Defects",
-    "DiscriminantGroup",
-    "EnumerationResult",
-    "EXIT_BUDGET",
-    "EXIT_OK",
-    "EXIT_PRECONDITION",
-    "EXIT_SUITE",
-    "EXIT_USAGE",
-    "ExpressionParseError",
-    "ExpressionTerm",
-    "FillingConclusion",
-    "FormatError",
-    "GlueFailureError",
-    "IntegralLattice",
-    "LabellingViolationError",
-    "NcfExpansion",
-    "NotBimodularError",
-    "NotCharacteristicError",
-    "NotDefiniteError",
-    "NotIntegerError",
-    "NotNegativeDefiniteError",
-    "NotPositiveDefiniteError",
-    "NotRationalHomologySphereError",
-    "NotSymmetricError",
-    "Overlattice",
-    "PlumbingTree",
-    "PoincareAtom",
-    "POINCARE_SPHERE_D",
-    "QuarterPair",
-    "RadiusEmptyError",
-    "ResidueViolationError",
-    "STANDARD_PAIR",
-    "SeifertData",
-    "SpinCClass",
-    "SuiteFailureError",
-    "SuiteReport",
-    "SUITE_NAMES",
-    "TooManyBadVerticesError",
-    "ToolkitError",
-    "UnsupportedDeterminantError",
-    "UnsupportedExpressionError",
-    "Verdict",
-    "ZeroLegFramingError",
-    "a1_lattice",
-    "bad_vertex_indices",
-    "base_characteristic",
-    "canonical_plumbing",
-    "char_class_sign",
-    "characteristic_class_reps",
-    "conjugate_lattice",
-    "d_invariant",
-    "defects",
-    "diagonal_bimodular_lattice",
-    "direct_sum",
-    "discriminant_group",
-    "dual_gram",
-    "e7_lattice",
-    "e8_lattice",
-    "enumerate_in_coset",
-    "evaluate_expression",
-    "extend_covector",
-    "format_fraction",
-    "glue_overlattice",
-    "gram",
-    "gram_from_json",
-    "gram_to_json",
-    "h1_order",
-    "identity_lattice",
-    "is_characteristic",
-    "is_diagonal",
-    "is_diagonal_bimodular",
-    "label_quarter",
-    "lll_reduce_gram",
-    "max_char_square",
-    "min_char_norm",
-    "neg_continued_fraction",
-    "negative_e8_tree",
-    "parse_expression",
-    "parse_fraction",
-    "random_unimodular",
-    "report_verdict",
-    "restrict_covector",
-    "reverse_orientation",
-    "roots",
-    "seifert_class_values",
-    "shortest_in_coset",
-    "spinc_classes",
-    "surgery_cobordism_obstruction",
-    "surgery_difference",
-    "unit_vectors",
-    "validate_lattice",
-    "verify_suite",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

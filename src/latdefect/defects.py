@@ -62,7 +62,7 @@ from .lattice import (
     _require_characteristic,
     _require_positive,
 )
-from .linalg import mat_vec, sign_representatives
+from .linalg import mat_vec, require_rational, sign_representatives
 
 
 @dataclass(frozen=True)
@@ -149,10 +149,13 @@ def min_char_norm(
 
     The returned minimizers are the pairing vectors of the minimizing
     covectors, one representative per {xi, -xi} pair, sorted. Raises
-    RadiusEmptyError, naming radius, when no square is at most radius.
+    RadiusEmptyError, naming radius, when no square is at most radius, and
+    FormatError when radius is not an int or Fraction.
     """
     _require_positive(lat, "min_char_norm")
     check_node_budget(node_budget)
+    if radius is not None:
+        require_rational(radius, "radius")
     if sign == "any":
         wanted, where, problem = None, "", _any_problem(lat, radius)
     else:

@@ -56,13 +56,10 @@ from .linalg import (
     integer_matrix_inverse,
     ldl_decomposition,
     mat_vec,
+    require_rational,
     require_symmetric,
 )
 from .reduction import lll_reduce_gram
-
-
-def _exact(x):
-    return x if type(x) in (int, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -71,8 +68,8 @@ class CosetProblem:
 
     form must be square (FormatError otherwise), symmetric and positive
     definite (checked when factored); radius, when given, is an inclusive
-    upper bound on accepted values. int and Fraction entries of form and
-    target are kept as given, and any other entry becomes a Fraction, so an
+    upper bound on accepted values. Entries and radius must be ints or
+    Fractions (FormatError otherwise). Entries are kept as given, so an
     integral form reaches the search's integer kernel without a round trip
     through Fractions; an int equals, and hashes as, its Fraction.
     """
@@ -82,14 +79,16 @@ class CosetProblem:
     radius: Fraction | None = None
 
     def __init__(self, form, target, radius=None):
-        rows = tuple(tuple(map(_exact, row)) for row in form)
+        rows = tuple(tuple(require_rational(x, "form entry") for x in row) for row in form)
         require_symmetric(rows)
-        tgt = tuple(map(_exact, target))
+        tgt = tuple(require_rational(x, "target entry") for x in target)
         if len(tgt) != len(rows):
             raise ValueError("target length does not match form rank")
         object.__setattr__(self, "form", rows)
         object.__setattr__(self, "target", tgt)
-        object.__setattr__(self, "radius", None if radius is None else Fraction(radius))
+        if radius is not None:
+            radius = Fraction(require_rational(radius, "radius"))
+        object.__setattr__(self, "radius", radius)
 
     @property
     def rank(self) -> int:

@@ -47,8 +47,16 @@ class Overlattice(IntegralLattice):
 
     @property
     def basis_change(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Rows express the overlattice basis in direct-sum coordinates."""
-        return tuple(tuple(Fraction(x, 2) for x in row) for row in _basis2(self.glue))
+        """Rows express the overlattice basis in direct-sum coordinates: unit
+        rows, except e/2 at row k. An Overlattice always has an odd glue
+        entry, since glue_overlattice rejects the even one on its determinant."""
+        k = self.glue.index(1)
+        n = len(self.glue)
+        return tuple(
+            tuple(Fraction(x, 2) for x in self.glue) if i == k
+            else tuple(Fraction(int(i == j)) for j in range(n))
+            for i in range(n)
+        )
 
 
 def _doubled_glue_coordinates(lat: IntegralLattice) -> list[int]:
@@ -87,22 +95,6 @@ def _check_summand_spans(glue2, n_left: int) -> None:
                 f"glue vector is even on the {other_name} summand, so the "
                 f"overlattice meets the {side} span in more than the {side} summand"
             )
-
-
-def _basis2(glue2) -> tuple[tuple[int, ...], ...]:
-    """basis2, the Hermite form of 2 Z^n and glue2, in closed form.
-
-    Modulo 2 Z^n, glue2 is glue2 mod 2. With k its first odd entry, the rows
-    2 e_i (i != k) and glue2 mod 2 in row k are upper triangular with pivots
-    2 and 1, and entries in {0, 1} above each pivot 2: the Hermite form. With
-    no odd entry it is 2I, which the determinant check rejects.
-    """
-    n = len(glue2)
-    rows = [tuple(2 if i == j else 0 for j in range(n)) for i in range(n)]
-    k = next((i for i, x in enumerate(glue2) if x % 2), None)
-    if k is not None:
-        rows[k] = tuple(x % 2 for x in glue2)
-    return tuple(rows)
 
 
 def _glued_gram(gram, e) -> list[list[int]]:

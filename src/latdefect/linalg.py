@@ -156,6 +156,14 @@ def ldl_decomposition(q) -> tuple[list[list[Fraction]], list[Fraction]]:
     return lower, diag
 
 
+def require_rational(x, what: str):
+    """x itself when it is an int or a Fraction, else FormatError naming
+    what: a bool, float or string is not taken as a rational."""
+    if type(x) in (int, Fraction):
+        return x
+    raise FormatError(f"{what} {x!r} is not an int or Fraction")
+
+
 def clear_denominators(mat) -> tuple[list[list[int]], int]:
     """(scale * mat, scale) for the least scale making every entry an integer,
     in new rows that callers may mutate; an all-int matrix is only copied."""

@@ -29,6 +29,7 @@ from .errors import (
     ZeroLegFramingError,
 )
 from .lattice import MAX_GRAM_RANK, E8_EDGES, IntegralLattice, validate_lattice
+from .linalg import require_rational
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,10 @@ class SeifertData:
     legs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "legs", tuple(Fraction(r) for r in self.legs))
+        if type(self.central) is not int:
+            raise FormatError(f"central framing {self.central!r} is not an int")
+        legs = tuple(Fraction(require_rational(r, f"leg {i + 1}")) for i, r in enumerate(self.legs))
+        object.__setattr__(self, "legs", legs)
         for i, r in enumerate(self.legs):
             if r == 0:
                 raise ZeroLegFramingError(f"leg {i + 1} has framing 0")
@@ -117,7 +121,7 @@ class PlumbingTree:
             raise ValueError(f"{len(self.edges)} edges cannot form a tree on {n} vertices")
         seen = set()
         for i, j in self.edges:
-            if not (0 <= i < n and 0 <= j < n) or i == j:
+            if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"invalid edge ({i}, {j})")
             key = (min(i, j), max(i, j))
             if key in seen:
@@ -135,7 +139,7 @@ class PlumbingTree:
         if len(reached) != n:
             raise ValueError("edge set is disconnected")
 
-    @property
+    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         neighbors = [[] for _ in self.weights]
         for i, j in self.edges:
@@ -167,11 +171,7 @@ def gram(tree: PlumbingTree) -> IntegralLattice:
 
 def bad_vertex_indices(tree: PlumbingTree) -> tuple[int, ...]:
     """Vertices whose framing exceeds the negative of their valence."""
-    degree = [0] * tree.rank
-    for i, j in tree.edges:
-        degree[i] += 1
-        degree[j] += 1
-    return tuple(v for v in range(tree.rank) if tree.weights[v] > -degree[v])
+    return tuple(v for v, ns in enumerate(tree.adjacency) if tree.weights[v] > -len(ns))
 
 
 def canonical_plumbing(data: SeifertData) -> PlumbingTree:

@@ -77,14 +77,19 @@ def random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
 
 
 def conjugate_lattice(lat: IntegralLattice, u: list[list[int]]) -> IntegralLattice:
-    """The same bilinear form written in a new basis."""
-    g = mat_mul(mat_mul(transpose(u), [list(r) for r in lat.gram]), u)
-    return validate_lattice([[int(x) for x in row] for row in g])
+    """The same bilinear form written in a new basis.
+
+    det(u^T G u) = det(u)^2 det(G), so the determinants differ exactly when u
+    is not unimodular, and then ToolkitError is raised.
+    """
+    out = validate_lattice(mat_mul(mat_mul(transpose(u), lat.gram), u))
+    if out.determinant != lat.determinant:
+        raise ToolkitError("matrix is not unimodular")
+    return out
 
 
 class _Run:
-    def __init__(self, name: str, rng: random.Random, node_budget):
-        self.name = name
+    def __init__(self, rng: random.Random, node_budget):
         self.rng = rng
         self.node_budget = node_budget
         self.checks = 0
@@ -302,7 +307,7 @@ def verify_suite(
     if type(seed) is not int:
         raise ValueError(f"seed must be an int, got {seed!r}")
     check_node_budget(node_budget)
-    run = _Run(name, random.Random(seed), node_budget)
+    run = _Run(random.Random(seed), node_budget)
     _SUITES[name](run, rank_bound, trials)
     if run.violations:
         raise SuiteFailureError(name, tuple(run.violations))

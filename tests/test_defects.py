@@ -10,6 +10,7 @@ from latdefect import (
     CharClassSign,
     CongruenceViolationError,
     Covector,
+    FormatError,
     NotCharacteristicError,
     UnsupportedDeterminantError,
     a1_lattice,
@@ -156,6 +157,9 @@ def test_min_char_norm_radius_passthrough():
         message = f"^no characteristic covector{where} with square <= {radius}$"
         with pytest.raises(RadiusEmptyError, match=message):
             min_char_norm(lat, sign, radius=radius)
+    for sign, radius in (("any", 8.5), ("plus", "8")):
+        with pytest.raises(FormatError, match=f"^radius {radius!r} is not an int or Fraction$"):
+            min_char_norm(e7_lattice(), sign, radius=radius)
 
 
 def test_characteristic_class_reps_split():

@@ -276,7 +276,6 @@ def hermite_doubled_basis(glue2):
 
 def assert_parity_matches_smith(glue2, n_left):
     basis2 = hermite_doubled_basis(glue2)
-    assert [list(row) for row in GLUE._basis2(glue2)] == basis2
     n = len(glue2)
     smith = passes(smith_saturation_check, basis2, 0, n_left, n) and passes(
         smith_saturation_check, basis2, n_left, n, n
@@ -351,9 +350,7 @@ def test_recognizers_and_glue_take_no_hermite_or_smith_form(monkeypatch):
 
 
 def test_glue_with_an_even_glue_vector_fails_on_the_determinant(monkeypatch):
-    # g = (2, 2) on A1 + A1 adjoins nothing: M = Z^2 has index 1, det 4, and
-    # with no odd entry the closed form is 2I, as the Hermite form is
-    assert [list(row) for row in GLUE._basis2([2, 2])] == hermite_doubled_basis([2, 2])
+    # g = (2, 2) on A1 + A1 adjoins nothing: M = Z^2 has index 1, det 4
     monkeypatch.setattr(GLUE, "_doubled_glue_coordinates", lambda lat: [2])
     with pytest.raises(GlueFailureError, match="determinant is 4"):
         glue_overlattice(a1_lattice(), a1_lattice())

@@ -47,6 +47,12 @@ def test_problem_validation():
         CosetProblem([[1, 2], [3, 1]], [0, 0])
     with pytest.raises(ValueError):
         CosetProblem([[1]], [0, 0])
+    for form, target, radius in (
+        ([[1]], [0.5], None), ([[1]], ["1/2"], None), ([[1]], [True], None),
+        ([[1.0]], [0], None), ([[1]], [0], 0.5), ([[1]], [0], "1"),
+    ):
+        with pytest.raises(FormatError, match="is not an int or Fraction$"):
+            CosetProblem(form, target, radius)
     # coset_minima takes a bare form and integer targets, checked the same way
     with pytest.raises(NotSymmetricError):
         coset_minima([[1, 2], [3, 1]], [([0, 0], 1)])

@@ -65,6 +65,13 @@ def test_seifert_validation():
     with pytest.raises(NotRationalHomologySphereError) as info:
         SeifertData(1, (Fraction(1),))
     assert info.value.exit_code == 2
+    for central, legs, message in (
+        (2, ("15/13",), "leg 1 '15/13' is not an int or Fraction"),
+        (True, (Fraction(3, 2),), "central framing True is not an int"),
+        (1.5, (Fraction(3, 2),), "central framing 1.5 is not an int"),
+    ):
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            SeifertData(central, legs)
 
 
 def test_canonical_plumbing_shape():
@@ -131,6 +138,9 @@ def test_tree_validation():
         PlumbingTree((-2, -2), ((0, 2),))
     with pytest.raises(ValueError, match="invalid edge"):
         PlumbingTree((-2, -2), ((1, 1),))
+    for edge in ((0.0, 1), (True, 0)):
+        with pytest.raises(ValueError, match=r"^invalid edge \("):
+            PlumbingTree((-2, -2), (edge,))
     with pytest.raises(ValueError, match="duplicate edge"):
         PlumbingTree((-2, -2, -2), ((0, 1), (1, 0)))
     with pytest.raises(ValueError, match="disconnected"):

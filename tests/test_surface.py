@@ -33,12 +33,12 @@ BENCH_SOURCES = sorted(BENCH.glob("*.py")) + sorted(BENCH.glob("tests/*.py"))
 DELETED = {
     "enumeration": ("coset_minimum", "rational_cholesky", "_solve", "_factor", "_columns",
                     "_cleared_vector", "_collapse_signs", "_Scaled", "_Worker",
-                    "_require_symmetric"),
+                    "_require_symmetric", "_exact"),
     "linalg": ("bareiss_determinant", "rational_rank", "integer_row_kernel", "first_asymmetry",
                "quadratic_value"),
     "lattice": ("is_minimal", "root_graph", "is_bipartite", "RootGraph"),
     "errors": ("NotRootsError", "NotIndependentError", "UnnormalizedSeifertDataError"),
-    "glue": ("double", "_doubled_gram", "_restricted_pairings"),
+    "glue": ("double", "_doubled_gram", "_restricted_pairings", "_basis2"),
     "defects": ("_halved", "_collapse_pairings"),
     "dinvariant": ("sum_with_homology_spheres", "reverse_pair"),
     "obstruction": ("positive_filling_obstruction", "sphere_filling_obstruction",
@@ -109,6 +109,7 @@ def test_all_is_unique_and_resolves():
     duplicates = [name for name, count in Counter(latdefect.__all__).items() if count > 1]
     assert duplicates == []
     assert [name for name in latdefect.__all__ if not hasattr(latdefect, name)] == []
+    assert [name for name in latdefect.__all__ if inspect.ismodule(getattr(latdefect, name))] == []
 
 
 def test_deleted_names_are_gone():

