@@ -28,14 +28,12 @@ plumbing tree is one), the exact minimum value needs no search: the
 objective is a sum of vertex and edge terms, so a leaf-to-root dynamic
 program over integer-scaled coordinates solves it. Its work is split in
 two. forest_plan gathers once per form what depends on Q alone: the order,
-integer weights, subtree minors and the diagonal of the adjugate, all by
-leaf-to-root elimination on the tree in O(n) integer steps. It runs no
-dense elimination: the caller passes the fraction-free LDL, whose
-nearest-plane constants the plan keeps for every target's bound, and a
-lattice passes the one its validation made.
-plan_solve multiplies a vector by the adjugate in O(n) steps on the same
-minors. plan_minimum then takes one integer target over a denominator, and
-computes each message as a lower-envelope query in integers.
+integer weights and the diagonal of the adjugate, by elimination on the tree
+in O(n) integer steps. It runs no dense elimination: the caller passes the
+fraction-free LDL, whose nearest-plane constants the plan keeps for every
+target's bound, and a lattice passes the one its validation made.
+plan_minimum then takes one integer target over a denominator, and computes
+each message as a lower-envelope query in integers.
 """
 
 from __future__ import annotations
@@ -425,10 +423,8 @@ class ForestPlan(NamedTuple):
     Everything here depends on Q only, so a lattice builds it once for all of
     its spin-c classes. order lists every vertex after its children, and
     parent[v] is -1 at a root. vertex[v] = q_vv and edge[v] = 2 q_vp for
-    p = parent[v] (0 at a root). minors[v] is the determinant of Q on the
-    subtree rooted at v, and products[v] the product of minors[w] over the
-    children w of v, which is the determinant of that subtree with v
-    removed. determinant = det Q, and adjugate_diagonal[v] = det(Q - v) is
+    p = parent[v] (0 at a root). determinant = det Q, and
+    adjugate_diagonal[v] = det(Q - v) is
     the v-th diagonal entry of adj Q = det Q * Q^-1, so (Q^-1)_vv =
     adjugate_diagonal[v] / determinant. nearest_plane holds the
     _nearest_plane_constants of fraction_free_ldl(Q), as the caller made it,
@@ -441,8 +437,6 @@ class ForestPlan(NamedTuple):
     parent: tuple[int, ...]
     vertex: tuple[int, ...]
     edge: tuple[int, ...]
-    minors: tuple[int, ...]
-    products: tuple[int, ...]
     determinant: int
     adjugate_diagonal: tuple[int, ...]
     nearest_plane: tuple
@@ -457,10 +451,12 @@ def forest_plan(form, factor) -> ForestPlan | None:
     runs no dense elimination of its own. Cutting the edge from v to its
     parent p splits a component C into two parts, so
     det C = det(C1) det(C2) - q_vp^2 det(C1 - v) det(C2 - p). Attaching the
-    children one at a time by this rule gives the subtree minors leaf to
-    root without a division. One root-to-leaf pass then reroots: with U_v
-    the determinant of C without the subtree of v and F_v that of C without
-    the subtree of v and without p, F_v = U_p products[p] / minors[v] and
+    children one at a time by this rule gives, leaf to root and without a
+    division, minors[v], the determinant of the subtree rooted at v, and
+    products[v], the product of minors[w] over the children w of v. One
+    root-to-leaf pass then reroots: with U_v the determinant of C without
+    the subtree of v and F_v that of C without the subtree of v and without
+    p, F_v = U_p products[p] / minors[v] and
     U_v = (det C + q_vp^2 products[v] F_v) / minors[v], and
     det(Q - v) = products[v] U_v det Q / det C. Every division is checked to
     be exact, and det Q, the product of the root minors, must equal the last
@@ -505,46 +501,10 @@ def forest_plan(form, factor) -> ForestPlan | None:
         parent=tuple(parent),
         vertex=tuple(vertex),
         edge=tuple(2 * a for a in link),
-        minors=tuple(minors),
-        products=tuple(products),
         determinant=det,
         adjugate_diagonal=tuple(adj),
         nearest_plane=_nearest_plane_constants(factor),
     )
-
-
-def plan_solve(plan: ForestPlan, vec) -> list[int]:
-    """adj Q vec for the integer form Q of the plan and n ints vec
-    (IntegralLattice.solve checks them), in O(n) steps; so
-    Q^-1 vec = (adj Q vec) / determinant.
-
-    Leaf-to-root elimination leaves the row of v as
-    (minors[v] / products[v]) x_v + q_vp x_p = B_v / products[v], with the
-    integers B_v folded in child by child like the minors:
-    B_v <- B_v minors[w] - q_vw B_w P for P the product of the minors of the
-    children folded so far. Root to leaf, N = det Q x then has
-    N_r = B_r det Q / minors[r] at a root and
-    N_u = (B_u det Q - q_up N_p products[u]) / minors[u] below it. Every
-    division is checked to be exact (ToolkitError otherwise).
-    """
-    parent, minors, products, det = plan.parent, plan.minors, plan.products, plan.determinant
-    folded = list(vec)
-    partial = [1] * len(folded)
-    for v in plan.order:
-        p = parent[v]
-        if p >= 0:
-            folded[p] = folded[p] * minors[v] - (plan.edge[v] // 2) * folded[v] * partial[p]
-            partial[p] *= minors[v]
-    out = [0] * len(folded)
-    for v in reversed(plan.order):
-        p = parent[v]
-        if p < 0:
-            out[v] = folded[v] * exact_quotient(det, minors[v])
-        else:
-            out[v] = exact_quotient(
-                folded[v] * det - (plan.edge[v] // 2) * out[p] * products[v], minors[v]
-            )
-    return out
 
 
 def _message(heights, values, weight, queries) -> list[int]:

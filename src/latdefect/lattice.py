@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .enumeration import CosetProblem, ForestPlan, enumerate_in_coset, forest_plan, plan_solve
+from .enumeration import CosetProblem, ForestPlan, enumerate_in_coset, forest_plan
 from .errors import (
     CongruenceViolationError,
     FormatError,
@@ -77,7 +77,7 @@ class IntegralLattice:
     """Definite lattice; sign is +1 for positive definite, -1 for negative.
 
     factor is fraction_free_ldl(positive_gram), the elimination validation
-    ran; the forest plan and every covector solve (solve) reuse it, so no
+    ran; every covector solve (solve) and the forest plan reuse it, so no
     dense adjugate or inverse is built for them.
     """
 
@@ -99,9 +99,8 @@ class IntegralLattice:
     def solve(self, vec) -> list[int]:
         """adj(P) vec = |det| P^-1 vec for the positive definite form P, in integers.
 
-        O(n) on the tree (enumeration.plan_solve) for a forest, O(n^2) on the
-        factor validation made (linalg.factor_solve) otherwise. For the Gram
-        matrix G = sign P as given, G^-1 vec = sign solve(vec) / |det|. An
+        O(n^2) on the factor validation made (linalg.factor_solve). For the
+        Gram matrix G = sign P as given, G^-1 vec = sign solve(vec) / |det|. An
         entry that is not an integer raises NotIntegerError (as Covector's
         do) and a length other than the rank ValueError. The factor's
         determinant must be |det|, or ToolkitError is raised.
@@ -115,9 +114,6 @@ class IntegralLattice:
                 f"factor reached determinant {reached}, "
                 f"the lattice has determinant {self.determinant}"
             )
-        plan = self.forest_plan
-        if plan is not None:
-            return plan_solve(plan, vec)
         return factor_solve(self.factor, vec)
 
     @cached_property
@@ -166,8 +162,7 @@ class IntegralLattice:
 
         Built by elimination on the tree (enumeration.forest_plan) with the
         factor validation left: its determinant, checked against the
-        factor's, is |det|, and its adjugate diagonal and the covector
-        solves on it (solve) need no dense adjugate.
+        factor's, is |det|, and its adjugate diagonal needs no dense adjugate.
         """
         return forest_plan(self.positive_gram, self.factor)
 

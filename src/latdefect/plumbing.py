@@ -28,7 +28,7 @@ from .errors import (
     ToolkitError,
     ZeroLegFramingError,
 )
-from .lattice import MAX_GRAM_RANK, E8_EDGES, IntegralLattice, validate_lattice
+from .lattice import MAX_GRAM_RANK, E8_EDGES, IntegralLattice, _integer_entries, validate_lattice
 from .linalg import require_rational
 
 
@@ -108,12 +108,17 @@ def _ncf_coefficients(value):
 
 @dataclass(frozen=True)
 class PlumbingTree:
-    """Weighted tree; vertices carry integer framings, edges are unordered."""
+    """Weighted tree; vertices carry integer framings, edges are unordered.
+
+    Weights are held to the one integer rule (NotIntegerError otherwise) and
+    stored as ints.
+    """
 
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", _integer_entries(self.weights))
         n = len(self.weights)
         if n == 0:
             raise ValueError("a plumbing tree needs at least one vertex")

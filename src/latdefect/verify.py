@@ -20,6 +20,7 @@ from .lattice import (
     CharClassSign,
     Covector,
     IntegralLattice,
+    _integer_entries,
     a1_lattice,
     base_characteristic,
     char_class_sign,
@@ -79,9 +80,11 @@ def random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
 def conjugate_lattice(lat: IntegralLattice, u: list[list[int]]) -> IntegralLattice:
     """The same bilinear form written in a new basis.
 
-    det(u^T G u) = det(u)^2 det(G), so the determinants differ exactly when u
-    is not unimodular, and then ToolkitError is raised.
+    Each row of u is held to the one integer rule (NotIntegerError
+    otherwise). det(u^T G u) = det(u)^2 det(G), so the determinants differ
+    exactly when u is not unimodular, and then ToolkitError is raised.
     """
+    u = [_integer_entries(row) for row in u]
     out = validate_lattice(mat_mul(mat_mul(transpose(u), lat.gram), u))
     if out.determinant != lat.determinant:
         raise ToolkitError("matrix is not unimodular")

@@ -165,11 +165,10 @@ def test_integer_adjugate_checks_the_determinant():
 
 
 def test_solve_checks_every_division():
-    # the triangle [[2, 1, 1], [1, 2, 1], [1, 1, 2]] is no forest, so solve
-    # runs on the factor: lam = [[], [1], [1, 1]], minors [1, 2, 3, 4]; with
+    # solve runs on the factor, here of the triangle [[2, 1, 1], [1, 2, 1],
+    # [1, 1, 2]]: lam = [[], [1], [1, 1]], minors [1, 2, 3, 4]; with
     # lam[2][0] = 2 the solve meets -5 / 2
     lat = validate_lattice([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
-    assert lat.forest_plan is None
     assert lat.solve([1, 0, 0]) == [3, -1, -1]
     lam, minors, scale = lat.factor
     tampered = replace(lat, factor=([[], [1], [2, 1]], minors, scale))

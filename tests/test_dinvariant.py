@@ -44,7 +44,6 @@ from latdefect import (
 )
 from latdefect.cli import main
 from latdefect.dinvariant import _seifert_tree
-from latdefect.enumeration import plan_solve
 
 DEFECTS = importlib.import_module("latdefect.defects")  # the package re-exports defects()
 
@@ -224,18 +223,14 @@ def test_conjugate_class_has_the_same_correction_term():
         tree, _flipped = _seifert_tree(data)
         lat = tree.lattice
         classes = spinc_classes(lat)
-        plan = lat.forest_plan
-        modulus = 2 * plan.determinant
-        keys = [
-            tuple(x % modulus for x in plan_solve(plan, c.representative.pairings))
-            for c in classes
-        ]
+        modulus = 2 * abs(lat.determinant)
+        keys = [tuple(x % modulus for x in lat.solve(c.representative.pairings)) for c in classes]
         assert len(set(keys)) == len(classes)  # adj p mod 2 |det| names the class
         for cls in classes[:: max(1, len(classes) // 8)]:
             p = cls.representative.pairings
             negated = SpinCClass(Covector(tuple(-x for x in p), lat))
             assert is_characteristic(negated.representative)
-            conjugate = classes[keys.index(tuple(-x % modulus for x in plan_solve(plan, p)))]
+            conjugate = classes[keys.index(tuple(-x % modulus for x in lat.solve(p)))]
             value = d_invariant(tree, cls)
             assert d_invariant(tree, negated) == d_invariant(tree, conjugate) == value
 
@@ -243,10 +238,10 @@ def test_conjugate_class_has_the_same_correction_term():
 def self_conjugate_count(data: SeifertData) -> int:
     """Classes with adj p = 0 mod |det|, that is adj p = -adj p mod 2 |det|."""
     tree, _flipped = _seifert_tree(data)
-    plan = tree.lattice.forest_plan
+    lat = tree.lattice
     return sum(
-        all(x % plan.determinant == 0 for x in plan_solve(plan, c.representative.pairings))
-        for c in spinc_classes(tree.lattice)
+        all(x % lat.determinant == 0 for x in lat.solve(c.representative.pairings))
+        for c in spinc_classes(lat)
     )
 
 

@@ -11,6 +11,7 @@ from latdefect import (
     ExpressionParseError,
     ExpressionTerm,
     FormatError,
+    NotIntegerError,
     NotNegativeDefiniteError,
     NotRationalHomologySphereError,
     PlumbingTree,
@@ -141,6 +142,12 @@ def test_tree_validation():
     for edge in ((0.0, 1), (True, 0)):
         with pytest.raises(ValueError, match=r"^invalid edge \("):
             PlumbingTree((-2, -2), (edge,))
+    # weights follow the one integer rule, checked before anything reads them
+    for weights in (("a",), (-2.5,), (True,)):
+        with pytest.raises(NotIntegerError, match="is not an integer"):
+            PlumbingTree(weights, ())
+    (weight,) = PlumbingTree((Fraction(-3),), ()).weights
+    assert weight == -3 and type(weight) is int
     with pytest.raises(ValueError, match="duplicate edge"):
         PlumbingTree((-2, -2, -2), ((0, 1), (1, 0)))
     with pytest.raises(ValueError, match="disconnected"):

@@ -1,8 +1,8 @@
-"""The tree-native plumbing path: subtree minors, adjugate diagonal and
-adjugate products of the forest plan against the dense fraction-free
-adjugate, spin-c classes from the Hermite box against the Smith route kept
-in tests/helpers.py, and guards that the main example takes no dense
-inversion and no Smith form, and factors its Gram matrix once.
+"""The tree-native plumbing path: determinant and adjugate diagonal of the
+forest plan against the dense fraction-free adjugate, spin-c classes from
+the Hermite box against the Smith route kept in tests/helpers.py, and guards
+that the main example takes no dense inversion and no Smith form, and
+factors its Gram matrix once.
 """
 
 import random
@@ -29,14 +29,13 @@ from latdefect import (
 )
 from latdefect.defects import _class_target
 from latdefect.dinvariant import _seifert_tree
-from latdefect.enumeration import _nearest_plane_constants, forest_plan, plan_solve
+from latdefect.enumeration import _nearest_plane_constants, forest_plan
 from latdefect.linalg import (
     adjugate,
     clear_denominators,
     factor_solve,
     fraction_free_ldl,
     hermite_row_basis,
-    mat_vec,
     reduce_mod_rows,
 )
 
@@ -66,54 +65,19 @@ def forests(draw):
             form[a][b] = form[b][a] = entry([-3, -2, -1, 1, 2, 3])
     for v in range(n):
         form[v][v] = sum(abs(x) for x in form[v]) + entry([1, 2, 3, 4])
-    return form, [draw(st.integers(-9, 9)) for _ in range(n)]
+    return form
 
 
 @SETTINGS
 @given(forests())
-@example(([[Fraction(5)]], [3]))  # rank 1
-@example(([[Fraction(2), 0, 0], [0, Fraction(3), 0], [0, 0, Fraction(5, 2)]], [1, -1, 2]))  # no edges
-def test_plan_matches_the_dense_adjugate(case):
-    form, vec = case
+@example([[Fraction(5)]])  # rank 1
+@example([[Fraction(2), 0, 0], [0, Fraction(3), 0], [0, 0, Fraction(5, 2)]])  # no edges
+def test_plan_matches_the_dense_adjugate(form):
     rows, _scale = clear_denominators(form)
     adj, det = adjugate(rows)
     plan = forest_plan(rows, fraction_free_ldl(rows))
     assert plan.determinant == det
     assert plan.adjugate_diagonal == tuple(adj[v][v] for v in range(len(adj)))
-    assert plan_solve(plan, vec) == mat_vec(adj, vec)
-    for v in range(len(rows)):
-        children = [w for w, q in enumerate(plan.parent) if q == v]
-        assert plan.products[v] == _product(plan.minors[w] for w in children)
-        # the subtree minor of v is the determinant of rows restricted to it
-        subtree = _subtree(plan.parent, v)
-        assert plan.minors[v] == adjugate([[rows[i][j] for j in subtree] for i in subtree])[1]
-
-
-def _product(values):
-    out = 1
-    for x in values:
-        out *= x
-    return out
-
-
-def _subtree(parent, v):
-    inside = {v}
-    grown = True
-    while grown:
-        grown = False
-        for w, p in enumerate(parent):
-            if p in inside and w not in inside:
-                inside.add(w)
-                grown = True
-    return sorted(inside)
-
-
-def test_plan_solve_checks_every_division():
-    plan = forest_plan(A3, fraction_free_ldl(A3))
-    assert plan_solve(plan, [1, 0, 0]) == [3, 2, 1]
-    broken = plan._replace(minors=tuple(m + 1 if m > 2 else m for m in plan.minors))
-    with pytest.raises(ToolkitError, match="not divisible"):
-        plan_solve(broken, [1, 0, 0])
 
 
 def test_plan_determinant_must_match_the_ldl():

@@ -4,10 +4,12 @@ import hashlib
 import json
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from latdefect import (
+    NotIntegerError,
     SUITE_NAMES,
     SuiteFailureError,
     SuiteReport,
@@ -19,6 +21,7 @@ from latdefect import (
     e8_lattice,
     identity_lattice,
     random_unimodular,
+    validate_lattice,
     verify_suite,
 )
 from latdefect.linalg import adjugate
@@ -51,6 +54,11 @@ def test_conjugating_e8_keeps_unimodularity():
     for lat, u in ((a1_lattice(), [[2]]), (identity_lattice(2), [[1, 1], [0, 2]])):
         with pytest.raises(ToolkitError, match="^matrix is not unimodular$"):
             conjugate_lattice(lat, u)
+    # a non-integral basis change of determinant -1 would map A1 + A1 onto
+    # a different integral form; its entries are refused, not rounded
+    half = [[Fraction(1, 2), 1], [Fraction(1, 2), -1]]
+    with pytest.raises(NotIntegerError, match="is not an integer"):
+        conjugate_lattice(validate_lattice([[2, 0], [0, 2]]), half)
 
 
 def test_each_suite_passes_smoke_run():
