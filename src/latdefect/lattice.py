@@ -30,7 +30,6 @@ from .errors import (
     NotBimodularError,
     NotCharacteristicError,
     NotDefiniteError,
-    NotIntegerError,
     NotPositiveDefiniteError,
     ToolkitError,
 )
@@ -40,6 +39,7 @@ from .linalg import (
     factor_solve,
     fraction_free_ldl,
     hermite_row_basis,
+    integer_entries,
     invert_matrix,
     mat_mul,
     reduce_mod_rows,
@@ -105,7 +105,7 @@ class IntegralLattice:
         do) and a length other than the rank ValueError. The factor's
         determinant must be |det|, or ToolkitError is raised.
         """
-        vec = _integer_entries(vec)
+        vec = integer_entries(vec)
         if len(vec) != self.rank:
             raise ValueError(f"vector of length {len(vec)}, the lattice has rank {self.rank}")
         reached = self.factor[1][self.rank]
@@ -181,7 +181,7 @@ class Covector:
     def __post_init__(self):
         if len(self.pairings) != self.lattice.rank:
             raise ValueError("pairing vector length does not match lattice rank")
-        object.__setattr__(self, "pairings", _integer_entries(self.pairings))
+        object.__setattr__(self, "pairings", integer_entries(self.pairings))
 
     @cached_property
     def _adj(self) -> tuple[int, ...]:
@@ -196,7 +196,7 @@ class Covector:
 
     def translate(self, delta) -> "Covector":
         """self + delta; ValueError when delta's length is not the rank."""
-        pairs = zip(self.pairings, _integer_entries(delta), strict=True)
+        pairs = zip(self.pairings, integer_entries(delta), strict=True)
         return Covector(tuple(p + d for p, d in pairs), self.lattice)
 
 
@@ -215,26 +215,6 @@ class DiscriminantGroup:
     generators: tuple[Covector, ...]
 
 
-def _integer_entries(values) -> tuple[int, ...]:
-    """values as a tuple of ints, without truncation.
-
-    ints pass as they are and integral Fractions give their numerators; any
-    other entry (a bool, a float, a string, a Fraction such as 1/2) raises
-    NotIntegerError, where int() would silently round it toward zero. The
-    common all-int case costs one type test per entry.
-    """
-    out = tuple(values)
-    if all(type(x) is int for x in out):
-        return out
-    return tuple(_integer_entry(x) for x in out)
-
-
-def _integer_entry(x) -> int:
-    if type(x) is int or isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    raise NotIntegerError(f"entry {x!r} is not an integer")
-
-
 def validate_lattice(gram) -> IntegralLattice:
     """Check shape, symmetry and definiteness, returning the tagged lattice.
 
@@ -245,7 +225,7 @@ def validate_lattice(gram) -> IntegralLattice:
     every minor is positive; NotDefiniteError reports the first that is not,
     and the last gives the determinant. The factor stays on the lattice.
     """
-    rows = tuple(_integer_entries(row) for row in gram)
+    rows = tuple(integer_entries(row) for row in gram)
     n = len(rows)
     if n == 0:
         raise NotDefiniteError(0, 0)

@@ -11,7 +11,9 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .errors import FormatError, NotPositiveDefiniteError, NotSymmetricError, ToolkitError
+from .errors import (
+    FormatError, NotIntegerError, NotPositiveDefiniteError, NotSymmetricError, ToolkitError,
+)
 
 IntMatrix = Sequence[Sequence[int]]
 
@@ -154,6 +156,23 @@ def ldl_decomposition(q) -> tuple[list[list[Fraction]], list[Fraction]]:
     ]
     diag = [Fraction(minors[k + 1], minors[k] * scale) for k in range(n)]
     return lower, diag
+
+
+def integer_entries(values) -> tuple[int, ...]:
+    """values as a tuple of ints, without truncation: the one integer rule.
+
+    ints pass as they are and integral Fractions give their numerators; any
+    other entry (a bool, a float, a string, a Fraction such as 1/2) raises
+    NotIntegerError, where int() would silently round it toward zero. The
+    common all-int case costs one type test per entry.
+    """
+    out = tuple(values)
+    if all(type(x) is int for x in out):
+        return out
+    for x in out:
+        if type(x) is not int and not (isinstance(x, Fraction) and x.denominator == 1):
+            raise NotIntegerError(f"entry {x!r} is not an integer")
+    return tuple(map(int, out))
 
 
 def require_rational(x, what: str):
@@ -309,13 +328,23 @@ def smith_normal_form(mat: IntMatrix) -> tuple[list[int], list[list[int]], list[
 
 def hermite_row_basis(rows: IntMatrix) -> list[list[int]]:
     """Canonical row Hermite form: pivots positive, entries above a pivot
-    reduced into [0, pivot). Zero rows are dropped."""
-    work = [list(map(int, r)) for r in rows if any(r)]
+    reduced into [0, pivot). Zero rows are dropped; entries follow the one
+    integer rule (integer_entries).
+
+    Two passes (Cohen, A Course in Computational Algebraic Number Theory,
+    2.4): Euclid steps below each pivot reach echelon form; then each row,
+    from the second-to-last up, is reduced against the final rows below it
+    at their pivot columns in order (a multiple of row k moves only columns
+    from pivot k on). The form is unique, so it is the one that reducing
+    above each pivot as it is found gives, with one row operation per
+    nonzero quotient in place of one per pair of rows.
+    """
+    work = [list(r) for r in map(integer_entries, rows) if any(r)]
     if not work:
         return []
-    ncols = len(work[0])
-    pivot_row = 0
-    for col in range(ncols):
+    pivots = []
+    for col in range(len(work[0])):
+        pivot_row = len(pivots)
         while True:
             nz = [i for i in range(pivot_row, len(work)) if work[i][col] != 0]
             if not nz:
@@ -332,20 +361,22 @@ def hermite_row_basis(rows: IntMatrix) -> list[list[int]]:
             if done:
                 if work[pivot_row][col] < 0:
                     work[pivot_row] = [-x for x in work[pivot_row]]
-                for i in range(pivot_row):
-                    q = work[i][col] // work[pivot_row][col]
-                    if q:
-                        work[i] = [x - q * y for x, y in zip(work[i], work[pivot_row])]
-                pivot_row += 1
+                pivots.append(col)
                 break
-        if pivot_row == len(work):
-            break
-    return [r for r in work if any(r)]
+    for i in range(len(pivots) - 2, -1, -1):
+        row = work[i]
+        for k in range(i + 1, len(pivots)):
+            q = row[pivots[k]] // work[k][pivots[k]]
+            if q:
+                row = [x - q * y for x, y in zip(row, work[k])]
+        work[i] = row
+    return work[:len(pivots)]
 
 
 def reduce_mod_rows(vec, hnf_rows) -> list[int]:
-    """Canonical representative of vec modulo the row lattice of hnf_rows."""
-    out = list(map(int, vec))
+    """Canonical representative of vec modulo the row lattice of hnf_rows;
+    vec follows the one integer rule (integer_entries)."""
+    out = list(integer_entries(vec))
     for row in hnf_rows:
         col = next(j for j, x in enumerate(row) if x != 0)
         q = out[col] // row[col]

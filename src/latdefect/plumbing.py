@@ -28,8 +28,8 @@ from .errors import (
     ToolkitError,
     ZeroLegFramingError,
 )
-from .lattice import MAX_GRAM_RANK, E8_EDGES, IntegralLattice, _integer_entries, validate_lattice
-from .linalg import require_rational
+from .lattice import MAX_GRAM_RANK, E8_EDGES, IntegralLattice, validate_lattice
+from .linalg import integer_entries, require_rational
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class PlumbingTree:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _integer_entries(self.weights))
+        object.__setattr__(self, "weights", integer_entries(self.weights))
         n = len(self.weights)
         if n == 0:
             raise ValueError("a plumbing tree needs at least one vertex")

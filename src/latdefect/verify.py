@@ -20,7 +20,6 @@ from .lattice import (
     CharClassSign,
     Covector,
     IntegralLattice,
-    _integer_entries,
     a1_lattice,
     base_characteristic,
     char_class_sign,
@@ -35,7 +34,7 @@ from .lattice import (
     is_diagonal_bimodular,
     validate_lattice,
 )
-from .linalg import mat_mul, mat_vec, transpose
+from .linalg import integer_entries, mat_mul, mat_vec, require_square, transpose
 from .plumbing import SeifertData, canonical_plumbing, h1_order, neg_continued_fraction
 
 # the defaults of verify_suite and of `latdefect verify`
@@ -80,11 +79,15 @@ def random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
 def conjugate_lattice(lat: IntegralLattice, u: list[list[int]]) -> IntegralLattice:
     """The same bilinear form written in a new basis.
 
-    Each row of u is held to the one integer rule (NotIntegerError
-    otherwise). det(u^T G u) = det(u)^2 det(G), so the determinants differ
-    exactly when u is not unimodular, and then ToolkitError is raised.
+    u must be rank x rank (FormatError, or ValueError for another size)
+    and its entries follow the one integer rule (NotIntegerError).
+    det(u^T G u) = det(u)^2 det(G), so the determinants differ exactly when
+    u is not unimodular, and then ToolkitError is raised.
     """
-    u = [_integer_entries(row) for row in u]
+    u = [integer_entries(row) for row in u]
+    require_square(u)
+    if len(u) != lat.rank:
+        raise ValueError(f"basis change of size {len(u)}, the lattice has rank {lat.rank}")
     out = validate_lattice(mat_mul(mat_mul(transpose(u), lat.gram), u))
     if out.determinant != lat.determinant:
         raise ToolkitError("matrix is not unimodular")

@@ -17,7 +17,9 @@ cell_message is the tree dynamic program's message computed cell by cell, the
 oracle of its lower-envelope query; discriminant_generators_by_inverse reads
 discriminant generators off the inverse of the Smith left matrix of the whole
 Gram matrix, the oracle of the orders of the Hermite-box route that replaced
-it, and of its generators when |det| <= 2. forest_minimum runs the tree dynamic
+it, and of its generators when |det| <= 2. per_pivot_hermite_row_basis
+reduces the rows above each pivot as it is found, the oracle of the two-pass
+Hermite form. forest_minimum runs the tree dynamic
 program on one CosetProblem, to be checked against the branch-and-bound
 search; integer_target clears the target of one for coset_minima; smith_spinc_keys walks the spin-c classes through those dense Smith
 generators, the oracle of the Hermite box that replaced it.
@@ -445,6 +447,43 @@ def discriminant_generators_by_inverse(lat):
             column = [left_inv[r][i] for r in range(lat.rank)]
             gens.append(tuple(reduce_mod_rows(column, hnf)))
     return tuple(orders), tuple(gens)
+
+
+def per_pivot_hermite_row_basis(rows) -> list[list[int]]:
+    """Canonical row Hermite form: pivots positive, entries above a pivot
+    reduced into [0, pivot). Zero rows are dropped. Every row above a new
+    pivot is reduced against it as soon as it is found."""
+    work = [list(map(int, r)) for r in rows if any(r)]
+    if not work:
+        return []
+    ncols = len(work[0])
+    pivot_row = 0
+    for col in range(ncols):
+        while True:
+            nz = [i for i in range(pivot_row, len(work)) if work[i][col] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: (abs(work[i][col]), i))
+            work[pivot_row], work[i0] = work[i0], work[pivot_row]
+            done = True
+            for i in range(pivot_row + 1, len(work)):
+                if work[i][col] != 0:
+                    q = work[i][col] // work[pivot_row][col]
+                    work[i] = [x - q * y for x, y in zip(work[i], work[pivot_row])]
+                    if work[i][col] != 0:
+                        done = False
+            if done:
+                if work[pivot_row][col] < 0:
+                    work[pivot_row] = [-x for x in work[pivot_row]]
+                for i in range(pivot_row):
+                    q = work[i][col] // work[pivot_row][col]
+                    if q:
+                        work[i] = [x - q * y for x, y in zip(work[i], work[pivot_row])]
+                pivot_row += 1
+                break
+        if pivot_row == len(work):
+            break
+    return [r for r in work if any(r)]
 
 
 def integer_target(problem):

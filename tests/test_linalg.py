@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from latdefect.errors import FormatError, NotPositiveDefiniteError, NotSymmetricError
+from latdefect import SeifertData, h1_order, parse_expression
+from latdefect.dinvariant import _seifert_tree
+from latdefect.errors import (
+    FormatError,
+    NotIntegerError,
+    NotPositiveDefiniteError,
+    NotSymmetricError,
+)
 from latdefect.linalg import (
     adjugate,
     hermite_row_basis,
@@ -23,7 +30,7 @@ from latdefect.linalg import (
     transpose,
 )
 
-from helpers import smith_row_kernel
+from helpers import per_pivot_hermite_row_basis, smith_row_kernel
 
 
 def random_int_matrix(rng, m, n, span=9):
@@ -184,6 +191,76 @@ def test_hermite_row_basis_canonical():
         assert row[col] > 0
         for above in basis[:k]:
             assert 0 <= above[col] < row[col]
+
+
+def hermite_test_matrix(rng):
+    """1-8 rows of 1-8 entries in -6..6, each row fresh or, from the second
+    on, zero, a repeat or a multiple of an earlier row."""
+    n = rng.randint(1, 8)
+    rows = []
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.randrange(4) if rows else 0
+        if kind == 0:
+            rows.append([rng.randint(-6, 6) for _ in range(n)])
+        elif kind == 1:
+            rows.append([0] * n)
+        else:
+            scale = 1 if kind == 2 else rng.choice((-3, -2, 2, 3))
+            rows.append([scale * x for x in rng.choice(rows)])
+    return rows
+
+
+def test_hermite_row_basis_matches_the_per_pivot_oracle():
+    rng = random.Random(29)
+    shapes = set()
+    for _ in range(500):
+        rows = hermite_test_matrix(rng)
+        basis = hermite_row_basis(rows)
+        assert basis == per_pivot_hermite_row_basis(rows)
+        shapes.add((len(rows) > len(rows[0]), len(basis) < min(len(rows), len(rows[0]))))
+    # wide and tall, of full and of deficient rank
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_hermite_row_basis_matches_the_per_pivot_oracle_on_seifert_plumbings():
+    rng = random.Random(30)
+    checked = 0
+    while checked < 40:
+        legs = tuple(
+            Fraction(rng.choice((-1, 1)) * rng.randint(2, 9), rng.randint(1, 6))
+            for _ in range(rng.randint(1, 4))
+        )
+        data = SeifertData(rng.randint(-3, 3), legs)
+        if data.euler_number == 0 or h1_order(data) > 2000:
+            continue
+        lat = _seifert_tree(data)[0].lattice
+        for gram in (lat.gram, lat.positive_gram):
+            assert hermite_row_basis(gram) == per_pivot_hermite_row_basis(gram)
+        checked += 1
+
+
+def test_main_plumbing_hermite_form_is_the_identity_plus_one_column():
+    (term,) = parse_expression("Y(2; 15/13, 17/3, 23/22)").terms
+    gram = _seifert_tree(term.atom)[0].lattice.positive_gram
+    basis = hermite_row_basis(gram)
+    assert len(basis) == 32
+    for i, row in enumerate(basis[:-1]):
+        assert row[:31] == [int(i == j) for j in range(31)]
+        assert row[31] in (0, 1)
+    assert basis[-1] == [0] * 31 + [2]
+    assert basis == per_pivot_hermite_row_basis(gram)
+
+
+@pytest.mark.parametrize("entry", [2.7, Fraction(3, 2), True, "1"])
+def test_hermite_and_reduction_take_integer_entries_only(entry):
+    # int() would truncate: [[2.7, 0], [0, 3/2]] would give [[2, 0], [0, 1]]
+    with pytest.raises(NotIntegerError, match="is not an integer"):
+        hermite_row_basis([[entry, 0], [0, 2]])
+    with pytest.raises(NotIntegerError, match="is not an integer"):
+        reduce_mod_rows([entry, 1], [[2, 0], [0, 1]])
+    # integral Fractions pass as their numerators
+    assert hermite_row_basis([[Fraction(4, 2), 0], [0, 2]]) == [[2, 0], [0, 2]]
+    assert reduce_mod_rows([Fraction(5), 1], [[2, 0], [0, 1]]) == [1, 0]
 
 
 def test_reduce_mod_rows_idempotent():

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from latdefect import (
+    FormatError,
     NotIntegerError,
     SUITE_NAMES,
     SuiteFailureError,
@@ -59,6 +60,17 @@ def test_conjugating_e8_keeps_unimodularity():
     half = [[Fraction(1, 2), 1], [Fraction(1, 2), -1]]
     with pytest.raises(NotIntegerError, match="is not an integer"):
         conjugate_lattice(validate_lattice([[2, 0], [0, 2]]), half)
+
+
+def test_conjugating_by_a_basis_change_of_the_wrong_shape_is_refused():
+    # mat_mul zips rows with columns: unchecked, 3 x 2 would give A1 + A1
+    # back truncated and 3 x 3 a NotDefiniteError
+    lat = validate_lattice([[2, 0], [0, 2]])
+    for u in ([[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1, 0]]):
+        with pytest.raises(FormatError, match="^row 0 has length"):
+            conjugate_lattice(lat, u)
+    with pytest.raises(ValueError, match="^basis change of size 3, the lattice has rank 2$"):
+        conjugate_lattice(lat, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_each_suite_passes_smoke_run():
