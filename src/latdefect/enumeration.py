@@ -4,8 +4,8 @@ The problem solved here: given a symmetric positive definite rational form Q
 and a rational target t, minimize (t + x)^T Q (t + x) over integer vectors x.
 Levels are eliminated through an exact LDL^T factorization and explored
 depth-first, each level visiting integer candidates in nearest-first zig-zag
-order; the first full descent therefore reproduces the nearest-plane rounding
-of -t and seeds the pruning radius. All arithmetic is exact: a target
+order until the first over the bound; the first full descent therefore
+reproduces the nearest-plane rounding of -t and seeds the pruning radius. All arithmetic is exact: a target
 enters the search as integers big / den, and _scale clears the denominators
 of the factor once per search, so the inner loop works on plain integers.
 An integral form is kept in int from CosetProblem through LLL to the
@@ -51,6 +51,7 @@ from .errors import (
 from .linalg import (
     clear_denominators,
     exact_quotient,
+    integer_entries,
     integer_matrix_inverse,
     ldl_decomposition,
     mat_vec,
@@ -145,6 +146,16 @@ def check_node_budget(node_budget) -> None:
         raise ValueError(f"node_budget must be None or an int of at least 1, got {node_budget!r}")
 
 
+def _integer_target(big, den, rank: int) -> tuple[int, ...]:
+    """big as ints by the one integer rule (integer_entries), and ValueError
+    unless it has rank entries over an int den >= 1: the one target rule of
+    plan_minimum and coset_minima."""
+    big = integer_entries(big)
+    if len(big) != rank or type(den) is not int or den < 1:
+        raise ValueError(f"a target needs {rank} ints over an int den >= 1, got {len(big)} over {den!r}")
+    return big
+
+
 def _check_budget_type(node_budget) -> None:
     if node_budget is not None and type(node_budget) is not int:
         raise ValueError(f"node_budget must be None or an int, got {node_budget!r}")
@@ -210,41 +221,29 @@ def _search(prepared: _Prepared, big, den: int, radius, mode: str, node_budget):
     sbase = [0] * n
     up = [0] * n
     down = [0] * n
-    up_ok = [True] * n
-    down_ok = [True] * n
     i = n - 1
     b = sbase[i] = consts[i]  # the last level depends on no choice
     up[i] = (scales[i] - 2 * b) // (2 * scales[i])
     down[i] = up[i] - 1
     while True:
-        s = scales[i]
-        if up_ok[i] and down_ok[i]:
-            side = 1 if abs(s * up[i] + sbase[i]) <= abs(s * down[i] + sbase[i]) else -1
-        elif up_ok[i]:
-            side = 1
-        elif down_ok[i]:
-            side = -1
+        s, b = scales[i], sbase[i]
+        u, v = s * up[i] + b, s * down[i] + b
+        if abs(u) <= abs(v):
+            cand = up[i]
+            up[i] += 1
         else:
-            i += 1
-            if i == n:
-                break
-            continue
-        cand = up[i] if side == 1 else down[i]
-        u = s * cand + sbase[i]
+            cand, u = down[i], v
+            down[i] -= 1
         total = part[i] + coeff[i] * u * u
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise BudgetExhaustedError(nodes, node_budget)
         if limit is not None and total > limit:
-            if side == 1:
-                up_ok[i] = False
-            else:
-                down_ok[i] = False
+            # candidates come nearest-first, so every later one is over too
+            i += 1
+            if i == n:
+                break
             continue
-        if side == 1:
-            up[i] += 1
-        else:
-            down[i] -= 1
         x[i] = cand
         if i == 0:
             if mode == "collect":
@@ -262,10 +261,8 @@ def _search(prepared: _Prepared, big, den: int, radius, mode: str, node_budget):
         for j, c in scols[i]:
             b += c * x[j]
         sbase[i] = b
-        s = scales[i]
-        up[i] = r0 = (s - 2 * b) // (2 * s)
-        down[i] = r0 - 1
-        up_ok[i] = down_ok[i] = True
+        up[i] = (scales[i] - 2 * b) // (2 * scales[i])
+        down[i] = up[i] - 1
     if unimod is not None:  # listings are never reduced, so hits are bare points
         hits = [tuple(mat_vec(unimod, y)) for y in hits]
     return None if best is None else Fraction(best, value_scale), hits, nodes
@@ -313,15 +310,14 @@ def coset_minima(
     Each search is the one shortest_in_coset runs on that target, node for
     node, but records no minimizer. The form is reduced and factored once,
     and each target is searched on that preparation, with its own
-    node_budget. The form is checked as a CosetProblem's is, and a target
-    of the wrong length or with den <= 0 raises ValueError.
+    node_budget. The form is checked as a CosetProblem's is, and each
+    target as plan_minimum checks it (_integer_target).
     """
     require_symmetric(form)
     prepared = _prepare(form, True)
     out = []
     for big, den in targets:
-        if len(big) != len(form) or den <= 0:
-            raise ValueError("a target needs one integer per form row over a den > 0")
+        big = _integer_target(big, den, len(form))
         best, _hits, nodes = _search(prepared, big, den, None, "value", node_budget)
         out.append((best, nodes))
     return out
@@ -566,6 +562,7 @@ def plan_minimum(
     node_budget is checked against that exact total before any message.
     """
     _check_budget_type(node_budget)
+    big = _integer_target(big, den, len(plan.vertex))
     reach, reach_den = _nearest_plane(plan.nearest_plane, big, den)
     whole = reach_den * plan.determinant
     domains = []

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import FormatError
 from .lattice import MAX_GRAM_ENTRY, MAX_GRAM_RANK
-from .linalg import require_square
+from .linalg import integer_entries, require_square
 
 
 def format_fraction(value) -> str:
@@ -49,7 +49,8 @@ def _require(condition: bool, message: str):
 
 
 def gram_to_json(gram) -> str:
-    rows = [[int(x) for x in row] for row in gram]
+    """The JSON document of a Gram matrix; entries follow integer_entries."""
+    rows = [list(integer_entries(row)) for row in gram]
     return json.dumps({"rank": len(rows), "gram": rows})
 
 

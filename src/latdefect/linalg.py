@@ -199,10 +199,10 @@ def adjugate(mat: IntMatrix) -> tuple[list[list[int]], int]:
     divided by the previous pivot. Every entry stays an integer minor, so each
     division is exact (Bareiss, Math. Comp. 22, 1968), and the last pivot is
     the determinant up to the sign of the row swaps. Raises ValueError on a
-    singular matrix.
+    singular matrix. Entries follow the one integer rule (integer_entries).
     """
     n = len(mat)
-    a = [[int(x) for x in row] + [1 if i == j else 0 for j in range(n)]
+    a = [list(integer_entries(row)) + [1 if i == j else 0 for j in range(n)]
          for i, row in enumerate(mat)]
     sign = 1
     prev = 1
@@ -253,9 +253,9 @@ def smith_normal_form(mat: IntMatrix) -> tuple[list[int], list[list[int]], list[
     """U * mat * V = diag(d) with U, V unimodular, d[i] >= 0 and d[i] | d[i+1].
 
     Returns (d, U, V) where d has length min(rows, cols) and zeros, if any,
-    sit at the end.
+    sit at the end. Entries follow the one integer rule (integer_entries).
     """
-    a = [list(map(int, row)) for row in mat]
+    a = [list(integer_entries(row)) for row in mat]
     m = len(a)
     n = len(a[0]) if m else 0
     left = identity(m)

@@ -252,8 +252,8 @@ def reference_search(form, target):
     Level i (from the last) has offset b = t_i + sum over j > i of
     L_ji (t_j + x_j) and tries x_i nearest-first from round_half_up(-b),
     zig-zagging towards the nearer side (up on a tie); every candidate tried
-    is one node, and a side closes at its first candidate over the best
-    value so far.
+    is one node, and the level ends at its first candidate over the best
+    value so far, as every later candidate is farther.
     """
     lower, diag = fraction_ldl(form)
     n = len(diag)
@@ -265,23 +265,16 @@ def reference_search(form, target):
         b = t[i] + sum(lower[j][i] * (t[j] + x[j]) for j in range(i + 1, n))
         up = _round_half_up(-b)
         down = up - 1
-        up_ok = down_ok = True
-        while up_ok or down_ok:
-            rise = up_ok and (not down_ok or abs(up + b) <= abs(down + b))
-            cand = up if rise else down
+        while True:
+            if abs(up + b) <= abs(down + b):
+                cand, up = up, up + 1
+            else:
+                cand, down = down, down - 1
             total = part + diag[i] * (cand + b) ** 2
             state["nodes"] += 1
             best = state["best"]
             if best is not None and total > best:
-                if rise:
-                    up_ok = False
-                else:
-                    down_ok = False
-                continue
-            if rise:
-                up += 1
-            else:
-                down -= 1
+                return
             x[i] = cand
             if i > 0:
                 level(i - 1, total)

@@ -2,6 +2,7 @@
 serial search as the only one (no entry point takes threads). Only
 shortest_in_coset lets the caller choose the LLL step."""
 
+import hashlib
 import inspect
 import random
 import sys
@@ -14,6 +15,7 @@ from latdefect import (
     BudgetExhaustedError,
     CosetProblem,
     FormatError,
+    NotIntegerError,
     NotPositiveDefiniteError,
     NotSymmetricError,
     RadiusEmptyError,
@@ -28,10 +30,10 @@ from latdefect import (
     verify_suite,
 )
 from latdefect.cli import main
-from latdefect.enumeration import coset_minima
+from latdefect.enumeration import coset_minima, forest_plan, plan_minimum
 from latdefect.errors import EXIT_USAGE
 from latdefect.formats import gram_to_json
-from latdefect.linalg import adjugate, ldl_decomposition, mat_mul, transpose
+from latdefect.linalg import adjugate, fraction_free_ldl, ldl_decomposition, mat_mul, transpose
 from helpers import (
     box_minimum,
     box_points_within,
@@ -58,9 +60,23 @@ def test_problem_validation():
         coset_minima([[1, 2], [3, 1]], [([0, 0], 1)])
     with pytest.raises(FormatError):
         coset_minima([[2, 1]], [([1, 0], 2)])
-    for target in (([0, 0], 1), ([0], 0)):
-        with pytest.raises(ValueError):
-            coset_minima([[1]], [target])
+    # and plan_minimum checks its target by the same rule; it used to truncate
+    # a long target, divide by den = 0 and take min() of no values at den < 0
+    form = [[2, 1, 0], [1, 2, 1], [0, 1, 3]]
+    plan = forest_plan(form, fraction_free_ldl(form))
+    malformed = (ValueError, "^a target needs 3 ints over an int den >= 1, got ")
+    not_integer = (NotIntegerError, "is not an integer")
+    for big, den, (error, match) in (
+        ([1, 1, 1, 1], 2, malformed), ([1, 1], 2, malformed), ([1, 1, 1], 0, malformed),
+        ([1, 1, 1], -2, malformed), ([1, 1, 1], Fraction(2), malformed),
+        ([1, 1, 1], True, malformed), ([Fraction(1, 2), 1, 1], 2, not_integer),
+        ([0.5, 1, 1], 2, not_integer), ([True, 1, 1], 2, not_integer),
+    ):
+        with pytest.raises(error, match=match):
+            plan_minimum(plan, big, den)
+        with pytest.raises(error, match=match):
+            coset_minima(form, [(big, den)])
+    assert plan_minimum(plan, [Fraction(2), 1, 1], 2)[0] == coset_minima(form, [([2, 1, 1], 2)])[0][0]
 
 
 def test_problem_rejects_indefinite_on_solve():
@@ -238,3 +254,34 @@ def test_minimizer_values_are_attained():
         for x in result.minimizers:
             shifted = [t + xi for t, xi in zip([Fraction(v) for v in target], x)]
             assert quadratic_value(gram, shifted) == result.min_norm
+
+
+
+def test_suite_search_nodes_and_minima_are_pinned(monkeypatch):
+    # a gate for search changes: per mode, the searches and node total of the
+    # five verify suites (100 trials, default rank bound, seed 1), and a
+    # digest of each search's mode, minimum and sorted hits, in order. Each
+    # level ends at its first candidate over the bound; when each side of the
+    # zig-zag closed on its own, value mode took 55,920 nodes and collect
+    # mode 45,347, with the same digest.
+    enumeration = sys.modules["latdefect.enumeration"]
+    search = enumeration._search
+    log = []
+
+    def recorded(prepared, big, den, radius, mode, node_budget):
+        out = search(prepared, big, den, radius, mode, node_budget)
+        log.append((mode, out[0], sorted(out[1]), out[2]))
+        return out
+
+    monkeypatch.setattr(enumeration, "_search", recorded)
+    for name in ("elkies", "bimodular", "congruence", "glue", "roundtrip"):
+        verify_suite(name, trials=100, seed=1)
+    totals = {}
+    for mode, _best, _hits, nodes in log:
+        count, total = totals.get(mode, (0, 0))
+        totals[mode] = (count + 1, total + nodes)
+    assert totals == {"value": (258, 40694), "collect": (142, 30468)}
+    text = repr([(mode, best, hits) for mode, best, hits, _nodes in log])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "60b6d45a2872ee1f7af4030ec90ebf6f6eeb0ac35532a3097a5f33418343a1ae"
+    )

@@ -7,6 +7,7 @@ import pytest
 
 from latdefect import (
     FormatError,
+    NotIntegerError,
     SeifertData,
     canonical_plumbing,
     e7_lattice,
@@ -64,6 +65,11 @@ def test_gram_json_roundtrip():
     doc = gram_to_json(rows)
     assert json.loads(doc) == {"rank": 2, "gram": rows}
     assert gram_from_json(doc) == rows
+    assert gram_to_json([[Fraction(4, 2), 1], [1, 3]]) == doc
+    # int() would write [[2]] for 5/2
+    for entry in (Fraction(5, 2), 2.5, True, "2"):
+        with pytest.raises(NotIntegerError, match="is not an integer"):
+            gram_to_json([[entry]])
 
 
 def test_gram_json_diagnostics():

@@ -7,8 +7,8 @@ integer nearest-plane bound are checked against the routes that build
 minimizers or work in Fractions. The integer search loop is checked node for
 node against a recursive search over Fractions, and searches on int Gram
 matrices, which stay ints down to the integer kernel, against their Fraction
-twins. Node counts of min_char_norm are pinned to the values the Fraction
-kernel gave.
+twins. Node counts of min_char_norm are pinned, with each search level ending
+at its first candidate over the bound.
 """
 
 import random
@@ -319,21 +319,21 @@ PINNED_LATTICES = {
 # shortest_in_coset(..., reduce=False) on the same coset problem; its
 # minimizers are offsets, both of each +-pair of pairing vectors.
 PINNED = {
-    ("i3", "any", True): (3, 4, 28),
-    ("e7", "minus", False): (6, 56, 430),
-    ("e7", "minus", True): (6, 28, 430),
-    ("a1+e8", "plus", False): (2, 2, 52),
-    ("a1+e8", "plus", True): (2, 1, 34),
-    ("conj e7", "minus", False): (6, 56, 610),
-    ("conj e7", "minus", True): (6, 28, 433),
-    ("conj i1+e8", "any", False): (1, 2, 79),
-    ("conj i1+e8", "any", True): (1, 1, 28),
-    ("conj d5", "any", False): (4, 16, 189),
-    ("conj d5", "any", True): (4, 8, 108),
-    ("conj d5", "plus", False): (6, 32, 196),
-    ("conj d5", "plus", True): (6, 16, 124),
-    ("conj d5", "minus", False): (4, 16, 102),
-    ("conj d5", "minus", True): (4, 8, 63),
+    ("i3", "any", True): (3, 4, 21),
+    ("e7", "minus", False): (6, 56, 305),
+    ("e7", "minus", True): (6, 28, 305),
+    ("a1+e8", "plus", False): (2, 2, 35),
+    ("a1+e8", "plus", True): (2, 1, 23),
+    ("conj e7", "minus", False): (6, 56, 425),
+    ("conj e7", "minus", True): (6, 28, 307),
+    ("conj i1+e8", "any", False): (1, 2, 53),
+    ("conj i1+e8", "any", True): (1, 1, 19),
+    ("conj d5", "any", False): (4, 16, 131),
+    ("conj d5", "any", True): (4, 8, 77),
+    ("conj d5", "plus", False): (6, 32, 141),
+    ("conj d5", "plus", True): (6, 16, 93),
+    ("conj d5", "minus", False): (4, 16, 73),
+    ("conj d5", "minus", True): (4, 8, 47),
 }
 
 

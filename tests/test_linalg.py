@@ -253,14 +253,21 @@ def test_main_plumbing_hermite_form_is_the_identity_plus_one_column():
 
 @pytest.mark.parametrize("entry", [2.7, Fraction(3, 2), True, "1"])
 def test_hermite_and_reduction_take_integer_entries_only(entry):
-    # int() would truncate: [[2.7, 0], [0, 3/2]] would give [[2, 0], [0, 1]]
+    # int() would truncate: [[2.7, 0], [0, 3/2]] would give [[2, 0], [0, 1]],
+    # the Smith form of [[3/2]] would be [1] and the adjugate of [[2.5]] det 2
     with pytest.raises(NotIntegerError, match="is not an integer"):
         hermite_row_basis([[entry, 0], [0, 2]])
     with pytest.raises(NotIntegerError, match="is not an integer"):
         reduce_mod_rows([entry, 1], [[2, 0], [0, 1]])
+    with pytest.raises(NotIntegerError, match="is not an integer"):
+        smith_normal_form([[entry, 0], [0, 2]])
+    with pytest.raises(NotIntegerError, match="is not an integer"):
+        adjugate([[entry, 0], [0, 2]])
     # integral Fractions pass as their numerators
     assert hermite_row_basis([[Fraction(4, 2), 0], [0, 2]]) == [[2, 0], [0, 2]]
     assert reduce_mod_rows([Fraction(5), 1], [[2, 0], [0, 1]]) == [1, 0]
+    assert smith_normal_form([[Fraction(4, 2), 0], [0, 3]])[0] == [1, 6]
+    assert adjugate([[Fraction(4, 2), 0], [0, 3]]) == ([[3, 0], [0, 2]], 6)
 
 
 def test_reduce_mod_rows_idempotent():
