@@ -61,6 +61,14 @@ from .linalg import (
 from .reduction import lll_reduce_gram
 
 
+def _form_rows(form):
+    """The rows of a search's form as given, once every entry is an int or a
+    Fraction (FormatError) and the form is symmetric."""
+    rows = tuple(tuple(require_rational(x, "form entry") for x in row) for row in form)
+    require_symmetric(rows)
+    return rows
+
+
 @dataclass(frozen=True)
 class CosetProblem:
     """Minimize (target + x)^T form (target + x) over x in Z^n.
@@ -78,8 +86,7 @@ class CosetProblem:
     radius: Fraction | None = None
 
     def __init__(self, form, target, radius=None):
-        rows = tuple(tuple(require_rational(x, "form entry") for x in row) for row in form)
-        require_symmetric(rows)
+        rows = _form_rows(form)
         tgt = tuple(require_rational(x, "target entry") for x in target)
         if len(tgt) != len(rows):
             raise ValueError("target length does not match form rank")
@@ -313,8 +320,7 @@ def coset_minima(
     node_budget. The form is checked as a CosetProblem's is, and each
     target as plan_minimum checks it (_integer_target).
     """
-    require_symmetric(form)
-    prepared = _prepare(form, True)
+    prepared = _prepare(_form_rows(form), True)
     out = []
     for big, den in targets:
         big = _integer_target(big, den, len(form))

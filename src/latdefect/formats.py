@@ -20,10 +20,7 @@ from .linalg import integer_entries, require_square
 
 
 def format_fraction(value) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))
 
 
 # ASCII only: int() also reads other scripts' digits and underscores

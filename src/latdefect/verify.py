@@ -17,7 +17,6 @@ from .enumeration import check_node_budget
 from .errors import SuiteFailureError, ToolkitError
 from .glue import extend_covector, glue_overlattice, restrict_covector
 from .lattice import (
-    CharClassSign,
     Covector,
     IntegralLattice,
     a1_lattice,
@@ -33,6 +32,7 @@ from .lattice import (
     is_diagonal,
     is_diagonal_bimodular,
     validate_lattice,
+    _class_residue,
 )
 from .linalg import integer_entries, mat_mul, mat_vec, require_square, transpose
 from .plumbing import SeifertData, canonical_plumbing, h1_order, neg_continued_fraction
@@ -109,6 +109,10 @@ class _Run:
     def defects(self, lat):
         return defects(lat, node_budget=self.node_budget)
 
+    def conjugated(self, base: IntegralLattice) -> IntegralLattice:
+        """base in a random unimodular basis drawn from the run's rng."""
+        return conjugate_lattice(base, random_unimodular(self.rng, base.rank))
+
 
 def _unimodular_bases(run: _Run, rank_bound: int) -> IntegralLattice:
     """One of I_m, E8 and I_k + E8, drawn uniformly; only the drawn one is
@@ -136,8 +140,7 @@ def _bimodular_bases(run: _Run, rank_bound: int) -> IntegralLattice:
 
 def _suite_elkies(run: _Run, rank_bound: int, trials: int):
     for _ in range(trials):
-        base = _unimodular_bases(run, rank_bound)
-        lat = conjugate_lattice(base, random_unimodular(run.rng, base.rank))
+        lat = run.conjugated(_unimodular_bases(run, rank_bound))
         d = run.defects(lat).d_plus
         run.check(d <= 0, f"unimodular defect {d} > 0 for gram {lat.gram}")
         diagonal = is_diagonal(lat)
@@ -149,8 +152,7 @@ def _suite_elkies(run: _Run, rank_bound: int, trials: int):
 
 def _suite_bimodular(run: _Run, rank_bound: int, trials: int):
     for _ in range(trials):
-        base = _bimodular_bases(run, rank_bound)
-        lat = conjugate_lattice(base, random_unimodular(run.rng, base.rank))
+        lat = run.conjugated(_bimodular_bases(run, rank_bound))
         pair = run.defects(lat)
         total = pair.d_plus + pair.d_minus
         run.check(total <= 0, f"defect sum {total} > 0 for gram {lat.gram}")
@@ -167,8 +169,7 @@ def _suite_bimodular(run: _Run, rank_bound: int, trials: int):
 
 def _suite_congruence(run: _Run, rank_bound: int, trials: int):
     for _ in range(trials):
-        base = _bimodular_bases(run, rank_bound)
-        lat = conjugate_lattice(base, random_unimodular(run.rng, base.rank))
+        lat = run.conjugated(_bimodular_bases(run, rank_bound))
         n = lat.rank
         shift = [run.rng.randint(-3, 3) for _ in range(n)]
         pairings = tuple(
@@ -182,9 +183,8 @@ def _suite_congruence(run: _Run, rank_bound: int, trials: int):
         except ToolkitError as err:
             run.check(False, f"class sign failed: {err}")
             continue
-        expected = (n + 1) % 8 if sign is CharClassSign.PLUS else (n - 1) % 8
         run.check(
-            norm % 8 == expected,
+            norm % 8 == _class_residue(n, sign),
             f"square {norm} has wrong residue for class {sign}",
         )
         gen = discriminant_group(lat).generators[0]
@@ -205,8 +205,7 @@ def _suite_glue(run: _Run, rank_bound: int, trials: int):
     for _ in range(trials):
         base_left = _bimodular_bases(run, rank_bound)
         base_right = _bimodular_bases(run, rank_bound)
-        left = conjugate_lattice(base_left, random_unimodular(run.rng, base_left.rank))
-        right = conjugate_lattice(base_right, random_unimodular(run.rng, base_right.rank))
+        left, right = run.conjugated(base_left), run.conjugated(base_right)
         try:
             over = glue_overlattice(left, right)
         except ToolkitError as err:

@@ -38,17 +38,50 @@ V_j of a torus knot) are the second routes for lens spaces and surgeries on
 torus knots; tau_canonical_d (Nemethi's tau-function) is the second route for
 the canonical class of a Seifert space. tracer_layers reads the benchmark
 tracer's table of traced functions.
+
+The fixtures at the end are the ones several test modules draw: the
+hypothesis settings (examples), the det-2 and unimodular base families, the
+seeded conjugations, the conjugated random-Gram and Seifert plumbing
+strategies, and the package modules whose bindings tests replace. Their
+random calls stay fixed, so that a test's seeds keep drawing the same
+lattices.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import itertools
 import math
+import random
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import sympy
+from hypothesis import HealthCheck, assume, settings
+from hypothesis import strategies as st
+
+from latdefect import (
+    NotRationalHomologySphereError,
+    SeifertData,
+    a1_lattice,
+    conjugate_lattice,
+    diagonal_bimodular_lattice,
+    direct_sum,
+    e7_lattice,
+    e8_lattice,
+    identity_lattice,
+    random_unimodular,
+    validate_lattice,
+)
+from latdefect.dinvariant import _seifert_tree
+
+# package modules whose bindings tests replace; the package re-exports
+# functions under some of these names
+DEFECTS = importlib.import_module("latdefect.defects")
+GLUE = importlib.import_module("latdefect.glue")
+LATTICE = importlib.import_module("latdefect.lattice")
 
 
 def _round_half_up(x: Fraction) -> int:
@@ -185,6 +218,23 @@ def fraction_inverse(mat):
     return [row[n:] for row in a]
 
 
+def _fraction_pivots(q):
+    """(lower, pivots) of the LDL^T elimination of q over Fractions, stopped
+    at its first non-positive pivot, which is kept as the last pivot."""
+    n = len(q)
+    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    pivots = []
+    for j in range(n):
+        pivot = Fraction(q[j][j]) - sum(lower[j][k] ** 2 * pivots[k] for k in range(j))
+        pivots.append(pivot)
+        if pivot <= 0:
+            break
+        for i in range(j + 1, n):
+            off = Fraction(q[i][j]) - sum(lower[i][k] * lower[j][k] * pivots[k] for k in range(j))
+            lower[i][j] = off / pivot
+    return lower, pivots
+
+
 def ldl_validation(rows):
     """Definiteness through a Fraction LDL^T of the sign-normalised matrix.
 
@@ -192,22 +242,12 @@ def ldl_validation(rows):
     first non-positive pivot k, whose leading principal minor is the product
     of the pivots so far.
     """
-    n = len(rows)
     sign = -1 if rows[0][0] < 0 else 1
-    q = [[Fraction(sign * x) for x in row] for row in rows]
-    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    diag = []
-    minor = Fraction(1)
-    for j in range(n):
-        pivot = q[j][j] - sum(lower[j][k] ** 2 * diag[k] for k in range(j))
-        minor *= pivot
-        if pivot <= 0:
-            return ("not definite", j + 1, int(minor))
-        diag.append(pivot)
-        for i in range(j + 1, n):
-            off = q[i][j] - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
-            lower[i][j] = off / pivot
-    return ("definite", sign, int(minor) * sign ** n)
+    _lower, pivots = _fraction_pivots([[sign * x for x in row] for row in rows])
+    minor = int(math.prod(pivots))
+    if pivots[-1] <= 0:
+        return ("not definite", len(pivots), minor)
+    return ("definite", sign, minor * sign ** len(rows))
 
 
 def fraction_ldl(q):
@@ -215,17 +255,9 @@ def fraction_ldl(q):
     names the first non-positive pivot."""
     from latdefect import NotPositiveDefiniteError
 
-    n = len(q)
-    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    diag = [Fraction(0)] * n
-    for j in range(n):
-        pivot = Fraction(q[j][j]) - sum(lower[j][k] ** 2 * diag[k] for k in range(j))
-        if pivot <= 0:
-            raise NotPositiveDefiniteError(j + 1)
-        diag[j] = pivot
-        for i in range(j + 1, n):
-            off = Fraction(q[i][j]) - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
-            lower[i][j] = off / pivot
+    lower, diag = _fraction_pivots(q)
+    if diag and diag[-1] <= 0:
+        raise NotPositiveDefiniteError(len(diag))
     return lower, diag
 
 
@@ -674,3 +706,122 @@ def tracer_layers() -> dict[str, tuple[str, ...]]:
         ):
             return ast.literal_eval(node.value)
     raise AssertionError("bench/tracer.py defines no LAYERS")
+
+
+def examples(n):
+    """Hypothesis settings for n examples, with no deadline and no too_slow
+    health check."""
+    return settings(max_examples=n, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def conjugated(rng, base):
+    """base written in a random unimodular basis drawn from rng."""
+    return conjugate_lattice(base, random_unimodular(rng, base.rank))
+
+
+def seeded_conjugate(seed, bases):
+    """One of the zero-argument constructors bases, drawn by
+    random.Random(seed), built and conjugated by a basis drawn from the same
+    rng."""
+    rng = random.Random(seed)
+    return conjugated(rng, rng.choice(bases)())
+
+
+def a1_plus_e8():
+    return direct_sum(a1_lattice(), e8_lattice())
+
+
+def identity_plus_e8(k):
+    return direct_sum(identity_lattice(k), e8_lattice())
+
+
+def bimodular_bases(ranks, *, with_a1_e8=True):
+    """Zero-argument constructors of the det-2 bases the tests conjugate, in
+    drawing order: A1, E7, A1 + E8 (left out when with_a1_e8 is false), then
+    the diagonal det-2 lattice of each rank in ranks."""
+    fixed = [a1_lattice, e7_lattice] + [a1_plus_e8] * with_a1_e8
+    return fixed + [partial(diagonal_bimodular_lattice, k) for k in ranks]
+
+
+def unimodular_bases(ranks, e8_ranks):
+    """Zero-argument constructors of the elkies suite's bases, in drawing
+    order: E8, I_m for each m in ranks, then I_k + E8 for each k in
+    e8_ranks."""
+    return (
+        [e8_lattice]
+        + [partial(identity_lattice, m) for m in ranks]
+        + [partial(identity_plus_e8, k) for k in e8_ranks]
+    )
+
+
+# one constructor per kind of base, called with the rng, which draws the
+# rank of a diagonal or identity kind: {bimodular: kinds}
+BASE_KINDS = {
+    True: [
+        lambda rng: diagonal_bimodular_lattice(rng.randint(1, 7)),
+        lambda rng: e7_lattice(),
+        lambda rng: a1_plus_e8(),
+    ],
+    False: [
+        lambda rng: identity_lattice(rng.randint(1, 7)),
+        lambda rng: e8_lattice(),
+        lambda rng: identity_plus_e8(rng.randint(1, 2)),
+    ],
+}
+
+
+@st.composite
+def conjugated_lattices(draw, max_rank, max_entry, max_det=None):
+    """Random positive definite Gram matrices (random_spd_gram), at most
+    max_det in determinant when given, in a random basis, negated into
+    negative definite ones half the time."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    lat = validate_lattice(random_spd_gram(rng, max_rank=max_rank, max_entry=max_entry))
+    if max_det is not None:
+        assume(abs(lat.determinant) <= max_det)
+    lat = conjugated(rng, lat)
+    if draw(st.booleans()):
+        lat = validate_lattice([[-x for x in row] for row in lat.gram])
+    return lat
+
+
+def seifert_tree(central, legs):
+    """The plumbing tree of the Seifert space with this central weight and
+    legs sign * num / den for each (sign, num, den), or None when that space
+    is no rational homology sphere."""
+    try:
+        data = SeifertData(central, [Fraction(s * a, b) for s, a, b in legs])
+    except NotRationalHomologySphereError:
+        return None
+    return _seifert_tree(data)[0]
+
+
+def seifert_legs(max_num, max_den):
+    """(central, legs) for seifert_tree: centers and leg signs of both kinds,
+    so that most legs are shifted into the center before they are
+    expanded."""
+    legs = st.tuples(st.sampled_from([1, -1]), st.integers(1, max_num), st.integers(1, max_den))
+    return st.tuples(st.integers(-3, 3), st.lists(legs, min_size=1, max_size=3))
+
+
+@st.composite
+def plumbing_lattices(draw):
+    """The plumbing lattice of a Seifert space with legs up to 7/1 or 1/6
+    and at most 300 spin-c classes; seeded_plumbing_lattice draws the same
+    family from an rng."""
+    tree = seifert_tree(*draw(seifert_legs(7, 6)))
+    assume(tree is not None and abs(tree.lattice.determinant) <= 300)
+    return tree.lattice
+
+
+def seeded_plumbing_lattice(rng):
+    """The plumbing lattice of a Seifert space with 1-3 legs up to 7/1 or
+    1/6 and at most 300 spin-c classes, drawn from rng."""
+    while True:
+        legs = [
+            (rng.choice([1, -1]), rng.randint(1, 7), rng.randint(1, 6))
+            for _ in range(rng.randint(1, 3))
+        ]
+        tree = seifert_tree(rng.randint(-3, 3), legs)
+        if tree is not None and abs(tree.lattice.determinant) <= 300:
+            return tree.lattice

@@ -13,10 +13,9 @@ target alike.
 """
 
 import random
-import sys
 from fractions import Fraction
 
-from helpers import U7, count_linalg_calls, translate_class_reps
+from helpers import LATTICE, U7, bimodular_bases, conjugated, count_linalg_calls, translate_class_reps
 
 from latdefect import (
     CharClassSign,
@@ -27,7 +26,6 @@ from latdefect import (
     conjugate_lattice,
     defects,
     diagonal_bimodular_lattice,
-    direct_sum,
     discriminant_group,
     e7_lattice,
     e8_lattice,
@@ -44,8 +42,6 @@ from latdefect.defects import _class_minima, _class_target
 from latdefect.dinvariant import _seifert_tree
 from latdefect.enumeration import coset_minima
 from latdefect.linalg import integer_matrix_inverse, mat_vec, transpose
-
-LATTICE = sys.modules["latdefect.lattice"]
 
 TREE_LATTICES = (
     [a1_lattice(), e7_lattice(), e8_lattice()]
@@ -183,16 +179,11 @@ def test_one_hermite_form_serves_every_class_question(monkeypatch):
     assert [c.representative for c in classes] == list(reps.values())
 
 
-BIMODULAR_BASES = [a1_lattice, e7_lattice, lambda: direct_sum(a1_lattice(), e8_lattice())] + [
-    (lambda k=k: diagonal_bimodular_lattice(k)) for k in range(1, 7)
-]
-
-
 def test_class_reps_match_the_translated_generator_construction():
+    bases = bimodular_bases(range(1, 7))
     for seed in range(300):
         rng = random.Random(seed)
-        base = rng.choice(BIMODULAR_BASES)()
-        lat = conjugate_lattice(base, random_unimodular(rng, base.rank))
+        lat = conjugated(rng, rng.choice(bases)())
         if rng.random() < 0.5:
             lat = validate_lattice([[-x for x in row] for row in lat.gram])
         found = [(sign, cov.pairings) for sign, cov in characteristic_class_reps(lat).items()]

@@ -12,23 +12,29 @@ tests/helpers.py.
 """
 
 import random
-import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from helpers import (
+    GLUE,
+    bimodular_bases,
+    conjugated,
+    conjugated_lattices,
     count_linalg_calls,
+    examples,
     fraction_extend,
     fraction_glue,
     fraction_restrict,
     integer_target,
     quadratic_value,
-    random_spd_gram,
+    seeded_conjugate,
     smith_saturation_check,
+    unimodular_bases,
     U7,
 )
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from latdefect import (
@@ -44,7 +50,6 @@ from latdefect import (
     conjugate_lattice,
     defects,
     diagonal_bimodular_lattice,
-    direct_sum,
     discriminant_group,
     dual_gram,
     e7_lattice,
@@ -55,7 +60,6 @@ from latdefect import (
     is_diagonal,
     is_diagonal_bimodular,
     min_char_norm,
-    random_unimodular,
     restrict_covector,
     validate_lattice,
 )
@@ -63,47 +67,13 @@ from latdefect.defects import _any_problem, _class_problem
 from latdefect.enumeration import coset_minima, shortest_in_coset
 from latdefect.linalg import adjugate, hermite_row_basis, mat_vec
 
-SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-GLUE = sys.modules["latdefect.glue"]
-BIMODULAR_BASES = [a1_lattice, e7_lattice, lambda: direct_sum(a1_lattice(), e8_lattice())] + [
-    (lambda k=k: diagonal_bimodular_lattice(k)) for k in range(1, 6)
-]
+# seed -> a det-2 or an elkies-suite lattice in a random basis
+conjugated_bimodular = partial(seeded_conjugate, bases=bimodular_bases(range(1, 6)))
+conjugated_unimodular = partial(seeded_conjugate, bases=unimodular_bases(range(1, 9), (1, 2)))
 
 
-# I_m, E8 and I_k + E8, the bases of the elkies suite
-UNIMODULAR_BASES = (
-    [e8_lattice]
-    + [(lambda m=m: identity_lattice(m)) for m in range(1, 9)]
-    + [(lambda k=k: direct_sum(identity_lattice(k), e8_lattice())) for k in (1, 2)]
-)
-
-
-def conjugated_bimodular(seed: int):
-    rng = random.Random(seed)
-    base = rng.choice(BIMODULAR_BASES)()
-    return conjugate_lattice(base, random_unimodular(rng, base.rank))
-
-
-def conjugated_unimodular(seed: int):
-    rng = random.Random(seed)
-    base = rng.choice(UNIMODULAR_BASES)()
-    return conjugate_lattice(base, random_unimodular(rng, base.rank))
-
-
-@st.composite
-def conjugated_lattices(draw):
-    """Random positive definite Gram matrices in a random basis, negated
-    into negative definite ones half the time."""
-    rng = random.Random(draw(st.integers(0, 10**6)))
-    lat = validate_lattice(random_spd_gram(rng, max_rank=7, max_entry=6))
-    lat = conjugate_lattice(lat, random_unimodular(rng, lat.rank))
-    if draw(st.booleans()):
-        lat = validate_lattice([[-x for x in row] for row in lat.gram])
-    return lat
-
-
-@SETTINGS
-@given(conjugated_lattices())
+@examples(60)
+@given(conjugated_lattices(max_rank=7, max_entry=6))
 def test_integer_adjugate_is_det_times_the_fraction_inverse(lat):
     # solve(e_i) is column i of adj P = det P P^-1 for the positive form
     # P = sign G, so adj P = sign |det| G^-1
@@ -117,8 +87,8 @@ def test_integer_adjugate_is_det_times_the_fraction_inverse(lat):
     assert all(type(x) is int for column in columns for x in column)
 
 
-@SETTINGS
-@given(conjugated_lattices(), st.integers(0, 10**6))
+@examples(60)
+@given(conjugated_lattices(max_rank=7, max_entry=6), st.integers(0, 10**6))
 @example(validate_lattice([[7]]), 0)
 @example(validate_lattice([[-7]]), 0)
 def test_solve_matches_the_dense_adjugate(lat, seed):
@@ -217,10 +187,7 @@ def test_smith_form_runs_once_on_the_non_unit_hermite_pivots(monkeypatch):
     rng = random.Random(0)
     bimodular = [conjugated_bimodular(seed) for seed in (0, 1, 6, 9)]
     bimodular += [validate_lattice([[-x for x in row] for row in lat.gram]) for lat in bimodular]
-    unimodular = [
-        conjugate_lattice(base, random_unimodular(rng, base.rank))
-        for base in (identity_lattice(5), e8_lattice())
-    ]
+    unimodular = [conjugated(rng, base) for base in (identity_lattice(5), e8_lattice())]
     d4 = validate_lattice(D4_GRAM)
     for lat in bimodular + unimodular + [d4]:
         discriminant_group(lat)
@@ -283,7 +250,7 @@ def assert_parity_matches_smith(glue2, n_left):
     return smith
 
 
-@SETTINGS
+@examples(60)
 @given(glue_vectors())
 def test_parity_test_matches_smith_saturation_on_planted_glue_vectors(case):
     glue2, n_left = case
@@ -292,7 +259,7 @@ def test_parity_test_matches_smith_saturation_on_planted_glue_vectors(case):
     assert saturated == (not even_half)
 
 
-@SETTINGS
+@examples(60)
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
 def test_parity_test_matches_smith_saturation_on_bimodular_pairs(seed_left, seed_right):
     left, right = conjugated_bimodular(seed_left), conjugated_bimodular(seed_right)

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import lens_d, tau_canonical_d
+from helpers import DEFECTS, lens_d, tau_canonical_d
 
 from latdefect import (
     POINCARE_SPHERE_D,
@@ -45,7 +45,6 @@ from latdefect import (
 from latdefect.cli import main
 from latdefect.dinvariant import _seifert_tree
 
-DEFECTS = importlib.import_module("latdefect.defects")  # the package re-exports defects()
 
 
 def test_e8_boundary_has_d_two():

@@ -52,9 +52,13 @@ def test_problem_validation():
     for form, target, radius in (
         ([[1]], [0.5], None), ([[1]], ["1/2"], None), ([[1]], [True], None),
         ([[1.0]], [0], None), ([[1]], [0], 0.5), ([[1]], [0], "1"),
+        ([[0.5]], [0], None), ([[True]], [0], None), ([["1"]], [0], None),
     ):
         with pytest.raises(FormatError, match="is not an int or Fraction$"):
             CosetProblem(form, target, radius)
+        if (target, radius) == ([0], None):
+            with pytest.raises(FormatError, match="is not an int or Fraction$"):
+                coset_minima(form, [([0], 1)])
     # coset_minima takes a bare form and integer targets, checked the same way
     with pytest.raises(NotSymmetricError):
         coset_minima([[1, 2], [3, 1]], [([0, 0], 1)])

@@ -6,19 +6,19 @@ orders (and generators when |det| <= 2) against the inverse of the Smith
 left matrix, both kept in tests/helpers.py.
 """
 
-import importlib
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
 from helpers import (
+    LATTICE,
     cell_message,
+    conjugated_lattices,
     discriminant_generators_by_inverse,
+    examples,
     forest_minimum,
-    random_spd_gram,
 )
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from latdefect import (
@@ -27,12 +27,10 @@ from latdefect import (
     SeifertData,
     ToolkitError,
     canonical_plumbing,
-    conjugate_lattice,
     discriminant_group,
     evaluate_expression,
     max_char_square,
     parse_expression,
-    random_unimodular,
     spinc_classes,
     validate_lattice,
 )
@@ -42,9 +40,6 @@ from latdefect.dinvariant import _seifert_tree
 from latdefect.enumeration import _message, plan_minimum
 from latdefect.lattice import MAX_SPINC_CLASSES
 from latdefect.linalg import hermite_row_basis, reduce_mod_rows
-
-SETTINGS = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-LATTICE = importlib.import_module("latdefect.lattice")
 
 
 def progression(draw, max_len):
@@ -65,7 +60,7 @@ def messages(draw):
     return heights, values, weight, progression(draw, 12)
 
 
-@SETTINGS
+@examples(200)
 @given(messages())
 @example(([7], [3], 2, [-4, 0, 4]))  # a single line
 @example(([0, 0, 0], [-2, 0, 2], -1, [5]))  # equal heights, a single query
@@ -78,7 +73,7 @@ def test_envelope_message_matches_cells(case):
     )
 
 
-@SETTINGS
+@examples(200)
 @given(
     st.lists(st.integers(-40, 40), min_size=1, max_size=10, unique=True),
     st.lists(st.integers(-40, 40), min_size=1, max_size=10, unique=True),
@@ -145,20 +140,8 @@ def test_many_classes_build_one_plan_and_no_coset_problem(monkeypatch):
     assert problems == []
 
 
-@st.composite
-def lattices(draw):
-    """Positive definite Gram matrices, conjugated by a random unimodular
-    matrix, or negated into negative definite ones."""
-    rng = random.Random(draw(st.integers(0, 10**6)))
-    lat = validate_lattice(random_spd_gram(rng, max_rank=6, max_entry=9))
-    lat = conjugate_lattice(lat, random_unimodular(rng, lat.rank))
-    if draw(st.booleans()):
-        lat = validate_lattice([[-x for x in row] for row in lat.gram])
-    return lat
-
-
-@SETTINGS
-@given(lattices())
+@examples(200)
+@given(conjugated_lattices(max_rank=6, max_entry=9))
 def test_discriminant_generators_match_the_inverse_route(lat):
     # the orders are the oracle's; its generators are matched exactly for
     # |det| <= 2, where the group has one canonical generator at most, and

@@ -18,7 +18,10 @@ from math import gcd
 
 import pytest
 from helpers import (
+    BASE_KINDS,
     babai_value,
+    conjugated,
+    examples,
     fraction_inverse,
     fraction_ldl,
     fraction_lll,
@@ -26,9 +29,10 @@ from helpers import (
     random_spd_gram,
     random_target,
     reference_search,
+    seeded_plumbing_lattice,
     U7,
 )
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from latdefect import (
@@ -36,8 +40,6 @@ from latdefect import (
     CongruenceViolationError,
     CosetProblem,
     NotPositiveDefiniteError,
-    NotRationalHomologySphereError,
-    SeifertData,
     a1_lattice,
     conjugate_lattice,
     defects,
@@ -48,17 +50,13 @@ from latdefect import (
     enumerate_in_coset,
     identity_lattice,
     min_char_norm,
-    random_unimodular,
     shortest_in_coset,
     spinc_classes,
 )
 from latdefect.defects import _any_problem, _class_problem, _class_target, characteristic_class_reps
-from latdefect.dinvariant import _seifert_tree
 from latdefect.enumeration import _nearest_plane, _nearest_plane_constants, coset_minima, plan_minimum
 from latdefect.linalg import clear_denominators, fraction_free_ldl, ldl_decomposition, mat_vec
 from latdefect.reduction import lll_reduce_gram
-
-SETTINGS = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 @st.composite
@@ -91,7 +89,7 @@ def outcome(fn, *args):
         return ("not positive definite", err.pivot_index)
 
 
-@SETTINGS
+@examples(80)
 @given(st.one_of(symmetric_grams(), symmetric_grams(rational=True)))
 def test_integral_lll_matches_fraction_lll(gram):
     expected = outcome(fraction_lll, gram)
@@ -101,7 +99,7 @@ def test_integral_lll_matches_fraction_lll(gram):
         assert all(isinstance(x, Fraction) for row in reduced for x in row)
 
 
-@SETTINGS
+@examples(80)
 @given(st.one_of(symmetric_grams(), symmetric_grams(rational=True)))
 def test_ldl_decomposition_matches_fraction_ldl(gram):
     assert outcome(ldl_decomposition, gram) == outcome(fraction_ldl, gram)
@@ -123,7 +121,7 @@ def test_fraction_free_ldl_is_integral():
     assert lam == [[], [2]]
 
 
-@SETTINGS
+@examples(80)
 @given(st.integers(0, 10**6), st.booleans())
 def test_integer_nearest_plane_equals_fraction_babai(seed, rational):
     rng = random.Random(seed)
@@ -137,7 +135,7 @@ def test_integer_nearest_plane_equals_fraction_babai(seed, rational):
     assert Fraction(reach, reach_den) == babai_value(gram, target) * den * den
 
 
-@SETTINGS
+@examples(80)
 @given(st.integers(0, 10**6))
 def test_coset_minima_is_the_search_without_minimizers(seed):
     rng = random.Random(seed)
@@ -147,7 +145,7 @@ def test_coset_minima_is_the_search_without_minimizers(seed):
     assert coset_minima(gram, [integer_target(problem)]) == [(full.min_norm, full.nodes_visited)]
 
 
-@SETTINGS
+@examples(80)
 @given(st.integers(0, 10**6))
 def test_a_factor_common_to_big_and_den_changes_no_search(seed):
     # coset_minima and plan_minimum take each target (big, den) as given, in
@@ -163,7 +161,7 @@ def test_a_factor_common_to_big_and_den_changes_no_search(seed):
         assert coset_minima(gram, [([k * b for b in big], k * den)]) == [
             (full.min_norm, full.nodes_visited)
         ]
-    lat = seifert_lattice(rng)
+    lat = seeded_plumbing_lattice(rng)
     classes = spinc_classes(lat)
     for cls in classes[:: max(1, len(classes) // 4)]:
         adj, den = _class_target(cls.representative)
@@ -176,23 +174,7 @@ def test_a_factor_common_to_big_and_den_changes_no_search(seed):
             assert plan_minimum(lat.forest_plan, [k * x for x in low[0]], k * low[1]) == expected
 
 
-def seifert_lattice(rng):
-    """The plumbing lattice of a seeded Seifert space with 1-3 legs and at
-    most 300 spin-c classes."""
-    while True:
-        legs = [
-            Fraction(rng.choice([1, -1]) * rng.randint(1, 7), rng.randint(1, 6))
-            for _ in range(rng.randint(1, 3))
-        ]
-        try:
-            tree, _flipped = _seifert_tree(SeifertData(rng.randint(-3, 3), legs))
-        except NotRationalHomologySphereError:
-            continue
-        if abs(tree.lattice.determinant) <= 300:
-            return tree.lattice
-
-
-@SETTINGS
+@examples(80)
 @given(st.integers(0, 10**6), st.booleans())
 def test_flat_search_visits_the_reference_nodes(seed, integral):
     # value, minimizers and node count of the integer loop equal those of
@@ -210,28 +192,11 @@ def test_flat_search_visits_the_reference_nodes(seed, integral):
     assert list(reduced.minimizers) == sorted(tuple(mat_vec(u, list(y))) for y in hits)
 
 
-def conjugated(rng, base):
-    return conjugate_lattice(base, random_unimodular(rng, base.rank))
-
-
-UNIMODULAR_BASES = [
-    lambda rng: identity_lattice(rng.randint(1, 7)),
-    lambda rng: e8_lattice(),
-    lambda rng: direct_sum(identity_lattice(rng.randint(1, 2)), e8_lattice()),
-]
-BIMODULAR_BASES = [
-    lambda rng: diagonal_bimodular_lattice(rng.randint(1, 7)),
-    lambda rng: e7_lattice(),
-    lambda rng: direct_sum(a1_lattice(), e8_lattice()),
-]
-
-
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@examples(40)
 @given(st.integers(0, 10**6), st.booleans())
 def test_value_only_defects_match_min_char_norm(seed, bimodular):
     rng = random.Random(seed)
-    bases = BIMODULAR_BASES if bimodular else UNIMODULAR_BASES
-    lat = conjugated(rng, rng.choice(bases)(rng))
+    lat = conjugated(rng, rng.choice(BASE_KINDS[bimodular])(rng))
     n = lat.rank
     got = defects(lat)
     if bimodular:
@@ -243,13 +208,13 @@ def test_value_only_defects_match_min_char_norm(seed, bimodular):
         assert got.d_plus == got.d_minus == Fraction(square - n, 4)
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@examples(40)
 @given(st.integers(0, 10**6), st.booleans())
 def test_int_forms_search_as_their_fraction_twins(seed, bimodular):
     # the int Gram skips the Fraction round trip; every result, node counts
     # included, is that of the same problem given in Fractions
     rng = random.Random(seed)
-    lat = conjugated(rng, rng.choice(BIMODULAR_BASES if bimodular else UNIMODULAR_BASES)(rng))
+    lat = conjugated(rng, rng.choice(BASE_KINDS[bimodular])(rng))
     gram = [list(row) for row in lat.gram]
     target = [rng.choice([0, 1, -1, Fraction(1, 2), Fraction(-2, 3)]) for _ in gram]
     problem = CosetProblem(gram, target)
@@ -267,7 +232,7 @@ def test_int_forms_search_as_their_fraction_twins(seed, bimodular):
     )
 
 
-@SETTINGS
+@examples(80)
 @given(symmetric_grams())
 def test_integral_lll_returns_ints_and_leaves_its_argument(gram):
     before = [row[:] for row in gram]

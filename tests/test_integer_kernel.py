@@ -11,7 +11,11 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    GLUE,
+    bimodular_bases,
+    conjugated,
     count_linalg_calls,
+    examples,
     fraction_extend,
     fraction_glue,
     fraction_inverse,
@@ -21,7 +25,7 @@ from helpers import (
     tracer_layers,
     U7,
 )
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import latdefect
@@ -33,7 +37,6 @@ from latdefect import (
     a1_lattice,
     base_characteristic,
     conjugate_lattice,
-    diagonal_bimodular_lattice,
     e7_lattice,
     extend_covector,
     glue_overlattice,
@@ -43,9 +46,6 @@ from latdefect import (
     validate_lattice,
 )
 from latdefect.linalg import integer_matrix_inverse, invert_matrix
-
-SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-GLUE = sys.modules["latdefect.glue"]
 
 
 @st.composite
@@ -90,26 +90,26 @@ def assert_inverse_matches(mat):
     assert invert_matrix(mat) == expected
 
 
-@SETTINGS
+@examples(60)
 @given(square_matrices())
 def test_invert_integer_matrices(mat):
     assert_inverse_matches(mat)
 
 
-@SETTINGS
+@examples(60)
 @given(square_matrices(rational=True))
 def test_invert_rational_matrices(mat):
     assert_inverse_matches(mat)
 
 
-@SETTINGS
+@examples(60)
 @given(swapped_triangular())
 def test_invert_with_row_swaps(mat):
     assert mat[0][0] == 0
     assert invert_matrix(mat) == fraction_inverse(mat)
 
 
-@SETTINGS
+@examples(60)
 @given(singular_matrices())
 def test_singular_input_raises(mat):
     with pytest.raises(ValueError):
@@ -118,14 +118,14 @@ def test_singular_input_raises(mat):
         integer_matrix_inverse(mat)
 
 
-@SETTINGS
+@examples(60)
 @given(st.integers(1, 12), st.integers(0, 10**6))
 def test_integer_inverse_of_unimodular(n, seed):
     u = random_unimodular(random.Random(seed), n)
     assert integer_matrix_inverse(u) == fraction_inverse(u)
 
 
-@SETTINGS
+@examples(60)
 @given(square_matrices(max_rank=8))
 def test_integer_inverse_rejects_non_unimodular(mat):
     try:
@@ -160,7 +160,7 @@ def symmetric_matrices(draw):
     return [[sign * x for x in row] for row in rows]
 
 
-@SETTINGS
+@examples(60)
 @given(symmetric_matrices())
 def test_validation_matches_ldl(rows):
     expected = ldl_validation(rows)
@@ -190,9 +190,8 @@ def test_validation_reports_the_first_failing_minor():
     assert (info.value.index, info.value.minor) == (2, -1)
 
 
-BIMODULAR_BASES = [a1_lattice, e7_lattice] + [
-    (lambda k=k: diagonal_bimodular_lattice(k)) for k in range(1, 5)
-]
+# one list for every draw: hypothesis draws differently from a new list
+PAIR_BASES = bimodular_bases(range(1, 5), with_a1_e8=False)
 
 
 @st.composite
@@ -200,13 +199,12 @@ def bimodular_pairs(draw):
     """Two determinant-2 lattices, each in a random unimodular basis."""
     out = []
     for _ in range(2):
-        base = draw(st.sampled_from(BIMODULAR_BASES))()
-        u = random_unimodular(random.Random(draw(st.integers(0, 10**6))), base.rank)
-        out.append(conjugate_lattice(base, u))
+        base = draw(st.sampled_from(PAIR_BASES))()
+        out.append(conjugated(random.Random(draw(st.integers(0, 10**6))), base))
     return tuple(out)
 
 
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@examples(30)
 @given(bimodular_pairs(), st.randoms(use_true_random=False))
 def test_glue_matches_fraction_route(pair, rng):
     left, right = pair

@@ -6,7 +6,8 @@ Both are read here with ast, without importing or running the benchmark, so
 a deletion in the library that would break it fails this suite first. The
 library's own source is read the same way, to check that it holds no assert
 and that every error class it declares is raised somewhere, and with the
-tests, that no module imports a name it never reads.
+tests, that no module imports a name it never reads. The tests are also read
+for names that two of their modules define.
 """
 
 import ast
@@ -211,3 +212,26 @@ def test_no_module_imports_a_name_it_never_reads():
     paths += sorted(TESTS.glob("*.py"))
     assert len(paths) > 30
     assert [entry for path in paths for entry in unread_imports(path)] == []
+
+
+def module_level_names(path: Path) -> set[str]:
+    """Names one module defines at its top level by def, class or
+    assignment, other than its test_* functions."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if not name.startswith("test_")}
+
+
+def test_no_two_test_modules_define_the_same_name():
+    # a fixture, oracle or module binding shared by tests lives once, in
+    # tests/helpers.py
+    owners = {}
+    for path in sorted(TESTS.glob("*.py")):
+        for name in module_level_names(path):
+            owners.setdefault(name, []).append(path.name)
+    assert {name: paths for name, paths in owners.items() if len(paths) > 1} == {}

@@ -6,19 +6,16 @@ weighted forests and on every spin-c class of small Seifert plumbings. Node
 budgets are exact for the tree DP and for every mode of the search.
 """
 
-import importlib
 from fractions import Fraction
 
 import pytest
-from helpers import forest_minimum, integer_target
-from hypothesis import HealthCheck, assume, given, settings
+from helpers import DEFECTS, examples, forest_minimum, integer_target, seifert_legs, seifert_tree
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from latdefect import (
     BudgetExhaustedError,
     CosetProblem,
-    NotRationalHomologySphereError,
-    SeifertData,
     base_characteristic,
     gram,
     max_char_square,
@@ -28,12 +25,8 @@ from latdefect import (
     validate_lattice,
 )
 from latdefect.cli import main
-from latdefect.dinvariant import _seifert_tree
 from latdefect.enumeration import coset_minima, enumerate_in_coset
 from latdefect.linalg import adjugate, mat_vec
-
-SLOW = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-DEFECTS = importlib.import_module("latdefect.defects")  # the package re-exports defects()
 
 
 @st.composite
@@ -56,7 +49,7 @@ def forest_problems(draw):
     return CosetProblem(form, target)
 
 
-@SLOW
+@examples(40)
 @given(forest_problems())
 def test_forest_minimum_matches_branch_and_bound(problem):
     value, nodes = forest_minimum(problem)
@@ -80,23 +73,11 @@ def test_forest_minimum_rejects_cycles_and_radius():
         forest_minimum(CosetProblem([[1]], [0], radius=1))
 
 
-def small_seifert_lattices():
-    """Centers and leg signs of both kinds, so that most legs are shifted
-    into the center before they are expanded."""
-    legs = st.tuples(st.sampled_from([1, -1]), st.integers(1, 5), st.integers(1, 4))
-    return st.tuples(st.integers(-3, 3), st.lists(legs, min_size=1, max_size=3))
-
-
-@SLOW
-@given(small_seifert_lattices())
+@examples(40)
+@given(seifert_legs(5, 4))
 def test_max_char_square_matches_search_on_every_class(raw):
-    central, legs = raw
-    try:
-        data = SeifertData(central, [Fraction(s * a, b) for s, a, b in legs])
-    except NotRationalHomologySphereError:
-        assume(False)
-    tree, _flipped = _seifert_tree(data)
-    assume(tree.rank <= 10)
+    tree = seifert_tree(*raw)
+    assume(tree is not None and tree.rank <= 10)
     lat = gram(tree)
     assume(abs(lat.determinant) <= 40)
     for cls in spinc_classes(lat):

@@ -5,27 +5,28 @@ that the main example takes no dense inversion and no Smith form, and
 factors its Gram matrix once.
 """
 
-import random
 import sys
 from fractions import Fraction
 
 import pytest
-from helpers import count_linalg_calls, random_spd_gram, smith_spinc_keys
-from hypothesis import HealthCheck, assume, example, given, settings
+from helpers import (
+    conjugated_lattices,
+    count_linalg_calls,
+    examples,
+    plumbing_lattices,
+    smith_spinc_keys,
+)
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from latdefect import (
-    NotRationalHomologySphereError,
     SeifertData,
     ToolkitError,
     canonical_plumbing,
-    conjugate_lattice,
     evaluate_expression,
     is_characteristic,
     parse_expression,
-    random_unimodular,
     spinc_classes,
-    validate_lattice,
 )
 from latdefect.defects import _class_target
 from latdefect.dinvariant import _seifert_tree
@@ -39,7 +40,6 @@ from latdefect.linalg import (
     reduce_mod_rows,
 )
 
-SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 
 
@@ -68,7 +68,7 @@ def forests(draw):
     return form
 
 
-@SETTINGS
+@examples(150)
 @given(forests())
 @example([[Fraction(5)]])  # rank 1
 @example([[Fraction(2), 0, 0], [0, Fraction(3), 0], [0, 0, Fraction(5, 2)]])  # no edges
@@ -109,40 +109,8 @@ def test_lattice_plan_reads_no_dense_adjugate(monkeypatch):
     assert calls == {"adjugate": [], "invert_matrix": []}
 
 
-def small_seifert_lattices():
-    """Centers and leg signs of both kinds, so that most legs are shifted
-    into the center before they are expanded."""
-    legs = st.tuples(st.sampled_from([1, -1]), st.integers(1, 7), st.integers(1, 6))
-    return st.tuples(st.integers(-3, 3), st.lists(legs, min_size=1, max_size=3))
-
-
-@st.composite
-def plumbing_lattices(draw):
-    central, legs = draw(small_seifert_lattices())
-    try:
-        data = SeifertData(central, [Fraction(s * a, b) for s, a, b in legs])
-    except NotRationalHomologySphereError:
-        assume(False)
-    tree, _flipped = _seifert_tree(data)
-    assume(abs(tree.lattice.determinant) <= 300)
-    return tree.lattice
-
-
-@st.composite
-def conjugated_lattices(draw):
-    """Positive definite Gram matrices conjugated by a random unimodular
-    matrix, or negated into negative definite ones."""
-    rng = random.Random(draw(st.integers(0, 10**6)))
-    lat = validate_lattice(random_spd_gram(rng, max_rank=6, max_entry=5))
-    assume(abs(lat.determinant) <= 1000)
-    lat = conjugate_lattice(lat, random_unimodular(rng, lat.rank))
-    if draw(st.booleans()):
-        lat = validate_lattice([[-x for x in row] for row in lat.gram])
-    return lat
-
-
-@SETTINGS
-@given(st.one_of(plumbing_lattices(), conjugated_lattices()))
+@examples(150)
+@given(st.one_of(plumbing_lattices(), conjugated_lattices(max_rank=6, max_entry=5, max_det=1000)))
 def test_hermite_box_classes_match_the_smith_route(lat):
     classes = spinc_classes(lat)
     assert len(classes) == abs(lat.determinant)
