@@ -33,6 +33,7 @@ from .errors import (
     UnsupportedExpressionError,
 )
 from .lattice import SpinCClass, spinc_classes
+from .linalg import require_rational
 from .plumbing import (
     ConnectedSum,
     PlumbingTree,
@@ -85,11 +86,12 @@ class QuarterPair:
 
 
 def label_quarter(values) -> QuarterPair:
-    """Split two correction terms by residue mod 2."""
+    """Split two correction terms by residue mod 2; a term that is not an
+    int or Fraction raises FormatError."""
     quarter = []
     minus = []
     for v in values:
-        v = Fraction(v)
+        v = Fraction(require_rational(v, "correction term"))
         if (v - Fraction(1, 4)) % 2 == 0:
             quarter.append(v)
         elif (v + Fraction(1, 4)) % 2 == 0:

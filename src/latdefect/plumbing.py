@@ -90,9 +90,10 @@ def neg_continued_fraction(value: Fraction) -> NcfExpansion:
     """Expand a rational into its negative continued fraction.
 
     Each step takes the floor, so every tail lies in (-inf, -1) and all
-    coefficients beyond a value below -1 are at most -2.
+    coefficients beyond a value below -1 are at most -2. A value that is not
+    an int or Fraction raises FormatError.
     """
-    return NcfExpansion(tuple(_ncf_coefficients(value)))
+    return NcfExpansion(tuple(_ncf_coefficients(require_rational(value, "value"))))
 
 
 def _ncf_coefficients(value):

@@ -1,49 +1,23 @@
-"""Shared test utilities.
+"""Shared test utilities: second routes (oracles), the call counter and the
+fixtures several test modules draw.
 
-box_minimum is an independent oracle for the coset minimization problem: it
-derives coordinate bounds from the diagonal of the inverse form (a
-Cauchy-Schwarz argument), takes the inverse from sympy, and walks the whole
-box. Nothing in it touches the package's own linear algebra.
+Each oracle is independent of the code it checks. box_minimum walks the
+whole box, bounded by the diagonal of sympy's inverse of the form. The
+Fraction routes are the ones the integer-only kernel replaced:
+fraction_inverse, ldl_validation, fraction_ldl, fraction_lll, babai_value,
+reference_search (the oracle of the search's node counts), and
+fraction_glue with fraction_restrict and fraction_extend. The dense Smith
+and per-pivot routes are the ones the Hermite box, the two-pass Hermite
+form and the closed forms replaced: discriminant_generators_by_inverse,
+smith_spinc_keys, translate_class_reps, per_pivot_hermite_row_basis,
+smith_row_kernel, smith_saturation_check and cell_message. lens_d,
+torus_knot_v and tau_canonical_d are closed forms from the literature.
 
-The Fraction routes below are the oracles of the integer-only lattice kernel:
-Gauss-Jordan inversion over Fractions, Gram validation through a Fraction
-LDL^T factorization, the Fraction LDL^T and Gram-Schmidt LLL that the
-fraction-free ones replaced, the nearest-plane value on that Fraction LDL^T
-(babai_value), and gluing on the half-integral basis with
-Fraction matrices. Gluing still takes its discriminant generator and Hermite form from
-the package, since only the arithmetic around them is under test.
-
-cell_message is the tree dynamic program's message computed cell by cell, the
-oracle of its lower-envelope query; discriminant_generators_by_inverse reads
-discriminant generators off the inverse of the Smith left matrix of the whole
-Gram matrix, the oracle of the orders of the Hermite-box route that replaced
-it, and of its generators when |det| <= 2. per_pivot_hermite_row_basis
-reduces the rows above each pivot as it is found, the oracle of the two-pass
-Hermite form. forest_minimum runs the tree dynamic
-program on one CosetProblem, to be checked against the branch-and-bound
-search; integer_target clears the target of one for coset_minima; smith_spinc_keys walks the spin-c classes through those dense Smith
-generators, the oracle of the Hermite box that replaced it.
-smith_row_kernel reads an integer row kernel off a Smith form, the oracle of
-the unit count in is_diagonal_bimodular; smith_saturation_check uses it to
-test how the glued overlattice meets a summand's span, the oracle of the
-parity test that replaced it. count_linalg_calls records which linear algebra a call reaches.
-reference_search is the branch-and-bound search written recursively over
-the Fraction LDL^T, the oracle of the flat integer loop's node counts.
-translate_class_reps is the characteristic classes of a |det| = 2 lattice
-built as chi and chi + 2 * (discriminant generator), the oracle of the
-spin-c box that replaced it. U7 is a fixed unimodular basis change that
-takes E7 off the forests.
-lens_d (Ozsvath-Szabo's recursion for lens spaces) and torus_knot_v (Ni-Wu's
-V_j of a torus knot) are the second routes for lens spaces and surgeries on
-torus knots; tau_canonical_d (Nemethi's tau-function) is the second route for
-the canonical class of a Seifert space. tracer_layers reads the benchmark
-tracer's table of traced functions.
-
-The fixtures at the end are the ones several test modules draw: the
-hypothesis settings (examples), the det-2 and unimodular base families, the
-seeded conjugations, the conjugated random-Gram and Seifert plumbing
-strategies, and the package modules whose bindings tests replace. Their
-random calls stay fixed, so that a test's seeds keep drawing the same
+forest_minimum runs the tree DP on one CosetProblem, integer_target clears
+a CosetProblem's target for coset_minima, count_calls records the package
+functions a call reaches and on what sizes, and tracer_layers reads the
+benchmark tracer's table. U7 takes E7 off the forests. The fixtures keep
+their random calls fixed, so that a test's seeds keep drawing the same
 lattices.
 """
 
@@ -51,9 +25,11 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -618,27 +594,47 @@ def smith_saturation_check(basis2, lo: int, hi: int, n: int) -> None:
         raise GlueFailureError("intersection with a summand is a proper sublattice")
 
 
-def count_linalg_calls(monkeypatch, names):
-    """Replace every package binding of the named latdefect.linalg functions
-    with a wrapper that records the size of each matrix it is given; returns
-    {name: [sizes]}."""
-    import sys
+def _recording(original, sizes):
+    """original, wrapped to append the size of each call to sizes."""
+    params = list(inspect.signature(original).parameters)
+    index = next(i for i, p in enumerate(params) if p not in ("self", "factor"))
 
-    linalg = sys.modules["latdefect.linalg"]
-    calls = {name: [] for name in names}
+    def counted(*args, **kwargs):
+        sizes.append(len(args[index] if index < len(args) else kwargs[params[index]]))
+        return original(*args, **kwargs)
+
+    return counted
+
+
+def count_calls(monkeypatch, names):
+    """Wrap each named function ("module.function" or "module.Class.method"
+    under latdefect) at every package binding, recording the size of each
+    call: the length of its first argument other than self or a factor.
+    ValueError unless the name is a function defined in that module, so a
+    re-export or a misspelt name cannot leave a count empty. Returns
+    ({name: [sizes]}, {name: number of bindings wrapped})."""
+    calls, bindings = {}, {}
     for name in names:
-        original = getattr(linalg, name)
-
-        def counted(mat, *args, _name=name, _original=original):
-            calls[_name].append(len(mat))
-            return _original(mat, *args)
-
-        for module_name, module in list(sys.modules.items()):
-            if module_name == "latdefect" or module_name.startswith("latdefect."):
-                for attribute, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attribute, counted)
-    return calls
+        module_name, *path = name.split(".")
+        module = importlib.import_module(f"latdefect.{module_name}")
+        owner = getattr(module, path[0], None) if len(path) > 1 else module
+        original = getattr(owner, path[-1], None)
+        if not (
+            inspect.isfunction(original)
+            and original.__module__ == module.__name__
+            and original.__qualname__ == ".".join(path)
+        ):
+            raise ValueError(f"{name} is not a function defined in {module.__name__}")
+        if owner is module:
+            packages = [m for key, m in sys.modules.items() if key.split(".")[0] == "latdefect"]
+            targets = [(m, key) for m in packages for key, value in vars(m).items() if value is original]
+        else:  # a method: its class holds the one binding
+            targets = [(owner, path[-1])]
+        counted = _recording(original, calls.setdefault(name, []))
+        for target, attribute in targets:
+            monkeypatch.setattr(target, attribute, counted)
+        bindings[name] = len(targets)
+    return calls, bindings
 
 
 def lens_d(p: int, q: int, i: int) -> Fraction:
@@ -735,24 +731,22 @@ def identity_plus_e8(k):
     return direct_sum(identity_lattice(k), e8_lattice())
 
 
-def bimodular_bases(ranks, *, with_a1_e8=True):
+def bimodular_bases(ranks):
     """Zero-argument constructors of the det-2 bases the tests conjugate, in
-    drawing order: A1, E7, A1 + E8 (left out when with_a1_e8 is false), then
-    the diagonal det-2 lattice of each rank in ranks."""
-    fixed = [a1_lattice, e7_lattice] + [a1_plus_e8] * with_a1_e8
-    return fixed + [partial(diagonal_bimodular_lattice, k) for k in ranks]
+    drawing order: A1, E7, A1 + E8, then the diagonal det-2 lattice of each
+    rank in ranks."""
+    return [a1_lattice, e7_lattice, a1_plus_e8] + [partial(diagonal_bimodular_lattice, k) for k in ranks]
 
 
-def unimodular_bases(ranks, e8_ranks):
-    """Zero-argument constructors of the elkies suite's bases, in drawing
-    order: E8, I_m for each m in ranks, then I_k + E8 for each k in
-    e8_ranks."""
-    return (
-        [e8_lattice]
-        + [partial(identity_lattice, m) for m in ranks]
-        + [partial(identity_plus_e8, k) for k in e8_ranks]
-    )
-
+# seed -> a det-2 lattice, or one of the elkies suite's bases (E8, I_1..I_8,
+# I_1 + E8, I_2 + E8), in a random basis
+conjugated_bimodular = partial(seeded_conjugate, bases=bimodular_bases(range(1, 6)))
+conjugated_unimodular = partial(
+    seeded_conjugate,
+    bases=[e8_lattice]
+    + [partial(identity_lattice, m) for m in range(1, 9)]
+    + [partial(identity_plus_e8, k) for k in (1, 2)],
+)
 
 # one constructor per kind of base, called with the rng, which draws the
 # rank of a diagonal or identity kind: {bimodular: kinds}
@@ -794,6 +788,12 @@ def seifert_tree(central, legs):
     except NotRationalHomologySphereError:
         return None
     return _seifert_tree(data)[0]
+
+
+def main_example_lattice():
+    """The rank-32 plumbing lattice of Y(2; 15/13, 17/3, 23/22)."""
+    data = SeifertData(2, (Fraction(15, 13), Fraction(17, 3), Fraction(23, 22)))
+    return _seifert_tree(data)[0].lattice
 
 
 def seifert_legs(max_num, max_den):

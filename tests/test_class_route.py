@@ -6,16 +6,16 @@ checked against the chi / chi + 2 * generator construction they replaced
 (helpers.translate_class_reps). Every class value goes through
 defects._class_minima, whose tree dynamic program is checked against the
 branch-and-bound search on the same class problems, and both against a
-closed form on Z^(n-1) + <delta> for |det| = delta up to 7. The class
-representatives of a lattice take their adj p from |free| + 1 solves, one of
-diag(G) and one per Hermite pivot above 1, and use it for sign or key and
-target alike.
+closed form on Z^(n-1) + <delta> for |det| = delta up to 7. The adj p that
+spinc_classes combines for each representative is checked against its own
+solve.
 """
 
 import random
 from fractions import Fraction
 
-from helpers import LATTICE, U7, bimodular_bases, conjugated, count_linalg_calls, translate_class_reps
+from helpers import bimodular_bases, conjugated, translate_class_reps
+from test_work import check_rows
 
 from latdefect import (
     CharClassSign,
@@ -26,15 +26,12 @@ from latdefect import (
     conjugate_lattice,
     defects,
     diagonal_bimodular_lattice,
-    discriminant_group,
     e7_lattice,
     e8_lattice,
     h1_order,
     identity_lattice,
     min_char_norm,
-    parse_expression,
     random_unimodular,
-    seifert_class_values,
     spinc_classes,
     validate_lattice,
 )
@@ -112,39 +109,6 @@ def test_class_minima_beyond_det_two_match_the_closed_form():
             ]
 
 
-def counted_solves(monkeypatch) -> list[int]:
-    """Ranks of every factor_solve the lattices run from now on."""
-    calls = []
-    original = LATTICE.factor_solve
-
-    def counting(factor, vec):
-        calls.append(len(vec))
-        return original(factor, vec)
-
-    monkeypatch.setattr(LATTICE, "factor_solve", counting)
-    return calls
-
-
-def test_each_class_representative_is_solved_once(monkeypatch):
-    solves = counted_solves(monkeypatch)
-    conjugated = conjugate_lattice(e7_lattice(), U7)
-    assert conjugated.forest_plan is None
-    defects(conjugated)
-    assert solves == [7, 7]
-
-    solves.clear()
-    (term,) = parse_expression("Y(2; 15/13, 17/3, 23/22)").terms
-    assert seifert_class_values(term.atom) == (Fraction(-31, 4), Fraction(-17, 4))
-    assert solves == [32, 32]
-
-    # H1 = Z/10 + Z/10: two pivots above 1, so 3 solves for the 100 classes
-    solves.clear()
-    many = SeifertData(-1, (Fraction(-5, 2), Fraction(-5, 3), Fraction(-5, 4)))
-    values = seifert_class_values(many)
-    assert len(values) == 100
-    assert solves == [6, 6, 6]
-
-
 def test_box_combined_adj_is_the_solve_of_each_rep():
     rng = random.Random(25)
     spaces = [SeifertData(-1, (Fraction(-5, 2), Fraction(-5, 3), Fraction(-5, 4)))]
@@ -168,17 +132,6 @@ def test_box_combined_adj_is_the_solve_of_each_rep():
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
-def test_one_hermite_form_serves_every_class_question(monkeypatch):
-    lat = conjugate_lattice(e7_lattice(), U7)
-    calls = count_linalg_calls(monkeypatch, ["hermite_row_basis"])
-    classes = spinc_classes(lat)
-    reps = characteristic_class_reps(lat)
-    group = discriminant_group(lat)
-    assert calls == {"hermite_row_basis": [7]}
-    assert group.orders == (2,) and len(classes) == 2
-    assert [c.representative for c in classes] == list(reps.values())
-
-
 def test_class_reps_match_the_translated_generator_construction():
     bases = bimodular_bases(range(1, 7))
     for seed in range(300):
@@ -188,3 +141,15 @@ def test_class_reps_match_the_translated_generator_construction():
             lat = validate_lattice([[-x for x in row] for row in lat.gram])
         found = [(sign, cov.pairings) for sign, cov in characteristic_class_reps(lat).items()]
         assert found == list(translate_class_reps(lat).items())
+
+
+def test_each_class_representative_is_solved_once(monkeypatch):
+    # |free| + 1 solves per lattice: one of diag(G), one per Hermite pivot
+    # above 1 (two for H1 = Z/10 + Z/10, so 3 solves for its 100 classes)
+    check_rows(monkeypatch, ["defects of conjugated E7", "class values of the main Seifert space",
+                             "class values of a space with H1 = Z/10 + Z/10"])
+
+
+def test_one_hermite_form_serves_every_class_question(monkeypatch):
+    # classes, class reps and the discriminant group share one Hermite form
+    check_rows(monkeypatch, ["class questions on conjugated E7"])

@@ -1,39 +1,34 @@
 """The dense-lattice path with each elimination done once per lattice.
 
-The covector solve (on the tree or the validation factor) is checked against
-the dense Bareiss adjugate of the positive form and against sign |det| G^-1
-in Fractions, and guarded to run no dense adjugate; the cached discriminant
-group against a count and size of Smith forms, the shared reduction and
-factorization behind defects against one preparation per class, the
-unimodular defect on G against the "any" search on G^-1 with no Fraction
-inverse built, and gluing's closed forms in the glue parity against the
-Smith-form saturation test and the Hermite and Fraction routes kept in
-tests/helpers.py.
+The covector solve is checked against the dense Bareiss adjugate of the
+positive form and against sign |det| G^-1 in Fractions, the shared reduction
+and factorization behind defects against one preparation per class, the
+unimodular defect on G against the "any" search on G^-1, and gluing's closed
+forms in the glue parity against the Smith-form saturation test and the
+Hermite and Fraction routes kept in tests/helpers.py. The guards on which
+kernels these questions run are rows of the work table (tests/test_work.py).
 """
 
 import random
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from helpers import (
     GLUE,
-    bimodular_bases,
-    conjugated,
+    conjugated_bimodular,
     conjugated_lattices,
-    count_linalg_calls,
+    conjugated_unimodular,
     examples,
     fraction_extend,
     fraction_glue,
     fraction_restrict,
     integer_target,
     quadratic_value,
-    seeded_conjugate,
     smith_saturation_check,
-    unimodular_bases,
     U7,
 )
+from test_work import check_rows
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -45,20 +40,16 @@ from latdefect import (
     ToolkitError,
     a1_lattice,
     base_characteristic,
-    char_class_sign,
     characteristic_class_reps,
     conjugate_lattice,
     defects,
     diagonal_bimodular_lattice,
-    discriminant_group,
     dual_gram,
     e7_lattice,
     e8_lattice,
     extend_covector,
     glue_overlattice,
     identity_lattice,
-    is_diagonal,
-    is_diagonal_bimodular,
     min_char_norm,
     restrict_covector,
     validate_lattice,
@@ -66,10 +57,6 @@ from latdefect import (
 from latdefect.defects import _any_problem, _class_problem
 from latdefect.enumeration import coset_minima, shortest_in_coset
 from latdefect.linalg import adjugate, hermite_row_basis, mat_vec
-
-# seed -> a det-2 or an elkies-suite lattice in a random basis
-conjugated_bimodular = partial(seeded_conjugate, bases=bimodular_bases(range(1, 6)))
-conjugated_unimodular = partial(seeded_conjugate, bases=unimodular_bases(range(1, 9), (1, 2)))
 
 
 @examples(60)
@@ -144,68 +131,6 @@ def test_solve_checks_every_division():
     tampered = replace(lat, factor=([[], [1], [2, 1]], minors, scale))
     with pytest.raises(ToolkitError, match="-5 is not divisible by 2"):
         tampered.solve([1, 0, 0])
-
-
-def test_covector_questions_run_no_dense_adjugate(monkeypatch):
-    left, right = conjugated_bimodular(5), conjugated_bimodular(6)
-    calls = count_linalg_calls(monkeypatch, ["adjugate", "integer_matrix_inverse"])
-    over = glue_overlattice(left, right)
-    chi = base_characteristic(over)
-    parts = [restrict_covector(chi, side) for side in ("left", "right")]
-    assert extend_covector(over, *parts) == chi
-    assert chi.positive_norm == sum(part.positive_norm for part in parts)
-    for lat in (left, right):
-        for sign, rep in characteristic_class_reps(lat).items():
-            assert char_class_sign(rep) is sign
-    assert calls == {"adjugate": [], "integer_matrix_inverse": []}
-    # the searches behind defects on a non-forest invert only their LLL
-    # transforms
-    assert right.forest_plan is None
-    defects(right)
-    assert calls["integer_matrix_inverse"]
-    assert calls["adjugate"] == calls["integer_matrix_inverse"]
-
-
-def test_second_discriminant_group_runs_no_smith_form(monkeypatch):
-    calls = count_linalg_calls(monkeypatch, ["smith_normal_form", "hermite_row_basis"])
-    lat = conjugated_bimodular(6)
-    assert lat.rank == 7
-    first = discriminant_group(lat)
-    assert calls == {"smith_normal_form": [1], "hermite_row_basis": [lat.rank]}
-    assert discriminant_group(lat) is first
-    assert calls == {"smith_normal_form": [1], "hermite_row_basis": [lat.rank]}
-
-
-D4_GRAM = [[2, 0, -1, 0], [0, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -1, 2]]
-
-
-def test_smith_form_runs_once_on_the_non_unit_hermite_pivots(monkeypatch):
-    # one Smith form per lattice, on as many rows as the Hermite basis has
-    # pivots above 1: one for |det| = 2 in either sign, none when
-    # unimodular, two for the Z/2 + Z/2 of D4
-    calls = count_linalg_calls(monkeypatch, ["smith_normal_form"])
-    rng = random.Random(0)
-    bimodular = [conjugated_bimodular(seed) for seed in (0, 1, 6, 9)]
-    bimodular += [validate_lattice([[-x for x in row] for row in lat.gram]) for lat in bimodular]
-    unimodular = [conjugated(rng, base) for base in (identity_lattice(5), e8_lattice())]
-    d4 = validate_lattice(D4_GRAM)
-    for lat in bimodular + unimodular + [d4]:
-        discriminant_group(lat)
-    assert calls == {"smith_normal_form": [1] * 8 + [0, 0, 2]}
-    assert discriminant_group(d4).orders == (2, 2)
-    assert [discriminant_group(lat).orders for lat in unimodular] == [(), ()]
-
-
-def test_glue_takes_no_smith_form_or_adjugate_once_summands_are_cached(monkeypatch):
-    left, right = conjugated_bimodular(5), conjugated_bimodular(6)
-    for lat in (left, right):
-        discriminant_group(lat)
-    calls = count_linalg_calls(monkeypatch, ["smith_normal_form", "adjugate", "invert_matrix"])
-    over = glue_overlattice(left, right)
-    chi = base_characteristic(over)
-    parts = [restrict_covector(chi, side) for side in ("left", "right")]
-    assert extend_covector(over, *parts) == chi
-    assert calls == {"smith_normal_form": [], "adjugate": [], "invert_matrix": []}
 
 
 @st.composite
@@ -305,16 +230,6 @@ def test_glue_matches_the_fraction_route_on_300_seeded_pairs():
     assert 0 < extended_to_none < 900
 
 
-def test_recognizers_and_glue_take_no_hermite_or_smith_form(monkeypatch):
-    left, right = conjugated_bimodular(7), conjugated_bimodular(8)
-    for lat in (left, right):
-        discriminant_group(lat)
-    calls = count_linalg_calls(monkeypatch, ["hermite_row_basis", "smith_normal_form"])
-    over = glue_overlattice(left, right)
-    assert is_diagonal(over) == (is_diagonal_bimodular(left) and is_diagonal_bimodular(right))
-    assert calls == {"hermite_row_basis": [], "smith_normal_form": []}
-
-
 def test_glue_with_an_even_glue_vector_fails_on_the_determinant(monkeypatch):
     # g = (2, 2) on A1 + A1 adjoins nothing: M = Z^2 has index 1, det 4
     monkeypatch.setattr(GLUE, "_doubled_glue_coordinates", lambda lat: [2])
@@ -383,11 +298,35 @@ def test_unimodular_defect_on_the_gram_matches_the_any_search_on_its_inverse():
         assert defects(lat).d_plus == (square - lat.rank) / 4
 
 
-def test_unimodular_defects_build_no_fraction_inverse(monkeypatch):
-    lattices = [conjugated_unimodular(seed) for seed in range(20)]
-    lattices += [e8_lattice(), identity_lattice(3)]
-    calls = count_linalg_calls(monkeypatch, ["invert_matrix"])
-    for lat in lattices:
-        defects(lat)
-    assert calls == {"invert_matrix": []}
+def test_covector_questions_run_no_dense_adjugate(monkeypatch):
+    # gluing, restriction, extension and class reps solve on factors; defects
+    # on a non-forest invert only their LLL transforms
+    check_rows(monkeypatch, ["glue questions on a det-2 pair", "class reps of a det-2 pair",
+                             "defects of a det-2 non-forest"])
 
+
+def test_second_discriminant_group_runs_no_smith_form(monkeypatch):
+    # the second call returns the cached group and runs nothing
+    check_rows(monkeypatch, ["first discriminant group", "second discriminant group"])
+
+
+def test_smith_form_runs_once_on_the_non_unit_hermite_pivots(monkeypatch):
+    # one Smith form per lattice, on as many rows as the Hermite basis has
+    # pivots above 1: one for |det| = 2 in either sign, none when
+    # unimodular, two for the Z/2 + Z/2 of D4
+    check_rows(monkeypatch, ["discriminant groups of 11 lattices"])
+
+
+def test_glue_takes_no_smith_form_or_adjugate_once_summands_are_cached(monkeypatch):
+    # cached discriminant groups leave gluing no Smith or Hermite form
+    check_rows(monkeypatch, ["glue questions on cached det-2 summands"])
+
+
+def test_recognizers_and_glue_take_no_hermite_or_smith_form(monkeypatch):
+    # the recognizers list norm-1 and norm-2 vectors and take no Hermite form
+    check_rows(monkeypatch, ["glue and recognizers on cached det-2 summands"])
+
+
+def test_unimodular_defects_build_no_fraction_inverse(monkeypatch):
+    # the unimodular defect searches on G itself, with no Fraction inverse
+    check_rows(monkeypatch, ["defects of 20 conjugated unimodular lattices, E8 and I3"])

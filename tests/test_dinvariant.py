@@ -14,6 +14,7 @@ from latdefect import (
     BudgetExhaustedError,
     Covector,
     DInvariantReport,
+    FormatError,
     LabellingViolationError,
     NotCharacteristicError,
     PlumbingTree,
@@ -109,6 +110,9 @@ def test_label_quarter():
         label_quarter([Fraction(1, 4), Fraction(9, 4)])  # same residue twice
     with pytest.raises(LabellingViolationError):
         label_quarter([Fraction(1, 2), Fraction(-1, 4)])
+    for values in ([0.25, -0.25], ["x", 1]):
+        with pytest.raises(FormatError, match="is not an int or Fraction"):
+            label_quarter(values)
 
 
 def test_reverse_pair_negates_and_swaps(ybar_report):

@@ -20,12 +20,10 @@ from latdefect import (
     NotSymmetricError,
     RadiusEmptyError,
     defects,
-    e8_lattice,
     enumerate_in_coset,
     lll_reduce_gram,
     max_char_square,
     min_char_norm,
-    roots,
     shortest_in_coset,
     verify_suite,
 )
@@ -37,11 +35,11 @@ from latdefect.linalg import adjugate, fraction_free_ldl, ldl_decomposition, mat
 from helpers import (
     box_minimum,
     box_points_within,
-    integer_target,
     quadratic_value,
     random_spd_gram,
     random_target,
 )
+from test_work import check_rows
 
 
 def test_problem_validation():
@@ -203,26 +201,6 @@ def test_only_shortest_in_coset_takes_reduce(capsys, tmp_path):
     assert "--reduce" in capsys.readouterr().err
 
 
-def test_minimum_searches_reduce_and_listings_do_not(monkeypatch):
-    enumeration = sys.modules["latdefect.enumeration"]
-    ranks = []
-
-    def counted(gram):
-        ranks.append(len(gram))
-        return lll_reduce_gram(gram)
-
-    monkeypatch.setattr(enumeration, "lll_reduce_gram", counted)
-    problem = CosetProblem([[2, 1, 0], [1, 2, 1], [0, 1, 3]], [Fraction(1, 2), 0, Fraction(1, 3)])
-    enumerate_in_coset(CosetProblem(problem.form, problem.target, radius=4))
-    roots(e8_lattice())
-    shortest_in_coset(problem, reduce=False)
-    shortest_in_coset(CosetProblem([[2]], [Fraction(1, 3)]))
-    assert ranks == []  # listings, the LLL-free route and rank 1
-    shortest_in_coset(problem)
-    coset_minima(problem.form, [integer_target(problem)] * 2)
-    assert ranks == [3, 3]
-
-
 def test_lll_preserves_values():
     rng = random.Random(13)
     for _ in range(25):
@@ -289,3 +267,9 @@ def test_suite_search_nodes_and_minima_are_pinned(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "60b6d45a2872ee1f7af4030ec90ebf6f6eeb0ac35532a3097a5f33418343a1ae"
     )
+
+
+def test_minimum_searches_reduce_and_listings_do_not(monkeypatch):
+    # listings, the LLL-free route and rank 1 take no LLL; minimum searches do
+    check_rows(monkeypatch, ["listing in a coset", "roots of E8", "shortest vector without LLL",
+                             "shortest vector at rank 1", "shortest vector", "minima of two targets"])

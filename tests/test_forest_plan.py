@@ -17,26 +17,24 @@ from helpers import (
     discriminant_generators_by_inverse,
     examples,
     forest_minimum,
+    main_example_lattice,
 )
+from test_work import check_rows
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from latdefect import (
-    CosetProblem,
     FormatError,
     SeifertData,
     ToolkitError,
     canonical_plumbing,
     discriminant_group,
-    evaluate_expression,
     max_char_square,
-    parse_expression,
     spinc_classes,
     validate_lattice,
 )
 from latdefect.cli import main
 from latdefect.defects import _class_problem, _class_target
-from latdefect.dinvariant import _seifert_tree
 from latdefect.enumeration import _message, plan_minimum
 from latdefect.lattice import MAX_SPINC_CLASSES
 from latdefect.linalg import hermite_row_basis, reduce_mod_rows
@@ -89,12 +87,6 @@ def test_envelope_message_on_any_ascending_values(values, queries, weight, data)
     )
 
 
-def main_example_lattice():
-    (term,) = parse_expression("Y(2; 15/13, 17/3, 23/22)").terms
-    tree, _flipped = _seifert_tree(term.atom)
-    return tree.lattice
-
-
 def test_main_example_node_total_is_pinned():
     lat = main_example_lattice()
     found = []
@@ -116,28 +108,6 @@ def test_lattice_plan_agrees_with_the_problem_route():
         )
     triangle = validate_lattice([[-2, -1, -1], [-1, -2, -1], [-1, -1, -2]])
     assert triangle.forest_plan is None
-
-
-def test_many_classes_build_one_plan_and_no_coset_problem(monkeypatch):
-    plans = []
-    problems = []
-    build = LATTICE.forest_plan
-    init = CosetProblem.__init__
-
-    def counted_plan(*args):
-        plans.append(1)
-        return build(*args)
-
-    def counted_problem(self, *args, **kwargs):
-        problems.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(LATTICE, "forest_plan", counted_plan)
-    monkeypatch.setattr(CosetProblem, "__init__", counted_problem)
-    report = evaluate_expression("Y(-1; -4/1, -7/1, -7/3)")
-    assert len(report.class_values) == report.h1 >= 32
-    assert len(plans) <= 1
-    assert problems == []
 
 
 @examples(200)
@@ -201,3 +171,8 @@ def test_cli_rejects_too_many_spinc_classes(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert "999999 spin-c classes exceed the limit" in captured.err
+
+
+def test_many_classes_build_one_plan_and_no_coset_problem(monkeypatch):
+    # every class of a tree runs the dynamic program on one plan
+    check_rows(monkeypatch, ["a space with 35 classes"])

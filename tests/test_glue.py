@@ -1,8 +1,7 @@
 """Gluing determinant-2 lattices into unimodular overlattices."""
 
-import importlib
-
 import pytest
+from test_work import check_rows
 
 from latdefect import (
     CharClassSign,
@@ -180,15 +179,4 @@ def test_restrict_extend_roundtrip():
 def test_gluing_validates_once(monkeypatch):
     # the block-diagonal Gram of two validated lattices is not validated
     # again: only the overlattice Gram is
-    left, right = e7_lattice(), a1_lattice()
-    calls = []
-    for name in ("latdefect.glue", "latdefect.lattice"):
-        module = importlib.import_module(name)
-
-        def counted(*args, _original=module.validate_lattice, **kwargs):
-            calls.append(len(args[0]))
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, "validate_lattice", counted)
-    assert is_diagonal(glue_overlattice(left, right)) is False
-    assert calls == [8]
+    check_rows(monkeypatch, ["glue of E7 and A1"])

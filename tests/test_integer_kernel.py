@@ -1,8 +1,8 @@
 """The integer-only lattice kernel against the Fraction routes it replaced.
 
-Inversion, Gram validation and gluing are checked on hypothesis-drawn input
-against the oracles in tests/helpers.py: Gauss-Jordan over Fractions, a
-Fraction LDL^T for definiteness, and gluing on the half-integral basis.
+Inversion and Gram validation are checked on hypothesis-drawn input against
+the oracles in tests/helpers.py: Gauss-Jordan over Fractions and a Fraction
+LDL^T for definiteness. Gluing's guards are checked on planted glue vectors.
 """
 
 import random
@@ -12,14 +12,10 @@ from fractions import Fraction
 import pytest
 from helpers import (
     GLUE,
-    bimodular_bases,
     conjugated,
-    count_linalg_calls,
+    count_calls,
     examples,
-    fraction_extend,
-    fraction_glue,
     fraction_inverse,
-    fraction_restrict,
     ldl_validation,
     smith_saturation_check,
     tracer_layers,
@@ -30,19 +26,15 @@ from hypothesis import strategies as st
 
 import latdefect
 from latdefect import (
-    Covector,
     GlueFailureError,
     NotDefiniteError,
     ToolkitError,
     a1_lattice,
-    base_characteristic,
     conjugate_lattice,
     e7_lattice,
-    extend_covector,
     glue_overlattice,
     identity_lattice,
     random_unimodular,
-    restrict_covector,
     validate_lattice,
 )
 from latdefect.linalg import integer_matrix_inverse, invert_matrix
@@ -190,44 +182,6 @@ def test_validation_reports_the_first_failing_minor():
     assert (info.value.index, info.value.minor) == (2, -1)
 
 
-# one list for every draw: hypothesis draws differently from a new list
-PAIR_BASES = bimodular_bases(range(1, 5), with_a1_e8=False)
-
-
-@st.composite
-def bimodular_pairs(draw):
-    """Two determinant-2 lattices, each in a random unimodular basis."""
-    out = []
-    for _ in range(2):
-        base = draw(st.sampled_from(PAIR_BASES))()
-        out.append(conjugated(random.Random(draw(st.integers(0, 10**6))), base))
-    return tuple(out)
-
-
-@examples(30)
-@given(bimodular_pairs(), st.randoms(use_true_random=False))
-def test_glue_matches_fraction_route(pair, rng):
-    left, right = pair
-    over = glue_overlattice(left, right)
-    gram, basis_change = fraction_glue(left, right)
-    assert [list(row) for row in over.gram] == gram
-    assert [list(row) for row in over.basis_change] == basis_change
-    n_left = left.rank
-    covectors = [base_characteristic(over)] + [
-        Covector(tuple(rng.randint(-5, 5) for _ in range(over.rank)), over) for _ in range(3)
-    ]
-    for cov in covectors:
-        expected = fraction_restrict(basis_change, cov.pairings)
-        assert restrict_covector(cov, "left").pairings == expected[:n_left]
-        assert restrict_covector(cov, "right").pairings == expected[n_left:]
-    for _ in range(4):
-        lcov = Covector(tuple(rng.randint(-4, 4) for _ in range(left.rank)), left)
-        rcov = Covector(tuple(rng.randint(-4, 4) for _ in range(right.rank)), right)
-        extended = extend_covector(over, lcov, rcov)
-        expected = fraction_extend(basis_change, lcov.pairings + rcov.pairings)
-        assert (None if extended is None else extended.pairings) == expected
-
-
 def test_glue_divisibility_guards():
     # twice the basis (1/2, 0), (0, 1) meets the first axis in half a vector
     with pytest.raises(GlueFailureError, match="intersection vector is not integral"):
@@ -262,9 +216,9 @@ def test_benchmark_traced_linalg_names_stay_in_use(monkeypatch):
     every module binding; its self-test needs each one called. Fraction
     inverses go through invert_matrix, where the wrapper sees them, while
     defects on a |det| = 2 lattice and gluing build none. Every minimum
-    search of rank > 1 reduces its form, through the enumeration binding of
-    lll_reduce_gram, and defects on a non-forest (E7 in the basis U7)
-    reduces the Gram matrix once for both characteristic classes."""
+    search of rank > 1 reduces its form, and defects on a non-forest (E7 in
+    the basis U7) reduces the Gram matrix once for both characteristic
+    classes."""
     linalg = sys.modules["latdefect.linalg"]
     reduction = sys.modules["latdefect.reduction"]
     enumeration = sys.modules["latdefect.enumeration"]
@@ -272,23 +226,18 @@ def test_benchmark_traced_linalg_names_stay_in_use(monkeypatch):
         assert callable(getattr(linalg, name))
     assert callable(reduction.lll_reduce_gram)
     assert enumeration.lll_reduce_gram is reduction.lll_reduce_gram
-    calls = count_linalg_calls(monkeypatch, TRACED_LINALG)
-    reductions = []
-
-    def counted_lll(gram, *args):
-        reductions.append(len(gram))
-        return reduction.lll_reduce_gram(gram, *args)
-
-    monkeypatch.setattr(enumeration, "lll_reduce_gram", counted_lll)
+    names = [f"linalg.{name}" for name in TRACED_LINALG] + ["reduction.lll_reduce_gram"]
+    calls, _bindings = count_calls(monkeypatch, names)
+    reductions = calls["reduction.lll_reduce_gram"]
     latdefect.defects(a1_lattice())
     glue_overlattice(e7_lattice(), a1_lattice())
-    assert calls["invert_matrix"] == []
+    assert calls["linalg.invert_matrix"] == []
     assert reductions == []  # rank 1, and gluing runs no search
     latdefect.min_char_norm(identity_lattice(3))
-    assert calls["invert_matrix"] == [3]
+    assert calls["linalg.invert_matrix"] == [3]
     assert reductions == [3]
     conjugated = conjugate_lattice(e7_lattice(), U7)
     assert conjugated.forest_plan is None
     latdefect.defects(conjugated)
     assert reductions == [3, 7]  # one reduction for both characteristic classes
-    assert all(calls[name] for name in TRACED_LINALG), calls
+    assert all(calls.values()), calls

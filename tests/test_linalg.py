@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from latdefect import SeifertData, h1_order, parse_expression
+from latdefect import SeifertData, h1_order
 from latdefect.dinvariant import _seifert_tree
 from latdefect.errors import (
     FormatError,
@@ -30,7 +30,7 @@ from latdefect.linalg import (
     transpose,
 )
 
-from helpers import per_pivot_hermite_row_basis, smith_row_kernel
+from helpers import main_example_lattice, per_pivot_hermite_row_basis, smith_row_kernel
 
 
 def random_int_matrix(rng, m, n, span=9):
@@ -240,8 +240,7 @@ def test_hermite_row_basis_matches_the_per_pivot_oracle_on_seifert_plumbings():
 
 
 def test_main_plumbing_hermite_form_is_the_identity_plus_one_column():
-    (term,) = parse_expression("Y(2; 15/13, 17/3, 23/22)").terms
-    gram = _seifert_tree(term.atom)[0].lattice.positive_gram
+    gram = main_example_lattice().positive_gram
     basis = hermite_row_basis(gram)
     assert len(basis) == 32
     for i, row in enumerate(basis[:-1]):

@@ -36,6 +36,10 @@ def test_ncf_goldens():
     assert neg_continued_fraction(Fraction(-17, 3)).coefficients == (-6, -3)
     assert neg_continued_fraction(Fraction(-23, 22)).coefficients == (-2,) * 22
     assert neg_continued_fraction(Fraction(-3)).coefficients == (-3,)
+    # a float, a string or a bool is no rational: 0.1 would expand its binary value
+    for value in (0.1, "7/3", True):
+        with pytest.raises(FormatError, match="is not an int or Fraction"):
+            neg_continued_fraction(value)
 
 
 @given(

@@ -1,4 +1,4 @@
-"""Tree dynamic program: oracle agreement, routing, exact node budgets.
+"""Tree dynamic program: oracle agreement and exact node budgets.
 
 forest_minimum (the plan and plan_minimum of one CosetProblem, kept in
 tests/helpers.py) is checked against the branch-and-bound search on random
@@ -9,20 +9,18 @@ budgets are exact for the tree DP and for every mode of the search.
 from fractions import Fraction
 
 import pytest
-from helpers import DEFECTS, examples, forest_minimum, integer_target, seifert_legs, seifert_tree
+from helpers import examples, forest_minimum, integer_target, seifert_legs, seifert_tree
+from test_work import check_rows
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from latdefect import (
     BudgetExhaustedError,
     CosetProblem,
-    base_characteristic,
     gram,
     max_char_square,
-    negative_e8_tree,
     shortest_in_coset,
     spinc_classes,
-    validate_lattice,
 )
 from latdefect.cli import main
 from latdefect.enumeration import coset_minima, enumerate_in_coset
@@ -86,23 +84,6 @@ def test_max_char_square_matches_search_on_every_class(raw):
         target = [Fraction(-x, 2 * lat.determinant) for x in adj]
         search = shortest_in_coset(CosetProblem(lat.positive_gram, target))
         assert max_char_square(lat, cls.representative) == -4 * search.min_norm
-
-
-def test_only_non_forests_take_the_search(monkeypatch):
-    calls = []
-    search = DEFECTS.coset_minima
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(DEFECTS, "coset_minima", counted)
-    e8 = gram(negative_e8_tree())
-    assert max_char_square(e8, base_characteristic(e8)) == 0
-    assert calls == []
-    triangle = validate_lattice([[-2, -1, -1], [-1, -2, -1], [-1, -1, -2]])
-    assert max_char_square(triangle, base_characteristic(triangle)) == -3
-    assert calls == [1]
 
 
 def budget_cases():
@@ -175,3 +156,8 @@ def test_coset_minima_gives_each_target_its_own_budget():
 def test_cli_budget_exhaustion_on_a_plumbing(capsys):
     code = main(["--node-budget", "1", "seifert", "d", "Y(-1; -2/1, -4/1, -5/1)"])
     assert code == 3 and "budget" in capsys.readouterr().err
+
+
+def test_only_non_forests_take_the_search(monkeypatch):
+    # a tree runs the dynamic program, a triangle the search
+    check_rows(monkeypatch, ["max char square on the -E8 tree", "max char square on a triangle"])

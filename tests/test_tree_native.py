@@ -1,40 +1,28 @@
 """The tree-native plumbing path: determinant and adjugate diagonal of the
-forest plan against the dense fraction-free adjugate, spin-c classes from
-the Hermite box against the Smith route kept in tests/helpers.py, and guards
-that the main example takes no dense inversion and no Smith form, and
-factors its Gram matrix once.
+forest plan against the dense fraction-free adjugate, and spin-c classes
+from the Hermite box against the Smith route kept in tests/helpers.py, and
+guards (rows of tests/test_work.py) that the main example factors its Gram
+matrix once and takes no dense inversion and no Smith form.
 """
 
-import sys
 from fractions import Fraction
 
 import pytest
 from helpers import (
     conjugated_lattices,
-    count_linalg_calls,
     examples,
     plumbing_lattices,
     smith_spinc_keys,
 )
+from test_work import check_rows
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from latdefect import (
-    SeifertData,
-    ToolkitError,
-    canonical_plumbing,
-    evaluate_expression,
-    is_characteristic,
-    parse_expression,
-    spinc_classes,
-)
-from latdefect.defects import _class_target
-from latdefect.dinvariant import _seifert_tree
-from latdefect.enumeration import _nearest_plane_constants, forest_plan
+from latdefect import ToolkitError, is_characteristic, spinc_classes
+from latdefect.enumeration import forest_plan
 from latdefect.linalg import (
     adjugate,
     clear_denominators,
-    factor_solve,
     fraction_free_ldl,
     hermite_row_basis,
     reduce_mod_rows,
@@ -87,28 +75,6 @@ def test_plan_determinant_must_match_the_ldl():
         forest_plan(A3, corrupted)
 
 
-def test_main_example_factors_its_gram_once(monkeypatch):
-    calls = count_linalg_calls(monkeypatch, ["fraction_free_ldl"])
-    report = evaluate_expression("3*P + Y(2; 15/13, 17/3, 23/22)")
-    assert report.class_values == (Fraction(-7, 4), Fraction(7, 4))
-    assert calls["fraction_free_ldl"].count(32) == 1
-    (term,) = parse_expression("Y(2; 15/13, 17/3, 23/22)").terms
-    lat = _seifert_tree(term.atom)[0].lattice
-    assert lat.forest_plan.nearest_plane == _nearest_plane_constants(lat.factor)
-
-
-def test_lattice_plan_reads_no_dense_adjugate(monkeypatch):
-    lat = canonical_plumbing(SeifertData(-2, [Fraction(-3, 1), Fraction(-5, 2), Fraction(-6, 1)])).lattice
-    assert lat.positive_gram is lat.positive_gram
-    calls = count_linalg_calls(monkeypatch, ["adjugate", "invert_matrix"])
-    plan = lat.forest_plan
-    assert plan.determinant == abs(lat.determinant)
-    for cls in spinc_classes(lat):
-        adj = factor_solve(lat.factor, cls.representative.pairings)
-        assert _class_target(cls.representative) == (adj, 2 * plan.determinant)
-    assert calls == {"adjugate": [], "invert_matrix": []}
-
-
 @examples(150)
 @given(st.one_of(plumbing_lattices(), conjugated_lattices(max_rank=6, max_entry=5, max_det=1000)))
 def test_hermite_box_classes_match_the_smith_route(lat):
@@ -125,20 +91,17 @@ def test_hermite_box_classes_match_the_smith_route(lat):
     assert keys == smith_spinc_keys(lat)
 
 
+def test_main_example_factors_its_gram_once(monkeypatch):
+    # one fraction-free LDL of the 32-vertex Gram, whose factor also gives
+    # the plan's nearest-plane constants
+    check_rows(monkeypatch, ["the main example", "nearest-plane constants of the main plan"])
+
+
+def test_lattice_plan_reads_no_dense_adjugate(monkeypatch):
+    # the class targets come from solves on the factor, not from adj G
+    check_rows(monkeypatch, ["class targets of a small plumbing"])
+
+
 def test_main_example_takes_no_dense_inversion_or_smith_form(monkeypatch):
-    counts = {"adjugate": 0, "invert_matrix": 0, "smith_normal_form": 0, "hermite_row_basis": 0}
-    for name in counts:
-        original = getattr(sys.modules["latdefect.linalg"], name)
-
-        def counted(*args, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(*args)
-
-        for module_name, module in list(sys.modules.items()):
-            if module_name == "latdefect" or module_name.startswith("latdefect."):
-                for attribute, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attribute, counted)
-    report = evaluate_expression("3*P + Y(2; 15/13, 17/3, 23/22)")
-    assert report.class_values == (Fraction(-7, 4), Fraction(7, 4))
-    assert counts == {"adjugate": 0, "invert_matrix": 0, "smith_normal_form": 0, "hermite_row_basis": 1}
+    # one Hermite form and no adjugate, inverse or Smith form
+    check_rows(monkeypatch, ["the main example"])
