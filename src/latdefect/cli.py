@@ -46,7 +46,7 @@ def cli(ctx, as_json, node_budget, seed):
 
 
 def _read_lattice(path: str):
-    return validate_lattice(gram_from_json(pathlib.Path(path).read_text()))
+    return validate_lattice(gram_from_json(pathlib.Path(path).read_bytes()))
 
 
 def _emit(settings: Settings, payload: dict, lines):
@@ -222,8 +222,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except click.ClickException as err:
         err.show()
-        return err.exit_code
-    except click.exceptions.Exit as err:
         return err.exit_code
     except click.exceptions.Abort:
         return EXIT_USAGE

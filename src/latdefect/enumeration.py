@@ -147,8 +147,9 @@ def _scale(cols, diag, big, den):
 
 
 def check_node_budget(node_budget) -> None:
-    """ValueError unless node_budget is None or an int of at least 1, at each
-    public entry point; the searches take any int as an exact budget."""
+    """ValueError unless node_budget is None or an int of at least 1: the one
+    budget rule, checked at every public entry point and by the searches and
+    the tree DP before their first node."""
     if node_budget is not None and (type(node_budget) is not int or node_budget < 1):
         raise ValueError(f"node_budget must be None or an int of at least 1, got {node_budget!r}")
 
@@ -161,11 +162,6 @@ def _integer_target(big, den, rank: int) -> tuple[int, ...]:
     if len(big) != rank or type(den) is not int or den < 1:
         raise ValueError(f"a target needs {rank} ints over an int den >= 1, got {len(big)} over {den!r}")
     return big
-
-
-def _check_budget_type(node_budget) -> None:
-    if node_budget is not None and type(node_budget) is not int:
-        raise ValueError(f"node_budget must be None or an int, got {node_budget!r}")
 
 
 class _Prepared(NamedTuple):
@@ -207,7 +203,7 @@ def _search(prepared: _Prepared, big, den: int, radius, mode: str, node_budget):
     for the same radius. Every candidate tried is one node, and
     BudgetExhaustedError is raised once there are more than node_budget.
     """
-    _check_budget_type(node_budget)
+    check_node_budget(node_budget)
     unimod = prepared.unimod
     if unimod is not None:
         big = mat_vec(prepared.inverse, big)
@@ -567,7 +563,7 @@ def plan_minimum(
     a non-root vertex), one per parent value queried and one per root value;
     node_budget is checked against that exact total before any message.
     """
-    _check_budget_type(node_budget)
+    check_node_budget(node_budget)
     big = _integer_target(big, den, len(plan.vertex))
     reach, reach_den = _nearest_plane(plan.nearest_plane, big, den)
     whole = reach_den * plan.determinant

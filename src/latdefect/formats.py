@@ -51,8 +51,9 @@ def gram_to_json(gram) -> str:
     return json.dumps({"rank": len(rows), "gram": rows})
 
 
-def gram_from_json(text: str) -> list[list[int]]:
-    """Decode a Gram matrix document; shape problems raise FormatError.
+def gram_from_json(text: str | bytes) -> list[list[int]]:
+    """Decode a Gram matrix document, text or the bytes of a file; shape
+    problems and bytes that are not UTF-8, -16 or -32 raise FormatError.
 
     Symmetry and definiteness are left to lattice validation, which points
     at the offending entry. Rank and entry size are bounded by MAX_GRAM_RANK

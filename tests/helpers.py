@@ -14,11 +14,14 @@ smith_row_kernel, smith_saturation_check and cell_message. lens_d,
 torus_knot_v and tau_canonical_d are closed forms from the literature.
 
 forest_minimum runs the tree DP on one CosetProblem, integer_target clears
-a CosetProblem's target for coset_minima, count_calls records the package
-functions a call reaches and on what sizes, and tracer_layers reads the
-benchmark tracer's table. U7 takes E7 off the forests. The fixtures keep
-their random calls fixed, so that a test's seeds keep drawing the same
-lattices.
+a CosetProblem's target for coset_minima, outcome turns a kernel's
+NotPositiveDefiniteError into a value to compare with its oracle's,
+count_calls records the package functions a call reaches and on what
+sizes, and tracer_layers reads the benchmark tracer's table. U7 takes E7
+off the forests. The fixtures keep their random calls fixed, so that a
+test's seeds keep drawing the same lattices; symmetric_matrices draws the
+Gram matrices of the LDL^T, LLL and validation tests, and forest_problems
+the forests of the tree DP and forest-plan tests.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 
 from latdefect import (
+    CosetProblem,
+    NotPositiveDefiniteError,
     NotRationalHomologySphereError,
     SeifertData,
     a1_lattice,
@@ -235,6 +240,15 @@ def fraction_ldl(q):
     if diag and diag[-1] <= 0:
         raise NotPositiveDefiniteError(len(diag))
     return lower, diag
+
+
+def outcome(fn, *args):
+    """fn(*args), or the pivot index of the NotPositiveDefiniteError it
+    raises, so that a kernel and its oracle compare on every input."""
+    try:
+        return fn(*args)
+    except NotPositiveDefiniteError as err:
+        return ("not positive definite", err.pivot_index)
 
 
 def babai_value(form, target):
@@ -762,6 +776,61 @@ BASE_KINDS = {
         lambda rng: identity_plus_e8(rng.randint(1, 2)),
     ],
 }
+
+
+@st.composite
+def symmetric_matrices(draw, rational=False):
+    """Rank 1-10: B^T B + k I for a small integer B and k in 0-3 (definite,
+    or singular at k = 0), or its negation, or an arbitrary symmetric
+    matrix; scaled by a rational and shifted on the diagonal when asked."""
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        b = [[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]
+        shift = draw(st.integers(0, 3))
+        sign = draw(st.sampled_from([1, -1]))
+        rows = [
+            [sign * (sum(b[k][i] * b[k][j] for k in range(n)) + shift * (i == j)) for j in range(n)]
+            for i in range(n)
+        ]
+    else:
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = draw(st.integers(-4, 12))
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = draw(st.integers(-4, 4))
+    if rational:
+        scale = Fraction(draw(st.integers(1, 7)), draw(st.integers(1, 6)))
+        shift = Fraction(draw(st.integers(0, 3)), draw(st.integers(1, 5)))
+        rows = [[x * scale + (shift if i == j else 0) for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+    return rows
+
+
+@st.composite
+def forest_problems(draw):
+    """A strictly diagonally dominant form on a random forest with shuffled
+    vertex labels, and a target with denominators 1-3. Components may be
+    single vertices, off-diagonal entries take both signs, and the form is
+    in ints or in rationals with mixed denominators (the plan takes the
+    form scaled to integers)."""
+    n = draw(st.integers(1, 8))
+    rational = draw(st.booleans())
+    label = draw(st.permutations(range(n)))
+    form = [[0] * n for _ in range(n)]
+
+    def entry(values):
+        num = draw(st.sampled_from(values))
+        return Fraction(num, draw(st.sampled_from([1, 2, 3, 6]))) if rational else num
+
+    for v in range(1, n):
+        parent = draw(st.integers(-1, v - 1))  # -1 starts a new component
+        if parent >= 0:
+            a, b = label[v], label[parent]
+            form[a][b] = form[b][a] = entry([-3, -2, -1, 1, 2, 3])
+    for v in range(n):
+        form[v][v] = sum(abs(x) for x in form[v]) + entry([1, 2, 3, 4])
+    target = [Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from([1, 2, 3]))) for _ in range(n)]
+    return CosetProblem(form, target)
 
 
 @st.composite

@@ -1,14 +1,17 @@
-"""Defect invariants, characteristic minima, and class arithmetic."""
+"""Defect invariants, characteristic minima, and class arithmetic.
+
+The class minima are checked against a closed form on Z^(n-1) + <delta>,
+and the class representatives against the chi / chi + 2 * generator
+construction they replaced (helpers.translate_class_reps).
+"""
 
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 
 from latdefect import (
     CharClassSign,
-    CongruenceViolationError,
     Covector,
     FormatError,
     NotCharacteristicError,
@@ -16,6 +19,7 @@ from latdefect import (
     a1_lattice,
     char_class_sign,
     characteristic_class_reps,
+    conjugate_lattice,
     defects,
     diagonal_bimodular_lattice,
     direct_sum,
@@ -26,9 +30,15 @@ from latdefect import (
     is_characteristic,
     max_char_square,
     min_char_norm,
+    random_unimodular,
+    spinc_classes,
     validate_lattice,
 )
-from helpers import box_minimum
+from latdefect.defects import _class_minima, _class_target
+from latdefect.enumeration import coset_minima
+from latdefect.linalg import integer_matrix_inverse, mat_vec, transpose
+
+from helpers import bimodular_bases, box_minimum, conjugated, translate_class_reps
 
 
 QUARTER = Fraction(1, 4)
@@ -72,18 +82,6 @@ def test_defects_stable_under_cube_summands():
     assert defects(padded) == defects(base)
     uni = direct_sum(e8_lattice(), identity_lattice(2))
     assert defects(uni).d_plus == -2
-
-
-def test_unimodular_defects_check_the_minimum_mod_8(monkeypatch):
-    # characteristic squares of a unimodular lattice are its rank mod 8 (van
-    # der Blij), so a minimum of 0 fits E8 (8 = 0 mod 8) but not I_3
-    defects_module = sys.modules["latdefect.defects"]
-    monkeypatch.setattr(
-        defects_module, "_class_minima", lambda lat, reps, node_budget: [(Fraction(0), 0)] * len(reps)
-    )
-    assert defects(e8_lattice()).d_plus == -2
-    with pytest.raises(CongruenceViolationError, match="is not 3 mod 8"):
-        defects(identity_lattice(3))
 
 
 def test_defects_determinant_guard():
@@ -199,3 +197,49 @@ def test_defect_additivity_against_direct_sums():
         min_char_norm(both).min_norm
         == min_char_norm(left).min_norm + min_char_norm(right).min_norm
     )
+
+
+def test_class_minima_beyond_det_two_match_the_closed_form():
+    # On Z^(n-1) + <delta> the class of a rep p is p_n mod 2 delta, with
+    # p_n = delta mod 2, and each unit axis adds at least 1, so its least
+    # square is n - 1 + min p^2 / delta over that residue. The diagonal basis
+    # takes the tree dynamic program; a seeded conjugate takes the search,
+    # which is the route _class_minima picks once the conjugate has a cycle
+    # (from rank 3 on: every graph on two vertices is a forest).
+    rng = random.Random(26)
+    for delta in range(2, 8):
+        for n in range(1, 6):
+            rows = [[int(i == j) for j in range(n)] for i in range(n)]
+            rows[-1][-1] = delta
+            lat = validate_lattice(rows)
+            u = random_unimodular(rng, n)
+            conj = conjugate_lattice(lat, u)
+            while n >= 3 and conj.forest_plan is not None:
+                u = random_unimodular(rng, n)
+                conj = conjugate_lattice(lat, u)
+            back = transpose(integer_matrix_inverse(u))  # pairings p = U^-T p'
+
+            def expected(p):
+                r = p[-1] % (2 * delta)
+                return n - 1 + Fraction(min(r, 2 * delta - r) ** 2, delta)
+
+            reps = [c.representative for c in spinc_classes(lat)]
+            assert lat.forest_plan is not None and len(reps) == delta
+            tree = _class_minima(lat, reps, None)
+            assert [4 * value for value, _nodes in tree] == [expected(r.pairings) for r in reps]
+            reps = [c.representative for c in spinc_classes(conj)]
+            search = coset_minima(conj.positive_gram, [_class_target(r) for r in reps])
+            assert [4 * value for value, _nodes in search] == [
+                expected(mat_vec(back, list(r.pairings))) for r in reps
+            ]
+
+
+def test_class_reps_match_the_translated_generator_construction():
+    bases = bimodular_bases(range(1, 7))
+    for seed in range(300):
+        rng = random.Random(seed)
+        lat = conjugated(rng, rng.choice(bases)())
+        if rng.random() < 0.5:
+            lat = validate_lattice([[-x for x in row] for row in lat.gram])
+        found = [(sign, cov.pairings) for sign, cov in characteristic_class_reps(lat).items()]
+        assert found == list(translate_class_reps(lat).items())

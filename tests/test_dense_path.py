@@ -2,11 +2,12 @@
 
 The covector solve is checked against the dense Bareiss adjugate of the
 positive form and against sign |det| G^-1 in Fractions, the shared reduction
-and factorization behind defects against one preparation per class, the
-unimodular defect on G against the "any" search on G^-1, and gluing's closed
-forms in the glue parity against the Smith-form saturation test and the
-Hermite and Fraction routes kept in tests/helpers.py. The guards on which
-kernels these questions run are rows of the work table (tests/test_work.py).
+and factorization behind defects (and its tree dynamic program on forests)
+against one preparation per class, the unimodular defect on G against the
+"any" search on G^-1, and gluing's closed forms in the glue parity against
+the Smith-form saturation test and the Hermite and Fraction routes kept in
+tests/helpers.py. The guards on which kernels these questions run are rows
+of the work table (tests/test_work.py).
 """
 
 import random
@@ -14,21 +15,6 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from helpers import (
-    GLUE,
-    conjugated_bimodular,
-    conjugated_lattices,
-    conjugated_unimodular,
-    examples,
-    fraction_extend,
-    fraction_glue,
-    fraction_restrict,
-    integer_target,
-    quadratic_value,
-    smith_saturation_check,
-    U7,
-)
-from test_work import check_rows
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -58,20 +44,20 @@ from latdefect.defects import _any_problem, _class_problem
 from latdefect.enumeration import coset_minima, shortest_in_coset
 from latdefect.linalg import adjugate, hermite_row_basis, mat_vec
 
-
-@examples(60)
-@given(conjugated_lattices(max_rank=7, max_entry=6))
-def test_integer_adjugate_is_det_times_the_fraction_inverse(lat):
-    # solve(e_i) is column i of adj P = det P P^-1 for the positive form
-    # P = sign G, so adj P = sign |det| G^-1
-    n = lat.rank
-    columns = [lat.solve([int(i == j) for j in range(n)]) for i in range(n)]
-    adj, det = adjugate(lat.positive_gram)
-    assert det == abs(lat.determinant)
-    assert [list(row) for row in zip(*columns)] == adj
-    expected = [[lat.sign * det * x for x in row] for row in dual_gram(lat)]
-    assert adj == expected
-    assert all(type(x) is int for column in columns for x in column)
+from helpers import (
+    GLUE,
+    U7,
+    conjugated_bimodular,
+    conjugated_lattices,
+    conjugated_unimodular,
+    examples,
+    fraction_extend,
+    fraction_glue,
+    fraction_restrict,
+    integer_target,
+    quadratic_value,
+    smith_saturation_check,
+)
 
 
 @examples(60)
@@ -79,17 +65,24 @@ def test_integer_adjugate_is_det_times_the_fraction_inverse(lat):
 @example(validate_lattice([[7]]), 0)
 @example(validate_lattice([[-7]]), 0)
 def test_solve_matches_the_dense_adjugate(lat, seed):
-    rng = random.Random(seed)
+    # solve(e_i) is column i of adj P = det P P^-1 for the positive form
+    # P = sign G, so adj P = sign |det| G^-1, and solve(v) = adj P v
+    n = lat.rank
     adj, det = adjugate(lat.positive_gram)
     assert det == abs(lat.determinant)
+    columns = [lat.solve([int(i == j) for j in range(n)]) for i in range(n)]
+    assert [list(row) for row in zip(*columns)] == adj
+    assert all(type(x) is int for column in columns for x in column)
+    assert adj == [[lat.sign * det * x for x in row] for row in dual_gram(lat)]
+    rng = random.Random(seed)
     for _ in range(3):
-        vec = [rng.randint(-9, 9) for _ in range(lat.rank)]
+        vec = [rng.randint(-9, 9) for _ in range(n)]
         assert lat.solve(vec) == mat_vec(adj, vec)
 
 
 def test_solve_rejects_a_non_integer_entry_and_a_wrong_length():
-    # one check on both paths: the tree solve of a forest and the factor
-    # solve otherwise; an integral Fraction passes as its integer
+    # one check for a forest and for any other lattice, both solved on the
+    # factor; an integral Fraction passes as its integer
     forest = a1_lattice()
     dense = conjugate_lattice(e7_lattice(), U7)
     assert forest.forest_plan is not None and dense.forest_plan is None
@@ -248,11 +241,11 @@ def test_glued_doubled_basis_is_triangular_with_one_unit_pivot():
     assert basis2[k] == list(over.glue)
 
 
-GOLDENS = (
-    [a1_lattice()]
+# forests, which defects searches by the tree dynamic program
+TREE_LATTICES = (
+    [a1_lattice(), e7_lattice(), e8_lattice()]
     + [diagonal_bimodular_lattice(n) for n in range(1, 9)]
     + [identity_lattice(m) for m in range(1, 11)]
-    + [e8_lattice()]
 )
 
 
@@ -261,9 +254,10 @@ def test_shared_preparation_matches_one_preparation_per_class(reduce):
     """Each class searched on its own, through the minimizer-recording
     shortest_in_coset, finds the minimum that the shared preparation does;
     with the same LLL step, which the shared preparation always takes, it
-    visits the same nodes too."""
-    lattices = GOLDENS + [conjugated_bimodular(seed) for seed in range(50)]
-    for lat in lattices:
+    visits the same nodes too. defects finds the same minima, by the tree
+    dynamic program on the forests."""
+    assert all(lat.forest_plan is not None for lat in TREE_LATTICES)
+    for lat in TREE_LATTICES + [conjugated_bimodular(seed) for seed in range(50)]:
         n = lat.rank
         if abs(lat.determinant) == 1:
             problems = [_any_problem(lat)]
@@ -296,37 +290,3 @@ def test_unimodular_defect_on_the_gram_matches_the_any_search_on_its_inverse():
         lat = conjugated_unimodular(seed)
         square = min_char_norm(lat, "any").min_norm
         assert defects(lat).d_plus == (square - lat.rank) / 4
-
-
-def test_covector_questions_run_no_dense_adjugate(monkeypatch):
-    # gluing, restriction, extension and class reps solve on factors; defects
-    # on a non-forest invert only their LLL transforms
-    check_rows(monkeypatch, ["glue questions on a det-2 pair", "class reps of a det-2 pair",
-                             "defects of a det-2 non-forest"])
-
-
-def test_second_discriminant_group_runs_no_smith_form(monkeypatch):
-    # the second call returns the cached group and runs nothing
-    check_rows(monkeypatch, ["first discriminant group", "second discriminant group"])
-
-
-def test_smith_form_runs_once_on_the_non_unit_hermite_pivots(monkeypatch):
-    # one Smith form per lattice, on as many rows as the Hermite basis has
-    # pivots above 1: one for |det| = 2 in either sign, none when
-    # unimodular, two for the Z/2 + Z/2 of D4
-    check_rows(monkeypatch, ["discriminant groups of 11 lattices"])
-
-
-def test_glue_takes_no_smith_form_or_adjugate_once_summands_are_cached(monkeypatch):
-    # cached discriminant groups leave gluing no Smith or Hermite form
-    check_rows(monkeypatch, ["glue questions on cached det-2 summands"])
-
-
-def test_recognizers_and_glue_take_no_hermite_or_smith_form(monkeypatch):
-    # the recognizers list norm-1 and norm-2 vectors and take no Hermite form
-    check_rows(monkeypatch, ["glue and recognizers on cached det-2 summands"])
-
-
-def test_unimodular_defects_build_no_fraction_inverse(monkeypatch):
-    # the unimodular defect searches on G itself, with no Fraction inverse
-    check_rows(monkeypatch, ["defects of 20 conjugated unimodular lattices, E8 and I3"])

@@ -12,6 +12,7 @@ from helpers import DEFECTS, lens_d, tau_canonical_d
 from latdefect import (
     POINCARE_SPHERE_D,
     BudgetExhaustedError,
+    CosetProblem,
     Covector,
     DInvariantReport,
     FormatError,
@@ -29,6 +30,7 @@ from latdefect import (
     d_invariant,
     defects,
     e8_lattice,
+    enumerate_in_coset,
     evaluate_expression,
     format_fraction,
     gram,
@@ -41,11 +43,11 @@ from latdefect import (
     parse_expression,
     reverse_orientation,
     seifert_class_values,
+    shortest_in_coset,
     spinc_classes,
 )
 from latdefect.cli import main
 from latdefect.dinvariant import _seifert_tree
-
 
 
 def test_e8_boundary_has_d_two():
@@ -285,10 +287,13 @@ def test_node_budget_bounds_each_dynamic_program(monkeypatch, capsys):
 @pytest.mark.parametrize("budget", [-5, 0, 1.5, "3", True])
 def test_node_budget_is_checked_where_it_enters(budget):
     # evaluate_expression("P", node_budget=-5) once returned, as no dynamic
-    # program runs on the sphere
+    # program runs on the sphere, and the two public searches once took 0 and
+    # below as budgets exhausted at the first node
     e8 = e8_lattice()
     negative = gram(negative_e8_tree())
     entries = [
+        lambda: shortest_in_coset(CosetProblem([[2]], [0]), node_budget=budget),
+        lambda: enumerate_in_coset(CosetProblem([[2]], [0], radius=2), node_budget=budget),
         lambda: evaluate_expression("P", node_budget=budget),
         lambda: seifert_class_values(SeifertData(-3, (-4, -4, -2)), node_budget=budget),
         lambda: defects(e8, node_budget=budget),

@@ -1,6 +1,7 @@
 """Coset minimization: goldens, oracle agreement, budgets, reduction, and the
 serial search as the only one (no entry point takes threads). Only
-shortest_in_coset lets the caller choose the LLL step."""
+shortest_in_coset lets the caller choose the LLL step. The forest plan is
+checked against the dense fraction-free adjugate."""
 
 import hashlib
 import inspect
@@ -9,19 +10,19 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
 
 import latdefect
 from latdefect import (
-    BudgetExhaustedError,
     CosetProblem,
     FormatError,
     NotIntegerError,
     NotPositiveDefiniteError,
     NotSymmetricError,
     RadiusEmptyError,
+    ToolkitError,
     defects,
     enumerate_in_coset,
-    lll_reduce_gram,
     max_char_square,
     min_char_norm,
     shortest_in_coset,
@@ -31,15 +32,25 @@ from latdefect.cli import main
 from latdefect.enumeration import coset_minima, forest_plan, plan_minimum
 from latdefect.errors import EXIT_USAGE
 from latdefect.formats import gram_to_json
-from latdefect.linalg import adjugate, fraction_free_ldl, ldl_decomposition, mat_mul, transpose
+from latdefect.linalg import (
+    adjugate,
+    clear_denominators,
+    fraction_free_ldl,
+    ldl_decomposition,
+    mat_mul,
+    transpose,
+)
+from latdefect.reduction import lll_reduce_gram
+
 from helpers import (
     box_minimum,
     box_points_within,
+    examples,
+    forest_problems,
     quadratic_value,
     random_spd_gram,
     random_target,
 )
-from test_work import check_rows
 
 
 def test_problem_validation():
@@ -133,18 +144,6 @@ def test_radius_modes():
     assert info.value.exit_code == 2
 
 
-def test_node_budget_exhaustion():
-    gram = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
-    problem = CosetProblem(gram, [Fraction(1, 2)] * 6)
-    with pytest.raises(BudgetExhaustedError) as info:
-        shortest_in_coset(problem, node_budget=3)
-    assert info.value.exit_code == 3
-    # generous budget leaves the answer unchanged
-    full = shortest_in_coset(problem)
-    budgeted = shortest_in_coset(problem, node_budget=10 ** 6)
-    assert budgeted == full
-
-
 def test_enumerate_requires_radius():
     with pytest.raises(ValueError):
         enumerate_in_coset(CosetProblem([[1]], [0]))
@@ -211,11 +210,6 @@ def test_lll_preserves_values():
         assert adjugate(u)[1] in (1, -1)
 
 
-def test_lll_rejects_degenerate():
-    with pytest.raises(NotPositiveDefiniteError):
-        lll_reduce_gram([[1, 1], [1, 1]])
-
-
 def test_reduction_changes_nodes_not_values():
     # skewed planar form: reduction saves work but never changes the answer
     gram = [[901, 30], [30, 1]]
@@ -236,7 +230,6 @@ def test_minimizer_values_are_attained():
         for x in result.minimizers:
             shifted = [t + xi for t, xi in zip([Fraction(v) for v in target], x)]
             assert quadratic_value(gram, shifted) == result.min_norm
-
 
 
 def test_suite_search_nodes_and_minima_are_pinned(monkeypatch):
@@ -269,7 +262,23 @@ def test_suite_search_nodes_and_minima_are_pinned(monkeypatch):
     )
 
 
-def test_minimum_searches_reduce_and_listings_do_not(monkeypatch):
-    # listings, the LLL-free route and rank 1 take no LLL; minimum searches do
-    check_rows(monkeypatch, ["listing in a coset", "roots of E8", "shortest vector without LLL",
-                             "shortest vector at rank 1", "shortest vector", "minima of two targets"])
+@examples(150)
+@given(forest_problems())
+@example(CosetProblem([[Fraction(5)]], [0]))  # rank 1
+@example(CosetProblem([[Fraction(2), 0, 0], [0, Fraction(3), 0], [0, 0, Fraction(5, 2)]], [0, 0, 0]))  # no edges
+def test_plan_matches_the_dense_adjugate(problem):
+    rows, _scale = clear_denominators(problem.form)
+    adj, det = adjugate(rows)
+    plan = forest_plan(rows, fraction_free_ldl(rows))
+    assert plan.determinant == det
+    assert plan.adjugate_diagonal == tuple(adj[v][v] for v in range(len(adj)))
+
+
+A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+
+
+def test_plan_determinant_must_match_the_ldl():
+    lam, minors, scale = fraction_free_ldl(A3)
+    corrupted = (lam, minors[:-1] + [minors[-1] + 1], scale)
+    with pytest.raises(ToolkitError, match="forest minors multiply to 4"):
+        forest_plan(A3, corrupted)

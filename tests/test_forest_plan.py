@@ -10,34 +10,31 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from helpers import (
-    LATTICE,
-    cell_message,
-    conjugated_lattices,
-    discriminant_generators_by_inverse,
-    examples,
-    forest_minimum,
-    main_example_lattice,
-)
-from test_work import check_rows
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from latdefect import (
     FormatError,
-    SeifertData,
     ToolkitError,
-    canonical_plumbing,
     discriminant_group,
     max_char_square,
     spinc_classes,
     validate_lattice,
 )
 from latdefect.cli import main
-from latdefect.defects import _class_problem, _class_target
+from latdefect.defects import _class_target
 from latdefect.enumeration import _message, plan_minimum
 from latdefect.lattice import MAX_SPINC_CLASSES
 from latdefect.linalg import hermite_row_basis, reduce_mod_rows
+
+from helpers import (
+    LATTICE,
+    cell_message,
+    conjugated_lattices,
+    discriminant_generators_by_inverse,
+    examples,
+    main_example_lattice,
+)
 
 
 def progression(draw, max_len):
@@ -97,17 +94,6 @@ def test_main_example_node_total_is_pinned():
     # cell by cell, the same two classes cost 484,923 nodes
     assert found == [(Fraction(1, 4), 1783), (Fraction(15, 4), 6908)]
     assert sum(nodes for _value, nodes in found) == 8691
-
-
-def test_lattice_plan_agrees_with_the_problem_route():
-    lat = canonical_plumbing(SeifertData(-2, [Fraction(-3, 1), Fraction(-5, 2), Fraction(-6, 1)])).lattice
-    for cls in spinc_classes(lat):
-        rep = cls.representative
-        assert plan_minimum(lat.forest_plan, *_class_target(rep)) == forest_minimum(
-            _class_problem(rep)
-        )
-    triangle = validate_lattice([[-2, -1, -1], [-1, -2, -1], [-1, -1, -2]])
-    assert triangle.forest_plan is None
 
 
 @examples(200)
@@ -171,8 +157,3 @@ def test_cli_rejects_too_many_spinc_classes(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert "999999 spin-c classes exceed the limit" in captured.err
-
-
-def test_many_classes_build_one_plan_and_no_coset_problem(monkeypatch):
-    # every class of a tree runs the dynamic program on one plan
-    check_rows(monkeypatch, ["a space with 35 classes"])

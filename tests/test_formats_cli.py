@@ -287,6 +287,11 @@ def test_cli_exit_codes(capsys, gram_files, tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("not json")
     assert run_cli(capsys, ["defect", "--gram", str(broken)])[0] == 1
+    # bytes that no JSON encoding decodes are malformed input, not a traceback
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b'\xff\xfe{"gram": [[1]]}')
+    code, _, err = run_cli(capsys, ["defect", "--gram", str(undecodable)])
+    assert code == 1 and err.startswith("error: invalid JSON")
     radius = ["charmin", "--gram", gram_files["a1"], "--radius", "\u0663"]
     assert run_cli(capsys, radius)[0] == 1
     code, _, err = run_cli(capsys, radius[:-1] + ["1/0"])

@@ -12,27 +12,11 @@ at its first candidate over the bound.
 """
 
 import random
-import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from helpers import (
-    BASE_KINDS,
-    babai_value,
-    conjugated,
-    examples,
-    fraction_inverse,
-    fraction_ldl,
-    fraction_lll,
-    integer_target,
-    random_spd_gram,
-    random_target,
-    reference_search,
-    seeded_plumbing_lattice,
-    U7,
-)
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from latdefect import (
@@ -58,60 +42,58 @@ from latdefect.enumeration import _nearest_plane, _nearest_plane_constants, cose
 from latdefect.linalg import clear_denominators, fraction_free_ldl, ldl_decomposition, mat_vec
 from latdefect.reduction import lll_reduce_gram
 
-
-@st.composite
-def symmetric_grams(draw, rational=False):
-    """Rank 1-10: B^T B for a small integer B (positive definite, or singular
-    and so rejected), or an arbitrary symmetric matrix; scaled by a rational
-    when asked."""
-    n = draw(st.integers(1, 10))
-    if draw(st.booleans()):
-        b = [[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]
-        gram = [[sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    else:
-        gram = [[0] * n for _ in range(n)]
-        for i in range(n):
-            gram[i][i] = draw(st.integers(-2, 12))
-            for j in range(i + 1, n):
-                gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
-    if rational:
-        scale = Fraction(draw(st.integers(1, 7)), draw(st.integers(1, 6)))
-        shift = Fraction(draw(st.integers(0, 3)), draw(st.integers(1, 5)))
-        gram = [[x * scale + (shift if i == j else 0) for j, x in enumerate(row)]
-                for i, row in enumerate(gram)]
-    return gram
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except NotPositiveDefiniteError as err:
-        return ("not positive definite", err.pivot_index)
+from helpers import (
+    BASE_KINDS,
+    DEFECTS,
+    U7,
+    babai_value,
+    conjugated,
+    examples,
+    fraction_inverse,
+    fraction_ldl,
+    fraction_lll,
+    integer_target,
+    outcome,
+    random_spd_gram,
+    random_target,
+    reference_search,
+    seeded_plumbing_lattice,
+    symmetric_matrices,
+)
 
 
 @examples(80)
-@given(st.one_of(symmetric_grams(), symmetric_grams(rational=True)))
+@given(st.one_of(symmetric_matrices(), symmetric_matrices(rational=True)))
+@example([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
 def test_integral_lll_matches_fraction_lll(gram):
-    expected = outcome(fraction_lll, gram)
-    assert outcome(lll_reduce_gram, gram) == expected
-    if not isinstance(expected[0], str):
-        reduced, _u = expected
-        assert all(isinstance(x, Fraction) for row in reduced for x in row)
+    # an integral Gram matrix comes back in ints, any other in Fractions,
+    # and the argument is left alone
+    before = [row[:] for row in gram]
+    got = outcome(lll_reduce_gram, gram)
+    assert got == outcome(fraction_lll, gram)
+    assert gram == before
+    if not isinstance(got[0], str):
+        integral = all(Fraction(x).denominator == 1 for row in gram for x in row)
+        assert all(type(x) is (int if integral else Fraction) for row in got[0] for x in row)
 
 
 @examples(80)
-@given(st.one_of(symmetric_grams(), symmetric_grams(rational=True)))
+@given(st.one_of(symmetric_matrices(), symmetric_matrices(rational=True)))
 def test_ldl_decomposition_matches_fraction_ldl(gram):
     assert outcome(ldl_decomposition, gram) == outcome(fraction_ldl, gram)
 
 
 def test_lll_and_ldl_name_the_first_bad_minor():
-    # leading minors 2, 2*1 - 4 < 0: both fail at index 2
-    indefinite = [[2, 2, 0], [2, 1, 0], [0, 0, 1]]
-    for fn in (lll_reduce_gram, ldl_decomposition, fraction_lll, fraction_ldl):
-        with pytest.raises(NotPositiveDefiniteError) as info:
-            fn(indefinite)
-        assert info.value.pivot_index == 2
+    for gram, index in (
+        ([[2, 2, 0], [2, 1, 0], [0, 0, 1]], 2),  # leading minors 2, 2*1 - 4 < 0
+        ([[1, 2], [2, 1]], 2),  # leading minors 1, -3
+        ([[1, 1], [1, 1]], 2),  # leading minors 1, 0
+        ([[0]], 1),
+    ):
+        for fn in (lll_reduce_gram, ldl_decomposition, fraction_lll, fraction_ldl):
+            with pytest.raises(NotPositiveDefiniteError) as info:
+                fn(gram)
+            assert info.value.pivot_index == index
 
 
 def test_fraction_free_ldl_is_integral():
@@ -137,21 +119,12 @@ def test_integer_nearest_plane_equals_fraction_babai(seed, rational):
 
 @examples(80)
 @given(st.integers(0, 10**6))
-def test_coset_minima_is_the_search_without_minimizers(seed):
-    rng = random.Random(seed)
-    gram = random_spd_gram(rng, max_rank=6)
-    problem = CosetProblem(gram, random_target(rng, len(gram)))
-    full = shortest_in_coset(problem)
-    assert coset_minima(gram, [integer_target(problem)]) == [(full.min_norm, full.nodes_visited)]
-
-
-@examples(80)
-@given(st.integers(0, 10**6))
 def test_a_factor_common_to_big_and_den_changes_no_search(seed):
     # coset_minima and plan_minimum take each target (big, den) as given, in
     # lowest terms or not: a common factor k leaves every level scale and
     # every DP domain, so every node, alone. So a class target is
-    # (adj p, 2 |det|) with no gcd taken out.
+    # (adj p, 2 |det|) with no gcd taken out. At k = 1, coset_minima is the
+    # search of shortest_in_coset without its minimizers, node for node.
     rng = random.Random(seed)
     gram = random_spd_gram(rng, max_rank=6)
     problem = CosetProblem(gram, random_target(rng, len(gram)))
@@ -232,24 +205,6 @@ def test_int_forms_search_as_their_fraction_twins(seed, bimodular):
     )
 
 
-@examples(80)
-@given(symmetric_grams())
-def test_integral_lll_returns_ints_and_leaves_its_argument(gram):
-    before = [row[:] for row in gram]
-    got = outcome(lll_reduce_gram, gram)
-    assert got == outcome(fraction_lll, gram)
-    assert gram == before
-    if not isinstance(got[0], str):
-        reduced, _u = got
-        assert all(type(x) is int for row in reduced for x in row)
-
-
-def test_rational_lll_returns_fractions():
-    reduced, _u = lll_reduce_gram([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
-    assert reduced == [[Fraction(1, 3), 0], [0, Fraction(1, 2)]]
-    assert all(type(x) is Fraction for row in reduced for x in row)
-
-
 def test_clear_denominators_copies_int_rows():
     mat = ((2, -1), (-1, 3))
     rows, scale = clear_denominators(mat)
@@ -321,11 +276,15 @@ def test_min_char_norm_node_counts_are_pinned(key):
 
 
 def test_value_only_defects_keep_the_mod_8_check(monkeypatch):
-    # a class minimum of 0 fits the plus class of E7 (7 + 1 = 0 mod 8) but
-    # not the minus class (7 - 1 = 6 mod 8)
-    defects_module = sys.modules["latdefect.defects"]
+    # characteristic squares of a unimodular lattice are its rank mod 8 (van
+    # der Blij), so a minimum of 0 fits E8 (8 = 0 mod 8) but not I_3; it fits
+    # the plus class of E7 (7 + 1 = 0 mod 8) but not the minus class
+    # (7 - 1 = 6 mod 8)
     monkeypatch.setattr(
-        defects_module, "_class_minima", lambda lat, reps, node_budget: [(Fraction(0), 0)] * len(reps)
+        DEFECTS, "_class_minima", lambda lat, reps, node_budget: [(Fraction(0), 0)] * len(reps)
     )
+    assert defects(e8_lattice()).d_plus == -2
+    with pytest.raises(CongruenceViolationError, match="is not 3 mod 8"):
+        defects(identity_lattice(3))
     with pytest.raises(CongruenceViolationError, match="is not 6 mod 8"):
         defects(e7_lattice())

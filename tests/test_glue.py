@@ -1,7 +1,6 @@
 """Gluing determinant-2 lattices into unimodular overlattices."""
 
 import pytest
-from test_work import check_rows
 
 from latdefect import (
     CharClassSign,
@@ -174,9 +173,3 @@ def test_restrict_extend_roundtrip():
     right = restrict_covector(chi, "right")
     back = extend_covector(over, left, right)
     assert back == chi
-
-
-def test_gluing_validates_once(monkeypatch):
-    # the block-diagonal Gram of two validated lattices is not validated
-    # again: only the overlattice Gram is
-    check_rows(monkeypatch, ["glue of E7 and A1"])

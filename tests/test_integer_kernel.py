@@ -10,18 +10,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from helpers import (
-    GLUE,
-    conjugated,
-    count_calls,
-    examples,
-    fraction_inverse,
-    ldl_validation,
-    smith_saturation_check,
-    tracer_layers,
-    U7,
-)
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import latdefect
@@ -38,6 +27,18 @@ from latdefect import (
     validate_lattice,
 )
 from latdefect.linalg import integer_matrix_inverse, invert_matrix
+
+from helpers import (
+    GLUE,
+    U7,
+    count_calls,
+    examples,
+    fraction_inverse,
+    ldl_validation,
+    smith_saturation_check,
+    symmetric_matrices,
+    tracer_layers,
+)
 
 
 @st.composite
@@ -103,6 +104,7 @@ def test_invert_with_row_swaps(mat):
 
 @examples(60)
 @given(singular_matrices())
+@example([[1, 2], [2, 4]])
 def test_singular_input_raises(mat):
     with pytest.raises(ValueError):
         invert_matrix(mat)
@@ -119,37 +121,17 @@ def test_integer_inverse_of_unimodular(n, seed):
 
 @examples(60)
 @given(square_matrices(max_rank=8))
+@example([[Fraction(1, 2)]])  # its inverse [[2]] is integral, but it is not
 def test_integer_inverse_rejects_non_unimodular(mat):
     try:
         expected = fraction_inverse(mat)
     except ValueError:
         return
-    if all(x.denominator == 1 for row in expected for x in row):
+    if all(Fraction(x).denominator == 1 for row in mat + expected for x in row):
         assert integer_matrix_inverse(mat) == expected
     else:
-        with pytest.raises(ToolkitError, match="not unimodular"):
+        with pytest.raises(ToolkitError, match="^matrix is not unimodular$"):
             integer_matrix_inverse(mat)
-
-
-@st.composite
-def symmetric_matrices(draw):
-    """Positive definite, negative definite, or an arbitrary symmetric matrix."""
-    n = draw(st.integers(1, 9))
-    kind = draw(st.sampled_from(["positive", "negative", "indefinite"]))
-    if kind == "indefinite":
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                rows[i][j] = rows[j][i] = draw(st.integers(-4, 4))
-        return rows
-    b = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
-    shift = draw(st.integers(1, 3))
-    rows = [
-        [sum(b[k][i] * b[k][j] for k in range(n)) + shift * (i == j) for j in range(n)]
-        for i in range(n)
-    ]
-    sign = -1 if kind == "negative" else 1
-    return [[sign * x for x in row] for row in rows]
 
 
 @examples(60)
@@ -177,9 +159,10 @@ def test_validation_reports_the_first_failing_minor():
         validate_lattice(rows)
     assert (info.value.index, info.value.minor) == (3, -15)
     assert ldl_validation(rows) == ("not definite", 3, -15)
-    with pytest.raises(NotDefiniteError) as info:
-        validate_lattice([[-1, 0], [0, 1]])
-    assert (info.value.index, info.value.minor) == (2, -1)
+    for bad, first in (([[-1, 0], [0, 1]], (2, -1)), ([], (0, 0))):
+        with pytest.raises(NotDefiniteError) as info:
+            validate_lattice(bad)
+        assert (info.value.index, info.value.minor) == first
 
 
 def test_glue_divisibility_guards():

@@ -1,9 +1,17 @@
-"""Lattice validation, characteristic covectors, roots, and recognizers."""
+"""Lattice validation, spin-c classes, characteristic covectors, roots, and
+recognizers.
+
+The Hermite box classes are checked against the Smith route kept in
+tests/helpers.py, and the box's combined adjugate against the covector solve
+of each class representative.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from latdefect import (
     CharClassSign,
@@ -15,6 +23,7 @@ from latdefect import (
     NotDefiniteError,
     NotIntegerError,
     NotSymmetricError,
+    SeifertData,
     a1_lattice,
     base_characteristic,
     char_class_sign,
@@ -25,17 +34,30 @@ from latdefect import (
     dual_gram,
     e7_lattice,
     e8_lattice,
+    h1_order,
     identity_lattice,
     is_characteristic,
     is_diagonal,
     is_diagonal_bimodular,
     random_unimodular,
     roots,
+    spinc_classes,
     unit_vectors,
     validate_lattice,
 )
-from latdefect.linalg import hermite_row_basis, mat_mul, transpose
-from helpers import box_points_within, collapse_sign_pairs, quadratic_value, smith_row_kernel
+from latdefect.dinvariant import _seifert_tree
+from latdefect.linalg import hermite_row_basis, mat_mul, reduce_mod_rows, transpose
+
+from helpers import (
+    box_points_within,
+    collapse_sign_pairs,
+    conjugated_lattices,
+    examples,
+    plumbing_lattices,
+    quadratic_value,
+    smith_row_kernel,
+    smith_spinc_keys,
+)
 
 
 def test_validate_rejects_asymmetric():
@@ -207,6 +229,8 @@ def test_is_diagonal_bimodular():
     for n in range(1, 6):
         assert is_diagonal_bimodular(diagonal_bimodular_lattice(n))
     assert not is_diagonal_bimodular(e7_lattice())
+    with pytest.raises(ValueError, match="rank must be at least 1"):
+        diagonal_bimodular_lattice(0)
     with pytest.raises(NotBimodularError):
         is_diagonal_bimodular(identity_lattice(2))
     # conjugated copy of diag(1, 2) keeps the property
@@ -259,6 +283,8 @@ def test_non_integer_entries_are_rejected_not_truncated(entry):
 
 
 def test_translate_rejects_a_shift_of_another_length():
+    with pytest.raises(ValueError, match="does not match lattice rank"):
+        Covector((1, 2), a1_lattice())
     chi = base_characteristic(e7_lattice())
     for delta in ([2] * 8, [2] * 6):
         with pytest.raises(ValueError):
@@ -274,3 +300,42 @@ def test_integral_fractions_are_accepted_as_ints():
     lat2 = validate_lattice([[Fraction(2), Fraction(-1)], [-1, 2]])
     assert lat2.gram == ((2, -1), (-1, 2))
     assert all(type(x) is int for row in lat2.gram for x in row)
+
+
+@examples(150)
+@given(st.one_of(plumbing_lattices(), conjugated_lattices(max_rank=6, max_entry=5, max_det=1000)))
+def test_hermite_box_classes_match_the_smith_route(lat):
+    classes = spinc_classes(lat)
+    assert len(classes) == abs(lat.determinant)
+    assert len({c.representative.pairings for c in classes}) == len(classes)
+    basis = hermite_row_basis(lat.positive_gram)
+    keys = set()
+    for cls in classes:
+        assert cls.representative.lattice == lat
+        assert is_characteristic(cls.representative)
+        shift = [(p - d) // 2 for p, d in zip(cls.representative.pairings, lat.diagonal)]
+        keys.add(tuple(reduce_mod_rows(shift, basis)))
+    assert keys == smith_spinc_keys(lat)
+
+
+def test_box_combined_adj_is_the_solve_of_each_rep():
+    rng = random.Random(25)
+    spaces = [SeifertData(-1, (Fraction(-5, 2), Fraction(-5, 3), Fraction(-5, 4)))]
+    while len(spaces) < 40:
+        legs = tuple(
+            Fraction(rng.choice((-1, 1)) * rng.randint(2, 7), rng.randint(1, 5))
+            for _ in range(rng.randint(1, 3))
+        )
+        data = SeifertData(rng.randint(-3, 3), legs)
+        if data.euler_number != 0 and h1_order(data) <= 400:
+            spaces.append(data)
+    seen = set()
+    for data in spaces:
+        tree, flipped = _seifert_tree(data)
+        lat = tree.lattice
+        _hnf, free = lat._hermite_box
+        seen.add((len(free) > 1, flipped))
+        for cls in spinc_classes(lat):
+            rep = cls.representative
+            assert rep._adj == tuple(lat.solve(rep.pairings))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}

@@ -8,18 +8,11 @@ import sympy
 
 from latdefect import SeifertData, h1_order
 from latdefect.dinvariant import _seifert_tree
-from latdefect.errors import (
-    FormatError,
-    NotIntegerError,
-    NotPositiveDefiniteError,
-    NotSymmetricError,
-)
+from latdefect.errors import FormatError, NotIntegerError, NotSymmetricError
 from latdefect.linalg import (
     adjugate,
     hermite_row_basis,
-    integer_matrix_inverse,
     invert_matrix,
-    ldl_decomposition,
     mat_mul,
     mat_vec,
     reduce_mod_rows,
@@ -82,42 +75,6 @@ def test_inverse_matches_sympy():
             for j in range(n):
                 assert inv[i][j] == Fraction(int(expected[i, j].p), int(expected[i, j].q))
         done += 1
-
-
-def test_inverse_rejects_singular():
-    with pytest.raises(ValueError):
-        invert_matrix([[1, 2], [2, 4]])
-
-
-def test_integer_matrix_inverse_unimodular():
-    u = [[1, 3], [0, -1]]
-    v = integer_matrix_inverse(u)
-    assert mat_mul(u, v) == [[1, 0], [0, 1]]
-
-
-def test_ldl_reconstructs_form():
-    rng = random.Random(4)
-    for _ in range(25):
-        n = rng.randint(1, 5)
-        a = random_int_matrix(rng, n, n, span=3)
-        q = mat_mul(transpose(a), a)
-        for i in range(n):
-            q[i][i] += 1  # forces positive definiteness
-        lower, diag = ldl_decomposition(q)
-        d = [[diag[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        back = mat_mul(mat_mul(lower, d), transpose(lower))
-        assert back == [[Fraction(x) for x in row] for row in q]
-        assert all(x > 0 for x in diag)
-        assert all(lower[i][i] == 1 for i in range(n))
-
-
-def test_ldl_reports_first_bad_pivot():
-    with pytest.raises(NotPositiveDefiniteError) as info:
-        ldl_decomposition([[1, 2], [2, 1]])
-    assert info.value.pivot_index == 2
-    with pytest.raises(NotPositiveDefiniteError) as info:
-        ldl_decomposition([[0]])
-    assert info.value.pivot_index == 1
 
 
 def test_hermite_rank_matches_sympy():

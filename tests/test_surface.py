@@ -7,7 +7,8 @@ a deletion in the library that would break it fails this suite first. The
 library's own source is read the same way, to check that it holds no assert
 and that every error class it declares is raised somewhere, and with the
 tests, that no module imports a name it never reads. The tests are also read
-for names that two of their modules define.
+for names that two of their modules define, and for a module that is named
+after no library module.
 """
 
 import ast
@@ -235,3 +236,22 @@ def test_no_two_test_modules_define_the_same_name():
         for name in module_level_names(path):
             owners.setdefault(name, []).append(path.name)
     assert {name: paths for name, paths in owners.items() if len(paths) > 1} == {}
+
+
+# test modules that check across library modules
+CROSS_CUTTING = ("acceptance", "readme", "surface", "work", "formats_cli")
+# test modules still named after finished migrations; they keep their names
+# (and so their test ids) until their tests are folded into the test module
+# of the library module each exercises, and this list only shrinks
+MIGRATION_NAMED = ("dense_path", "forest_plan", "fraction_free_search", "integer_kernel", "tree_dp")
+
+
+def test_each_test_module_names_a_library_module():
+    # the tests of library module m live in test_m.py, so a change to one
+    # module's code edits one test module
+    modules = {path.stem for path in SOURCE.glob("*.py")} - {"__init__"}
+    names = sorted(path.stem.removeprefix("test_") for path in TESTS.glob("test_*.py"))
+    assert len(names) > len(CROSS_CUTTING)
+    assert set(MIGRATION_NAMED) <= set(names)
+    others = CROSS_CUTTING + MIGRATION_NAMED
+    assert [name for name in names if name not in modules and name not in others] == []

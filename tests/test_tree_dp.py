@@ -9,10 +9,7 @@ budgets are exact for the tree DP and for every mode of the search.
 from fractions import Fraction
 
 import pytest
-from helpers import examples, forest_minimum, integer_target, seifert_legs, seifert_tree
-from test_work import check_rows
-from hypothesis import assume, given
-from hypothesis import strategies as st
+from hypothesis import assume, example, given
 
 from latdefect import (
     BudgetExhaustedError,
@@ -21,30 +18,20 @@ from latdefect import (
     max_char_square,
     shortest_in_coset,
     spinc_classes,
+    validate_lattice,
 )
-from latdefect.cli import main
-from latdefect.enumeration import coset_minima, enumerate_in_coset
+from latdefect.defects import _class_problem, _class_target
+from latdefect.enumeration import coset_minima, enumerate_in_coset, plan_minimum
 from latdefect.linalg import adjugate, mat_vec
 
-
-@st.composite
-def forest_problems(draw):
-    """Diagonally dominant form on a random forest, target with denominators 1-3."""
-    n = draw(st.integers(1, 6))
-    form = [[0] * n for _ in range(n)]
-    for v in range(1, n):
-        parent = draw(st.integers(-1, v - 1))  # -1 starts a new component
-        if parent >= 0:
-            form[v][parent] = form[parent][v] = draw(st.sampled_from([-3, -2, -1, 1, 2]))
-    for v in range(n):
-        form[v][v] = sum(abs(x) for x in form[v]) + draw(st.integers(1, 4))
-    if draw(st.booleans()):
-        form = [[Fraction(x, 2) for x in row] for row in form]
-    target = [
-        Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from([1, 2, 3])))
-        for _ in range(n)
-    ]
-    return CosetProblem(form, target)
+from helpers import (
+    examples,
+    forest_minimum,
+    forest_problems,
+    integer_target,
+    seifert_legs,
+    seifert_tree,
+)
 
 
 @examples(40)
@@ -67,23 +54,29 @@ def test_forest_minimum_small_cases():
 def test_forest_minimum_rejects_cycles_and_radius():
     triangle = [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
     assert forest_minimum(CosetProblem(triangle, [0, 0, 0])) is None
+    assert validate_lattice([[-x for x in row] for row in triangle]).forest_plan is None
     with pytest.raises(ValueError):
         forest_minimum(CosetProblem([[1]], [0], radius=1))
 
 
 @examples(40)
 @given(seifert_legs(5, 4))
+@example((-2, [(-1, 3, 1), (-1, 5, 2), (-1, 6, 1)]))
 def test_max_char_square_matches_search_on_every_class(raw):
     tree = seifert_tree(*raw)
     assume(tree is not None and tree.rank <= 10)
     lat = gram(tree)
-    assume(abs(lat.determinant) <= 40)
+    assume(abs(lat.determinant) <= 100)
     for cls in spinc_classes(lat):
+        rep = cls.representative
+        # the lattice's plan runs the dynamic program of the class problem's
+        # own plan, node for node
+        assert plan_minimum(lat.forest_plan, *_class_target(rep)) == forest_minimum(_class_problem(rep))
         # z = G^-1 p of the positive form -G, from the dense adjugate of G
-        adj = mat_vec(adjugate(lat.gram)[0], list(cls.representative.pairings))
+        adj = mat_vec(adjugate(lat.gram)[0], list(rep.pairings))
         target = [Fraction(-x, 2 * lat.determinant) for x in adj]
         search = shortest_in_coset(CosetProblem(lat.positive_gram, target))
-        assert max_char_square(lat, cls.representative) == -4 * search.min_norm
+        assert max_char_square(lat, rep) == -4 * search.min_norm
 
 
 def budget_cases():
@@ -95,21 +88,22 @@ def budget_cases():
     return [path, cube]
 
 
-# budgets the searches reject before their first node; any int is an exact
-# budget there, so 0 is exhausted at the first node
-NOT_INTS = ("3", 1.5, True)
+# budgets that every search and the tree DP reject before their first node
+# (check_node_budget); every int of at least 1 is an exact budget
+BAD_BUDGETS = (0, "3", 1.5, True)
+BAD_BUDGET = "^node_budget must be None or an int of at least 1, got"
 
 
 @pytest.mark.parametrize("problem", budget_cases())
 def test_forest_budget_is_exact(problem):
     value, nodes = forest_minimum(problem)
     assert forest_minimum(problem, node_budget=nodes) == (value, nodes)
-    for budget in (0, 1, nodes - 1):
+    for budget in (1, nodes - 1):
         with pytest.raises(BudgetExhaustedError) as info:
             forest_minimum(problem, node_budget=budget)
         assert info.value.nodes == nodes and info.value.budget == budget
-    for budget in NOT_INTS:
-        with pytest.raises(ValueError, match="^node_budget must be None or an int, got"):
+    for budget in BAD_BUDGETS:
+        with pytest.raises(ValueError, match=BAD_BUDGET):
             forest_minimum(problem, node_budget=budget)
 
 
@@ -131,12 +125,12 @@ def test_search_budget_is_exact(problem):
     ]
     for run, result, nodes in searches:
         assert run(nodes) == result
-        for budget in (0, 1, nodes - 1):
+        for budget in (1, nodes - 1):
             with pytest.raises(BudgetExhaustedError) as info:
                 run(budget)
             assert info.value.nodes == budget + 1 and info.value.budget == budget
-        for budget in NOT_INTS:
-            with pytest.raises(ValueError, match="^node_budget must be None or an int, got"):
+        for budget in BAD_BUDGETS:
+            with pytest.raises(ValueError, match=BAD_BUDGET):
                 run(budget)
 
 
@@ -151,13 +145,3 @@ def test_coset_minima_gives_each_target_its_own_budget():
     with pytest.raises(BudgetExhaustedError) as info:
         coset_minima(path.form, targets, node_budget=large - 1)
     assert info.value.nodes == large
-
-
-def test_cli_budget_exhaustion_on_a_plumbing(capsys):
-    code = main(["--node-budget", "1", "seifert", "d", "Y(-1; -2/1, -4/1, -5/1)"])
-    assert code == 3 and "budget" in capsys.readouterr().err
-
-
-def test_only_non_forests_take_the_search(monkeypatch):
-    # a tree runs the dynamic program, a triangle the search
-    check_rows(monkeypatch, ["max char square on the -E8 tree", "max char square on a triangle"])
