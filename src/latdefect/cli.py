@@ -217,12 +217,9 @@ def main(argv=None) -> int:
     except ToolkitError as err:
         click.echo(f"error: {err}", err=True)
         return err.exit_code
-    except click.UsageError as err:
+    except click.UsageError as err:  # no option is a click.File, so every click error is one
         click.echo(f"usage error: {err.format_message()}", err=True)
         return EXIT_USAGE
-    except click.ClickException as err:
-        err.show()
-        return err.exit_code
     except click.exceptions.Abort:
         return EXIT_USAGE
     return EXIT_OK

@@ -12,16 +12,25 @@ An integral form is kept in int from CosetProblem through LLL to the
 fraction-free factor, so it is never wrapped in Fractions and cleared again.
 
 There is one entry point per problem shape: shortest_in_coset reports the
-minimum with every minimizer; coset_minima runs the same search, node for
-node, for callers that need only minimum values, on integer targets
-(big, den) that share one form, which it reduces and factors once;
-enumerate_in_coset lists every point within a radius. The two entry points
-that take a CosetProblem clear its target to (big, den) once. Integral LLL
-conjugates the problem by a unimodular matrix: it changes node counts, never
-results. Both minimum searches apply it to every form of rank > 1; the
-listing, whose radius is fixed, runs faster without it. The search is
-serial, so node counts, and whether a node budget suffices, are the same on
-every run.
+minimum with every minimizer; coset_minima finds the same minimum, for
+callers that need only minimum values, on integer targets (big, den) that
+share one form, which it reduces and factors once; enumerate_in_coset lists
+every point within a radius. The two entry points that take a CosetProblem
+clear its target to (big, den) once. Integral LLL conjugates the problem by
+a unimodular matrix: it changes node counts, never results. Both minimum
+searches apply it to every form of rank > 1; the listing, whose radius is
+fixed, runs faster without it. The search is serial, so node counts, and
+whether a node budget suffices, are the same on every run.
+
+Two properties of the input let coset_minima and the listing prove less,
+and shortest_in_coset, which keeps every tied minimizer, takes neither.
+Every value of a coset differs from every other by a multiple of its value
+step g (_value_step), so once coset_minima holds a value best it searches
+only for values up to best - g; on a class target g is at least 2 in
+quarter-square units, the mod-8 congruence of characteristic squares. A
+coset with 2 t in Z^n is symmetric: x and -x - 2t have equal values, so
+the minimum search and the listing offer only the nonnegative side of the
+top level, and the listing adds each mirror.
 
 When Q is an integer form whose off-diagonal support is a forest (every
 plumbing tree is one), the exact minimum value needs no search: the
@@ -191,7 +200,28 @@ def _prepare(form, reduce: bool) -> _Prepared:
     return _Prepared(unimod, inverse, cols, diag)
 
 
-def _search(prepared: _Prepared, big, den: int, radius, mode: str, node_budget):
+def _value_step(form):
+    """The value step of the cosets of one form: a function of a target
+    (big, den) giving (G, W) such that Q(t + x) - Q(t) lies in (G / W) Z for
+    every integer x, and G / W is the gcd of those differences.
+
+    G / W is the gcd of 2 (Q t)_i + Q_ii and of 2 Q_ij for i <= j, since
+    Q_ii x_i^2 = Q_ii x_i + Q_ii x_i (x_i - 1) and x_i (x_i - 1) is even.
+    With rows, s = clear_denominators(form) and t = big / den, that is
+    gcd(2 (rows big)_i + den rows_ii, 2 den rows_ij) / (s den), in integers;
+    the part from the form alone is taken once.
+    """
+    rows, s = clear_denominators(form)
+    pairs = 2 * gcd(*(a for i, row in enumerate(rows) for a in row[i:]))
+    diag = [row[i] for i, row in enumerate(rows)]
+
+    def step(big, den):
+        return gcd(pairs * den, *(2 * a + den * d for a, d in zip(mat_vec(rows, big), diag))), s * den
+
+    return step
+
+
+def _search(prepared: _Prepared, big, den: int, radius, mode: str, node_budget, step=(0, 1)):
     """(best, hits, nodes) of one search for the target big / den (integers,
     den > 0) on a prepared form; best is None when nothing is within the
     inclusive radius (None for no bound). The target is mapped into the
@@ -199,9 +229,15 @@ def _search(prepared: _Prepared, big, den: int, radius, mode: str, node_budget):
 
     mode "collect" records every point within the radius with its value,
     "shrink" the minimizers at the shrinking minimum, and "value" nothing but
-    the minimum. Recording never prunes, so all three visit the same nodes
-    for the same radius. Every candidate tried is one node, and
-    BudgetExhaustedError is raised once there are more than node_budget.
+    the minimum. step = (G, W) says every value of the coset lies in
+    Q(t) + (G / W) Z; a hit at best lowers the limit to the next such value
+    below it, best - G / W. Shrink mode keeps ties, so it passes (0, 1).
+    On a symmetric coset (2 big = 0 mod den), x and -x - 2 big / den have
+    equal values and opposite top-level offsets, so value and collect mode
+    offer only the up side (offset >= 0) of level n-1, and collect mode
+    adds the mirror of each hit whose top offset is nonzero. Every
+    candidate tried is one node, and BudgetExhaustedError is raised once
+    there are more than node_budget.
     """
     check_node_budget(node_budget)
     unimod = prepared.unimod
@@ -210,12 +246,17 @@ def _search(prepared: _Prepared, big, den: int, radius, mode: str, node_budget):
     scales, consts, scols, coeff, value_scale = _scale(prepared.cols, prepared.diag, big, den)
     n = len(scales)
     # values, limit and best are in 1 / value_scale units; limit is the
-    # lesser of the radius and the best value so far
+    # lesser of the radius and the best value so far, less the step
     limit = None if radius is None else floor(radius * value_scale)
     if n == 0:  # the empty point alone, of value 0
         if limit is not None and limit < 0:
             return None, [], 0
         return Fraction(0), [((), Fraction(0))] if mode == "collect" else [()], 0
+    drop = -(-step[0] * value_scale // step[1])
+    # the level that offers only its up side; -1 (none) unless symmetric
+    half = n - 1 if mode != "shrink" and all(2 * b % den == 0 for b in big) else -1
+    if half >= 0:
+        shift = [2 * b // den for b in big]
     best = None
     hits: list = []
     nodes = 0
@@ -231,7 +272,7 @@ def _search(prepared: _Prepared, big, den: int, radius, mode: str, node_budget):
     while True:
         s, b = scales[i], sbase[i]
         u, v = s * up[i] + b, s * down[i] + b
-        if abs(u) <= abs(v):
+        if i == half or abs(u) <= abs(v):
             cand = up[i]
             up[i] += 1
         else:
@@ -250,9 +291,13 @@ def _search(prepared: _Prepared, big, den: int, radius, mode: str, node_budget):
         x[i] = cand
         if i == 0:
             if mode == "collect":
-                hits.append((tuple(x), Fraction(total, value_scale)))
+                value = Fraction(total, value_scale)
+                hits.append((tuple(x), value))
+                if half >= 0 and scales[half] * x[half] + consts[half]:
+                    hits.append((tuple(-a - c for a, c in zip(x, shift)), value))
             elif best is None or total < best:
-                limit = best = total
+                best = total
+                limit = best - drop
                 if mode == "shrink":
                     hits = [tuple(x)]
             elif mode == "shrink":  # total == best, as best caps the limit
@@ -310,17 +355,21 @@ def coset_minima(
     """(min_norm, nodes) of each target (big, den), the coset big / den + Z^n
     of integers big and den > 0, on one symmetric positive definite form.
 
-    Each search is the one shortest_in_coset runs on that target, node for
-    node, but records no minimizer. The form is reduced and factored once,
-    and each target is searched on that preparation, with its own
-    node_budget. The form is checked as a CosetProblem's is, and each
-    target as plan_minimum checks it (_integer_target).
+    Each search finds the minimum that shortest_in_coset finds on that
+    target, in at most as many nodes, and records no minimizer: it stops
+    once no value below best - g is left, for the value step g of the
+    target (_value_step). The form is reduced and factored once, and each
+    target is searched on that preparation, with its own node_budget. The
+    form is checked as a CosetProblem's is, and each target as plan_minimum
+    checks it (_integer_target).
     """
-    prepared = _prepare(_form_rows(form), True)
+    form = _form_rows(form)
+    prepared = _prepare(form, True)
+    step = _value_step(form)
     out = []
     for big, den in targets:
         big = _integer_target(big, den, len(form))
-        best, _hits, nodes = _search(prepared, big, den, None, "value", node_budget)
+        best, _hits, nodes = _search(prepared, big, den, None, "value", node_budget, step(big, den))
         out.append((best, nodes))
     return out
 

@@ -253,8 +253,9 @@ TREE_LATTICES = (
 def test_shared_preparation_matches_one_preparation_per_class(reduce):
     """Each class searched on its own, through the minimizer-recording
     shortest_in_coset, finds the minimum that the shared preparation does;
-    with the same LLL step, which the shared preparation always takes, it
-    visits the same nodes too. defects finds the same minima, by the tree
+    with the same LLL step, which the shared preparation always takes, the
+    shared search, which stops at the value step and halves symmetric
+    cosets, visits no more nodes. defects finds the same minima, by the tree
     dynamic program on the forests."""
     assert all(lat.forest_plan is not None for lat in TREE_LATTICES)
     for lat in TREE_LATTICES + [conjugated_bimodular(seed) for seed in range(50)]:
@@ -272,10 +273,9 @@ def test_shared_preparation_matches_one_preparation_per_class(reduce):
             result = shortest_in_coset(problem, reduce=reduce)
             separate.append((result.min_norm, result.nodes_visited))
         shared = coset_minima(problems[0].form, [integer_target(p) for p in problems])
+        assert [value for value, _nodes in shared] == [value for value, _nodes in separate]
         if reduce:
-            assert shared == separate
-        else:
-            assert [value for value, _nodes in shared] == [value for value, _nodes in separate]
+            assert all(a <= b for (_v, a), (_w, b) in zip(shared, separate))
         pair = defects(lat)
         values = [Fraction(4 * value - n, 4) for value, _nodes in separate]
         if len(values) == 1:  # a unimodular lattice reports its defect twice

@@ -1,19 +1,30 @@
 """Coset minimization: goldens, oracle agreement, budgets, reduction, and the
 serial search as the only one (no entry point takes threads). Only
-shortest_in_coset lets the caller choose the LLL step. The forest plan is
-checked against the dense fraction-free adjugate."""
+shortest_in_coset lets the caller choose the LLL step. The value step of a
+coset is checked against the values of a box, and the value and listing
+searches, which stop at that step and search symmetric cosets by halves,
+against the exhaustive box oracles. The forest plan is checked against the
+dense fraction-free adjugate, and the tree dynamic program (forest_minimum,
+the plan and plan_minimum of one CosetProblem, kept in tests/helpers.py)
+against the branch-and-bound search on random weighted forests and on every
+spin-c class of small Seifert plumbings. Node budgets are exact for the tree
+DP and for every mode of the search.
+"""
 
 import hashlib
 import inspect
+import itertools
 import random
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 
 import latdefect
 from latdefect import (
+    BudgetExhaustedError,
     CosetProblem,
     FormatError,
     NotIntegerError,
@@ -26,10 +37,13 @@ from latdefect import (
     max_char_square,
     min_char_norm,
     shortest_in_coset,
+    spinc_classes,
+    validate_lattice,
     verify_suite,
 )
 from latdefect.cli import main
-from latdefect.enumeration import coset_minima, forest_plan, plan_minimum
+from latdefect.defects import _class_problem, _class_target
+from latdefect.enumeration import _value_step, coset_minima, forest_plan, plan_minimum
 from latdefect.errors import EXIT_USAGE
 from latdefect.formats import gram_to_json
 from latdefect.linalg import (
@@ -38,6 +52,7 @@ from latdefect.linalg import (
     fraction_free_ldl,
     ldl_decomposition,
     mat_mul,
+    mat_vec,
     transpose,
 )
 from latdefect.reduction import lll_reduce_gram
@@ -46,10 +61,14 @@ from helpers import (
     box_minimum,
     box_points_within,
     examples,
+    forest_minimum,
     forest_problems,
+    integer_target,
     quadratic_value,
     random_spd_gram,
     random_target,
+    seifert_legs,
+    seifert_tree,
 )
 
 
@@ -149,28 +168,68 @@ def test_enumerate_requires_radius():
         enumerate_in_coset(CosetProblem([[1]], [0]))
 
 
+def half_target(rng, n):
+    """A target in (1/2) Z^n: its coset is symmetric, x -> -x maps it to itself."""
+    return [Fraction(rng.randint(-3, 3), 2) for _ in range(n)]
+
+
 def test_enumerate_in_coset_matches_box():
+    # on a symmetric coset the listing offers only the up side of its top
+    # level and mirrors each hit off it; rank 1 and integral targets included
     rng = random.Random(11)
-    for _ in range(40):
+    cases = [([[2]], [Fraction(1, 2)], 3), ([[1]], [0], 4), ([[3]], [Fraction(-5, 2)], 1)]
+    for k in range(80):
         gram = random_spd_gram(rng, max_rank=3)
-        target = random_target(rng, len(gram))
-        radius = Fraction(rng.randint(1, 12), rng.randint(1, 3))
-        expected = box_points_within(gram, target, radius)
+        target = half_target(rng, len(gram)) if k % 2 else random_target(rng, len(gram))
+        cases.append((gram, target, Fraction(rng.randint(0, 12), rng.randint(1, 3))))
+    for gram, target, radius in cases:
         got, _nodes = enumerate_in_coset(CosetProblem(gram, target, radius=radius))
-        assert got == expected
+        assert got == box_points_within(gram, target, radius)
+
+
+def rational_gcd(values):
+    scale = lcm(*(Fraction(v).denominator for v in values))
+    return Fraction(gcd(*(int(v * scale) for v in values)), scale)
+
+
+def test_value_step_is_the_gcd_of_the_value_differences():
+    # every x in a box around 0 that holds each e_i, 2 e_i and e_i + e_j
+    # moves the value by a multiple of g, and those moves have gcd g
+    rng = random.Random(16)
+    for k in range(60):
+        form = random_spd_gram(rng, max_rank=3)
+        if k % 2:
+            form = [[Fraction(a, 3) for a in row] for row in form]
+        target = half_target(rng, len(form)) if k % 3 == 0 else random_target(rng, len(form))
+        big, den = integer_target(CosetProblem(form, target))
+        g = Fraction(*_value_step(form)(big, den))
+        base = quadratic_value(form, target)
+        moves = [
+            quadratic_value(form, [t + a for t, a in zip(target, x)]) - base
+            for x in itertools.product(range(-1, 3), repeat=len(form))
+        ]
+        assert all((move / g).denominator == 1 for move in moves)
+        assert rational_gcd(moves) == g
 
 
 def test_oracle_agreement_including_reduction():
+    # shortest_in_coset with and without LLL, and coset_minima, which stops
+    # at the value step and searches symmetric cosets by halves; with the
+    # same LLL step coset_minima visits no more nodes
     rng = random.Random(12)
-    for k in range(60):
+    for k in range(80):
         gram = random_spd_gram(rng)
-        target = random_target(rng, len(gram))
+        target = half_target(rng, len(gram)) if k % 4 > 1 else random_target(rng, len(gram))
         expect_min, expect_args = box_minimum(gram, target)
         problem = CosetProblem(gram, target)
         result = shortest_in_coset(problem, reduce=bool(k % 2))
         assert result.min_norm == expect_min
         # the full minimizer list: no x != 0 has both x and -x in it
         assert list(result.minimizers) == expect_args
+        [(value, nodes)] = coset_minima(gram, [integer_target(problem)])
+        assert value == expect_min
+        if k % 2:
+            assert nodes <= result.nodes_visited
 
 
 def test_no_entry_point_takes_threads(capsys):
@@ -236,15 +295,15 @@ def test_suite_search_nodes_and_minima_are_pinned(monkeypatch):
     # a gate for search changes: per mode, the searches and node total of the
     # five verify suites (100 trials, default rank bound, seed 1), and a
     # digest of each search's mode, minimum and sorted hits, in order. Each
-    # level ends at its first candidate over the bound; when each side of the
-    # zig-zag closed on its own, value mode took 55,920 nodes and collect
-    # mode 45,347, with the same digest.
+    # level ends at its first candidate over the bound, value mode stops at
+    # the value step, and value and collect mode search symmetric cosets by
+    # halves; the digest does not depend on any of these.
     enumeration = sys.modules["latdefect.enumeration"]
     search = enumeration._search
     log = []
 
-    def recorded(prepared, big, den, radius, mode, node_budget):
-        out = search(prepared, big, den, radius, mode, node_budget)
+    def recorded(prepared, big, den, radius, mode, *budget_and_step):
+        out = search(prepared, big, den, radius, mode, *budget_and_step)
         log.append((mode, out[0], sorted(out[1]), out[2]))
         return out
 
@@ -255,7 +314,7 @@ def test_suite_search_nodes_and_minima_are_pinned(monkeypatch):
     for mode, _best, _hits, nodes in log:
         count, total = totals.get(mode, (0, 0))
         totals[mode] = (count + 1, total + nodes)
-    assert totals == {"value": (258, 40694), "collect": (142, 30468)}
+    assert totals == {"value": (258, 3526), "collect": (142, 19714)}
     text = repr([(mode, best, hits) for mode, best, hits, _nodes in log])
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "60b6d45a2872ee1f7af4030ec90ebf6f6eeb0ac35532a3097a5f33418343a1ae"
@@ -282,3 +341,118 @@ def test_plan_determinant_must_match_the_ldl():
     corrupted = (lam, minors[:-1] + [minors[-1] + 1], scale)
     with pytest.raises(ToolkitError, match="forest minors multiply to 4"):
         forest_plan(A3, corrupted)
+
+
+@examples(40)
+@given(forest_problems())
+def test_forest_minimum_matches_branch_and_bound(problem):
+    value, nodes = forest_minimum(problem)
+    assert value == shortest_in_coset(problem).min_norm
+    assert nodes >= problem.rank
+
+
+def test_forest_minimum_small_cases():
+    # rank 1: (1/3 + x)^2 * 5 is smallest at x = 0
+    assert forest_minimum(CosetProblem([[5]], [Fraction(1, 3)])) == (Fraction(5, 9), 1)
+    # two components, halves and thirds mixed
+    problem = CosetProblem([[2, 0], [0, 3]], [Fraction(1, 2), Fraction(2, 3)])
+    assert forest_minimum(problem)[0] == Fraction(1, 2) + Fraction(1, 3)
+    assert forest_minimum(CosetProblem([], [])) == (0, 0)
+
+
+def test_forest_minimum_rejects_cycles_and_radius():
+    triangle = [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+    assert forest_minimum(CosetProblem(triangle, [0, 0, 0])) is None
+    assert validate_lattice([[-x for x in row] for row in triangle]).forest_plan is None
+    with pytest.raises(ValueError):
+        forest_minimum(CosetProblem([[1]], [0], radius=1))
+
+
+@examples(40)
+@given(seifert_legs(5, 4))
+@example((-2, [(-1, 3, 1), (-1, 5, 2), (-1, 6, 1)]))
+def test_max_char_square_matches_search_on_every_class(raw):
+    tree = seifert_tree(*raw)
+    assume(tree is not None and tree.rank <= 10)
+    lat = latdefect.gram(tree)
+    assume(abs(lat.determinant) <= 100)
+    for cls in spinc_classes(lat):
+        rep = cls.representative
+        # the lattice's plan runs the dynamic program of the class problem's
+        # own plan, node for node
+        assert plan_minimum(lat.forest_plan, *_class_target(rep)) == forest_minimum(_class_problem(rep))
+        # z = G^-1 p of the positive form -G, from the dense adjugate of G
+        adj = mat_vec(adjugate(lat.gram)[0], list(rep.pairings))
+        target = [Fraction(-x, 2 * lat.determinant) for x in adj]
+        search = shortest_in_coset(CosetProblem(lat.positive_gram, target))
+        assert max_char_square(lat, rep) == -4 * search.min_norm
+
+
+def budget_cases():
+    path = CosetProblem(
+        [[3, -1, 0, 0], [-1, 3, 1, 0], [0, 1, 4, -2], [0, 0, -2, 5]],
+        [Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3), Fraction(1, 6)],
+    )
+    cube = CosetProblem([[1 if i == j else 0 for j in range(6)] for i in range(6)], [Fraction(1, 2)] * 6)
+    return [path, cube]
+
+
+# budgets that every search and the tree DP reject before their first node
+# (check_node_budget); every int of at least 1 is an exact budget
+BAD_BUDGETS = (0, "3", 1.5, True)
+BAD_BUDGET = "^node_budget must be None or an int of at least 1, got"
+
+
+@pytest.mark.parametrize("problem", budget_cases())
+def test_forest_budget_is_exact(problem):
+    value, nodes = forest_minimum(problem)
+    assert forest_minimum(problem, node_budget=nodes) == (value, nodes)
+    for budget in (1, nodes - 1):
+        with pytest.raises(BudgetExhaustedError) as info:
+            forest_minimum(problem, node_budget=budget)
+        assert info.value.nodes == nodes and info.value.budget == budget
+    for budget in BAD_BUDGETS:
+        with pytest.raises(ValueError, match=BAD_BUDGET):
+            forest_minimum(problem, node_budget=budget)
+
+
+@pytest.mark.parametrize("problem", budget_cases())
+def test_search_budget_is_exact(problem):
+    # the minimizer, value-only and collect modes: (run under a budget,
+    # unbudgeted result, node count)
+    full = shortest_in_coset(problem)
+    targets = [integer_target(problem)]
+    [value] = coset_minima(problem.form, targets)
+    assert value[0] == full.min_norm and value[1] <= full.nodes_visited
+    within = CosetProblem(problem.form, problem.target, radius=full.min_norm + 1)
+    points, collected = enumerate_in_coset(within)
+    # three different budgets: the cube, a symmetric coset, finds its minimum
+    # in 12 nodes and lists its 64 points in 105, against 189 for minimizers
+    assert len(points) > 1 and len({full.nodes_visited, value[1], collected}) == 3
+    searches = [
+        (lambda budget: shortest_in_coset(problem, node_budget=budget), full, full.nodes_visited),
+        (lambda budget: coset_minima(problem.form, targets, node_budget=budget)[0], value, value[1]),
+        (lambda budget: enumerate_in_coset(within, node_budget=budget), (points, collected), collected),
+    ]
+    for run, result, nodes in searches:
+        assert run(nodes) == result
+        for budget in (1, nodes - 1):
+            with pytest.raises(BudgetExhaustedError) as info:
+                run(budget)
+            assert info.value.nodes == budget + 1 and info.value.budget == budget
+        for budget in BAD_BUDGETS:
+            with pytest.raises(ValueError, match=BAD_BUDGET):
+                run(budget)
+
+
+def test_coset_minima_gives_each_target_its_own_budget():
+    path = budget_cases()[0]
+    other = CosetProblem(path.form, [Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6), Fraction(1, 2)])
+    targets = [integer_target(path), integer_target(other)]
+    expected = coset_minima(path.form, targets[:1]) + coset_minima(path.form, targets[1:])
+    small, large = sorted(nodes for _value, nodes in expected)
+    assert 0 < small < large
+    assert coset_minima(path.form, targets, node_budget=large) == expected
+    with pytest.raises(BudgetExhaustedError) as info:
+        coset_minima(path.form, targets, node_budget=large - 1)
+    assert info.value.nodes == large
