@@ -68,8 +68,12 @@ def fraction_free_ldl(q) -> tuple[list[list[int]], list[int], int]:
     L[i][j] = lam[i][j] / minors[j + 1] and D[k] = minors[k + 1] / (minors[k] s).
     The recurrence is fraction-free Gram-Schmidt (Cohen, A Course in
     Computational Algebraic Number Theory, Alg. 2.6.7, step 2): every
-    intermediate value is an integer minor, so each division is exact. Only
-    the lower triangle is read. Raises NotPositiveDefiniteError at the first
+    intermediate value is an integer minor, so each division is exact. A
+    step whose product lam[k][i] lam[j][i] is 0 only scales val by
+    minors[i + 1] / minors[i], so a run of them from a to b is one exact step
+    val minors[b] / minors[a]; entry j takes one big-int step per index where
+    lam[k] and lam[j] are both nonzero, not j steps. Only the lower triangle
+    is read. Raises NotPositiveDefiniteError at the first
     non-positive minor, with its index (that of the first non-positive pivot
     of D) and its value.
     """
@@ -86,13 +90,22 @@ def fraction_free_row(gram_row, k: int, lam, minors) -> None:
     """Set lam[k][j] for j < k and minors[k + 1] from row k of an integer Gram
     matrix, given the rows and minors before k; see fraction_free_ldl."""
     row = lam[k]
+    support = []  # the j < k set so far with row[j] != 0
     for j in range(k + 1):
         other = lam[j] if j < k else row
-        val = gram_row[j]
-        for i in range(j):
-            val = (minors[i + 1] * val - row[i] * other[i]) // minors[i]
+        val, last = gram_row[j], 0
+        for i in support:
+            if other[i]:
+                if last < i and val:
+                    val = val * minors[i] // minors[last]
+                val = (minors[i + 1] * val - row[i] * other[i]) // minors[i]
+                last = i + 1
+        if last < j and val:
+            val = val * minors[j] // minors[last]
         if j < k:
             row[j] = val
+            if val:
+                support.append(j)
         elif val <= 0:
             raise NotPositiveDefiniteError(k + 1, minor=val)
         else:
@@ -101,7 +114,7 @@ def fraction_free_row(gram_row, k: int, lam, minors) -> None:
 
 def factor_solve(factor, vec) -> list[int]:
     """adj(s q) vec = det(s q) (s q)^-1 vec from factor = fraction_free_ldl(q)
-    = (lam, minors, s), in O(n^2) steps and integers only, for n ints vec
+    = (lam, minors, s), in integers only, for n ints vec
     (IntegralLattice.solve checks them).
 
     Forward, the row step of fraction_free_row applied to vec as one more
@@ -109,26 +122,31 @@ def factor_solve(factor, vec) -> list[int]:
     z = D^-1 y, z_j = row[j] / minors[j + 1]. Back-substituting L^T x = z
     and scaling by det = minors[n] gives the integers
     N_i = det x_i = (det row[i] - sum over j > i of lam[j][i] N_j) / minors[i + 1].
-    Each value in both passes is an integer minor, so every division is
-    exact for a true factor; each is checked, and ToolkitError is raised
-    when one is not.
+    Both passes walk only the nonzeros of each lam[j], forward with runs of
+    zero products jumped as in fraction_free_ldl, so they take O(n +
+    nonzeros of lam) big-int steps. Each value is an integer minor, so every
+    division is exact for a true factor; each, jumps included, is checked,
+    and ToolkitError is raised when one is not.
     """
     lam, minors, _scale = factor
-    n = len(lam)
     row = list(vec)
-    for j in range(n):
-        other = lam[j]
-        val = row[j]
-        for i in range(j):
-            val = exact_quotient(minors[i + 1] * val - row[i] * other[i], minors[i])
+    supports = [[i for i, x in enumerate(other) if x] for other in lam]
+    for j, other in enumerate(lam):
+        val, last = row[j], 0
+        for i in supports[j]:
+            if row[i]:
+                if last < i and val:
+                    val = exact_quotient(val * minors[i], minors[last])
+                val = exact_quotient(minors[i + 1] * val - row[i] * other[i], minors[i])
+                last = i + 1
+        if last < j and val:
+            val = exact_quotient(val * minors[j], minors[last])
         row[j] = val
-    det = minors[n]
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        num = det * row[i]
-        for j in range(i + 1, n):
-            num -= lam[j][i] * out[j]
-        out[i] = exact_quotient(num, minors[i + 1])
+    out = [minors[-1] * x for x in row]
+    for j in reversed(range(len(lam))):
+        out[j] = x = exact_quotient(out[j], minors[j + 1])
+        for i in supports[j]:
+            out[i] -= lam[j][i] * x
     return out
 
 

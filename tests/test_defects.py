@@ -44,26 +44,6 @@ from helpers import bimodular_bases, box_minimum, conjugated, translate_class_re
 QUARTER = Fraction(1, 4)
 
 
-def test_identity_lattices_have_zero_defect():
-    for m in range(1, 11):
-        pair = defects(identity_lattice(m))
-        assert pair.d_plus == 0
-        assert pair.d_minus == 0
-
-
-def test_e8_defect():
-    pair = defects(e8_lattice())
-    assert pair.d_plus == -2
-    assert pair.d_minus == -2
-
-
-def test_a1_and_diagonal_bimodular_defects():
-    assert defects(a1_lattice()) == defects(diagonal_bimodular_lattice(1))
-    for n in range(1, 9):
-        pair = defects(diagonal_bimodular_lattice(n))
-        assert (pair.d_plus, pair.d_minus) == (QUARTER, -QUARTER)
-
-
 def test_e7_defects():
     pair = defects(e7_lattice())
     assert (pair.d_plus, pair.d_minus) == (Fraction(-7, 4), -QUARTER)

@@ -50,7 +50,6 @@ from latdefect.linalg import (
     adjugate,
     clear_denominators,
     fraction_free_ldl,
-    ldl_decomposition,
     mat_mul,
     mat_vec,
     transpose,
@@ -142,16 +141,6 @@ def test_rank_zero():
         with pytest.raises(RadiusEmptyError):
             shortest_in_coset(CosetProblem([], [], radius=radius))
         assert enumerate_in_coset(CosetProblem([], [], radius=radius)) == ([], 0)
-
-
-def test_rational_cholesky_golden():
-    # the search factors the Gram matrix by linalg.ldl_decomposition; a
-    # non-symmetric one is refused when the problem is built
-    lower, diag = ldl_decomposition([[2, 1], [1, 2]])
-    assert diag == [Fraction(2), Fraction(3, 2)]
-    assert lower[1][0] == Fraction(1, 2)
-    with pytest.raises(NotSymmetricError):
-        CosetProblem([[2, 1], [0, 2]], [0, 0])
 
 
 def test_radius_modes():

@@ -1,4 +1,11 @@
-"""Exact linear algebra, cross-checked against sympy."""
+"""Exact linear algebra, cross-checked against sympy.
+
+The fraction-free LDL^T is checked against the LDL^T over Fractions kept in
+tests/helpers.py. On sparse forms (trees in both orders, block sums, long
+zero runs, the main plumbing) its factor and the covector solve on it are
+checked against that LDL^T and the dense Bareiss adjugate, and the first
+non-positive minor it names against sympy's leading minors.
+"""
 
 import random
 from fractions import Fraction
@@ -6,13 +13,17 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from latdefect import SeifertData, h1_order
+from latdefect import CosetProblem, NotPositiveDefiniteError, SeifertData, h1_order
 from latdefect.dinvariant import _seifert_tree
-from latdefect.errors import FormatError, NotIntegerError, NotSymmetricError
+from latdefect.errors import FormatError, NotIntegerError, NotSymmetricError, ToolkitError
 from latdefect.linalg import (
     adjugate,
+    exact_quotient,
+    factor_solve,
+    fraction_free_ldl,
     hermite_row_basis,
     invert_matrix,
+    ldl_decomposition,
     mat_mul,
     mat_vec,
     reduce_mod_rows,
@@ -23,7 +34,13 @@ from latdefect.linalg import (
     transpose,
 )
 
-from helpers import main_example_lattice, per_pivot_hermite_row_basis, smith_row_kernel
+from helpers import (
+    fraction_ldl,
+    main_example_lattice,
+    per_pivot_hermite_row_basis,
+    random_spd_gram,
+    smith_row_kernel,
+)
 
 
 def random_int_matrix(rng, m, n, span=9):
@@ -248,3 +265,120 @@ def test_sign_representatives_keep_one_sorted_vector_per_pair():
     vectors = [(0, -2, 1), (1, 0, 0), (0, 2, -1), (-1, 0, 0), (0, 0, 0)]
     assert sign_representatives(vectors) == [(0, 0, 0), (0, 2, -1), (1, 0, 0)]
     assert sign_representatives(iter([])) == []
+
+
+def test_rational_cholesky_golden():
+    # the search factors the Gram matrix by linalg.ldl_decomposition; a
+    # non-symmetric one is refused when the problem is built
+    lower, diag = ldl_decomposition([[2, 1], [1, 2]])
+    assert diag == [Fraction(2), Fraction(3, 2)]
+    assert lower[1][0] == Fraction(1, 2)
+    with pytest.raises(NotSymmetricError):
+        CosetProblem([[2, 1], [0, 2]], [0, 0])
+
+
+SPARSE_KINDS = ("root-first tree", "leaf-first tree", "blocks", "zero runs")
+
+
+def sparse_form(rng, kind, n, slack=(1, 3)):
+    """A symmetric integer form of rank n with a sparse fraction-free factor:
+    a weighted tree with each parent before (root-first) or after
+    (leaf-first) its children, a direct sum of random_spd_gram blocks, or a
+    diagonal form plus entries joining the two halves (long zero runs in
+    each row). Trees and zero-run forms exceed diagonal dominance by slack."""
+    form = [[0] * n for _ in range(n)]
+    if kind == "blocks":
+        start = 0
+        while start < n:
+            block = random_spd_gram(rng, max_rank=min(4, n - start))
+            for i, row in enumerate(block):
+                form[start + i][start:start + len(block)] = row
+            start += len(block)
+        return form
+    if kind == "zero runs":
+        edges = [(rng.randrange(n // 2), rng.randrange(n // 2, n)) for _ in range(n // 3)]
+    else:
+        edges = [(v, rng.randrange(v)) for v in range(1, n)]
+        if kind == "leaf-first tree":
+            edges = [(n - 1 - a, n - 1 - b) for a, b in edges]
+    for a, b in edges:
+        form[a][b] = form[b][a] = rng.choice([-2, -1, 1, 2])
+    for v in range(n):
+        form[v][v] = sum(abs(x) for x in form[v]) + rng.randint(*slack)
+    return form
+
+
+def check_factor_and_solves(form, vectors):
+    # lam and minors against the Fraction LDL^T, every solve against the
+    # dense Bareiss adjugate
+    factor = fraction_free_ldl(form)
+    assert ldl_decomposition(form) == fraction_ldl(form)
+    adj, det = adjugate(form)
+    assert factor[1][-1] == det
+    for vec in vectors:
+        assert factor_solve(factor, vec) == mat_vec(adj, vec)
+
+
+@pytest.mark.parametrize("kind", SPARSE_KINDS)
+def test_sparse_elimination_matches_the_fraction_ldl_and_the_adjugate(kind):
+    # the row step and the solve step only where both factors are nonzero
+    # and jump each run of zero products; every output is the dense one
+    rng = random.Random(SPARSE_KINDS.index(kind))
+    for _ in range(40):
+        n = rng.randint(1, 14)
+        units = [[int(i == j) for j in range(n)] for i in range(n)]
+        sparse = [rng.choice([0, 0, rng.randint(-3, 3)]) for _ in range(n)]
+        check_factor_and_solves(sparse_form(rng, kind, n), units + [sparse])
+
+
+@pytest.mark.parametrize("kind", SPARSE_KINDS)
+def test_sparse_elimination_names_the_first_bad_minor(kind):
+    rng = random.Random(10 + SPARSE_KINDS.index(kind))
+    failed = 0
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        form = sparse_form(rng, kind, n, slack=(-1, 2))
+        v = rng.randrange(n)
+        form[v][v] -= rng.randint(0, form[v][v] + 1)
+        minors = [int(sympy.Matrix(form)[:k, :k].det()) for k in range(1, n + 1)]
+        bad = next((k for k, minor in enumerate(minors, 1) if minor <= 0), None)
+        if bad is None:
+            assert fraction_free_ldl(form)[1] == [1] + minors
+            continue
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            fraction_free_ldl(form)
+        assert (info.value.pivot_index, info.value.minor) == (bad, minors[bad - 1])
+        failed += 1
+    assert failed >= 10
+
+
+def test_solve_checks_the_jump_over_a_zero_run():
+    # A2 + 3 I_3 factors to lam[4] = [0, 0, 0, 0], minors [1, 2, 3, 9, 27, 81].
+    # With lam[4][0] = 1 the forward row of e_0 steps once at 0 to -1 and
+    # then jumps the zero run 1..3 to -1 * minors[4] / minors[1] = -27 / 2.
+    form = [[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 3, 0, 0], [0, 0, 0, 3, 0], [0, 0, 0, 0, 3]]
+    lam, minors, scale = fraction_free_ldl(form)
+    assert (lam[4], minors) == ([0, 0, 0, 0], [1, 2, 3, 9, 27, 81])
+    check_factor_and_solves(form, [[1, 0, 0, 0, 0]])
+    tampered = (lam[:4] + [[1, 0, 0, 0]], minors, scale)
+    with pytest.raises(ToolkitError, match="-27 is not divisible by 2"):
+        factor_solve(tampered, [1, 0, 0, 0, 0])
+
+
+def test_main_plumbing_solve_checks_one_division_per_step(monkeypatch):
+    # the factor of the rank-32 main plumbing has 47 nonzeros below the
+    # diagonal out of 496; solving its diagonal takes 107 checked divisions
+    # (steps, jumps and 32 back-substitutions), where the dense loops took
+    # 496 + 32 = 528
+    lat = main_example_lattice()
+    assert sum(1 for row in lat.factor[0] for x in row if x) == 47
+    check_factor_and_solves(lat.positive_gram, [lat.diagonal])
+    calls = []
+
+    def counting(num, den):
+        calls.append(den)
+        return exact_quotient(num, den)
+
+    monkeypatch.setattr("latdefect.linalg.exact_quotient", counting)
+    lat.solve(lat.diagonal)
+    assert len(calls) == 107
