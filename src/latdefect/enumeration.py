@@ -42,7 +42,10 @@ in O(n) integer steps. It runs no dense elimination: the caller passes the
 fraction-free LDL, whose nearest-plane constants the plan keeps for every
 target's bound, and a lattice passes the one its validation made.
 plan_minimum then takes one integer target over a denominator, and computes
-each message as a lower-envelope query in integers.
+each message as a lower-envelope query in integers. The nearest-plane value
+R is a value of the coset, so the DP searches only for values up to R - g,
+for the value step g: its boxes are sized by R - g, and a line no point
+within that bound can pass through is dropped before its message.
 """
 
 from __future__ import annotations
@@ -473,7 +476,11 @@ class ForestPlan(NamedTuple):
     p = parent[v] (0 at a root). determinant = det Q, and
     adjugate_diagonal[v] = det(Q - v) is
     the v-th diagonal entry of adj Q = det Q * Q^-1, so (Q^-1)_vv =
-    adjugate_diagonal[v] / determinant. nearest_plane holds the
+    adjugate_diagonal[v] / determinant. With C the component of v,
+    outside[v] = U_v is the determinant of C without the subtree of v, and
+    outside_less_parent[v] = F_v that of C without the subtree of v and
+    without p (1 and 0 at a root), so F_v / U_v is the diagonal entry at p of
+    the inverse of the rest of C. nearest_plane holds the
     _nearest_plane_constants of fraction_free_ldl(Q), as the caller made it,
     for the bound of every target.
     A NamedTuple rather than a dataclass: a frozen dataclass of this many
@@ -486,6 +493,8 @@ class ForestPlan(NamedTuple):
     edge: tuple[int, ...]
     determinant: int
     adjugate_diagonal: tuple[int, ...]
+    outside: tuple[int, ...]
+    outside_less_parent: tuple[int, ...]
     nearest_plane: tuple
 
 
@@ -533,6 +542,7 @@ def forest_plan(form, factor) -> ForestPlan | None:
         )
     component = [0] * n
     up = [1] * n
+    without_p = [0] * n
     adj = [0] * n
     for v in reversed(order):
         p = parent[v]
@@ -540,8 +550,8 @@ def forest_plan(form, factor) -> ForestPlan | None:
             component[v] = minors[v]
         else:
             component[v] = component[p]
-            without_p = up[p] * exact_quotient(products[p], minors[v])
-            up[v] = exact_quotient(component[v] + link[v] ** 2 * products[v] * without_p, minors[v])
+            without_p[v] = up[p] * exact_quotient(products[p], minors[v])
+            up[v] = exact_quotient(component[v] + link[v] ** 2 * products[v] * without_p[v], minors[v])
         adj[v] = products[v] * up[v] * exact_quotient(det, component[v])
     return ForestPlan(
         order=tuple(order),
@@ -550,6 +560,8 @@ def forest_plan(form, factor) -> ForestPlan | None:
         edge=tuple(2 * a for a in link),
         determinant=det,
         adjugate_diagonal=tuple(adj),
+        outside=tuple(up),
+        outside_less_parent=tuple(without_p),
         nearest_plane=_nearest_plane_constants(factor),
     )
 
@@ -602,40 +614,74 @@ def plan_minimum(
     Y = den (t + x) is an integer vector congruent to big mod den, and
     den^2 times the value is the integer quadratic
     sum of vertex[v] Y_v^2 plus sum of edge[v] Y_v Y_p. The nearest-plane
-    value R (_nearest_plane) bounds every coordinate by
-    |Y_v| <= isqrt(floor(R (Q^-1)_vv den^2)) (Cauchy-Schwarz), with
+    value R (_nearest_plane) is a value of the coset, and every value lies
+    in R + g Z for the value step g = G / den of _value_step, here taken
+    from the vertex and edge weights in O(n). So the minimum is R unless
+    some Y has den^2 value at most limit = den^2 (R - g), an integer, and
+    only such Y are searched: none when R < g, and otherwise those in the
+    box |Y_v| <= isqrt(floor(limit (Q^-1)_vv)) (Cauchy-Schwarz), with
     (Q^-1)_vv = adjugate_diagonal[v] / determinant. Messages then
     pass from the leaves to each root:
     m_v(Y_p) = min over Y_v of [h_v(Y_v) + edge[v] Y_v Y_p], where h_v is the
     vertex term plus the messages of the children of v; each is a lower
-    envelope query (_message). nodes counts one per line offered (a value of
-    a non-root vertex), one per parent value queried and one per root value;
-    node_budget is checked against that exact total before any message.
+    envelope query (_message). Over real values, the edge to p and the rest
+    of the component of v are at least -q_vp^2 F_v Y_v^2 / U_v
+    (U_v = outside[v], F_v = outside_less_parent[v]), so a line with
+    h_v(Y_v) U_v - q_vp^2 F_v Y_v^2 > U_v limit is dropped before its
+    message. The DP total is the minimum when it is at most limit;
+    otherwise, or when a child keeps no line, the minimum is R.
+    nodes counts the cells of the box: one per line (a value of a non-root
+    vertex), one per parent value queried and one per root value, kept or
+    dropped, and 0 when the box holds no point. node_budget is checked
+    against that exact total before any message.
     """
     check_node_budget(node_budget)
     big = _integer_target(big, den, len(plan.vertex))
-    reach, reach_den = _nearest_plane(plan.nearest_plane, big, den)
-    whole = reach_den * plan.determinant
+    # den^2 R and den^2 g = den G are integers; twice[v] = 2 (Q big)_v
+    reach = exact_quotient(*_nearest_plane(plan.nearest_plane, big, den))
+    nearest = Fraction(reach, den * den)
+    vertex, edge, parent = plan.vertex, plan.edge, plan.parent
+    twice = [2 * a * b for a, b in zip(vertex, big)]
+    for v, p in enumerate(parent):
+        if p >= 0:
+            twice[v] += edge[v] * big[p]
+            twice[p] += edge[v] * big[v]
+    pairs = gcd(*(2 * a for a in vertex), *edge)
+    limit = reach - den * gcd(pairs * den, *(t + den * a for t, a in zip(twice, vertex)))
+    if limit < 0:
+        return nearest, 0
     domains = []
     for c, q in zip(big, plan.adjugate_diagonal):
-        b = isqrt(reach * q // whole)
+        b = isqrt(limit * q // plan.determinant)
         domains.append(range(c - den * ((b + c) // den), b + 1, den))
-    parent = plan.parent
+    if not all(domains):
+        return nearest, 0
     nodes = sum(
         len(domains[v]) + (len(domains[p]) if p >= 0 else 0)
         for v, p in enumerate(parent)
     )
     if node_budget is not None and nodes > node_budget:
         raise BudgetExhaustedError(nodes, node_budget)
-    h = [[a * y * y for y in dom] for a, dom in zip(plan.vertex, domains)]
+    h = [[a * y * y for y in dom] for a, dom in zip(vertex, domains)]
     total = 0
     for v in plan.order:
         p = parent[v]
         if p < 0:
             total += min(h[v])
             continue
+        out = plan.outside[v]
+        cut = (edge[v] // 2) ** 2 * plan.outside_less_parent[v]
+        cap = out * limit
+        heights, values = [], []
+        for y, a in zip(domains[v], h[v]):
+            if a * out - cut * y * y <= cap:
+                heights.append(a)
+                values.append(y)
+        if not values:
+            return nearest, nodes
         hp = h[p]
-        for k, m in enumerate(_message(h[v], domains[v], plan.edge[v], domains[p])):
+        for k, m in enumerate(_message(heights, values, edge[v], domains[p])):
             hp[k] += m
+    if total > limit:
+        return nearest, nodes
     return Fraction(total, den * den), nodes
-

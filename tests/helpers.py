@@ -516,7 +516,8 @@ def forest_minimum(problem, *, node_budget=None):
 
     The plan takes integer forms, so the form is scaled to one, s Q, and the
     value divided by s. Node counts do not depend on s: the domains depend
-    only on R (Q^-1)_vv, which scaling leaves alone.
+    only on (R - g) (Q^-1)_vv, for the nearest-plane value R and the value
+    step g, which scaling leaves alone.
     """
     from latdefect.enumeration import forest_plan, plan_minimum
     from latdefect.linalg import clear_denominators, fraction_free_ldl

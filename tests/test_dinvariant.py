@@ -270,17 +270,23 @@ def test_one_dynamic_program_per_conjugate_pair(
 
 
 def test_node_budget_bounds_each_dynamic_program(monkeypatch, capsys):
-    data = SeifertData(-3, (-4, -4, -2))
+    # every class of Y(-3; -4, -4, -2) has its nearest-plane value below its
+    # value step, so none of its programs searches a box
     runs = counted_dynamic_programs(monkeypatch)
+    values = seifert_class_values(SeifertData(-3, (-4, -4, -2)))
+    assert len(runs) == 34 and set(runs) == {0}
+    assert seifert_class_values(SeifertData(-3, (-4, -4, -2)), node_budget=1) == values
+    runs.clear()
+    data = SeifertData(-1, (-6, -3, Fraction(-3, 2)))
     values = seifert_class_values(data)
     first, largest = runs[0], max(runs)
-    assert sum(runs) > largest  # the budget is per program, not per space
+    assert first < largest < sum(runs)  # the budget is per program, not per space
     assert seifert_class_values(data, node_budget=largest) == values
     with pytest.raises(BudgetExhaustedError) as info:
         seifert_class_values(data, node_budget=first - 1)
     assert (info.value.nodes, info.value.budget) == (first, first - 1)
     for budget, code in ((first - 1, 3), (largest, 0)):
-        assert main(["--node-budget", str(budget), "seifert", "d", "Y(-3; -4, -4, -2)"]) == code
+        assert main(["--node-budget", str(budget), "seifert", "d", "Y(-1; -6, -3, -3/2)"]) == code
     assert "budget" in capsys.readouterr().err
 
 

@@ -7,8 +7,10 @@ against the exhaustive box oracles. The forest plan is checked against the
 dense fraction-free adjugate, and the tree dynamic program (forest_minimum,
 the plan and plan_minimum of one CosetProblem, kept in tests/helpers.py)
 against the branch-and-bound search on random weighted forests and on every
-spin-c class of small Seifert plumbings. Node budgets are exact for the tree
-DP and for every mode of the search.
+spin-c class of small Seifert plumbings. Its lower-envelope messages are
+checked against the cell-by-cell loop (cell_message, kept in
+tests/helpers.py). Node budgets are exact for the tree DP and for every mode
+of the search.
 """
 
 import hashlib
@@ -16,11 +18,13 @@ import inspect
 import itertools
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 import latdefect
 from latdefect import (
@@ -43,7 +47,14 @@ from latdefect import (
 )
 from latdefect.cli import main
 from latdefect.defects import _class_problem, _class_target
-from latdefect.enumeration import _value_step, coset_minima, forest_plan, plan_minimum
+from latdefect.enumeration import (
+    _message,
+    _nearest_plane,
+    _value_step,
+    coset_minima,
+    forest_plan,
+    plan_minimum,
+)
 from latdefect.errors import EXIT_USAGE
 from latdefect.formats import gram_to_json
 from latdefect.linalg import (
@@ -59,10 +70,12 @@ from latdefect.reduction import lll_reduce_gram
 from helpers import (
     box_minimum,
     box_points_within,
+    cell_message,
     examples,
     forest_minimum,
     forest_problems,
     integer_target,
+    main_example_lattice,
     quadratic_value,
     random_spd_gram,
     random_target,
@@ -332,21 +345,155 @@ def test_plan_determinant_must_match_the_ldl():
         forest_plan(A3, corrupted)
 
 
+def nearest_and_step(plan, rows, big, den):
+    """(R, g): the nearest-plane value and the value step of the target
+    big / den on the integer form rows, whose plan is given."""
+    reach, reach_den = _nearest_plane(plan.nearest_plane, big, den)
+    return Fraction(reach, reach_den * den * den), Fraction(*_value_step(rows)(big, den))
+
+
 @examples(40)
 @given(forest_problems())
 def test_forest_minimum_matches_branch_and_bound(problem):
+    # the DP searches only below R - g: no box when R < g, and a box that
+    # holds every coordinate of a minimizer when the minimum is below R
     value, nodes = forest_minimum(problem)
     assert value == shortest_in_coset(problem).min_norm
-    assert nodes >= problem.rank
+    rows, scale = clear_denominators(problem.form)
+    plan = forest_plan(rows, fraction_free_ldl(rows))
+    nearest, step = nearest_and_step(plan, rows, *integer_target(problem))
+    if nearest < step:
+        assert nodes == 0
+    if nodes == 0:
+        assert value * scale == nearest
+    if value * scale < nearest:
+        assert nodes >= problem.rank
 
 
 def test_forest_minimum_small_cases():
-    # rank 1: (1/3 + x)^2 * 5 is smallest at x = 0
-    assert forest_minimum(CosetProblem([[5]], [Fraction(1, 3)])) == (Fraction(5, 9), 1)
+    # rank 1: (1/3 + x)^2 * 5 is smallest at x = 0, and R = 5/9 is below the
+    # value step 5/3, so no box is searched
+    assert forest_minimum(CosetProblem([[5]], [Fraction(1, 3)])) == (Fraction(5, 9), 0)
+    # R = 9/49 is above the step 1/7, but no Y = 3 mod 7 has |Y| <= 1 =
+    # isqrt(49 (9/49 - 1/7)), so the box is empty
+    assert forest_minimum(CosetProblem([[1]], [Fraction(3, 7)])) == (Fraction(9, 49), 0)
     # two components, halves and thirds mixed
     problem = CosetProblem([[2, 0], [0, 3]], [Fraction(1, 2), Fraction(2, 3)])
     assert forest_minimum(problem)[0] == Fraction(1, 2) + Fraction(1, 3)
     assert forest_minimum(CosetProblem([], [])) == (0, 0)
+
+
+def seeded_forest(rng):
+    """A strictly diagonally dominant integer form on a random forest of 1 to
+    9 vertices, often of several components, with edges of either sign."""
+    n = rng.randint(1, 9)
+    form = [[0] * n for _ in range(n)]
+    for v in range(1, n):
+        p = rng.randint(-1, v - 1)  # -1 starts a new component
+        if p >= 0:
+            form[v][p] = form[p][v] = rng.choice([-3, -2, -1, 1, 2, 3])
+    for v in range(n):
+        form[v][v] = sum(abs(x) for x in form[v]) + rng.randint(1, 3)
+    return form
+
+
+def test_plan_minimum_matches_branch_and_bound_on_seeded_forests():
+    # the tree DP against coset_minima on targets of den 1-12. The counts of
+    # targets proved by the value step alone (R < g), with an empty box,
+    # confirming R in a search and finding a value below it are pinned, so
+    # that coverage cannot collapse to the early exits
+    rng = random.Random(37)
+    kinds = Counter()
+    for _ in range(120):
+        rows = seeded_forest(rng)
+        plan = forest_plan(rows, fraction_free_ldl(rows))
+        targets = []
+        for _ in range(4):
+            den = rng.randint(1, 12)
+            targets.append(([rng.randint(-2 * den, 2 * den) for _ in rows], den))
+        for (big, den), (expected, _nodes) in zip(targets, coset_minima(rows, targets)):
+            value, nodes = plan_minimum(plan, big, den)
+            assert value == expected
+            nearest, step = nearest_and_step(plan, rows, big, den)
+            if nearest < step:
+                assert nodes == 0
+                kinds["step"] += 1
+            elif nodes == 0:
+                assert value == nearest
+                kinds["empty box"] += 1
+            else:
+                kinds["confirmed" if value == nearest else "below"] += 1
+    assert kinds == {"step": 129, "empty box": 65, "confirmed": 214, "below": 72}
+    # two components whose minima 8 / 9 are each within the limit
+    # 9 (R - g) = 9 (16/9 - 1/3) = 13 alone and exceed it together: the DP
+    # runs, and its total 16 > 13 confirms R
+    path = [[3, -1], [-1, 3]]
+    rows = [row + [0, 0] for row in path] + [[0, 0] + row for row in path]
+    target = ([1, 2, 1, 2], 3)
+    assert plan_minimum(forest_plan(path, fraction_free_ldl(path)), [1, 2], 3) == (Fraction(8, 9), 3)
+    plan = forest_plan(rows, fraction_free_ldl(rows))
+    assert nearest_and_step(plan, rows, *target) == (Fraction(16, 9), Fraction(1, 3))
+    assert plan_minimum(plan, *target) == (Fraction(16, 9), 12)
+    assert coset_minima(rows, [target])[0][0] == Fraction(16, 9)
+
+
+def progression(draw, max_len):
+    start = draw(st.integers(-30, 30))
+    step = draw(st.integers(1, 5))
+    return list(range(start, start + step * draw(st.integers(1, max_len)), step))
+
+
+@st.composite
+def messages(draw):
+    """A vertex domain with its heights, a nonzero edge weight of either sign
+    and a parent domain that may be wider or narrower than the vertex's.
+    Heights come from a small range so that ties are common."""
+    values = progression(draw, 12)
+    spread = draw(st.sampled_from([0, 2, 50]))
+    heights = [draw(st.integers(-spread, spread)) for _ in values]
+    weight = draw(st.integers(-6, 6).filter(bool))
+    return heights, values, weight, progression(draw, 12)
+
+
+@examples(200)
+@given(messages())
+@example(([7], [3], 2, [-4, 0, 4]))  # a single line
+@example(([0, 0, 0], [-2, 0, 2], -1, [5]))  # equal heights, a single query
+@example(([4, 1, 0, 1, 4], [-2, -1, 0, 1, 2], 2, [-3, -1, 1, 3]))  # three lines meet at 0
+@example(([0, 5, 0], [0, 1, 2], 3, list(range(-20, 21))))  # a line above the envelope
+def test_envelope_message_matches_cells(case):
+    heights, values, weight, queries = case
+    assert _message(heights, values, weight, queries) == cell_message(
+        heights, values, weight, queries
+    )
+
+
+@examples(200)
+@given(
+    st.lists(st.integers(-40, 40), min_size=1, max_size=10, unique=True),
+    st.lists(st.integers(-40, 40), min_size=1, max_size=10, unique=True),
+    st.integers(-4, 4).filter(bool),
+    st.data(),
+)
+def test_envelope_message_on_any_ascending_values(values, queries, weight, data):
+    values.sort()
+    queries.sort()
+    heights = [data.draw(st.integers(-20, 20)) for _ in values]
+    assert _message(heights, values, weight, queries) == cell_message(
+        heights, values, weight, queries
+    )
+
+
+def test_main_example_node_total_is_pinned():
+    lat = main_example_lattice()
+    found = []
+    for cls in spinc_classes(lat):
+        value, nodes = plan_minimum(lat.forest_plan, *_class_target(cls.representative))
+        assert -4 * value == max_char_square(lat, cls.representative)
+        found.append((value, nodes))
+    # the first class has R = 1/4 below its value step 2, so R is its
+    # minimum with no box; the second searches below 15/4 - 2
+    assert found == [(Fraction(1, 4), 0), (Fraction(15, 4), 4718)]
 
 
 def test_forest_minimum_rejects_cycles_and_radius():
@@ -394,9 +541,12 @@ BAD_BUDGET = "^node_budget must be None or an int of at least 1, got"
 
 @pytest.mark.parametrize("problem", budget_cases())
 def test_forest_budget_is_exact(problem):
+    # the path (rank 4) searches a box of 11 nodes; the cube (rank 6) has
+    # R = 3/2 below its value step 2, so it searches none, under budget 1
     value, nodes = forest_minimum(problem)
-    assert forest_minimum(problem, node_budget=nodes) == (value, nodes)
-    for budget in (1, nodes - 1):
+    assert nodes == {4: 11, 6: 0}[problem.rank]
+    assert forest_minimum(problem, node_budget=max(nodes, 1)) == (value, nodes)
+    for budget in (1, nodes - 1) if nodes else ():
         with pytest.raises(BudgetExhaustedError) as info:
             forest_minimum(problem, node_budget=budget)
         assert info.value.nodes == nodes and info.value.budget == budget

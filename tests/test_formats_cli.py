@@ -388,3 +388,11 @@ def test_seifert_plumbing_bound_is_inclusive():
     assert canonical_plumbing(SeifertData(-1, legs)).rank == MAX_GRAM_RANK
     with pytest.raises(FormatError):
         canonical_plumbing(SeifertData(-1, (Fraction(-(MAX_GRAM_RANK + 1), MAX_GRAM_RANK),)))
+
+
+def test_cli_rejects_too_many_spinc_classes(capsys):
+    # a rank-2 plumbing with 999,999 spin-c classes
+    code = main(["seifert", "d", "Y(-1; -1000000/1)"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "999999 spin-c classes exceed the limit" in captured.err

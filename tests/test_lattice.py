@@ -3,9 +3,12 @@ recognizers.
 
 The Hermite box classes are checked against the Smith route kept in
 tests/helpers.py, and the box's combined adjugate against the covector solve
-of each class representative.
+of each class representative. Division-based discriminant orders (and
+generators when |det| <= 2) are checked against the inverse of the Smith
+left matrix, also kept in tests/helpers.py.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,6 +27,7 @@ from latdefect import (
     NotIntegerError,
     NotSymmetricError,
     SeifertData,
+    ToolkitError,
     a1_lattice,
     base_characteristic,
     char_class_sign,
@@ -46,12 +50,15 @@ from latdefect import (
     validate_lattice,
 )
 from latdefect.dinvariant import _seifert_tree
+from latdefect.lattice import MAX_SPINC_CLASSES
 from latdefect.linalg import hermite_row_basis, mat_mul, reduce_mod_rows, transpose
 
 from helpers import (
+    LATTICE,
     box_points_within,
     collapse_sign_pairs,
     conjugated_lattices,
+    discriminant_generators_by_inverse,
     examples,
     plumbing_lattices,
     quadratic_value,
@@ -339,3 +346,58 @@ def test_box_combined_adj_is_the_solve_of_each_rep():
             rep = cls.representative
             assert rep._adj == tuple(lat.solve(rep.pairings))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@examples(200)
+@given(conjugated_lattices(max_rank=6, max_entry=9))
+def test_discriminant_generators_match_the_inverse_route(lat):
+    # the orders are the oracle's; its generators are matched exactly for
+    # |det| <= 2, where the group has one canonical generator at most, and
+    # otherwise each generator g of order d is checked to be reduced, to have
+    # order exactly d, and the generators to span the whole group
+    group = discriminant_group(lat)
+    pairings = tuple(g.pairings for g in group.generators)
+    orders, oracle = discriminant_generators_by_inverse(lat)
+    assert group.orders == orders
+    det = abs(lat.determinant)
+    if det <= 2:
+        assert pairings == oracle
+    hnf = hermite_row_basis(lat.positive_gram)
+    for gen, d in zip(pairings, group.orders):
+        assert reduce_mod_rows(gen, hnf) == list(gen)
+        # k g is in G Z^n exactly when adj(G) k g = 0 mod det
+        lands = [
+            k for k in range(1, d + 1)
+            if d % k == 0 and all(x % det == 0 for x in lat.solve([k * y for y in gen]))
+        ]
+        assert lands == [d]
+    keys = set()
+    for coeffs in itertools.product(*(range(d) for d in group.orders)):
+        shift = [sum(c * gen[i] for c, gen in zip(coeffs, pairings)) for i in range(lat.rank)]
+        keys.add(tuple(reduce_mod_rows(shift, hnf)))
+    assert len(keys) == det
+
+
+def test_discriminant_group_rejects_an_inexact_division(monkeypatch):
+    # Z/6 = Z/2 + Z/3 sits on the Hermite block diag(2, 3); with V replaced by
+    # the identity, column 1 of R^T V = (0, 3) is not divisible by the
+    # invariant factor 6
+    lat = validate_lattice([[2, 0], [0, 3]])
+    blocks = []
+    smith = LATTICE.smith_normal_form
+
+    def tampered(block):
+        blocks.append(block)
+        diag, left, _right = smith(block)
+        return diag, left, [[1, 0], [0, 1]]
+
+    monkeypatch.setattr(LATTICE, "smith_normal_form", tampered)
+    with pytest.raises(ToolkitError, match="not divisible by 6"):
+        discriminant_group(lat)
+    assert blocks == [[[2, 0], [0, 3]]]
+
+
+def test_spinc_class_bound_is_inclusive():
+    assert len(spinc_classes(validate_lattice([[-MAX_SPINC_CLASSES]]))) == MAX_SPINC_CLASSES
+    with pytest.raises(FormatError, match=f"exceed the limit of {MAX_SPINC_CLASSES}"):
+        spinc_classes(validate_lattice([[-(MAX_SPINC_CLASSES + 1)]]))

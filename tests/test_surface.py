@@ -243,7 +243,7 @@ CROSS_CUTTING = ("acceptance", "readme", "surface", "work", "formats_cli")
 # test modules still named after finished migrations; they keep their names
 # (and so their test ids) until their tests are folded into the test module
 # of the library module each exercises, and this list only shrinks
-MIGRATION_NAMED = ("dense_path", "forest_plan", "fraction_free_search", "integer_kernel")
+MIGRATION_NAMED = ("dense_path", "fraction_free_search", "integer_kernel")
 
 
 def test_each_test_module_names_a_library_module():
